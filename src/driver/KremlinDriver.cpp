@@ -93,17 +93,21 @@ void flushExecutionTelemetry(const KremlinRuntime &RT,
   ShadowReads.add(Mem.timestampReads());
   ShadowWrites.add(Mem.timestampWrites());
   Reg.gauge("shadow.bytes").set(static_cast<double>(Mem.allocatedBytes()));
+  Reg.gauge("shadow.peak_bytes").set(static_cast<double>(Mem.peakBytes()));
+  Reg.gauge("rt.max_region_depth")
+      .set(static_cast<double>(Stats.PeakRegionDepth));
 
   DictInterns.add(Dict.numDynamicRegions());
   DictHits.add(Dict.hits());
   Reg.gauge("dict.entries").set(static_cast<double>(Dict.alphabet().size()));
   Reg.gauge("dict.compression_ratio").set(Dict.compressionRatio());
 
-  // Guardrail visibility: the configured budget (0 = unlimited) next to the
-  // usage gauges above, and a counter of executions a guardrail stopped.
+  // Guardrail visibility: the configured budget and depth cap (0 =
+  // unlimited) next to the usage gauges above, and a counter of executions
+  // a guardrail stopped.
   Reg.gauge("shadow.byte_budget")
       .set(static_cast<double>(Mem.byteBudget()));
-  Reg.gauge("rt.max_region_depth")
+  Reg.gauge("rt.region_depth_cap")
       .set(static_cast<double>(RT.config().MaxRegionDepth));
   if (RT.failed())
     Reg.counter("rt.guardrail_trips").add();

@@ -11,6 +11,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 
 // Threaded dispatch: computed goto on GCC/Clang, a tight switch loop
 // elsewhere. One macro-generated opcode body serves both.
@@ -26,6 +28,40 @@ using namespace kremlin;
 
 namespace {
 
+/// One run's flat word-addressed program memory: globals at the bottom, the
+/// frame-array stack above them. A single calloc reserves it; a block of
+/// the default size (32 MiB) comes straight from the kernel's zero pages,
+/// so only the pages the program touches are ever faulted in.
+class ProgramMemory {
+public:
+  /// Reserves \p GlobalWords + \p StackWords zeroed words; on failure
+  /// (including a size that overflows) reserved() is false.
+  ProgramMemory(uint64_t GlobalWords, uint64_t StackWords) {
+    if (StackWords > std::numeric_limits<uint64_t>::max() - GlobalWords)
+      return;
+    uint64_t Words = GlobalWords + StackWords;
+    if (Words > std::numeric_limits<size_t>::max() / sizeof(uint64_t))
+      return;
+    // calloc(0) may legitimately return null; ask for one word instead.
+    Mem = static_cast<uint64_t *>(
+        std::calloc(Words ? Words : 1, sizeof(uint64_t)));
+    if (Mem)
+      Size = Words;
+  }
+  ~ProgramMemory() { std::free(Mem); }
+  ProgramMemory(const ProgramMemory &) = delete;
+  ProgramMemory &operator=(const ProgramMemory &) = delete;
+
+  bool reserved() const { return Mem != nullptr; }
+  uint64_t *data() { return Mem; }
+  uint64_t size() const { return Size; }
+  uint64_t &operator[](uint64_t W) { return Mem[W]; }
+
+private:
+  uint64_t *Mem = nullptr;
+  uint64_t Size = 0;
+};
+
 /// Per-run reference engine (memory, step budget, error state): the
 /// original switch-over-IR interpreter, kept as the differential oracle for
 /// the tape engine (InterpConfig::UseTape == false).
@@ -33,9 +69,9 @@ class Engine {
 public:
   Engine(const Module &M, const InterpConfig &Cfg,
          const std::vector<uint64_t> &GlobalBase, uint64_t GlobalWords,
-         KremlinRuntime *RT)
-      : M(M), Cfg(Cfg), GlobalBase(GlobalBase), RT(RT),
-        Heap(GlobalWords + Cfg.StackWords, 0), SP(GlobalWords) {}
+         ProgramMemory &Heap, KremlinRuntime *RT)
+      : M(M), Cfg(Cfg), GlobalBase(GlobalBase), RT(RT), Heap(Heap),
+        SP(GlobalWords) {}
 
   ExecResult run() {
     ExecResult Result;
@@ -81,7 +117,7 @@ private:
   const std::vector<uint64_t> &GlobalBase;
   KremlinRuntime *RT;
 
-  std::vector<uint64_t> Heap;
+  ProgramMemory &Heap;
   uint64_t SP; ///< Next free stack word.
   uint64_t Steps = 0;
   unsigned CallDepth = 0;
@@ -488,10 +524,9 @@ class TapeEngine {
 public:
   TapeEngine(const Module &M, const ModuleTape &ModTape,
              const InterpConfig &Cfg, uint64_t GlobalWords,
-             KremlinRuntime *RT)
-      : M(M), ModTape(ModTape), Cfg(Cfg), RT(RT),
-        Heap(GlobalWords + Cfg.StackWords, 0), SP(GlobalWords),
-        EvBuf(ProfEventBatchSize) {}
+             ProgramMemory &Heap, KremlinRuntime *RT)
+      : M(M), ModTape(ModTape), Cfg(Cfg), RT(RT), Heap(Heap),
+        SP(GlobalWords), EvBuf(ProfEventBatchSize) {}
 
   ExecResult run() {
     ExecResult Result;
@@ -543,7 +578,7 @@ private:
   const InterpConfig &Cfg;
   KremlinRuntime *RT;
 
-  std::vector<uint64_t> Heap;
+  ProgramMemory &Heap;
   uint64_t SP; ///< Next free stack word.
   uint64_t Steps = 0;
   unsigned CallDepth = 0;
@@ -713,7 +748,7 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
     --CallDepth;
     return 0;
   }
-  std::fill(Heap.begin() + FrameBase, Heap.begin() + SP, 0);
+  std::fill(Heap.data() + FrameBase, Heap.data() + SP, 0);
 
   uint64_t *const Mem = Heap.data();
   const uint64_t HeapSize = Heap.size();
@@ -1124,12 +1159,22 @@ Interpreter::Interpreter(const Module &M, InterpConfig Cfg)
 Interpreter::~Interpreter() = default;
 
 ExecResult Interpreter::run(KremlinRuntime *RT) {
+  ProgramMemory Heap(GlobalWords, Cfg.StackWords);
+  if (!Heap.reserved()) {
+    ExecResult Result;
+    Result.Error = formatString(
+        "cannot reserve program memory (%llu global + %llu stack words)",
+        static_cast<unsigned long long>(GlobalWords),
+        static_cast<unsigned long long>(Cfg.StackWords));
+    Result.Err = Status::error(ErrorCode::ResourceExhausted, Result.Error);
+    return Result;
+  }
   if (Cfg.UseTape) {
     if (!Tape)
       Tape = std::make_unique<ModuleTape>(M, GlobalBase);
-    TapeEngine E(M, *Tape, Cfg, GlobalWords, RT);
+    TapeEngine E(M, *Tape, Cfg, GlobalWords, Heap, RT);
     return E.run();
   }
-  Engine E(M, Cfg, GlobalBase, GlobalWords, RT);
+  Engine E(M, Cfg, GlobalBase, GlobalWords, Heap, RT);
   return E.run();
 }

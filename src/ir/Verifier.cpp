@@ -65,6 +65,19 @@ private:
     }
   }
 
+  /// Position of one instruction. It is formatted into the message only
+  /// when a check fails, so a clean module builds no location strings.
+  struct InstLoc {
+    const Function &F;
+    size_t BB;
+    size_t Idx;
+  };
+
+  void problem(const InstLoc &L, const std::string &What) {
+    problem(formatString("@%s bb%zu[%zu]", L.F.Name.c_str(), L.BB, L.Idx) +
+            What);
+  }
+
   void checkFunction(const Function &F) {
     const std::string &FN = F.Name;
     if (F.Blocks.empty()) {
@@ -78,9 +91,6 @@ private:
 
     for (size_t BB = 0; BB < F.Blocks.size(); ++BB) {
       const BasicBlock &Block = F.Blocks[BB];
-      auto Where = [&](size_t Idx) {
-        return formatString("@%s bb%zu[%zu]", FN.c_str(), BB, Idx);
-      };
       if (Block.Insts.empty()) {
         problem(formatString("@%s bb%zu: empty block", FN.c_str(), BB));
         continue;
@@ -89,35 +99,35 @@ private:
         problem(formatString("@%s bb%zu: missing terminator", FN.c_str(), BB));
       for (size_t Idx = 0; Idx < Block.Insts.size(); ++Idx) {
         const Instruction &I = Block.Insts[Idx];
+        InstLoc L{F, BB, Idx};
         if (isTerminator(I.Op) && Idx + 1 != Block.Insts.size())
-          problem(Where(Idx) + ": terminator not at end of block");
-        checkInstruction(F, I, Where(Idx));
+          problem(L, ": terminator not at end of block");
+        checkInstruction(L, I);
       }
     }
   }
 
-  void checkValue(const Function &F, ValueId V, const std::string &Where,
-                  const char *Role) {
-    if (V != NoValue && V >= F.NumValues)
-      problem(Where + formatString(": %s register %%%u out of range (%u)",
-                                   Role, V, F.NumValues));
+  void checkValue(const InstLoc &L, ValueId V, const char *Role) {
+    if (V != NoValue && V >= L.F.NumValues)
+      problem(L, formatString(": %s register %%%u out of range (%u)", Role, V,
+                              L.F.NumValues));
   }
 
-  void checkInstruction(const Function &F, const Instruction &I,
-                        const std::string &Where) {
+  void checkInstruction(const InstLoc &L, const Instruction &I) {
+    const Function &F = L.F;
     if (producesValue(I.Op))
-      checkValue(F, I.Result, Where, "result");
+      checkValue(L, I.Result, "result");
     if (isBinaryOp(I.Op)) {
       if (I.A == NoValue || I.B == NoValue)
-        problem(Where + ": binary op with missing operand");
-      checkValue(F, I.A, Where, "operand");
-      checkValue(F, I.B, Where, "operand");
+        problem(L, ": binary op with missing operand");
+      checkValue(L, I.A, "operand");
+      checkValue(L, I.B, "operand");
       return;
     }
     if (isUnaryOp(I.Op)) {
       if (I.A == NoValue)
-        problem(Where + ": unary op with missing operand");
-      checkValue(F, I.A, Where, "operand");
+        problem(L, ": unary op with missing operand");
+      checkValue(L, I.A, "operand");
       return;
     }
     switch (I.Op) {
@@ -126,67 +136,66 @@ private:
       break;
     case Opcode::GlobalAddr:
       if (I.Aux >= M.Globals.size())
-        problem(Where + ": bad global id");
+        problem(L, ": bad global id");
       break;
     case Opcode::FrameAddr:
       if (I.Aux >= F.FrameArrays.size())
-        problem(Where + ": bad frame array id");
+        problem(L, ": bad frame array id");
       break;
     case Opcode::Load:
       if (I.A == NoValue)
-        problem(Where + ": load with no address");
-      checkValue(F, I.A, Where, "address");
+        problem(L, ": load with no address");
+      checkValue(L, I.A, "address");
       break;
     case Opcode::Store:
       if (I.A == NoValue || I.B == NoValue)
-        problem(Where + ": store with missing operand");
-      checkValue(F, I.A, Where, "address");
-      checkValue(F, I.B, Where, "value");
+        problem(L, ": store with missing operand");
+      checkValue(L, I.A, "address");
+      checkValue(L, I.B, "value");
       break;
     case Opcode::Call: {
       if (I.Aux >= M.Functions.size()) {
-        problem(Where + ": bad callee");
+        problem(L, ": bad callee");
         break;
       }
       const Function &Callee = M.Functions[I.Aux];
       if (I.CallArgs.size() != Callee.NumParams)
-        problem(Where +
-                formatString(": call to @%s with %zu args, expected %u",
-                             Callee.Name.c_str(), I.CallArgs.size(),
-                             Callee.NumParams));
+        problem(L, formatString(": call to @%s with %zu args, expected %u",
+                                Callee.Name.c_str(), I.CallArgs.size(),
+                                Callee.NumParams));
       for (ValueId Arg : I.CallArgs)
-        checkValue(F, Arg, Where, "argument");
+        checkValue(L, Arg, "argument");
       if (Callee.ReturnTy == Type::Void && I.Result != NoValue)
-        problem(Where + ": void call with a result register");
+        problem(L, ": void call with a result register");
       break;
     }
     case Opcode::Ret:
       if (I.A != NoValue)
-        checkValue(F, I.A, Where, "return value");
+        checkValue(L, I.A, "return value");
       if (F.ReturnTy == Type::Void && I.A != NoValue)
-        problem(Where + ": returning a value from a void function");
+        problem(L, ": returning a value from a void function");
       if (F.ReturnTy != Type::Void && I.A == NoValue)
-        problem(Where + ": missing return value");
+        problem(L, ": missing return value");
       break;
     case Opcode::Br:
       if (I.Aux >= F.Blocks.size())
-        problem(Where + ": bad branch target");
+        problem(L, ": bad branch target");
       break;
     case Opcode::CondBr:
       if (I.A == NoValue)
-        problem(Where + ": condbr with no condition");
-      checkValue(F, I.A, Where, "condition");
+        problem(L, ": condbr with no condition");
+      checkValue(L, I.A, "condition");
       if (I.Aux >= F.Blocks.size() || I.Aux2 >= F.Blocks.size())
-        problem(Where + ": bad condbr target");
+        problem(L, ": bad condbr target");
       if (I.MergeBlock != NoBlock && I.MergeBlock >= F.Blocks.size())
-        problem(Where + ": bad condbr merge block");
+        problem(L, ": bad condbr merge block");
       break;
     case Opcode::RegionEnter:
     case Opcode::RegionExit:
       if (I.Aux >= M.Regions.size())
-        problem(Where + ": bad region id");
+        problem(L, ": bad region id");
       else if (M.Regions[I.Aux].Func != F.Id)
-        problem(Where + ": region marker for another function's region");
+        problem(L, ": region marker for another function's region");
       break;
     default:
       break;

@@ -51,6 +51,7 @@ void KremlinRuntime::enterRegion(RegionId R) {
   A.Instance = Instance;
   Regions.push_back(std::move(A));
   ++Stats.DynRegionEntries;
+  Stats.PeakRegionDepth = std::max(Stats.PeakRegionDepth, depth());
   TopWork = &Regions.back().Work;
   SlotsActive = activeSlots();
 }

@@ -72,6 +72,8 @@ struct RuntimeStats {
   /// Level-slot retags on region entry (a new instance taking over a
   /// shadow level slot — the paper's slot-reuse mechanism in action).
   uint64_t LevelRetags = 0;
+  /// Deepest region nesting reached (high-water mark of depth()).
+  unsigned PeakRegionDepth = 0;
 };
 
 /// The HCPA runtime. One instance profiles one program execution.

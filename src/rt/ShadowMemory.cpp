@@ -5,6 +5,7 @@
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace kremlin;
@@ -101,6 +102,7 @@ ShadowCell *ShadowMemory::allocatePage(uint64_t Page) {
     Dir[Hi] = std::make_unique<DirNode>();
   Dir[Hi]->Pages[Page & DirMask] = P;
   ++AllocatedPages;
+  PeakPages = std::max(PeakPages, AllocatedPages);
   return P;
 }
 

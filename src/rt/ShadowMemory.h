@@ -141,6 +141,8 @@ public:
   /// Shadow bytes currently live (for overhead reporting and the byte
   /// budget). Counts pages handed out, not slab slack.
   uint64_t allocatedBytes() const { return AllocatedPages * pageBytes(); }
+  /// High-water mark of allocatedBytes() over this shadow memory's life.
+  uint64_t peakBytes() const { return PeakPages * pageBytes(); }
   /// Configured byte budget (0 = unlimited).
   uint64_t byteBudget() const { return ByteBudget; }
 
@@ -186,6 +188,7 @@ private:
   std::vector<ShadowCell *> FreePages;
 
   uint64_t AllocatedPages = 0;
+  uint64_t PeakPages = 0;
   mutable uint64_t Reads = 0; ///< read() is logically const; the tally isn't.
   uint64_t Writes = 0;
   uint64_t ReleasedPages = 0;

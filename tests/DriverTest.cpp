@@ -3,6 +3,7 @@
 #include "TestUtil.h"
 
 #include "driver/KremlinDriver.h"
+#include "support/Telemetry.h"
 
 using namespace kremlin;
 using namespace kremlin::test;
@@ -136,6 +137,28 @@ TEST(Driver, InstrumentStatsReported) {
   EXPECT_EQ(R.Instrument.NumReductionUpdates, 1u);
   EXPECT_EQ(R.Instrument.NumCondBranches, 1u);
   EXPECT_TRUE(R.Instrument.Warnings.empty());
+}
+
+TEST(Driver, PublishesObservedRegionDepthAndShadowPeak) {
+  // Three nested regions: main's function region, its loop, the loop body.
+  // buf covers a whole shadow page, which is released when main returns,
+  // so the shadow high-water mark ends above the live bytes.
+  DriverOptions Opts;
+  Opts.Runtime.MaxRegionDepth = 5;
+  KremlinDriver Driver(Opts);
+  DriverResult R = Driver.runOnSource(R"(
+    int main() {
+      int buf[8192];
+      for (int i = 0; i < 8192; i = i + 1) { buf[i] = i; }
+      return buf[8191];
+    }
+  )", "nest.c");
+  ASSERT_TRUE(R.succeeded()) << R.Err.toString();
+  telemetry::Registry &Reg = telemetry::Registry::global();
+  EXPECT_EQ(Reg.gauge("rt.max_region_depth").value(), 3.0);
+  EXPECT_EQ(Reg.gauge("rt.region_depth_cap").value(), 5.0);
+  EXPECT_GT(Reg.gauge("shadow.peak_bytes").value(),
+            Reg.gauge("shadow.bytes").value());
 }
 
 } // namespace

@@ -68,6 +68,11 @@ const CorpusCase Corpus[] = {
     {"root_out_of_range.ktrace", "trace", "dictionary index out of range"},
 };
 
+/// Prints a case by its file name. Without this, gtest prints the raw
+/// pointer bytes, which change from run to run under ASLR and so make the
+/// ctest test names (which carry the printed parameter) unstable.
+void PrintTo(const CorpusCase &C, std::ostream *OS) { *OS << C.File; }
+
 class RobustnessTest : public ::testing::TestWithParam<CorpusCase> {};
 
 TEST_P(RobustnessTest, ErrorNotCrash) {

@@ -287,6 +287,17 @@ TEST(ShadowMemory, PoolRecyclesReleasedPagesZeroed) {
   EXPECT_EQ(Mem.read(0, 0, 1), 0u); // Released page is detached.
 }
 
+TEST(ShadowMemory, PeakBytesIsHighWaterMark) {
+  ShadowMemory Mem(4, /*SegmentWords=*/256);
+  uint64_t PageBytes = 256 * 4 * sizeof(ShadowCell);
+  for (uint64_t A = 0; A < 1024; A += 256)
+    Mem.write(A, 0, 1, 1);
+  Mem.releaseRange(0, 512);
+  Mem.write(4096, 0, 1, 1); // Served from the pool: no new high.
+  EXPECT_EQ(Mem.allocatedBytes(), 3 * PageBytes);
+  EXPECT_EQ(Mem.peakBytes(), 4 * PageBytes);
+}
+
 TEST(ShadowMemory, ByteBudgetTripsWithStatusAndDropsWrites) {
   // Budget for exactly one page of 4-level cells.
   uint64_t PageBytes = 256 * 4 * sizeof(ShadowCell);
