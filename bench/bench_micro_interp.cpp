@@ -4,8 +4,7 @@
 // execution tape and the batched-event runtime interface. Three angles:
 //
 //  * dispatch-only: plain (unprofiled) execution on the threaded-dispatch
-//    tape vs. the legacy switch-over-IR engine — the interpreter speedup
-//    in isolation;
+//    tape — the interpreter cost in isolation;
 //  * shadow-only: KremlinRuntime::consumeBatch driven by a synthetic event
 //    stream — HCPA consumption cost with no interpreter attached;
 //  * combined: the full profiled execution, which is what the suite's
@@ -40,9 +39,7 @@ const Module &trackingModule() {
 // --- Dispatch only ------------------------------------------------------
 
 void BM_TapeDispatchPlain(benchmark::State &State) {
-  InterpConfig Cfg;
-  Cfg.UseTape = true;
-  Interpreter Interp(trackingModule(), Cfg);
+  Interpreter Interp(trackingModule());
   uint64_t Instructions = 0;
   for (auto _ : State) {
     ExecResult R = Interp.run();
@@ -53,21 +50,6 @@ void BM_TapeDispatchPlain(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(Instructions));
 }
 BENCHMARK(BM_TapeDispatchPlain)->Unit(benchmark::kMillisecond);
-
-void BM_SwitchDispatchPlain(benchmark::State &State) {
-  InterpConfig Cfg;
-  Cfg.UseTape = false;
-  Interpreter Interp(trackingModule(), Cfg);
-  uint64_t Instructions = 0;
-  for (auto _ : State) {
-    ExecResult R = Interp.run();
-    if (!R.Ok)
-      State.SkipWithError("execution failed");
-    Instructions += R.DynInstructions;
-  }
-  State.SetItemsProcessed(static_cast<int64_t>(Instructions));
-}
-BENCHMARK(BM_SwitchDispatchPlain)->Unit(benchmark::kMillisecond);
 
 /// Module -> tape decode cost (paid once per profiled execution).
 void BM_TapeDecode(benchmark::State &State) {
@@ -189,9 +171,7 @@ BENCHMARK(BM_ConsumeBatchCallChurn);
 // --- Combined -----------------------------------------------------------
 
 void BM_ProfiledExecutionTape(benchmark::State &State) {
-  InterpConfig ICfg;
-  ICfg.UseTape = true;
-  Interpreter Interp(trackingModule(), ICfg);
+  Interpreter Interp(trackingModule());
   uint64_t Instructions = 0;
   for (auto _ : State) {
     DictionaryCompressor Dict;
@@ -205,24 +185,6 @@ void BM_ProfiledExecutionTape(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(Instructions));
 }
 BENCHMARK(BM_ProfiledExecutionTape)->Unit(benchmark::kMillisecond);
-
-void BM_ProfiledExecutionSwitch(benchmark::State &State) {
-  InterpConfig ICfg;
-  ICfg.UseTape = false;
-  Interpreter Interp(trackingModule(), ICfg);
-  uint64_t Instructions = 0;
-  for (auto _ : State) {
-    DictionaryCompressor Dict;
-    KremlinConfig Cfg;
-    KremlinRuntime RT(Cfg, Dict);
-    ExecResult R = Interp.run(&RT);
-    if (!R.Ok)
-      State.SkipWithError("execution failed");
-    Instructions += R.DynInstructions;
-  }
-  State.SetItemsProcessed(static_cast<int64_t>(Instructions));
-}
-BENCHMARK(BM_ProfiledExecutionSwitch)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

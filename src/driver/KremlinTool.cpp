@@ -96,9 +96,6 @@ void printUsage() {
       "                                           (default: on in Debug)\n"
       "  --no-static-analysis                     skip the static loop-\n"
       "                                           dependence analyzer\n"
-      "  --no-tape                                execute on the reference\n"
-      "                                           switch engine instead of\n"
-      "                                           the pre-decoded tape\n"
       "The `lint` subcommand runs frontend + static passes only (no\n"
       "execution) and prints per-loop dependence verdicts (doall,\n"
       "reduction, serial, unknown); `--json=<path>` additionally writes\n"
@@ -612,8 +609,6 @@ int main(int argc, char **argv) {
       Opts.VerifyIR = false;
     } else if (Arg == "--no-static-analysis") {
       Opts.StaticAnalysis = false;
-    } else if (Arg == "--no-tape") {
-      Opts.Interp.UseTape = false;
     } else if (Arg == "--dump-ir") {
       DumpIR = true;
     } else if (Arg == "--stats") {

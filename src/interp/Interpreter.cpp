@@ -9,20 +9,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 
-// Threaded dispatch: computed goto on GCC/Clang, a tight switch loop
-// elsewhere. One macro-generated opcode body serves both.
-#if defined(__GNUC__) || defined(__clang__)
-#define KREMLIN_THREADED_DISPATCH 1
+// Threaded dispatch uses computed goto, a GCC/Clang extension; those are
+// the only compilers the build supports.
 #define KI_UNLIKELY(x) (__builtin_expect(!!(x), 0))
-#else
-#define KREMLIN_THREADED_DISPATCH 0
-#define KI_UNLIKELY(x) (x)
-#endif
 
 using namespace kremlin;
 
@@ -62,394 +55,10 @@ private:
   uint64_t Size = 0;
 };
 
-/// Per-run reference engine (memory, step budget, error state): the
-/// original switch-over-IR interpreter, kept as the differential oracle for
-/// the tape engine (InterpConfig::UseTape == false).
-class Engine {
-public:
-  Engine(const Module &M, const InterpConfig &Cfg,
-         const std::vector<uint64_t> &GlobalBase, uint64_t GlobalWords,
-         ProgramMemory &Heap, KremlinRuntime *RT)
-      : M(M), Cfg(Cfg), GlobalBase(GlobalBase), RT(RT), Heap(Heap),
-        SP(GlobalWords) {}
-
-  ExecResult run() {
-    ExecResult Result;
-    FuncId Main = M.mainFunction();
-    if (Main == NoFunc) {
-      Result.Error = "module has no main() function";
-      Result.Err = Status::error(ErrorCode::ExecutionError, Result.Error);
-      return Result;
-    }
-    const Function &F = M.Functions[Main];
-    if (F.NumParams != 0) {
-      Result.Error = "main() must take no parameters";
-      Result.Err = Status::error(ErrorCode::ExecutionError, Result.Error);
-      return Result;
-    }
-    if (RT)
-      RT->pushFrame(F.NumValues);
-    uint64_t Ret = callFunction(F, /*Args=*/{}, /*CallerDst=*/NoValue);
-    if (RT) {
-      RT->popFrame();
-      // The per-block poll cannot see a trip raised by the final block's
-      // own hooks; close that window here.
-      if (Error.empty() && RT->failed())
-        fail(RT->status());
-    }
-    Result.DynInstructions = Steps;
-    if (!Error.empty()) {
-      Result.Error = Error;
-      Result.Err = St.ok() ? Status::error(ErrorCode::ExecutionError, Error)
-                           : St;
-      return Result;
-    }
-    Result.Ok = true;
-    Result.ExitValue = F.ReturnTy == Type::Void
-                           ? 0
-                           : static_cast<int64_t>(Ret);
-    return Result;
-  }
-
-private:
-  const Module &M;
-  const InterpConfig &Cfg;
-  const std::vector<uint64_t> &GlobalBase;
-  KremlinRuntime *RT;
-
-  ProgramMemory &Heap;
-  uint64_t SP; ///< Next free stack word.
-  uint64_t Steps = 0;
-  unsigned CallDepth = 0;
-  std::string Error;
-  Status St;
-
-  void fail(const std::string &Msg) { fail(ErrorCode::ExecutionError, Msg); }
-
-  void fail(ErrorCode Code, const std::string &Msg) {
-    if (Error.empty()) {
-      Error = Msg;
-      St = Status::error(Code, Msg);
-    }
-  }
-
-  void fail(const Status &S) {
-    if (Error.empty()) {
-      Error = S.message();
-      St = S;
-    }
-  }
-
-  static double toF(uint64_t Bits) { return std::bit_cast<double>(Bits); }
-  static uint64_t fromF(double V) { return std::bit_cast<uint64_t>(V); }
-  static int64_t toI(uint64_t Bits) { return static_cast<int64_t>(Bits); }
-  static uint64_t fromI(int64_t V) { return static_cast<uint64_t>(V); }
-
-  /// Executes the body of \p F. The caller has already pushed the runtime
-  /// frame and copied parameter times; \p CallerDst is where the runtime
-  /// should copy the return value's times (NoValue for none).
-  uint64_t callFunction(const Function &F, const std::vector<uint64_t> &Args,
-                        ValueId CallerDst) {
-    if (++CallDepth > Cfg.MaxCallDepth) {
-      fail(ErrorCode::ResourceExhausted,
-           formatString("call depth exceeded in @%s", F.Name.c_str()));
-      --CallDepth;
-      return 0;
-    }
-    std::vector<uint64_t> Regs(F.NumValues, 0);
-    for (size_t I = 0; I < Args.size(); ++I)
-      Regs[I] = Args[I];
-
-    // Bump-allocate frame arrays.
-    uint64_t FrameBase = SP;
-    std::vector<uint64_t> ArrayBase(F.FrameArrays.size());
-    for (size_t A = 0; A < F.FrameArrays.size(); ++A) {
-      ArrayBase[A] = SP;
-      SP += F.FrameArrays[A].SizeWords;
-    }
-    if (SP > Heap.size()) {
-      fail(ErrorCode::ResourceExhausted,
-           formatString("stack overflow in @%s", F.Name.c_str()));
-      SP = FrameBase;
-      --CallDepth;
-      return 0;
-    }
-    // Zero this frame's array storage (fresh locals every call).
-    for (uint64_t W = FrameBase; W < SP; ++W)
-      Heap[W] = 0;
-
-    uint64_t RetValue = 0;
-    BlockId Cur = 0;
-    bool Returned = false;
-    while (!Returned && Error.empty()) {
-      // Guardrail poll, once per basic block: shadow byte budget, region
-      // depth cap, injected allocation faults. Keeps the per-instruction
-      // path free of checks while bounding how far a tripped run proceeds.
-      if (RT && RT->failed()) {
-        fail(RT->status());
-        break;
-      }
-      if (RT)
-        RT->popControlDepsAtBlock(Cur);
-      const BasicBlock &BB = F.Blocks[Cur];
-      for (const Instruction &I : BB.Insts) {
-        if (++Steps > Cfg.MaxSteps) {
-          fail(ErrorCode::ResourceExhausted,
-               "dynamic instruction budget exceeded");
-          break;
-        }
-        switch (I.Op) {
-        case Opcode::ConstInt:
-          Regs[I.Result] = fromI(I.IntImm);
-          hook(I);
-          break;
-        case Opcode::ConstFloat:
-          Regs[I.Result] = fromF(I.FloatImm);
-          hook(I);
-          break;
-        case Opcode::Move:
-          Regs[I.Result] = Regs[I.A];
-          hook(I);
-          break;
-        case Opcode::GlobalAddr:
-          Regs[I.Result] = GlobalBase[I.Aux];
-          hook(I);
-          break;
-        case Opcode::FrameAddr:
-          Regs[I.Result] = ArrayBase[I.Aux];
-          hook(I);
-          break;
-        case Opcode::PtrAdd:
-          Regs[I.Result] = Regs[I.A] + Regs[I.B];
-          hook(I);
-          break;
-        case Opcode::Load: {
-          uint64_t Addr = Regs[I.A];
-          if (Addr >= Heap.size()) {
-            fail(formatString("@%s:%u: load out of bounds (addr %llu)",
-                              F.Name.c_str(), I.Line,
-                              static_cast<unsigned long long>(Addr)));
-            break;
-          }
-          Regs[I.Result] = Heap[Addr];
-          if (RT)
-            RT->onLoad(I.Result, I.A, Addr);
-          break;
-        }
-        case Opcode::Store: {
-          uint64_t Addr = Regs[I.A];
-          if (Addr >= Heap.size()) {
-            fail(formatString("@%s:%u: store out of bounds (addr %llu)",
-                              F.Name.c_str(), I.Line,
-                              static_cast<unsigned long long>(Addr)));
-            break;
-          }
-          Heap[Addr] = Regs[I.B];
-          if (RT)
-            RT->onStore(I.B, I.A, Addr);
-          break;
-        }
-        case Opcode::RegionEnter:
-          if (RT)
-            RT->enterRegion(I.Aux);
-          break;
-        case Opcode::RegionExit:
-          if (RT)
-            RT->exitRegion(I.Aux);
-          break;
-        case Opcode::Call: {
-          const Function &Callee = M.Functions[I.Aux];
-          std::vector<uint64_t> CallArgs(I.CallArgs.size());
-          for (size_t K = 0; K < I.CallArgs.size(); ++K)
-            CallArgs[K] = Regs[I.CallArgs[K]];
-          if (RT) {
-            RT->pushFrame(Callee.NumValues);
-            for (size_t K = 0; K < I.CallArgs.size(); ++K)
-              RT->copyParamFromCaller(static_cast<ValueId>(K),
-                                      I.CallArgs[K]);
-          }
-          uint64_t Ret = callFunction(Callee, CallArgs, I.Result);
-          if (RT)
-            RT->popFrame();
-          if (I.Result != NoValue) {
-            Regs[I.Result] = Ret;
-            if (RT) {
-              // The return value's times were copied into I.Result by the
-              // callee's Ret; fold in control deps and the call latency.
-              RT->onOp(Opcode::Call, I.Result, I.Result, NoValue,
-                       /*BreakDepA=*/false);
-            }
-          } else if (RT) {
-            RT->onOp(Opcode::Call, NoValue, NoValue, NoValue, false);
-          }
-          break;
-        }
-        case Opcode::Ret:
-          if (I.A != NoValue)
-            RetValue = Regs[I.A];
-          if (RT) {
-            RT->onOp(Opcode::Ret, NoValue, I.A, NoValue, false);
-            if (I.A != NoValue && CallerDst != NoValue)
-              RT->copyReturnToCaller(CallerDst, I.A);
-          }
-          Returned = true;
-          break;
-        case Opcode::Br:
-          if (RT)
-            RT->onOp(Opcode::Br, NoValue, NoValue, NoValue, false);
-          Cur = I.Aux;
-          break;
-        case Opcode::CondBr: {
-          bool Taken = Regs[I.A] != 0;
-          if (RT)
-            RT->onCondBranch(I.A,
-                             I.MergeBlock == NoBlock ? UINT32_MAX
-                                                     : I.MergeBlock,
-                             Cur);
-          Cur = Taken ? I.Aux : I.Aux2;
-          break;
-        }
-        default:
-          execComputational(I, Regs);
-          break;
-        }
-        if (Returned || isTerminator(I.Op) || !Error.empty())
-          break;
-      }
-      if (!Returned && Error.empty() &&
-          !isTerminator(F.Blocks[Cur].Insts.back().Op))
-        fail(ErrorCode::Internal,
-             formatString("@%s: block without terminator reached",
-                          F.Name.c_str()));
-    }
-
-    // Release this frame's array storage (and its shadow pages).
-    if (RT && SP > FrameBase)
-      RT->releaseShadowRange(FrameBase, SP - FrameBase);
-    SP = FrameBase;
-    --CallDepth;
-    return RetValue;
-  }
-
-  /// Arithmetic/compare/logic/cast opcodes.
-  void execComputational(const Instruction &I, std::vector<uint64_t> &Regs) {
-    uint64_t A = I.A != NoValue ? Regs[I.A] : 0;
-    uint64_t B = I.B != NoValue ? Regs[I.B] : 0;
-    uint64_t R = 0;
-    switch (I.Op) {
-    // MiniC integer arithmetic is trap-free with wrap-around semantics
-    // (suite benchmarks lean on overflowing LCG-style PRNGs), so compute
-    // in uint64_t — two's complement makes the bit patterns identical.
-    case Opcode::Add:
-      R = A + B;
-      break;
-    case Opcode::Sub:
-      R = A - B;
-      break;
-    case Opcode::Mul:
-      R = A * B;
-      break;
-    case Opcode::Div:
-      if (toI(B) == 0)
-        R = 0;
-      else if (toI(A) == INT64_MIN && toI(B) == -1)
-        R = fromI(INT64_MIN); // The one quotient that overflows: wrap.
-      else
-        R = fromI(toI(A) / toI(B));
-      break;
-    case Opcode::Rem:
-      if (toI(B) == 0 || (toI(A) == INT64_MIN && toI(B) == -1))
-        R = 0;
-      else
-        R = fromI(toI(A) % toI(B));
-      break;
-    case Opcode::FAdd:
-      R = fromF(toF(A) + toF(B));
-      break;
-    case Opcode::FSub:
-      R = fromF(toF(A) - toF(B));
-      break;
-    case Opcode::FMul:
-      R = fromF(toF(A) * toF(B));
-      break;
-    case Opcode::FDiv:
-      R = fromF(toF(B) == 0.0 ? 0.0 : toF(A) / toF(B));
-      break;
-    case Opcode::CmpEQ:
-      R = toI(A) == toI(B);
-      break;
-    case Opcode::CmpNE:
-      R = toI(A) != toI(B);
-      break;
-    case Opcode::CmpLT:
-      R = toI(A) < toI(B);
-      break;
-    case Opcode::CmpLE:
-      R = toI(A) <= toI(B);
-      break;
-    case Opcode::CmpGT:
-      R = toI(A) > toI(B);
-      break;
-    case Opcode::CmpGE:
-      R = toI(A) >= toI(B);
-      break;
-    case Opcode::FCmpEQ:
-      R = toF(A) == toF(B);
-      break;
-    case Opcode::FCmpNE:
-      R = toF(A) != toF(B);
-      break;
-    case Opcode::FCmpLT:
-      R = toF(A) < toF(B);
-      break;
-    case Opcode::FCmpLE:
-      R = toF(A) <= toF(B);
-      break;
-    case Opcode::FCmpGT:
-      R = toF(A) > toF(B);
-      break;
-    case Opcode::FCmpGE:
-      R = toF(A) >= toF(B);
-      break;
-    case Opcode::And:
-      R = (A != 0) && (B != 0);
-      break;
-    case Opcode::Or:
-      R = (A != 0) || (B != 0);
-      break;
-    case Opcode::Not:
-      R = A == 0;
-      break;
-    case Opcode::Neg:
-      R = fromI(-toI(A));
-      break;
-    case Opcode::FNeg:
-      R = fromF(-toF(A));
-      break;
-    case Opcode::IntToFloat:
-      R = fromF(static_cast<double>(toI(A)));
-      break;
-    case Opcode::FloatToInt:
-      R = fromI(static_cast<int64_t>(toF(A)));
-      break;
-    default:
-      kremlin_unreachable("non-computational opcode in execComputational");
-    }
-    Regs[I.Result] = R;
-    hook(I);
-  }
-
-  /// Runtime hook for register-only operations.
-  void hook(const Instruction &I) {
-    if (!RT)
-      return;
-    RT->onOp(I.Op, I.Result, I.A, I.B,
-             I.IsInductionUpdate || I.IsReductionUpdate);
-  }
-};
-
-/// Shared two-operand evaluator for the fused superinstructions; semantics
-/// match the per-opcode cases of Engine::execComputational exactly.
+/// Two-operand evaluator for Div/Rem and the fused superinstructions. MiniC
+/// integer arithmetic is trap-free with wrap-around semantics (suite
+/// benchmarks lean on overflowing LCG-style PRNGs), so it computes in
+/// uint64_t: two's complement makes the bit patterns identical.
 uint64_t evalBinary(uint8_t Op, uint64_t A, uint64_t B) {
   auto toF = [](uint64_t Bits) { return std::bit_cast<double>(Bits); };
   auto fromF = [](double V) { return std::bit_cast<uint64_t>(V); };
@@ -513,13 +122,10 @@ uint64_t evalBinary(uint8_t Op, uint64_t A, uint64_t B) {
   }
 }
 
-/// The fast engine: threaded dispatch over the pre-decoded tape, streaming
+/// The engine: threaded dispatch over the pre-decoded tape, streaming
 /// profiling events into a batch buffer that is flushed to
-/// KremlinRuntime::consumeBatch. Event order matches the reference engine's
-/// direct hook calls exactly, so profiles are bit-identical; the guardrail
-/// poll (RT->failed()) runs after each flush and is acted on at the next
-/// branch, mirroring the reference engine's per-block poll at a coarser
-/// grain.
+/// KremlinRuntime::consumeBatch. The guardrail poll (RT->failed()) runs
+/// after each flush and is acted on at the next branch or call.
 class TapeEngine {
 public:
   TapeEngine(const Module &M, const ModuleTape &ModTape,
@@ -757,7 +363,6 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
   size_t PC = 0;
   uint64_t RetValue = 0;
 
-#if KREMLIN_THREADED_DISPATCH
   // Indexed by TapeInst::Op == the IR opcode value, then the fused forms.
   static const void *const JT[TapeNumOps] = {
       &&L_ConstInt,    &&L_ConstFloat, &&L_Add,         &&L_Sub,
@@ -781,74 +386,8 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
       goto L_Budget;                                                          \
     goto *JT[I->Op];                                                          \
   } while (0)
-#else
-  // Mirror of the IR opcode values plus the fused forms, so the same OP()
-  // bodies serve as switch cases.
-  enum TC : uint8_t {
-    TC_ConstInt = static_cast<uint8_t>(Opcode::ConstInt),
-    TC_ConstFloat = static_cast<uint8_t>(Opcode::ConstFloat),
-    TC_Add = static_cast<uint8_t>(Opcode::Add),
-    TC_Sub = static_cast<uint8_t>(Opcode::Sub),
-    TC_Mul = static_cast<uint8_t>(Opcode::Mul),
-    TC_Div = static_cast<uint8_t>(Opcode::Div),
-    TC_Rem = static_cast<uint8_t>(Opcode::Rem),
-    TC_FAdd = static_cast<uint8_t>(Opcode::FAdd),
-    TC_FSub = static_cast<uint8_t>(Opcode::FSub),
-    TC_FMul = static_cast<uint8_t>(Opcode::FMul),
-    TC_FDiv = static_cast<uint8_t>(Opcode::FDiv),
-    TC_CmpEQ = static_cast<uint8_t>(Opcode::CmpEQ),
-    TC_CmpNE = static_cast<uint8_t>(Opcode::CmpNE),
-    TC_CmpLT = static_cast<uint8_t>(Opcode::CmpLT),
-    TC_CmpLE = static_cast<uint8_t>(Opcode::CmpLE),
-    TC_CmpGT = static_cast<uint8_t>(Opcode::CmpGT),
-    TC_CmpGE = static_cast<uint8_t>(Opcode::CmpGE),
-    TC_FCmpEQ = static_cast<uint8_t>(Opcode::FCmpEQ),
-    TC_FCmpNE = static_cast<uint8_t>(Opcode::FCmpNE),
-    TC_FCmpLT = static_cast<uint8_t>(Opcode::FCmpLT),
-    TC_FCmpLE = static_cast<uint8_t>(Opcode::FCmpLE),
-    TC_FCmpGT = static_cast<uint8_t>(Opcode::FCmpGT),
-    TC_FCmpGE = static_cast<uint8_t>(Opcode::FCmpGE),
-    TC_And = static_cast<uint8_t>(Opcode::And),
-    TC_Or = static_cast<uint8_t>(Opcode::Or),
-    TC_Not = static_cast<uint8_t>(Opcode::Not),
-    TC_Neg = static_cast<uint8_t>(Opcode::Neg),
-    TC_FNeg = static_cast<uint8_t>(Opcode::FNeg),
-    TC_IntToFloat = static_cast<uint8_t>(Opcode::IntToFloat),
-    TC_FloatToInt = static_cast<uint8_t>(Opcode::FloatToInt),
-    TC_Move = static_cast<uint8_t>(Opcode::Move),
-    TC_GlobalAddr = static_cast<uint8_t>(Opcode::GlobalAddr),
-    TC_FrameAddr = static_cast<uint8_t>(Opcode::FrameAddr),
-    TC_PtrAdd = static_cast<uint8_t>(Opcode::PtrAdd),
-    TC_Load = static_cast<uint8_t>(Opcode::Load),
-    TC_Store = static_cast<uint8_t>(Opcode::Store),
-    TC_Call = static_cast<uint8_t>(Opcode::Call),
-    TC_Ret = static_cast<uint8_t>(Opcode::Ret),
-    TC_Br = static_cast<uint8_t>(Opcode::Br),
-    TC_CondBr = static_cast<uint8_t>(Opcode::CondBr),
-    TC_RegionEnter = static_cast<uint8_t>(Opcode::RegionEnter),
-    TC_RegionExit = static_cast<uint8_t>(Opcode::RegionExit),
-    TC_TapeCmpBr = TapeCmpBr,
-    TC_TapeLoadOpStore = TapeLoadOpStore,
-    TC_TapeHalt = TapeHalt,
-  };
-#define OP(name) case TC_##name:
-#define DISPATCH()                                                            \
-  do {                                                                        \
-    I = Code + PC;                                                            \
-    if (KI_UNLIKELY(++Steps > Cfg.MaxSteps))                                  \
-      goto L_Budget;                                                          \
-    goto L_Switch;                                                            \
-  } while (0)
-#endif
 
   DISPATCH();
-
-#if !KREMLIN_THREADED_DISPATCH
-L_Switch:
-  switch (I->Op) {
-  default:
-    kremlin_unreachable("bad tape opcode");
-#endif
 
   OP(ConstInt)
   OP(ConstFloat) {
@@ -1116,9 +655,6 @@ L_Switch:
     goto L_Done;
   }
 
-#if !KREMLIN_THREADED_DISPATCH
-  }
-#endif
 #undef OP
 #undef DISPATCH
 
@@ -1128,8 +664,7 @@ L_Budget:
 
 L_Bail:
   // A post-flush guardrail poll failed (shadow byte budget, region depth
-  // cap, injected fault): surface the runtime's status, like the reference
-  // engine's per-block poll.
+  // cap, injected fault): surface the runtime's status.
   fail(RT->status());
   goto L_Done;
 
@@ -1169,12 +704,8 @@ ExecResult Interpreter::run(KremlinRuntime *RT) {
     Result.Err = Status::error(ErrorCode::ResourceExhausted, Result.Error);
     return Result;
   }
-  if (Cfg.UseTape) {
-    if (!Tape)
-      Tape = std::make_unique<ModuleTape>(M, GlobalBase);
-    TapeEngine E(M, *Tape, Cfg, GlobalWords, Heap, RT);
-    return E.run();
-  }
-  Engine E(M, Cfg, GlobalBase, GlobalWords, Heap, RT);
+  if (!Tape)
+    Tape = std::make_unique<ModuleTape>(M, GlobalBase);
+  TapeEngine E(M, *Tape, Cfg, GlobalWords, Heap, RT);
   return E.run();
 }

@@ -43,10 +43,6 @@ struct InterpConfig {
   uint64_t StackWords = 1ull << 22;
   /// C++ call-recursion limit (MiniC recursion depth).
   unsigned MaxCallDepth = 4096;
-  /// Execute via the pre-decoded tape + threaded dispatch (default). The
-  /// switch-based reference engine is kept for differential testing: both
-  /// paths must produce bit-identical results and profiles.
-  bool UseTape = true;
 };
 
 /// Outcome of one execution.
@@ -78,8 +74,8 @@ private:
   InterpConfig Cfg;
   std::vector<uint64_t> GlobalBase; ///< Word address of each global.
   uint64_t GlobalWords = 0;
-  /// Pre-decoded execution tape, built lazily on the first tape-mode run
-  /// and reused across runs (the module is immutable).
+  /// Pre-decoded execution tape, built lazily on the first run and reused
+  /// across runs (the module is immutable).
   std::unique_ptr<ModuleTape> Tape;
 };
 

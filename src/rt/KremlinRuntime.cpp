@@ -5,7 +5,6 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace kremlin;
 
@@ -112,13 +111,13 @@ void KremlinRuntime::pushFrame(unsigned NumRegs) {
   F.NumRegs = NumRegs;
   // Grow-only; clearing the watermarks invalidates every recycled row at
   // once (see the Frame doc comment), so no cell is ever re-zeroed here.
+  // fill_n, not memset: RowW.data() is null for a register-less function.
   size_t NeedCells = static_cast<size_t>(NumRegs) * Cfg.NumLevels;
   if (F.Cells.size() < NeedCells)
     F.Cells.resize(NeedCells);
   if (F.RowW.size() < NumRegs)
     F.RowW.resize(NumRegs);
-  std::memset(F.RowW.data(), 0, static_cast<size_t>(NumRegs) *
-                                    sizeof(uint64_t));
+  std::fill_n(F.RowW.data(), NumRegs, uint64_t(0));
   F.CdBase = CdMerge.size();
   FrameCells = F.Cells.data();
   FrameRowW = F.RowW.data();

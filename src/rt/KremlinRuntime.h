@@ -145,11 +145,6 @@ public:
   /// but the whole batch runs as one tight loop on the consumption side.
   void consumeBatch(const ProfEvent *Ev, size_t N);
 
-  /// Releases shadow segments for a frame's array storage when it dies.
-  void releaseShadowRange(uint64_t Addr, uint64_t Words) {
-    Memory.releaseRange(Addr, Words);
-  }
-
   const RuntimeStats &stats() const { return Stats; }
   const KremlinConfig &config() const { return Cfg; }
   uint64_t shadowBytes() const { return Memory.allocatedBytes(); }

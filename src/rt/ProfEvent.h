@@ -41,7 +41,7 @@ enum class EvKind : uint8_t {
   PopFrame,     ///< popFrame()
   CopyParam,    ///< copyParamFromCaller(A=DstParam, B=SrcArgInCaller)
   CopyReturn,   ///< copyReturnToCaller(A=DstInCaller, B=SrcInCallee)
-  ReleaseRange, ///< releaseShadowRange(Addr, Words=B | C<<32)
+  ReleaseRange, ///< ShadowMemory::releaseRange(Addr, Words=B | C<<32)
 };
 
 /// One profiling event. 24 bytes, trivially copyable; field use per kind is

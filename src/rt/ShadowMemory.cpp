@@ -6,7 +6,6 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace kremlin;
 
@@ -69,7 +68,7 @@ ShadowCell *ShadowMemory::allocatePage(uint64_t Page) {
     // alias a still-live region instance.
     P = FreePages.back();
     FreePages.pop_back();
-    std::memset(P, 0, PageBytes);
+    std::fill_n(P, pageCells(), ShadowCell());
   } else {
     if (SlabPagesLeft == 0) {
       uint64_t SlabPages = SlabTargetBytes / PageBytes;
@@ -106,11 +105,32 @@ ShadowCell *ShadowMemory::allocatePage(uint64_t Page) {
   return P;
 }
 
+void ShadowMemory::clearWords(uint64_t From, uint64_t To) {
+  if (From >= To)
+    return;
+  uint64_t Page = From >> PageShift;
+  uint64_t Hi = Page >> DirBits;
+  if (Hi >= Dir.size() || !Dir[Hi])
+    return;
+  if (ShadowCell *P = Dir[Hi]->Pages[Page & DirMask])
+    std::fill_n(P + (From & PageMask) * NumLevels, (To - From) * NumLevels,
+                ShadowCell());
+}
+
 void ShadowMemory::releaseRange(uint64_t Addr, uint64_t Words) {
   if (Words == 0)
     return;
+  const uint64_t End = Addr + Words;
   uint64_t FirstPage = (Addr + PageWords - 1) >> PageShift;
-  uint64_t LastPage = (Addr + Words) >> PageShift; // Exclusive.
+  uint64_t LastPage = End >> PageShift; // Exclusive.
+  // Partially covered end pages stay allocated, but their dead words must
+  // read as fresh memory: the next frame placed at these addresses would
+  // otherwise inherit the dead frame's times at every region instance that
+  // is still live.
+  uint64_t HeadEnd = std::min(End, FirstPage << PageShift);
+  clearWords(Addr, HeadEnd);
+  if (HeadEnd < End)
+    clearWords(std::max(HeadEnd, LastPage << PageShift), End);
   for (uint64_t Page = FirstPage; Page < LastPage; ++Page) {
     uint64_t Hi = Page >> DirBits;
     if (Hi >= Dir.size() || !Dir[Hi])

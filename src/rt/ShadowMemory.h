@@ -123,7 +123,7 @@ public:
 
   /// Returns the pages covering [\p Addr, \p Addr + \p Words) to the free
   /// pool: the free()-driven reclamation hook of the paper. Partially
-  /// covered pages are kept.
+  /// covered pages are kept, with the released words' cells zeroed.
   void releaseRange(uint64_t Addr, uint64_t Words);
 
   unsigned numLevels() const { return NumLevels; }
@@ -170,6 +170,10 @@ private:
   /// (zeroed recycled page) or the current slab. Returns the installed page
   /// or nullptr when the allocation was refused.
   ShadowCell *allocatePage(uint64_t Page);
+
+  /// Zeroes the cells of words [\p From, \p To), which lie on one page;
+  /// a page that was never allocated has nothing to clear.
+  void clearWords(uint64_t From, uint64_t To);
 
   unsigned NumLevels;
   uint64_t PageWords; ///< Words per page (power of two).

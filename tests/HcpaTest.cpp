@@ -186,6 +186,18 @@ TEST(Hcpa, WorkAndCpInvariants) {
   EXPECT_EQ(Main->TotalWork, Run.Profile->programWork());
 }
 
+TEST(Hcpa, DeadFrameArrayTimesDoNotLeakIntoLaterCalls) {
+  // f reads its fresh (zeroed) local array before writing it. The previous
+  // call's frame occupied the same words, but it is dead: its times must
+  // not chain the loop's iterations together, even though the words share
+  // a shadow page with live data.
+  ProfiledRun Run = profileSource(DeadFrameArraySource);
+  const RegionProfileEntry *L = findRegion(Run, RegionKind::Loop, "main");
+  ASSERT_NE(L, nullptr);
+  EXPECT_GE(L->SelfParallelism, 0.7 * 64);
+  EXPECT_EQ(L->Class, LoopClass::Doall);
+}
+
 TEST(Hcpa, FunctionRegionsNestUnderCallers) {
   ProfiledRun Run = profileSource(R"(
     int square(int x) { return x * x; }

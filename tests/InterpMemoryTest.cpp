@@ -1,7 +1,7 @@
 //===- tests/InterpMemoryTest.cpp - program-memory contract ---------------===//
 //
 // Every Interpreter::run reserves fresh, zeroed program memory and releases
-// it when the run ends, on both engines and in both modes: a second run of
+// it when the run ends, in both plain and profiled mode: a second run of
 // one Interpreter sees none of the first run's stores, and a reservation
 // the host cannot satisfy comes back as a structured ResourceExhausted
 // result instead of an escaping std::bad_alloc.
@@ -18,17 +18,6 @@ using namespace kremlin;
 using namespace kremlin::test;
 
 namespace {
-
-struct EngineMode {
-  const char *Name;
-  bool UseTape;
-  bool Profiled;
-};
-
-constexpr EngineMode Modes[] = {{"tape/plain", true, false},
-                                {"tape/profiled", true, true},
-                                {"switch/plain", false, false},
-                                {"switch/profiled", false, true}};
 
 ExecResult runIn(Interpreter &I, bool Profiled) {
   if (!Profiled)
@@ -57,13 +46,11 @@ TEST(InterpMemory, RerunSeesFreshMemory) {
     }
   )");
   instrumentModule(*M);
-  for (const EngineMode &Mode : Modes) {
-    SCOPED_TRACE(Mode.Name);
-    InterpConfig Cfg;
-    Cfg.UseTape = Mode.UseTape;
-    Interpreter I(*M, Cfg);
-    ExecResult First = runIn(I, Mode.Profiled);
-    ExecResult Second = runIn(I, Mode.Profiled);
+  for (bool Profiled : {false, true}) {
+    SCOPED_TRACE(Profiled ? "profiled" : "plain");
+    Interpreter I(*M);
+    ExecResult First = runIn(I, Profiled);
+    ExecResult Second = runIn(I, Profiled);
     ASSERT_TRUE(First.Ok) << First.Error;
     ASSERT_TRUE(Second.Ok) << Second.Error;
     EXPECT_EQ(First.ExitValue, 2016 + 992 + 1488);
@@ -76,14 +63,13 @@ TEST(InterpMemory, UnreservableStackIsResourceExhausted) {
   std::unique_ptr<Module> M = compileOrDie(
       "int g[4];\nint main() { g[1] = 7; return g[1]; }");
   instrumentModule(*M);
-  for (const EngineMode &Mode : Modes) {
-    SCOPED_TRACE(Mode.Name);
+  for (bool Profiled : {false, true}) {
+    SCOPED_TRACE(Profiled ? "profiled" : "plain");
     InterpConfig Cfg;
-    Cfg.UseTape = Mode.UseTape;
     Cfg.StackWords = 1ull << 50; // 8 PiB: no host can back it.
     Interpreter I(*M, Cfg);
     ExecResult R;
-    EXPECT_NO_THROW(R = runIn(I, Mode.Profiled));
+    EXPECT_NO_THROW(R = runIn(I, Profiled));
     EXPECT_FALSE(R.Ok);
     EXPECT_EQ(R.Err.code(), ErrorCode::ResourceExhausted) << R.Error;
     EXPECT_FALSE(R.Error.empty());

@@ -1,5 +1,6 @@
 //===- tests/InterpTest.cpp - interpreter semantics -----------------------===//
 
+#include "HcpaOracle.h"
 #include "TestUtil.h"
 
 #include "interp/Tape.h"
@@ -310,7 +311,8 @@ TEST(Tape, EveryBlockEndsInTerminator) {
 
 TEST(Tape, FusionPreservesProfiledSemantics) {
   // Deterministic spot check on a program dense in both fusion shapes
-  // (the randomized sweep in PropertyTest covers the general case).
+  // against the HCPA oracle, which executes the unfused IR (the randomized
+  // sweep in PropertyTest covers the general case).
   const char *Src = R"(
     int a[64];
     int main() {
@@ -324,18 +326,7 @@ TEST(Tape, FusionPreservesProfiledSemantics) {
       return s;
     }
   )";
-  InterpConfig TapeCfg;
-  TapeCfg.UseTape = true;
-  InterpConfig RefCfg;
-  RefCfg.UseTape = false;
-  ProfiledRun A = profileSource(Src, KremlinConfig(), TapeCfg);
-  ProfiledRun B = profileSource(Src, KremlinConfig(), RefCfg);
-  EXPECT_EQ(A.Exec.ExitValue, B.Exec.ExitValue);
-  EXPECT_EQ(A.Exec.DynInstructions, B.Exec.DynInstructions);
-  ASSERT_EQ(A.Dict->alphabet().size(), B.Dict->alphabet().size());
-  for (size_t C = 0; C < A.Dict->alphabet().size(); ++C)
-    EXPECT_TRUE(A.Dict->alphabet()[C] == B.Dict->alphabet()[C]);
-  EXPECT_EQ(A.Dict->roots(), B.Dict->roots());
+  expectProfileMatchesOracle(Src);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HcpaOracle.h"
 #include "TestUtil.h"
 
 #include "analysis/StaticDependence.h"
@@ -90,7 +91,7 @@ private:
       Src += formatString("for (int z%u = 0; z%u < %u; z%u = z%u + 1) {\n",
                           Id, Id, Iters, Id, Id);
       indent(Depth + 1);
-      Src += formatString("v = v + par[z%u %% 16] %% 9;\n", Id, Id);
+      Src += formatString("v = v + par[z%u %% 16] %% 9;\n", Id);
       indent(Depth);
       Src += "}\n";
       break;
@@ -191,42 +192,6 @@ TEST_P(PipelineProperty, ProfiledSemanticsMatchPlain) {
   int64_t Plain = runPlain(P.source());
   ProfiledRun Run = profileSource(P.source());
   EXPECT_EQ(Run.Exec.ExitValue, Plain);
-}
-
-TEST_P(PipelineProperty, TapeMatchesReferenceEngine) {
-  // The pre-decoded tape (threaded dispatch, superinstruction fusion,
-  // const-event elision) is an execution-strategy change only: against the
-  // switch-based reference engine it must produce the same exit value, the
-  // same dynamic instruction count, and a bit-identical profile — same
-  // summary alphabet (static region, work, cp, child multiset), same root
-  // string, and same per-region profile metrics.
-  RandomProgram P(GetParam());
-  SCOPED_TRACE(P.source());
-  InterpConfig TapeCfg;
-  TapeCfg.UseTape = true;
-  InterpConfig RefCfg;
-  RefCfg.UseTape = false;
-  ProfiledRun A = profileSource(P.source(), KremlinConfig(), TapeCfg);
-  ProfiledRun B = profileSource(P.source(), KremlinConfig(), RefCfg);
-  EXPECT_EQ(A.Exec.ExitValue, B.Exec.ExitValue);
-  EXPECT_EQ(A.Exec.DynInstructions, B.Exec.DynInstructions);
-  ASSERT_EQ(A.Dict->alphabet().size(), B.Dict->alphabet().size());
-  for (size_t C = 0; C < A.Dict->alphabet().size(); ++C)
-    EXPECT_TRUE(A.Dict->alphabet()[C] == B.Dict->alphabet()[C])
-        << "summary " << C << " diverges";
-  EXPECT_EQ(A.Dict->roots(), B.Dict->roots());
-  EXPECT_EQ(A.Dict->numDynamicRegions(), B.Dict->numDynamicRegions());
-  ASSERT_EQ(A.Profile->entries().size(), B.Profile->entries().size());
-  for (size_t R = 0; R < A.Profile->entries().size(); ++R) {
-    const RegionProfileEntry &EA = A.Profile->entries()[R];
-    const RegionProfileEntry &EB = B.Profile->entries()[R];
-    EXPECT_EQ(EA.Executed, EB.Executed);
-    EXPECT_EQ(EA.TotalWork, EB.TotalWork);
-    EXPECT_EQ(EA.TotalCp, EB.TotalCp);
-    EXPECT_EQ(EA.Instances, EB.Instances);
-    EXPECT_EQ(EA.SelfParallelism, EB.SelfParallelism);
-    EXPECT_EQ(EA.TotalParallelism, EB.TotalParallelism);
-  }
 }
 
 TEST_P(PipelineProperty, SummaryInvariants) {
@@ -453,10 +418,32 @@ TEST_P(PipelineProperty, KnownVerdictLoopsClassifyAndMeasureConsistently) {
     // Every provable verdict must square with the measured profile
     // (min/max folds exempt: the runtime cannot break them).
     if (X.Verdict == LoopVerdict::ProvablyDoall ||
-        (X.Verdict == LoopVerdict::ProvablyReduction && !X.MinMax))
+        (X.Verdict == LoopVerdict::ProvablyReduction && !X.MinMax)) {
       EXPECT_GE(E.SelfParallelism, 0.7 * E.avgIterations())
           << X.Func << ": " << Found->Reason;
+    }
   }
+}
+
+TEST_P(PipelineProperty, TapeMatchesReferenceEngine) {
+  // The reference engine is the HCPA oracle (HcpaOracle.h): it executes the
+  // IR itself and shares no runtime code, so the tape's fusion and event
+  // elision and every KremlinRuntime shortcut (watermarked register rows,
+  // tagged shadow pages, cached control-dependence times) must reproduce
+  // its exit value, dynamic instruction count and profile bit for bit, at
+  // the default depth window and at a narrow one that starts below main.
+  RandomProgram P(GetParam());
+  {
+    SCOPED_TRACE(P.source());
+    expectProfileMatchesOracle(P.source());
+    KremlinConfig Narrow;
+    Narrow.MinLevel = 1;
+    Narrow.NumLevels = 2;
+    expectProfileMatchesOracle(P.source(), Narrow);
+  }
+  KnownVerdictProgram K(GetParam());
+  SCOPED_TRACE(K.source());
+  expectProfileMatchesOracle(K.source());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,

@@ -332,15 +332,11 @@ TEST(Runtime, ShadowBudgetTripSurfacesOnShortRuns) {
   KremlinConfig Cfg;
   Cfg.MaxShadowBytes = // Exactly one shadow page fits.
       Cfg.SegmentWords * Cfg.NumLevels * sizeof(ShadowCell);
-  for (bool UseTape : {true, false}) {
-    InterpConfig ICfg;
-    ICfg.UseTape = UseTape;
-    KremlinRuntime RT(Cfg, Dict);
-    Interpreter I(*M, ICfg);
-    ExecResult R = I.run(&RT);
-    EXPECT_FALSE(R.Ok) << (UseTape ? "tape" : "switch");
-    EXPECT_EQ(R.Err.code(), ErrorCode::ResourceExhausted);
-  }
+  KremlinRuntime RT(Cfg, Dict);
+  Interpreter I(*M);
+  ExecResult R = I.run(&RT);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Err.code(), ErrorCode::ResourceExhausted);
 }
 
 /// Collects every interned summary so tests can assert on work/cp exactly.

@@ -62,6 +62,11 @@ const StoreCase Cases[] = {
     {"v1_index", 1, 0, 1, 0, "", ""},
 };
 
+/// Prints a case by its store directory. Without this, gtest prints the
+/// raw bytes of the struct, pointers included, and the ctest test names
+/// (which carry the printed parameter) change with the binary's layout.
+void PrintTo(const StoreCase &C, std::ostream *OS) { *OS << C.Dir; }
+
 class StoreRecoveryTest : public ::testing::TestWithParam<StoreCase> {};
 
 TEST_P(StoreRecoveryTest, QuarantinesDamageKeepsSurvivors) {

@@ -76,6 +76,25 @@ inline int64_t runPlain(const std::string &Source) {
   return R.ExitValue;
 }
 
+/// A 64-iteration DOALL loop whose callee reads its fresh, zeroed local
+/// array before writing it; every call's frame reuses the dead previous
+/// frame's words.
+inline constexpr const char *DeadFrameArraySource = R"(
+  int out[64];
+  int f(int k) {
+    int a[8];
+    int s = a[3];
+    s = s * 3 + k; s = s * 5 + k; s = s * 7 + k;
+    s = s * 3 + k; s = s * 5 + k; s = s * 7 + k;
+    a[3] = s % 1009;
+    return a[3];
+  }
+  int main() {
+    for (int i = 0; i < 64; i = i + 1) { out[i] = f(i); }
+    return out[5];
+  }
+)";
+
 /// Finds the profile entry of the first executed region with \p Kind whose
 /// enclosing function is named \p Func; skips \p Skip matches first.
 /// Returns nullptr when absent.
