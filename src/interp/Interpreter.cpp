@@ -8,10 +8,16 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <limits>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 // Threaded dispatch uses computed goto, a GCC/Clang extension; those are
 // the only compilers the build supports.
@@ -20,6 +26,173 @@
 using namespace kremlin;
 
 namespace {
+
+/// Single-producer/single-consumer ring of ProfEvent batches: the two-stage
+/// pipeline of a profiled run. The interpreter (producer, helper thread)
+/// fills one batch while the HCPA runtime (consumer, calling thread)
+/// drains the published ones. Only this object is shared between the two
+/// threads.
+///
+/// Waiting never costs a syscall per batch. A side that finds nothing to
+/// do polls a bounded number of times, yielding between polls, and then
+/// sleeps on a condition variable. The other side takes the mutex to wake
+/// it only when its "asleep" flag is up. The consumer is the slower stage,
+/// so the producer usually finds the ring full: it polls briefly, then
+/// sleeps until the consumer has drained the ring to half, so one wake-up
+/// covers ResumeAt batches. The consumer polls longer before it sleeps,
+/// because it is the critical path. All index and flag accesses are
+/// sequentially consistent: that is what rules out a lost wake-up (a side
+/// raises its flag and then re-reads the index; the other side stores the
+/// index and then reads the flag), together with the sleeper holding the
+/// mutex from raising its flag until the wait releases it, so a waker that
+/// saw the flag cannot notify too early. On x86 this costs one locked
+/// store per batch on each side.
+class BatchRing {
+public:
+  /// Buffers in the ring: 16 x 24 KiB = 384 KiB. The producer runs
+  /// Depth - 1 published batches ahead of the consumer at most.
+  static constexpr uint64_t Depth = 16;
+  /// A producer asleep on a full ring resumes once at most this many
+  /// published batches are left.
+  static constexpr uint64_t ResumeAt = Depth / 2;
+  /// Polls, each after a yield, before a waiting side goes to sleep. On
+  /// the 4-CPU suite-profile run, 64 producer polls spent 2.0-2.7 s of
+  /// system time per 10 s in sched_yield; 8 spent 0.25-0.3 s and were as
+  /// fast.
+  static constexpr unsigned ProducerPolls = 8;
+  static constexpr unsigned ConsumerPolls = 64;
+
+  struct Batch {
+    size_t N = 0;
+    /// Elided const ops (KremlinRuntime::noteFreeOps) counted while this
+    /// batch filled; the tally travels with its batch.
+    uint64_t FreeOps = 0;
+    ProfEvent Ev[ProfEventBatchSize];
+  };
+
+  BatchRing() : Slots(std::make_unique<Batch[]>(Depth)) {}
+
+  // --- Producer side ------------------------------------------------------
+
+  /// The event buffer the producer fills. The consumer never reads it
+  /// until publish() or close() hands it over.
+  ProfEvent *events() { return filling().Ev; }
+
+  /// Hands the first \p N events of events() to the consumer, with the
+  /// elided-op tally, and waits until the next buffer is free (at once if
+  /// the consumer abandoned the run).
+  void publish(size_t N, uint64_t FreeOps) {
+    uint64_t T = seal(N, FreeOps);
+    wake(ConsumerAsleep, ConsumerWake);
+    if (T - Head.load() >= Depth)
+      awaitSpace(T);
+  }
+
+  /// Like publish(), for the stream's last batch; never waits.
+  void close(size_t N, uint64_t FreeOps) {
+    seal(N, FreeOps);
+    Closed.store(true);
+    wake(ConsumerAsleep, ConsumerWake);
+  }
+
+  /// True once the consumer saw its runtime trip a guardrail, or abandoned
+  /// the run. Lags the consumer by at most Depth batches: publish() reads
+  /// the consumer's index, which the consumer stores after this flag.
+  bool consumerFailed() const { return Failed.load(); }
+
+  // --- Consumer side ------------------------------------------------------
+
+  /// The oldest published batch, waiting for one; nullptr once the stream
+  /// is closed and every batch was consumed.
+  const Batch *next() {
+    const uint64_t H = Head.load(std::memory_order_relaxed);
+    auto Ready = [&] { return H < Tail.load() || Closed.load(); };
+    for (unsigned Poll = 0; !Ready(); ++Poll) {
+      if (Poll < ConsumerPolls) {
+        std::this_thread::yield();
+        continue;
+      }
+      std::unique_lock<std::mutex> Lock(M);
+      ConsumerAsleep.store(true);
+      ConsumerWake.wait(Lock, Ready);
+      ConsumerAsleep.store(false);
+    }
+    // close() stores Tail before Closed, so this second look at Tail sees
+    // the last batch.
+    return H < Tail.load() ? &Slots[H % Depth] : nullptr;
+  }
+
+  /// Returns the batch from next() to the producer, with the runtime's
+  /// failed() state after consuming it.
+  void release(bool RuntimeFailed) {
+    if (RuntimeFailed)
+      Failed.store(true);
+    uint64_t H = Head.load(std::memory_order_relaxed) + 1;
+    Head.store(H);
+    if (Tail.load() - H <= ResumeAt)
+      wake(ProducerAsleep, ProducerWake);
+  }
+
+  /// Stops the producer after the consumer threw: it sees consumerFailed()
+  /// at its next flush and never waits for space again.
+  void abandon() {
+    Failed.store(true);
+    Abandoned.store(true);
+    std::lock_guard<std::mutex> Lock(M);
+    ProducerWake.notify_one();
+  }
+
+private:
+  std::unique_ptr<Batch[]> Slots;
+  /// Batches consumed / published since the start of the run; slot
+  /// I % Depth holds batch I. Each side writes one of them, so they live
+  /// on separate cache lines.
+  alignas(64) std::atomic<uint64_t> Head{0};
+  alignas(64) std::atomic<uint64_t> Tail{0};
+  std::atomic<bool> Closed{false};
+  std::atomic<bool> Failed{false};
+  std::atomic<bool> Abandoned{false};
+  std::atomic<bool> ProducerAsleep{false};
+  std::atomic<bool> ConsumerAsleep{false};
+  std::mutex M;
+  std::condition_variable ProducerWake;
+  std::condition_variable ConsumerWake;
+
+  Batch &filling() {
+    return Slots[Tail.load(std::memory_order_relaxed) % Depth];
+  }
+
+  /// Publishes filling(); returns the new Tail.
+  uint64_t seal(size_t N, uint64_t FreeOps) {
+    Batch &B = filling();
+    B.N = N;
+    B.FreeOps = FreeOps;
+    uint64_t T = Tail.load(std::memory_order_relaxed) + 1;
+    Tail.store(T);
+    return T;
+  }
+
+  void awaitSpace(uint64_t T) {
+    for (unsigned Poll = 0; Poll < ProducerPolls; ++Poll) {
+      std::this_thread::yield();
+      if (T - Head.load() < Depth || Abandoned.load())
+        return;
+    }
+    std::unique_lock<std::mutex> Lock(M);
+    ProducerAsleep.store(true);
+    ProducerWake.wait(Lock, [&] {
+      return T - Head.load() <= ResumeAt || Abandoned.load();
+    });
+    ProducerAsleep.store(false);
+  }
+
+  void wake(const std::atomic<bool> &Asleep, std::condition_variable &CV) {
+    if (!Asleep.load())
+      return;
+    std::lock_guard<std::mutex> Lock(M);
+    CV.notify_one();
+  }
+};
 
 /// One run's flat word-addressed program memory: globals at the bottom, the
 /// frame-array stack above them. A single calloc reserves it; a block of
@@ -122,19 +295,24 @@ uint64_t evalBinary(uint8_t Op, uint64_t A, uint64_t B) {
   }
 }
 
-/// The engine: threaded dispatch over the pre-decoded tape, streaming
-/// profiling events into a batch buffer that is flushed to
-/// KremlinRuntime::consumeBatch. The guardrail poll (RT->failed()) runs
-/// after each flush and is acted on at the next branch or call.
+/// The engine: threaded dispatch over the pre-decoded tape. A profiled run
+/// is a two-stage pipeline. A helper thread executes the program and
+/// streams its profiling events into a BatchRing; the calling thread feeds
+/// every published batch to KremlinRuntime::consumeBatch. The producer
+/// never calls into the runtime: its guardrail poll reads the ring's
+/// failed flag after each flush and is acted on at the next branch or
+/// call. Plain runs stay on the calling thread.
 class TapeEngine {
 public:
   TapeEngine(const Module &M, const ModuleTape &ModTape,
              const InterpConfig &Cfg, uint64_t GlobalWords,
-             ProgramMemory &Heap, KremlinRuntime *RT)
-      : M(M), ModTape(ModTape), Cfg(Cfg), RT(RT), Heap(Heap),
-        SP(GlobalWords), EvBuf(ProfEventBatchSize) {}
+             ProgramMemory &Heap)
+      : M(M), ModTape(ModTape), Cfg(Cfg), Heap(Heap), SP(GlobalWords) {}
+  // A profiled run's helper thread holds this engine's address.
+  TapeEngine(const TapeEngine &) = delete;
+  TapeEngine &operator=(const TapeEngine &) = delete;
 
-  ExecResult run() {
+  ExecResult run(KremlinRuntime *RT) {
     ExecResult Result;
     FuncId Main = M.mainFunction();
     if (Main == NoFunc) {
@@ -150,20 +328,9 @@ public:
     }
     const TapeFunction &TMain = ModTape.Funcs[Main];
     ensureRegCapacity(TMain.NumValues);
-    uint64_t Ret;
-    if (RT) {
-      emitPushFrame(F.NumValues);
-      Ret = callFunction<true>(TMain, nullptr, nullptr, 0, NoValue);
-      emitPopFrame();
-      flush();
-      // A guardrail can trip inside the final consumeBatch, after the last
-      // in-run Bail poll: check once more so a short run cannot finish
-      // "ok" with a tripped runtime.
-      if (Error.empty() && RT->failed())
-        fail(RT->status());
-    } else {
-      Ret = callFunction<false>(TMain, nullptr, nullptr, 0, NoValue);
-    }
+    uint64_t Ret = RT ? runProfiled(*RT, F, TMain)
+                      : callFunction<false>(TMain, nullptr, nullptr, 0,
+                                            NoValue);
     Result.DynInstructions = Steps;
     if (!Error.empty()) {
       Result.Error = Error;
@@ -182,7 +349,6 @@ private:
   const Module &M;
   const ModuleTape &ModTape;
   const InterpConfig &Cfg;
-  KremlinRuntime *RT;
 
   ProgramMemory &Heap;
   uint64_t SP; ///< Next free stack word.
@@ -197,8 +363,10 @@ private:
   std::vector<uint64_t> RegArena;
   size_t RegTop = 0;
 
-  /// Profiling event batch (producer side of the ProfEvent stream).
-  std::vector<ProfEvent> EvBuf;
+  /// Producer side of the ProfEvent stream (profiled runs only): the ring
+  /// and the batch being filled in it.
+  std::unique_ptr<BatchRing> Ring;
+  ProfEvent *EvBuf = nullptr;
   size_t EvN = 0;
   /// Elided zero-latency const ops since the last flush (see NoEmitFlag).
   uint64_t FreeOps = 0;
@@ -234,15 +402,11 @@ private:
   // --- Event production ---------------------------------------------------
 
   void flush() {
-    if (FreeOps) {
-      RT->noteFreeOps(FreeOps);
-      FreeOps = 0;
-    }
-    if (EvN == 0)
-      return;
-    RT->consumeBatch(EvBuf.data(), EvN);
+    Ring->publish(EvN, FreeOps);
+    EvBuf = Ring->events();
     EvN = 0;
-    if (RT->failed())
+    FreeOps = 0;
+    if (Ring->consumerFailed())
       Bail = true;
   }
 
@@ -311,6 +475,61 @@ private:
     E.B = static_cast<uint32_t>(Words);
     E.C = static_cast<uint32_t>(Words >> 32);
     commit();
+  }
+
+  // --- The pipeline -------------------------------------------------------
+
+  /// Runs main() as the two-stage pipeline described on the class and
+  /// returns its value. An exception thrown on either thread reaches the
+  /// caller, after the helper thread has been joined.
+  uint64_t runProfiled(KremlinRuntime &RT, const Function &F,
+                       const TapeFunction &TMain) {
+    Ring = std::make_unique<BatchRing>();
+    BatchRing &R = *Ring;
+    EvBuf = R.events();
+    uint64_t Ret = 0;
+    std::exception_ptr ProducerErr;
+    std::thread Producer;
+    try {
+      Producer = std::thread([&] {
+        try {
+          emitPushFrame(F.NumValues);
+          Ret = callFunction<true>(TMain, nullptr, nullptr, 0, NoValue);
+          emitPopFrame();
+        } catch (...) {
+          ProducerErr = std::current_exception();
+        }
+        R.close(EvN, FreeOps);
+      });
+    } catch (const std::system_error &E) {
+      fail(ErrorCode::ResourceExhausted,
+           formatString("cannot start the profiling thread: %s", E.what()));
+      return 0;
+    }
+    try {
+      while (const BatchRing::Batch *B = R.next()) {
+        RT.noteFreeOps(B->FreeOps);
+        RT.consumeBatch(B->Ev, B->N);
+        R.release(RT.failed());
+      }
+    } catch (...) {
+      R.abandon();
+      Producer.join();
+      throw;
+    }
+    Producer.join();
+    if (ProducerErr)
+      std::rethrow_exception(ProducerErr);
+    // The runtime consumed every event, so a trip anywhere in the stream
+    // fails the run, including one in the final batch after the producer's
+    // last poll. Unwinding after a producer error emits no event that can
+    // trip a guardrail, so the trip came first in program order: its status
+    // replaces whatever the producer hit before its lagged poll saw it.
+    if (RT.failed()) {
+      Error.clear();
+      fail(RT.status());
+    }
+    return Ret;
   }
 
   // --- The dispatch loop --------------------------------------------------
@@ -664,8 +883,9 @@ L_Budget:
 
 L_Bail:
   // A post-flush guardrail poll failed (shadow byte budget, region depth
-  // cap, injected fault): surface the runtime's status.
-  fail(RT->status());
+  // cap, injected fault) or the consumer gave up: stop. runProfiled()
+  // replaces this placeholder with the runtime's status after the join.
+  fail(ErrorCode::ResourceExhausted, "profiling runtime stopped the run");
   goto L_Done;
 
 L_Done:
@@ -706,6 +926,6 @@ ExecResult Interpreter::run(KremlinRuntime *RT) {
   }
   if (!Tape)
     Tape = std::make_unique<ModuleTape>(M, GlobalBase);
-  TapeEngine E(M, *Tape, Cfg, GlobalWords, Heap, RT);
-  return E.run();
+  TapeEngine E(M, *Tape, Cfg, GlobalWords, Heap);
+  return E.run(RT);
 }

@@ -67,6 +67,13 @@ public:
 
   /// Runs main(). \p RT may be null (plain mode) or a fresh runtime
   /// (profiled mode). main must take no parameters.
+  ///
+  /// A profiled run is a two-stage pipeline: a helper thread interprets
+  /// and produces the event stream while the calling thread consumes it
+  /// into \p RT, so \p RT and its sink are only ever touched by the
+  /// caller's thread. An exception thrown on either thread (std::bad_alloc,
+  /// say) reaches the caller after the helper has been joined. A plain run
+  /// starts no thread.
   ExecResult run(KremlinRuntime *RT = nullptr);
 
 private:

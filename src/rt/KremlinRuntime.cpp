@@ -30,8 +30,8 @@ void KremlinRuntime::enterRegion(RegionId R) {
   unsigned Level = depth();
   // Depth guardrail: record the error but still push the region so every
   // exitRegion stays matched while the interpreter unwinds to its next
-  // failure poll.
-  if (Cfg.MaxRegionDepth != 0 && Level >= Cfg.MaxRegionDepth && Err.ok())
+  // failure poll. The first trip sticks (see status()).
+  if (Cfg.MaxRegionDepth != 0 && Level >= Cfg.MaxRegionDepth && !failed())
     Err = Status::error(
         ErrorCode::ResourceExhausted,
         formatString("region nesting depth cap (%u) exceeded",
@@ -186,39 +186,25 @@ void KremlinRuntime::onCondBranch(ValueId CondReg, uint32_t MergeBlock,
   unsigned Slots = SlotsActive;
 
   // Branch availability per slot: max(enclosing control dep, condition) +
-  // latency. When the top entry already targets the same merge block (a
-  // loop back edge re-branching every iteration, or an if re-entered in a
-  // new iteration) the new branch instance REPLACES it: each dynamic branch
-  // is its own control dependence, so a counted loop whose condition only
-  // reads broken induction chains does not serialize its iterations, while
-  // a data-dependent condition (while (err > tol)) still does — its time
-  // flows in through CondReg. The enclosing dependence is the entry below
-  // the one being replaced.
-  bool Coalesce = CdMerge.size() > F.CdBase &&
-                  CdMerge.back() == MergeBlock &&
-                  CdPushBlock.back() == PushBlock;
-  size_t OuterIdx = CdMerge.size() - (Coalesce ? 2 : 1); // May underflow...
-  bool HasOuter = CdMerge.size() >= (Coalesce ? 2u : 1u) &&
-                  OuterIdx + 1 > F.CdBase; // ...guarded here.
+  // latency. Every dynamic branch pushes its own scope: a re-executed
+  // branch finds its previous scope already popped, because entering its
+  // block pops it (popControlDepsAtBlock). So a counted loop whose
+  // condition only reads broken induction chains does not serialize its
+  // iterations, while a data-dependent condition (while (err > tol)) still
+  // does: its time flows in through CondReg. The enclosing dependence is
+  // the top of the stack, whose contribution CdNow already holds.
   Time NewT[MaxTrackedLevels];
   for (unsigned Slot = 0; Slot < Slots; ++Slot) {
-    Time T = 0;
-    if (HasOuter) {
-      const ShadowCell &Cell = CdCells[OuterIdx * Cfg.NumLevels + Slot];
-      if (Cell.Tag == CurInstance[Slot])
-        T = Cell.T;
-    }
+    Time T = CdNow[Slot];
     Time Tc = readRegTime(F, CondReg, Slot);
     if (Tc > T)
       T = Tc;
     NewT[Slot] = T + Lat;
   }
 
-  if (!Coalesce) {
-    CdMerge.push_back(MergeBlock);
-    CdPushBlock.push_back(PushBlock);
-    CdCells.resize(CdCells.size() + Cfg.NumLevels);
-  }
+  CdMerge.push_back(MergeBlock);
+  CdPushBlock.push_back(PushBlock);
+  CdCells.resize(CdCells.size() + Cfg.NumLevels);
   size_t Base = (CdMerge.size() - 1) * Cfg.NumLevels;
   Time *LM = LevelMaxTimes.data();
   for (unsigned Slot = 0; Slot < Slots; ++Slot) {

@@ -134,7 +134,7 @@ public:
   /// Accounts \p N zero-latency instructions whose shadow effect was proven
   /// a no-op at decode time (single-writer constant materializations: their
   /// rows only ever read as time 0, exactly like untouched rows). The
-  /// event stream elides them and reports the tally in bulk at each flush.
+  /// event stream elides them and reports the tally in bulk with each batch.
   void noteFreeOps(uint64_t N) { Stats.DynInstructions += N; }
 
   // --- Batched event consumption ------------------------------------------
@@ -151,11 +151,13 @@ public:
 
   /// True once a resource guardrail tripped (shadow byte budget, region
   /// depth cap, or an injected allocation fault). Cheap: two loads. The
-  /// interpreter polls this once per basic block and aborts the execution
-  /// with status() as the cause.
+  /// interpreter reads it after every consumed batch and aborts the
+  /// execution with status() as the cause.
   bool failed() const { return !Err.ok() || !Memory.status().ok(); }
-  /// The guardrail error (ok while healthy). Depth-cap errors take
-  /// precedence over shadow-memory errors.
+  /// The first guardrail error (ok while healthy). Later trips never
+  /// replace it: the interpreter's poll lags the stream, so events past the
+  /// first trip still arrive, and the reported cause must not depend on how
+  /// far the producer got.
   const Status &status() const { return Err.ok() ? Memory.status() : Err; }
   /// Read access to the shadow memory (telemetry flush, tests).
   const ShadowMemory &shadowMemory() const { return Memory; }

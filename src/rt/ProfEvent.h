@@ -13,9 +13,17 @@
 /// profiles to the equivalent sequence of direct hook calls.
 ///
 /// Nothing in the stream flows back to the producer: every hook is
-/// fire-and-forget, and the only feedback channel is the coarse
-/// KremlinRuntime::failed() guardrail poll after a flush. This is what lets
-/// the interpreter's dispatch loop run without touching runtime state.
+/// fire-and-forget. That is what lets the two sides run on different
+/// threads. The interpreter produces on a helper thread into a ring of
+/// batch buffers, and the thread that called Interpreter::run() consumes
+/// them, so the runtime and its RegionSummarySink stay on the caller's
+/// thread. A batch carries its events and the count of events elided while
+/// it filled (KremlinRuntime::noteFreeOps). The only feedback is one flag:
+/// after each batch the consumer records whether KremlinRuntime::failed(),
+/// and the producer reads the flag when it hands over its next batch. The
+/// producer may therefore run up to a ring of batches past a guardrail
+/// trip before it stops, and KremlinRuntime::status() keeps the first trip
+/// so the reported cause does not depend on how far it got.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,11 +69,12 @@ struct ProfEvent {
 
 static_assert(sizeof(ProfEvent) == 24, "keep the event record dense");
 
-/// Producer-side batch size: big enough to amortize the flush call, small
-/// enough that the buffer (24 KiB) stays L1-resident alongside the
-/// interpreter's registers and the runtime's hot shadow rows — each event
-/// is written once and read back once, so a cache-busting buffer pays the
-/// round trip twice.
+/// Events per batch (24 KiB). Big enough that handing a batch to the other
+/// thread (a few atomic operations, and a wake-up only when that side
+/// sleeps) is noise per event. Small enough that a batch the producer just
+/// wrote is still in the shared cache when the consumer reads it on another
+/// core, and that a guardrail poll lagging a ring of batches behind stops
+/// the producer within tens of thousands of events.
 inline constexpr size_t ProfEventBatchSize = 1024;
 
 } // namespace kremlin

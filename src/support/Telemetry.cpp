@@ -30,15 +30,35 @@ uint64_t Histogram::quantile(double P) const {
     P = 0.0;
   if (P > 1.0)
     P = 1.0;
-  // Rank of the requested quantile, 1-based.
-  uint64_t Rank = static_cast<uint64_t>(P * static_cast<double>(Total - 1)) + 1;
+  const uint64_t Lo = min();
+  const uint64_t Hi = max();
+  // Rank of the requested quantile among the sorted samples, 0-based. The
+  // extremes are recorded exactly.
+  uint64_t Rank = static_cast<uint64_t>(P * static_cast<double>(Total - 1));
+  if (Rank == 0)
+    return Lo;
+  if (Rank >= Total - 1)
+    return Hi;
   uint64_t Seen = 0;
   for (unsigned I = 0; I < NumBuckets; ++I) {
-    Seen += bucket(I);
-    if (Seen >= Rank)
-      return bucketUpperBound(I);
+    uint64_t N = bucket(I);
+    if (Rank < Seen + N) {
+      // Spread the bucket's N samples evenly over its range, clipped to the
+      // observed [min, max]: sample K of N sits (K + 1/2) / N of the way
+      // across, rounded to the nearest integer.
+      uint64_t From = std::max(bucketLowerBound(I), Lo);
+      uint64_t To = std::min(bucketUpperBound(I), Hi);
+      if (To <= From)
+        return From;
+      double Frac = (static_cast<double>(Rank - Seen) + 0.5) /
+                    static_cast<double>(N);
+      uint64_t Offset = static_cast<uint64_t>(
+          std::round(Frac * static_cast<double>(To - From)));
+      return Offset >= To - From ? To : From + Offset;
+    }
+    Seen += N;
   }
-  return max();
+  return Hi; // Reached only while record() or reset() races this read.
 }
 
 void Histogram::reset() {

@@ -106,6 +106,10 @@ public:
   static uint64_t bucketUpperBound(unsigned Bucket) {
     return Bucket == 0 ? 0 : (Bucket >= 64 ? UINT64_MAX : (1ull << Bucket) - 1);
   }
+  /// Inclusive lower bound of \p Bucket (its smallest value).
+  static uint64_t bucketLowerBound(unsigned Bucket) {
+    return Bucket == 0 ? 0 : 1ull << (Bucket - 1);
+  }
 
   uint64_t count() const { return Count.load(std::memory_order_relaxed); }
   uint64_t sum() const { return Sum.load(std::memory_order_relaxed); }
@@ -119,8 +123,10 @@ public:
     return Buckets[I].load(std::memory_order_relaxed);
   }
 
-  /// Upper bound of the bucket containing the \p P-quantile (P in [0,1]).
-  /// A bucket-resolution estimate: exact within a factor of 2.
+  /// The \p P-quantile (P in [0,1]), always within [min(), max()]:
+  /// quantile(0) is min() and quantile(1) is max(), so a single sample
+  /// reads back exactly. In between it interpolates linearly inside the
+  /// log2 bucket holding the rank, so it is exact within a factor of 2.
   uint64_t quantile(double P) const;
 
   void reset();

@@ -170,6 +170,20 @@ TEST(Interp, CallDepthLimit) {
   EXPECT_NE(R.Error.find("call depth"), std::string::npos);
 }
 
+TEST(Interp, ProfiledRecursionNearTheDepthLimit) {
+  // A profiled run interprets on a helper thread: its stack must hold
+  // 4001 nested calls (main, then depth(3999) down to depth(0)), just
+  // under the default MaxCallDepth of 4096.
+  ProfiledRun Run = profileSource(R"(
+    int depth(int n) {
+      if (n == 0) { return 0; }
+      return depth(n - 1) + 1;
+    }
+    int main() { return depth(3999); }
+  )");
+  EXPECT_EQ(Run.Exec.ExitValue, 3999);
+}
+
 TEST(Interp, StepBudget) {
   std::unique_ptr<Module> M = compileOrDie(
       "int main() { int s = 0; while (1) { s = s + 1; } return s; }");

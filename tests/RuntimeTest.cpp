@@ -4,6 +4,8 @@
 
 #include "rt/ShadowMemory.h"
 
+#include <new>
+
 using namespace kremlin;
 using namespace kremlin::test;
 
@@ -339,6 +341,39 @@ TEST(Runtime, ShadowBudgetTripSurfacesOnShortRuns) {
   EXPECT_EQ(R.Err.code(), ErrorCode::ResourceExhausted);
 }
 
+TEST(Runtime, ShadowBudgetTripStopsALongRunEarly) {
+  // The interpreter's guardrail poll lags the runtime by up to a ring of
+  // event batches. It must still stop the producer long before the end of
+  // a long loop: the budget trips on the second shadow page (iteration
+  // 4096 of 500000), so the failed run executes a sliver of the unbounded
+  // run's instructions instead of finishing and failing at the end.
+  std::unique_ptr<Module> M = compileOrDie(R"(
+    int a[8192];
+    int main() {
+      int s = 0;
+      for (int i = 0; i < 500000; i = i + 1) { a[i % 8192] = i; s = s + 1; }
+      return s;
+    }
+  )");
+  instrumentModule(*M);
+  Interpreter I(*M);
+
+  DictionaryCompressor FullDict;
+  KremlinConfig Cfg;
+  KremlinRuntime Full(Cfg, FullDict);
+  ExecResult Unbounded = I.run(&Full);
+  ASSERT_TRUE(Unbounded.Ok) << Unbounded.Error;
+
+  DictionaryCompressor Dict;
+  Cfg.MaxShadowBytes = // Exactly one shadow page fits.
+      Cfg.SegmentWords * Cfg.NumLevels * sizeof(ShadowCell);
+  KremlinRuntime RT(Cfg, Dict);
+  ExecResult R = I.run(&RT);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Err.code(), ErrorCode::ResourceExhausted);
+  EXPECT_LT(R.DynInstructions, Unbounded.DynInstructions / 10);
+}
+
 /// Collects every interned summary so tests can assert on work/cp exactly.
 class CaptureSink : public RegionSummarySink {
 public:
@@ -349,6 +384,37 @@ public:
   }
   void onRootExit(SummaryChar) override {}
 };
+
+/// Fails every intern, as an allocation failure inside the runtime would.
+class ThrowingSink : public RegionSummarySink {
+public:
+  SummaryChar intern(DynRegionSummary) override { throw std::bad_alloc(); }
+  void onRootExit(SummaryChar) override {}
+};
+
+TEST(Runtime, ConsumerExceptionReachesTheCallerAfterTheJoin) {
+  // The runtime consumes events on the calling thread while a helper thread
+  // interprets. An exception thrown by the runtime must stop the helper and
+  // reach run()'s caller; the interpreter stays usable afterwards.
+  std::unique_ptr<Module> M = compileOrDie(R"(
+    int main() {
+      int s = 0;
+      for (int i = 0; i < 200000; i = i + 1) { s = s + i % 7; }
+      return s % 1000;
+    }
+  )");
+  instrumentModule(*M);
+  Interpreter I(*M);
+  ThrowingSink Throwing;
+  KremlinRuntime Failing(KremlinConfig(), Throwing);
+  EXPECT_THROW(I.run(&Failing), std::bad_alloc);
+
+  DictionaryCompressor Dict;
+  KremlinRuntime RT(KremlinConfig(), Dict);
+  ExecResult R = I.run(&RT);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ExitValue, I.run().ExitValue);
+}
 
 TEST(Runtime, RecycledFrameRowsReadZero) {
   // Frames are recycled by depth without clearing their cell arrays; the

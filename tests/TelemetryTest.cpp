@@ -86,9 +86,33 @@ TEST_F(TelemetryTest, HistogramBucketsAndStats) {
   EXPECT_EQ(H.bucket(1), 1u); // 1
   EXPECT_EQ(H.bucket(2), 2u); // 2, 3
   EXPECT_EQ(H.bucket(10), 1u); // 1000 in [512, 1024)
-  // Median falls in the [2,4) bucket; its inclusive upper bound is 3.
-  EXPECT_EQ(H.quantile(0.5), 3u);
-  EXPECT_EQ(H.quantile(1.0), 1023u);
+  // The extremes are exact; the median (rank 2 of 0..4) is the first of
+  // the two samples in the [2,4) bucket, interpolated as 2.
+  EXPECT_EQ(H.quantile(0.0), 0u);
+  EXPECT_EQ(H.quantile(0.5), 2u);
+  EXPECT_EQ(H.quantile(1.0), 1000u);
+  // p75 (rank 3) is the second [2,4) sample, within the bucket.
+  EXPECT_EQ(H.quantile(0.75), 3u);
+}
+
+TEST_F(TelemetryTest, HistogramQuantilesStayWithinTheSamples) {
+  // One sample reads back exactly at every quantile, not as its log2
+  // bucket's upper bound (524287 for this one).
+  tel::Histogram &One = tel::Registry::global().histogram("test.hist_one");
+  One.record(306253);
+  for (double P : {0.0, 0.5, 0.99, 1.0})
+    EXPECT_EQ(One.quantile(P), 306253u) << "p" << P;
+
+  // Within one bucket, interpolation stays inside [min, max].
+  tel::Histogram &H = tel::Registry::global().histogram("test.hist_span");
+  for (uint64_t V = 600; V <= 700; ++V)
+    H.record(V);
+  EXPECT_EQ(H.quantile(0.0), 600u);
+  EXPECT_EQ(H.quantile(1.0), 700u);
+  uint64_t P50 = H.quantile(0.5);
+  EXPECT_GE(P50, 645u);
+  EXPECT_LE(P50, 655u);
+  EXPECT_LE(H.quantile(0.99), 700u);
 }
 
 TEST_F(TelemetryTest, ConcurrentCounterUpdatesAreLossless) {
