@@ -1,12 +1,21 @@
-//===- aggregate/AggregateTool.cpp ----------------------------------------===//
-
-#include "aggregate/AggregateTool.h"
+//===- driver/AggregateTool.cpp - merge/diff/serve/push/top ---------------===//
+//
+// Part of the Kremlin reproduction project.
+//
+//===----------------------------------------------------------------------===//
+//
+// The fleet-aggregation subcommands: merge and diff saved profiles, serve
+// them over HTTP, push profiles to a server, and watch its /metrics.
+//
+//===----------------------------------------------------------------------===//
 
 #include "aggregate/ProfileMerge.h"
 #include "aggregate/ProfileService.h"
 #include "aggregate/ProfileStore.h"
 #include "aggregate/PushClient.h"
 #include "compress/TraceIO.h"
+#include "driver/BenchHarness.h"
+#include "driver/Cli.h"
 #include "report/ProfileExport.h"
 #include "support/Http.h"
 #include "support/Json.h"
@@ -17,9 +26,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <map>
 #include <memory>
 #include <thread>
 
@@ -28,133 +35,32 @@
 
 using namespace kremlin;
 using namespace kremlin::aggregate;
+using namespace kremlin::cli;
 namespace tel = kremlin::telemetry;
 
-namespace {
-
-void printMergeUsage() {
-  std::fprintf(
-      stderr,
-      "usage: kremlin merge <a.prof> <b.prof>... [options]\n"
-      "  --out=<path>           write the merged kremlin-trace here\n"
-      "  --speedscope=<path>    also export the merged profile as\n"
-      "                         speedscope JSON (self-validated)\n"
-      "  --store=<dir>          record the merge into a profile store\n"
-      "  --name=<name>          store entry name (default 'merged')\n"
-      "  --max-profile-mb=<n>   per-file size budget (0 = unlimited);\n"
-      "                         exceeded => structured resource-exhausted\n"
-      "                         error, never OOM\n"
-      "Merging unions the compressed dictionaries (child characters\n"
-      "remapped through the content-addressed index) and concatenates the\n"
-      "root tables -- exactly the profile of the concatenated runs, so\n"
-      "work sums and self-parallelism recombines work-weighted.\n");
-}
-
-void printDiffUsage() {
-  std::fprintf(stderr,
-               "usage: kremlin diff <a.prof> <b.prof> [options]\n"
-               "  --max-profile-mb=<n>   per-file size budget\n"
-               "Prints per-region work/SP/coverage deltas, `stats --diff`\n"
-               "style ('added'/'removed' for one-sided regions).\n");
-}
-
-void printServeUsage() {
-  std::fprintf(
-      stderr,
-      "usage: kremlin serve [options]\n"
-      "  --port=<n>             TCP port on 127.0.0.1 (default 0 = pick;\n"
-      "                         the chosen port is printed on startup)\n"
-      "  --threads=<n>          handler worker threads (default 4)\n"
-      "  --store=<dir>          persistent profile store: seeds the merge\n"
-      "                         on startup, named ingests are recorded\n"
-      "  --load=<p,q,...>       profiles to ingest before serving\n"
-      "  --max-profile-mb=<n>   per-upload size budget (0 = unlimited)\n"
-      "  --rows=<n>             plan-view row cap (default 25)\n"
-      "  --max-queue=<n>        bound on pending requests; beyond it the\n"
-      "                         server sheds with 503 + Retry-After\n"
-      "                         (default 0 = unbounded)\n"
-      "  --access-log=<path>    JSON-lines access log: one line per\n"
-      "                         request (trace id, status, latency, dedup\n"
-      "                         outcome) through a bounded buffered sink\n"
-      "  --trace-out=<path>     stream server-side request spans as Chrome\n"
-      "                         trace JSON (same trace ids the pushing\n"
-      "                         clients stamp their attempts with)\n"
-      "endpoints: POST /ingest (kremlin-trace body),\n"
-      "           GET /profile?format=speedscope|tree|plan|collapsed|"
-      "timeline,\n"
-      "           GET /metrics[?format=table|json|prometheus],\n"
-      "           GET /healthz (JSON status)\n"
-      "Stop with SIGINT/SIGTERM; in-flight requests drain first.\n");
-}
-
-void printPushUsage() {
-  std::fprintf(
-      stderr,
-      "usage: kremlin push <a.prof>... --url=http://<ipv4>[:port]\n"
-      "  --url=<url>            the `kremlin serve` endpoint (required)\n"
-      "  --retries=<n>          retries per profile after the first\n"
-      "                         attempt (default 5)\n"
-      "  --timeout-ms=<n>       per-attempt socket deadline (default\n"
-      "                         10000; 0 = none)\n"
-      "  --trace-out=<path>     stream client attempt spans as Chrome\n"
-      "                         trace JSON; every attempt carries the\n"
-      "                         push's trace id in a traceparent header\n"
-      "Uploads each profile to POST /ingest with capped jittered\n"
-      "exponential backoff on transient failures (connect errors,\n"
-      "408/429/5xx), honoring the server's Retry-After hints. Every\n"
-      "upload carries a content-hash Idempotency-Key, so a retried\n"
-      "upload whose ack was lost is acknowledged without double-merging.\n");
-}
-
-void printTopUsage() {
-  std::fprintf(
-      stderr,
-      "usage: kremlin top --url=http://<ipv4>[:port] [options]\n"
-      "  --url=<url>            the `kremlin serve` endpoint (required)\n"
-      "  --interval-ms=<n>      poll interval (default 2000)\n"
-      "  --once                 print one snapshot and exit (CI-friendly)\n"
-      "Polls GET /metrics?format=json and renders request rates, queue\n"
-      "depth, and per-endpoint latency (p50/p99) deltas between polls.\n");
-}
-
-/// Parses --max-profile-mb= into a byte budget.
-uint64_t mbToBytes(const std::string &Value) {
-  return std::strtoull(Value.c_str(), nullptr, 10) * 1024 * 1024;
-}
-
-} // namespace
-
-int aggregate::mergeMain(const std::vector<std::string> &Args) {
+int cli::mergeMain(const Args &A) {
   std::vector<std::string> Inputs;
   std::string OutPath, SpeedscopePath, StoreDir, Name = "merged";
   TraceReadLimits Limits;
-
-  for (const std::string &Arg : Args) {
-    auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (Arg.rfind("--out=", 0) == 0) {
-      OutPath = Value();
-    } else if (Arg.rfind("--speedscope=", 0) == 0) {
-      SpeedscopePath = Value();
-    } else if (Arg.rfind("--store=", 0) == 0) {
-      StoreDir = Value();
-    } else if (Arg.rfind("--name=", 0) == 0) {
-      Name = Value();
-    } else if (Arg.rfind("--max-profile-mb=", 0) == 0) {
-      Limits.MaxBytes = mbToBytes(Value());
-    } else if (Arg == "--help" || Arg == "-h") {
-      printMergeUsage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] != '-') {
-      Inputs.push_back(Arg);
-    } else {
-      tel::logf(tel::LogLevel::Error, "merge", "unknown option '%s'",
-                Arg.c_str());
-      printMergeUsage();
-      return 1;
-    }
-  }
+  Command C{
+      "usage: kremlin merge <a.prof> <b.prof>... [options]",
+      {{"--out", "<path>", "write the merged kremlin-trace here", &OutPath},
+       {"--speedscope", "<path>",
+        "also export the merged profile as speedscope JSON (self-validated)",
+        &SpeedscopePath},
+       {"--store", "<dir>", "record the merge into a profile store",
+        &StoreDir},
+       {"--name", "<name>", "store entry name (default 'merged')", &Name},
+       maxProfileMb(Limits.MaxBytes)},
+      "Merging unions the compressed dictionaries (child characters\n"
+      "remapped through the content-addressed index) and concatenates the\n"
+      "root tables -- exactly the profile of the concatenated runs, so\n"
+      "work sums and self-parallelism recombines work-weighted.\n",
+      collect(Inputs)};
+  if (std::optional<int> Exit = parse(C, A, "merge"))
+    return *Exit;
   if (Inputs.empty()) {
-    printMergeUsage();
+    printUsage(C);
     return 1;
   }
 
@@ -227,27 +133,18 @@ int aggregate::mergeMain(const std::vector<std::string> &Args) {
   return 0;
 }
 
-int aggregate::diffMain(const std::vector<std::string> &Args) {
+int cli::diffMain(const Args &A) {
   std::vector<std::string> Inputs;
   TraceReadLimits Limits;
-  for (const std::string &Arg : Args) {
-    auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (Arg.rfind("--max-profile-mb=", 0) == 0) {
-      Limits.MaxBytes = mbToBytes(Value());
-    } else if (Arg == "--help" || Arg == "-h") {
-      printDiffUsage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] != '-') {
-      Inputs.push_back(Arg);
-    } else {
-      tel::logf(tel::LogLevel::Error, "diff", "unknown option '%s'",
-                Arg.c_str());
-      printDiffUsage();
-      return 1;
-    }
-  }
+  Command C{"usage: kremlin diff <a.prof> <b.prof> [options]",
+            {maxProfileMb(Limits.MaxBytes)},
+            "Prints per-region work/SP/coverage deltas, `stats --diff`\n"
+            "style ('added'/'removed' for one-sided regions).\n",
+            collect(Inputs)};
+  if (std::optional<int> Exit = parse(C, A, "diff"))
+    return *Exit;
   if (Inputs.size() != 2) {
-    printDiffUsage();
+    printUsage(C);
     return 1;
   }
   DictionaryCompressor Dicts[2];
@@ -265,61 +162,50 @@ int aggregate::diffMain(const std::vector<std::string> &Args) {
   return 0;
 }
 
-int aggregate::serveMain(const std::vector<std::string> &Args) {
+int cli::serveMain(const Args &A) {
   http::ServerOptions ServerOpts;
   ServiceOptions SvcOpts;
   std::vector<std::string> LoadPaths;
-  std::string TraceOutPath;
-
-  for (const std::string &Arg : Args) {
-    auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (Arg.rfind("--port=", 0) == 0) {
-      ServerOpts.Port =
-          static_cast<uint16_t>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      ServerOpts.Threads =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--store=", 0) == 0) {
-      SvcOpts.StoreDir = Value();
-    } else if (Arg.rfind("--load=", 0) == 0) {
-      for (const std::string &Tok : splitString(Value(), ','))
-        if (!Tok.empty())
-          LoadPaths.push_back(Tok);
-    } else if (Arg.rfind("--max-profile-mb=", 0) == 0) {
-      SvcOpts.MaxIngestBytes = mbToBytes(Value());
-    } else if (Arg.rfind("--rows=", 0) == 0) {
-      SvcOpts.PlanRows =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--max-queue=", 0) == 0) {
-      SvcOpts.MaxQueue =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--access-log=", 0) == 0) {
-      SvcOpts.AccessLogPath = Value();
-    } else if (Arg.rfind("--trace-out=", 0) == 0) {
-      TraceOutPath = Value();
-    } else if (Arg == "--help" || Arg == "-h") {
-      printServeUsage();
-      return 0;
-    } else {
-      tel::logf(tel::LogLevel::Error, "serve", "unknown option '%s'",
-                Arg.c_str());
-      printServeUsage();
-      return 1;
-    }
-  }
+  TelemetryOut Tel;
+  Command C{
+      "usage: kremlin serve [options]",
+      {{"--port", "<n>",
+        "TCP port on 127.0.0.1 (default 0 = pick; the chosen port is "
+        "printed on startup)",
+        &ServerOpts.Port},
+       {"--threads", "<n>", "handler worker threads (default 4)",
+        &ServerOpts.Threads},
+       {"--store", "<dir>",
+        "persistent profile store: seeds the merge on startup, named "
+        "ingests are recorded",
+        &SvcOpts.StoreDir},
+       {"--load", "<p,q,...>", "profiles to ingest before serving",
+        &LoadPaths},
+       maxProfileMb(SvcOpts.MaxIngestBytes),
+       {"--rows", "<n>", "plan-view row cap (default 25)", &SvcOpts.PlanRows},
+       {"--max-queue", "<n>",
+        "bound on pending requests; beyond it the server sheds with 503 + "
+        "Retry-After (default 0 = unbounded)",
+        &SvcOpts.MaxQueue},
+       {"--access-log", "<path>",
+        "JSON-lines access log: one line per request (trace id, status, "
+        "latency, dedup outcome) through a bounded buffered sink",
+        &SvcOpts.AccessLogPath},
+       Tel.traceOut()},
+      "Request spans carry the trace ids the pushing clients stamp their\n"
+      "attempts with.\n"
+      "endpoints: POST /ingest (kremlin-trace body),\n"
+      "           GET /profile?format=speedscope|tree|plan|collapsed|"
+      "timeline,\n"
+      "           GET /metrics[?format=table|json|prometheus],\n"
+      "           GET /healthz (JSON status)\n"
+      "Stop with SIGINT/SIGTERM; in-flight requests drain first.\n"};
+  if (std::optional<int> Exit = parse(C, A, "serve"))
+    return *Exit;
   if (SvcOpts.MaxIngestBytes)
     ServerOpts.MaxBodyBytes = SvcOpts.MaxIngestBytes;
-
-  if (!TraceOutPath.empty()) {
-    Expected<std::unique_ptr<tel::FileTraceSink>> Sink =
-        tel::FileTraceSink::open(TraceOutPath);
-    if (!Sink.ok()) {
-      tel::logError("serve", Sink.status().toString());
-      return 1;
-    }
-    if (Status St = tel::setTraceSink(Sink.takeValue()); !St.ok())
-      tel::logError("serve", St.toString());
-  }
+  if (!Tel.start("serve"))
+    return 1;
 
   Expected<std::unique_ptr<ProfileService>> Service =
       ProfileService::create(SvcOpts);
@@ -329,7 +215,7 @@ int aggregate::serveMain(const std::vector<std::string> &Args) {
   }
   ProfileService &Svc = *Service.value();
   if (const StoreRecovery *Rec = Svc.storeRecovery(); Rec && Rec->dirty()) {
-    // Operators (and the CI crash-recovery drill) read this line to see
+    // Operators (and the crash-recovery drill) read this line to see
     // exactly which entries survived and which were quarantined.
     std::printf("kremlin serve: %s\n", Rec->summary().c_str());
     std::fflush(stdout);
@@ -390,47 +276,35 @@ int aggregate::serveMain(const std::vector<std::string> &Args) {
               static_cast<unsigned long long>(
                   tel::Registry::global().counter("serve.requests").value()),
               static_cast<unsigned long long>(Svc.ingestCount()));
-  if (!TraceOutPath.empty()) {
-    if (Status St = tel::closeTraceSink(); !St.ok()) {
-      tel::logError("serve", St.toString());
-      return 1;
-    }
-    std::printf("kremlin serve: trace written to %s\n", TraceOutPath.c_str());
-  }
-  return 0;
+  return Tel.finish("serve", "kremlin serve: ") ? 0 : 1;
 }
 
-int aggregate::pushMain(const std::vector<std::string> &Args) {
+int cli::pushMain(const Args &A) {
   std::vector<std::string> Inputs;
-  std::string Url, TraceOutPath;
+  std::string Url;
   PushOptions Opts;
-
-  for (const std::string &Arg : Args) {
-    auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (Arg.rfind("--url=", 0) == 0) {
-      Url = Value();
-    } else if (Arg.rfind("--retries=", 0) == 0) {
-      Opts.Retry.MaxRetries =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--timeout-ms=", 0) == 0) {
-      Opts.TimeoutMs =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg.rfind("--trace-out=", 0) == 0) {
-      TraceOutPath = Value();
-    } else if (Arg == "--help" || Arg == "-h") {
-      printPushUsage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] != '-') {
-      Inputs.push_back(Arg);
-    } else {
-      tel::logf(tel::LogLevel::Error, "push", "unknown option '%s'",
-                Arg.c_str());
-      printPushUsage();
-      return 1;
-    }
-  }
+  TelemetryOut Tel;
+  Command C{
+      "usage: kremlin push <a.prof>... --url=http://<ipv4>[:port]",
+      {{"--url", "<url>", "the `kremlin serve` endpoint (required)", &Url},
+       {"--retries", "<n>",
+        "retries per profile after the first attempt (default 5)",
+        &Opts.Retry.MaxRetries},
+       {"--timeout-ms", "<n>",
+        "per-attempt socket deadline (default 10000; 0 = none)",
+        &Opts.TimeoutMs},
+       Tel.traceOut()},
+      "Uploads each profile to POST /ingest with capped jittered\n"
+      "exponential backoff on transient failures (connect errors,\n"
+      "408/429/5xx), honoring the server's Retry-After hints. Every\n"
+      "upload carries a content-hash Idempotency-Key, so a retried\n"
+      "upload whose ack was lost is acknowledged without double-merging.\n"
+      "Every attempt carries the push's trace id in a traceparent header.\n",
+      collect(Inputs)};
+  if (std::optional<int> Exit = parse(C, A, "push"))
+    return *Exit;
   if (Inputs.empty() || Url.empty()) {
-    printPushUsage();
+    printUsage(C);
     return 1;
   }
   Expected<PushEndpoint> Endpoint = parsePushUrl(Url);
@@ -439,17 +313,8 @@ int aggregate::pushMain(const std::vector<std::string> &Args) {
     return 1;
   }
   Opts.Endpoint = Endpoint.takeValue();
-
-  if (!TraceOutPath.empty()) {
-    Expected<std::unique_ptr<tel::FileTraceSink>> Sink =
-        tel::FileTraceSink::open(TraceOutPath);
-    if (!Sink.ok()) {
-      tel::logError("push", Sink.status().toString());
-      return 1;
-    }
-    if (Status St = tel::setTraceSink(Sink.takeValue()); !St.ok())
-      tel::logError("push", St.toString());
-  }
+  if (!Tel.start("push"))
+    return 1;
 
   int Exit = 0;
   for (const std::string &Path : Inputs) {
@@ -467,22 +332,14 @@ int aggregate::pushMain(const std::vector<std::string> &Args) {
                 static_cast<unsigned long long>(Out.value().Ingested),
                 Out.value().TraceId.c_str());
   }
-  if (!TraceOutPath.empty()) {
-    if (Status St = tel::closeTraceSink(); !St.ok()) {
-      tel::logError("push", St.toString());
-      return 1;
-    }
-    std::printf("push trace written to %s\n", TraceOutPath.c_str());
-  }
-  return Exit;
+  return Tel.finish("push", "push ") ? Exit : 1;
 }
 
 namespace {
 
 /// One /metrics?format=json poll flattened into name -> value (JSON null,
 /// the empty-histogram quantile encoding, becomes NaN).
-Expected<std::map<std::string, double>>
-scrapeMetrics(const PushEndpoint &Endpoint) {
+Expected<MetricMap> scrapeMetrics(const PushEndpoint &Endpoint) {
   Expected<http::ClientResponse> Resp =
       http::request(Endpoint.Host, Endpoint.Port, "GET",
                     "/metrics?format=json", "", "", {}, 5000);
@@ -493,28 +350,18 @@ scrapeMetrics(const PushEndpoint &Endpoint) {
                          formatString("GET /metrics: HTTP %d",
                                       Resp.value().Code))
         .withStage("top");
-  JsonValue Doc;
+  MetricMap Out;
   std::string Error;
-  if (!JsonValue::parse(Resp.value().Body, Doc, &Error))
+  if (!parseMetricsJson(Resp.value().Body, Out, &Error))
     return Status::error(ErrorCode::DecodeError,
                          "malformed /metrics JSON: " + Error)
         .withStage("top");
-  const JsonValue *Metrics = Doc.get("metrics");
-  if (!Metrics)
-    return Status::error(ErrorCode::DecodeError,
-                         "/metrics JSON has no \"metrics\" object")
-        .withStage("top");
-  std::map<std::string, double> Out;
-  for (const auto &[Name, Value] : Metrics->members())
-    Out[Name] = Value.isNull() ? std::numeric_limits<double>::quiet_NaN()
-                               : Value.asNumber();
   return Out;
 }
 
 /// Renders one `kremlin top` frame: headline gauges plus a per-endpoint
 /// latency table with rates derived from the previous poll.
-std::string renderTopFrame(const std::map<std::string, double> &Cur,
-                           const std::map<std::string, double> &Prev,
+std::string renderTopFrame(const MetricMap &Cur, const MetricMap &Prev,
                            double DtSec) {
   auto Get = [&Cur](const std::string &Name) {
     auto It = Cur.find(Name);
@@ -574,32 +421,23 @@ std::string renderTopFrame(const std::map<std::string, double> &Cur,
 
 } // namespace
 
-int aggregate::topMain(const std::vector<std::string> &Args) {
+int cli::topMain(const Args &A) {
   std::string Url;
   unsigned IntervalMs = 2000;
   bool Once = false;
-
-  for (const std::string &Arg : Args) {
-    auto Value = [&Arg]() { return Arg.substr(Arg.find('=') + 1); };
-    if (Arg.rfind("--url=", 0) == 0) {
-      Url = Value();
-    } else if (Arg.rfind("--interval-ms=", 0) == 0) {
-      IntervalMs =
-          static_cast<unsigned>(std::strtoul(Value().c_str(), nullptr, 10));
-    } else if (Arg == "--once") {
-      Once = true;
-    } else if (Arg == "--help" || Arg == "-h") {
-      printTopUsage();
-      return 0;
-    } else {
-      tel::logf(tel::LogLevel::Error, "top", "unknown option '%s'",
-                Arg.c_str());
-      printTopUsage();
-      return 1;
-    }
-  }
+  Command C{"usage: kremlin top --url=http://<ipv4>[:port] [options]",
+            {{"--url", "<url>", "the `kremlin serve` endpoint (required)",
+              &Url},
+             {"--interval-ms", "<n>", "poll interval (default 2000)",
+              &IntervalMs},
+             {"--once", "", "print one snapshot and exit (CI-friendly)",
+              &Once}},
+            "Polls GET /metrics?format=json and renders request rates, queue\n"
+            "depth, and per-endpoint latency (p50/p99) deltas between polls.\n"};
+  if (std::optional<int> Exit = parse(C, A, "top"))
+    return *Exit;
   if (Url.empty()) {
-    printTopUsage();
+    printUsage(C);
     return 1;
   }
   Expected<PushEndpoint> Endpoint = parsePushUrl(Url);
@@ -608,11 +446,10 @@ int aggregate::topMain(const std::vector<std::string> &Args) {
     return 1;
   }
 
-  std::map<std::string, double> Prev;
+  MetricMap Prev;
   uint64_t PrevPollUs = 0;
   for (;;) {
-    Expected<std::map<std::string, double>> Cur =
-        scrapeMetrics(Endpoint.value());
+    Expected<MetricMap> Cur = scrapeMetrics(Endpoint.value());
     if (!Cur.ok()) {
       tel::logError("top", Cur.status().toString());
       return 1;

@@ -18,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -560,6 +561,78 @@ TEST(Cli, MergeAndDiffSubcommands) {
   std::remove(OutPath.c_str());
   std::remove(ScopePath.c_str());
   std::filesystem::remove_all(StoreDir);
+}
+
+TEST(Cli, HelpListsExactlyEachEntryPointsFlags) {
+  // Help is rendered from each entry point's flag table, so the flags it
+  // lists are the flags it accepts; pin both to these sets.
+  const std::vector<std::string> Pipeline = {
+      "--bench", "--tracking", "--personality", "--exclude", "--min-sp",
+      "--rows", "--max-shadow-mb", "--max-region-depth", "--profile",
+      "--save-trace", "--load-trace", "--max-profile-mb", "--trace-out",
+      "--trace-ring-events", "--trace-flush-kb", "--metrics-out",
+      "--dump-ir", "--stats", "--verify-ir", "--no-verify-ir",
+      "--no-static-analysis"};
+  auto With = [&Pipeline](const char *Extra) {
+    std::vector<std::string> Flags = Pipeline;
+    Flags.push_back(Extra);
+    return Flags;
+  };
+  const std::vector<std::string> Bench = {
+      "--threads", "--benchmarks", "--personality", "--out", "--baseline",
+      "--check-baseline", "--update-baseline", "--tolerance",
+      "--deadline-ms", "--trace-out", "--trace-ring-events",
+      "--trace-flush-kb", "--metrics-out", "--no-simulate"};
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      EntryPoints = {
+          {"", Pipeline},
+          {"stats", With("--diff")},
+          {"lint", With("--json")},
+          {"bench", Bench},
+          {"report",
+           {"--bench", "--tracking", "--format", "--top", "--min-coverage",
+            "--out", "--load-trace", "--max-profile-mb"}},
+          {"merge",
+           {"--out", "--speedscope", "--store", "--name",
+            "--max-profile-mb"}},
+          {"diff", {"--max-profile-mb"}},
+          {"serve",
+           {"--port", "--threads", "--store", "--load", "--max-profile-mb",
+            "--rows", "--max-queue", "--access-log", "--trace-out"}},
+          {"push", {"--url", "--retries", "--timeout-ms", "--trace-out"}},
+          {"top", {"--url", "--interval-ms", "--once"}},
+      };
+  auto Listed = [](const std::string &Help) {
+    std::set<std::string> Flags;
+    std::istringstream Lines(Help);
+    for (std::string Line; std::getline(Lines, Line);)
+      if (Line.rfind("  --", 0) == 0)
+        Flags.insert(Line.substr(2, Line.find_first_of("= ", 2) - 2));
+    return Flags;
+  };
+  for (const auto &[Sub, Flags] : EntryPoints) {
+    std::set<std::string> Want(Flags.begin(), Flags.end());
+    for (const char *Help : {" --help", " -h"}) {
+      int Code = 0;
+      std::string Out = runTool(Sub + Help, Code);
+      EXPECT_EQ(Code, 0) << "kremlin " << Sub << Help << ":\n" << Out;
+      EXPECT_EQ(Listed(Out), Want) << "kremlin " << Sub << Help << ":\n"
+                                   << Out;
+    }
+    int Code = 0;
+    std::string Out = runTool(Sub + " --bogus", Code);
+    EXPECT_NE(Code, 0) << "kremlin " << Sub << " --bogus";
+    EXPECT_NE(Out.find("unknown option"), std::string::npos) << Out;
+  }
+
+  int Code = 0;
+  std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH, "--help", Code);
+  EXPECT_EQ(Code, 0) << Out;
+  EXPECT_EQ(Listed(Out), std::set<std::string>(Bench.begin(), Bench.end()));
+  // The top-level help keeps its environment notes.
+  Out = runTool("--help", Code);
+  EXPECT_NE(Out.find("KREMLIN_LOG="), std::string::npos) << Out;
+  EXPECT_NE(Out.find("KREMLIN_FAULT="), std::string::npos) << Out;
 }
 
 TEST(Cli, ServeHelpDocumentsEndpoints) {

@@ -7,7 +7,10 @@
 // servable. Plus the push-convergence property: `kremlin push` retrying
 // against a fault-injected server merges each profile exactly once,
 // bit-identical to one clean ingest — both through the in-process client
-// API and through the real CLI binary.
+// API and through the real CLI binary, whose run also checks the
+// observability contract: one trace id stitches client attempts to server
+// handling, the access log is well-formed JSON lines, and the Prometheus
+// exposition is typed, cumulative and balanced.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,13 +24,17 @@
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
+#include "TestUtil.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +45,7 @@
 
 using namespace kremlin;
 using namespace kremlin::aggregate;
+using kremlin::test::expectNoSanitizerReport;
 namespace fs = std::filesystem;
 namespace tel = kremlin::telemetry;
 
@@ -65,11 +73,13 @@ std::string sampleTrace(uint64_t LeafWork) {
 
 /// Spawns `kremlin serve` with \p ExtraArgs (and, when non-null, a
 /// KREMLIN_FAULT spec in the child's environment), parses the announced
-/// port, and reports the child pid. The caller owns OutFd until after
-/// waitpid.
+/// port, and reports the child pid. The child's stdout and stderr share
+/// OutFd, which the caller owns until after waitpid; everything printed up
+/// to the announcement goes to \p Announced when non-null.
 bool launchServer(pid_t &Pid, uint16_t &Port, int &OutFd,
                   const std::vector<std::string> &ExtraArgs,
-                  const char *FaultSpec = nullptr) {
+                  const char *FaultSpec = nullptr,
+                  std::string *Announced = nullptr) {
   int Out[2];
   if (pipe(Out) != 0)
     return false;
@@ -78,6 +88,7 @@ bool launchServer(pid_t &Pid, uint16_t &Port, int &OutFd,
     return false;
   if (Pid == 0) {
     dup2(Out[1], STDOUT_FILENO);
+    dup2(Out[1], STDERR_FILENO);
     close(Out[0]);
     close(Out[1]);
     if (FaultSpec)
@@ -104,11 +115,99 @@ bool launchServer(pid_t &Pid, uint16_t &Port, int &OutFd,
       At = Announce.find(Needle);
   }
   OutFd = Out[0];
+  if (Announced)
+    *Announced = Announce;
   if (At == std::string::npos)
     return false;
   Port = static_cast<uint16_t>(
       std::strtoul(Announce.c_str() + At + Needle.size(), nullptr, 10));
   return Port != 0;
+}
+
+/// Reads \p Fd to EOF and closes it: the rest of an exiting child's output.
+std::string drain(int Fd) {
+  std::string Out;
+  char Buf[4096];
+  for (ssize_t N; (N = read(Fd, Buf, sizeof Buf)) > 0;)
+    Out.append(Buf, static_cast<size_t>(N));
+  close(Fd);
+  return Out;
+}
+
+bool isTraceId(const std::string &Id) {
+  return Id.size() == 32 &&
+         std::all_of(Id.begin(), Id.end(), [](char C) {
+           return (C >= '0' && C <= '9') || (C >= 'a' && C <= 'f');
+         });
+}
+
+/// The trace ids the spans named \p Span carry in Chrome trace \p Path.
+std::set<std::string> spanTraceIds(const std::string &Path,
+                                   const std::string &Span) {
+  std::string Text;
+  JsonValue Doc;
+  std::string Error;
+  if (!readFileToString(Path, Text) || !JsonValue::parse(Text, Doc, &Error)) {
+    ADD_FAILURE() << Path << " is not a Chrome trace: " << Error;
+    return {};
+  }
+  std::set<std::string> Ids;
+  const JsonValue *Events = Doc.get("traceEvents");
+  for (size_t I = 0; Events && I < Events->size(); ++I) {
+    const JsonValue &E = Events->at(I);
+    const JsonValue *Name = E.get("name");
+    const JsonValue *Args = E.get("args");
+    const JsonValue *Id = Args ? Args->get("trace_id") : nullptr;
+    if (Name && Name->asString() == Span && Id)
+      Ids.insert(Id->asString());
+  }
+  return Ids;
+}
+
+/// The exposition contract of GET /metrics?format=prometheus: every sample
+/// follows its family's # TYPE line, histogram buckets are cumulative, and
+/// each request is counted once in the queue-wait histogram and once in
+/// exactly one per-endpoint latency histogram.
+void expectWellFormedPrometheus(const std::string &Body) {
+  std::set<std::string> Typed;
+  std::map<std::string, std::vector<double>> Buckets;
+  std::map<std::string, double> Samples;
+  for (const std::string &Line : splitString(Body, '\n')) {
+    if (Line.rfind("# TYPE ", 0) == 0) {
+      Typed.insert(splitString(Line, ' ')[2]);
+      continue;
+    }
+    if (Line.empty() || Line[0] == '#')
+      continue;
+    std::string Name = Line.substr(0, Line.find_first_of("{ "));
+    std::string Family = Name;
+    for (const std::string Suffix : {"_bucket", "_sum", "_count"})
+      if (Name.size() > Suffix.size() &&
+          Name.compare(Name.size() - Suffix.size(), Suffix.size(), Suffix) ==
+              0)
+        Family = Name.substr(0, Name.size() - Suffix.size());
+    EXPECT_TRUE(Typed.count(Name) || Typed.count(Family))
+        << "sample " << Name << " not preceded by # TYPE";
+    double Value = std::strtod(Line.c_str() + Line.rfind(' ') + 1, nullptr);
+    if (Line.find("_bucket{") != std::string::npos)
+      Buckets[Family].push_back(Value);
+    else
+      Samples[Name] = Value;
+  }
+  for (const auto &[Family, Series] : Buckets)
+    EXPECT_TRUE(std::is_sorted(Series.begin(), Series.end()))
+        << Family << " buckets not cumulative";
+  ASSERT_TRUE(Samples.count("kremlin_serve_requests")) << Body;
+  ASSERT_TRUE(Samples.count("kremlin_serve_queue_wait_us_count")) << Body;
+  double Requests = Samples["kremlin_serve_requests"];
+  double Latency = 0;
+  for (const auto &[Name, Value] : Samples)
+    if (Name.rfind("kremlin_serve_latency_", 0) == 0 &&
+        Name.size() > 6 && Name.compare(Name.size() - 6, 6, "_count") == 0)
+      Latency += Value;
+  EXPECT_GT(Requests, 0);
+  EXPECT_EQ(Requests, Samples["kremlin_serve_queue_wait_us_count"]);
+  EXPECT_EQ(Requests, Latency);
 }
 
 std::string freshDir(const char *Tag) {
@@ -171,6 +270,33 @@ TEST(StoreChaos, SigkillMidIngestThenCorruptionQuarantinesByName) {
   ASSERT_TRUE(
       writeStringToFile(Dir + "/index.json", Index.substr(0, Index.size() / 2)));
 
+  // The operator-facing half: a relaunched `kremlin serve --store=`
+  // announces what it quarantined, by name, and serves the survivors. It
+  // runs on a copy, so the in-process reopen below still sees the damage.
+  std::string Served = Dir + "_served";
+  fs::remove_all(Served);
+  fs::copy(Dir, Served, fs::copy_options::recursive);
+  std::string Announced;
+  ASSERT_TRUE(launchServer(Pid, Port, OutFd, {"--store=" + Served}, nullptr,
+                           &Announced))
+      << Announced;
+  EXPECT_NE(Announced.find("store recovery:"), std::string::npos)
+      << Announced;
+  EXPECT_NE(Announced.find("quarantined"), std::string::npos) << Announced;
+  EXPECT_NE(Announced.find("alpha"), std::string::npos) << Announced;
+  Expected<http::ClientResponse> Survivors =
+      http::request("127.0.0.1", Port, "GET", "/profile?format=collapsed");
+  ASSERT_TRUE(Survivors.ok()) << Survivors.status().toString();
+  EXPECT_EQ(Survivors->Code, 200) << Survivors->Body;
+  ASSERT_EQ(kill(Pid, SIGTERM), 0);
+  std::string Rest = drain(OutFd);
+  ASSERT_EQ(waitpid(Pid, &WaitStatus, 0), Pid);
+  EXPECT_TRUE(WIFEXITED(WaitStatus) && WEXITSTATUS(WaitStatus) == 0)
+      << Announced << Rest;
+  expectNoSanitizerReport(Announced + Rest);
+  EXPECT_TRUE(fs::exists(Served + "/quarantine/alpha.prof"));
+  fs::remove_all(Served);
+
   // Recovery: the torn index and the mangled blob are quarantined *by
   // name*; beta and gamma are adopted back and stay servable.
   Expected<ProfileStore> Store = ProfileStore::open(Dir);
@@ -200,8 +326,7 @@ TEST(StoreChaos, SigkillMidIngestThenCorruptionQuarantinesByName) {
   EXPECT_TRUE(Store.value().load("beta").ok());
   EXPECT_TRUE(Store.value().mergeAll().ok());
 
-  // A rebooted `kremlin serve --store=` announces the same recovery and
-  // serves the survivors — the operator-facing half of the drill.
+  // The repair is durable: a second open finds nothing left to recover.
   Expected<ProfileStore> Again = ProfileStore::open(Dir);
   ASSERT_TRUE(Again.ok());
   EXPECT_FALSE(Again.value().recovery().dirty())
@@ -342,25 +467,52 @@ TEST(StoreChaos, CliPushRetriesAgainstFaultInjectedServer) {
   fs::create_directories(WorkDir);
   std::string ProfilePath = WorkDir + "/edge.prof";
   ASSERT_TRUE(writeStringToFile(ProfilePath, sampleTrace(33)));
+  std::string AccessLog = WorkDir + "/access.log";
+  std::string ServeTrace = WorkDir + "/serve-trace.json";
 
   pid_t Pid = -1;
   uint16_t Port = 0;
   int OutFd = -1;
-  ASSERT_TRUE(launchServer(Pid, Port, OutFd, {"--store=" + StoreDir},
+  ASSERT_TRUE(launchServer(Pid, Port, OutFd,
+                           {"--store=" + StoreDir, "--access-log=" + AccessLog,
+                            "--trace-out=" + ServeTrace},
                            "ingest:0.3"));
 
-  std::string OutPath = WorkDir + "/push.out";
-  std::string Cmd = std::string(KREMLIN_TOOL_PATH) + " push " + ProfilePath +
-                    " --url=http://127.0.0.1:" + std::to_string(Port) +
-                    " --retries=10 --timeout-ms=5000 > " + OutPath + " 2>&1";
-  int Rc = std::system(Cmd.c_str());
-  ASSERT_TRUE(WIFEXITED(Rc));
-  std::string Output;
-  readFileToString(OutPath, Output);
-  EXPECT_EQ(WEXITSTATUS(Rc), 0) << Output;
+  // One `kremlin push` of the profile; returns its output, and the trace
+  // id it announced through \p TraceId.
+  auto Push = [&](const std::string &Tag, std::string &TraceId) {
+    std::string OutPath = WorkDir + "/" + Tag + ".out";
+    std::string Cmd = std::string(KREMLIN_TOOL_PATH) + " push " +
+                      ProfilePath + " --url=http://127.0.0.1:" +
+                      std::to_string(Port) +
+                      " --retries=10 --timeout-ms=5000 --trace-out=" +
+                      WorkDir + "/" + Tag + "-trace.json > " + OutPath +
+                      " 2>&1";
+    int Rc = std::system(Cmd.c_str());
+    std::string Output;
+    readFileToString(OutPath, Output);
+    EXPECT_TRUE(WIFEXITED(Rc) && WEXITSTATUS(Rc) == 0) << Output;
+    expectNoSanitizerReport(Output);
+    // The pushed line ends "..., trace <32-hex id>)".
+    for (size_t At = Output.find("trace "); At != std::string::npos;
+         At = Output.find("trace ", At + 1))
+      if (isTraceId(Output.substr(At + 6, 32)) &&
+          Output.compare(At + 38, 1, ")") == 0)
+        TraceId = Output.substr(At + 6, 32);
+    return Output;
+  };
+  std::string PushId, ReplayId;
+  std::string Output = Push("push", PushId);
   EXPECT_NE(Output.find("pushed"), std::string::npos) << Output;
   // The push announces the trace id that stitched its attempts together.
   EXPECT_NE(Output.find("trace "), std::string::npos) << Output;
+  EXPECT_TRUE(isTraceId(PushId)) << Output;
+  // A replayed push is acknowledged through its idempotency key, not
+  // merged twice.
+  std::string Replay = Push("replay", ReplayId);
+  EXPECT_NE(Replay.find("deduplicated"), std::string::npos) << Replay;
+  EXPECT_TRUE(isTraceId(ReplayId)) << Replay;
+  EXPECT_NE(PushId, ReplayId);
 
   // `kremlin top --once` snapshots the live endpoint's metrics.
   std::string TopPath = WorkDir + "/top.out";
@@ -376,23 +528,65 @@ TEST(StoreChaos, CliPushRetriesAgainstFaultInjectedServer) {
   EXPECT_NE(TopOut.find("ingest"), std::string::npos) << TopOut;
   EXPECT_NE(TopOut.find("queue wait:"), std::string::npos) << TopOut;
 
+  // A live Prometheus scrape of the same server.
+  Expected<http::ClientResponse> Prom = http::request(
+      "127.0.0.1", Port, "GET", "/metrics?format=prometheus");
+  ASSERT_TRUE(Prom.ok()) << Prom.status().toString();
+  ASSERT_EQ(Prom->Code, 200) << Prom->Body;
+  expectWellFormedPrometheus(Prom->Body);
+
   // The push landed exactly once, durably.
   Expected<http::ClientResponse> Health =
       http::request("127.0.0.1", Port, "GET", "/healthz");
   ASSERT_TRUE(Health.ok());
   EXPECT_EQ(Health->Code, 200);
   ASSERT_EQ(kill(Pid, SIGTERM), 0);
+  std::string ServeOut = drain(OutFd);
   int WaitStatus = 0;
   ASSERT_EQ(waitpid(Pid, &WaitStatus, 0), Pid);
-  close(OutFd);
   EXPECT_TRUE(WIFEXITED(WaitStatus));
-  EXPECT_EQ(WEXITSTATUS(WaitStatus), 0);
+  EXPECT_EQ(WEXITSTATUS(WaitStatus), 0) << ServeOut;
+  expectNoSanitizerReport(ServeOut);
 
   Expected<ProfileStore> Store = ProfileStore::open(StoreDir);
   ASSERT_TRUE(Store.ok()) << Store.status().toString();
   ASSERT_EQ(Store.value().entries().size(), 1u);
   EXPECT_EQ(Store.value().entries()[0].Name, "edge");
   EXPECT_FALSE(Store.value().recovery().dirty());
+
+  // One trace id per push, on both sides of the wire: in the client's
+  // attempt spans and in the server's request spans.
+  std::set<std::string> Served = spanTraceIds(ServeTrace, "serve.request");
+  for (const auto &[Tag, Id] :
+       {std::pair<std::string, std::string>{"push", PushId},
+        {"replay", ReplayId}}) {
+    EXPECT_TRUE(spanTraceIds(WorkDir + "/" + Tag + "-trace.json",
+                             "push.attempt")
+                    .count(Id))
+        << Tag << " " << Id << " missing from client push.attempt spans";
+    EXPECT_TRUE(Served.count(Id))
+        << Tag << " " << Id << " missing from server serve.request spans";
+  }
+
+  // The access log: JSON lines with the documented schema.
+  std::string Log;
+  ASSERT_TRUE(readFileToString(AccessLog, Log));
+  unsigned Lines = 0;
+  for (const std::string &Line : splitString(Log, '\n')) {
+    if (Line.empty())
+      continue;
+    ++Lines;
+    JsonValue Entry;
+    ASSERT_TRUE(JsonValue::parse(Line, Entry)) << Line;
+    for (const char *Key :
+         {"ts_us", "trace_id", "method", "path", "status", "bytes_in",
+          "bytes_out", "queue_wait_ms", "handler_ms", "dedup"})
+      EXPECT_NE(Entry.get(Key), nullptr) << Key << " missing: " << Line;
+    const JsonValue *Id = Entry.get("trace_id");
+    EXPECT_TRUE(Id && isTraceId(Id->asString())) << Line;
+  }
+  EXPECT_GE(Lines, 3u) << Log;
+
   fs::remove_all(StoreDir);
   fs::remove_all(WorkDir);
 }

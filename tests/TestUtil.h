@@ -95,6 +95,13 @@ inline constexpr const char *DeadFrameArraySource = R"(
   }
 )";
 
+/// Sanitizer builds exit 1 on a report, the same code as a structured
+/// error, so a drill that runs the tools must check their output too.
+inline void expectNoSanitizerReport(const std::string &Output) {
+  EXPECT_EQ(Output.find("Sanitizer"), std::string::npos) << Output;
+  EXPECT_EQ(Output.find("runtime error:"), std::string::npos) << Output;
+}
+
 /// Finds the profile entry of the first executed region with \p Kind whose
 /// enclosing function is named \p Func; skips \p Skip matches first.
 /// Returns nullptr when absent.
