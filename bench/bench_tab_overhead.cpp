@@ -12,8 +12,12 @@
 
 #include "GBenchJson.h"
 
+#include "compress/Dictionary.h"
 #include "instrument/Instrumenter.h"
+#include "interp/Interpreter.h"
 #include "parser/Lower.h"
+#include "rt/KremlinRuntime.h"
+#include "suite/PaperSuite.h"
 
 #include <benchmark/benchmark.h>
 

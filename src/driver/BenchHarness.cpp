@@ -2,8 +2,7 @@
 
 #include "driver/BenchHarness.h"
 
-#include "driver/KremlinDriver.h"
-#include "machine/ExecutionSimulator.h"
+#include "driver/PaperFigures.h"
 #include "report/ProfileExport.h"
 #include "suite/PaperSuite.h"
 #include "support/FaultInjection.h"
@@ -26,19 +25,31 @@ namespace {
 
 struct BenchTaskResult {
   MetricMap Metrics;
+  Listings Text;
   BenchmarkOutcome Outcome;
   std::vector<std::string> Errors;
+  /// The run itself, kept for §6.1 (benchmark and ref-input runs only).
+  std::unique_ptr<DriverResult> Run;
 
-  /// Marks this benchmark failed: metrics are dropped (partial numbers
-  /// must not flow into results or baseline gating) and the error is
-  /// recorded both per-outcome and as a suite error line.
-  void fail(const std::string &Name, std::string Error) {
+  /// Marks this run failed: its numbers are dropped (partial numbers must
+  /// not flow into results or baseline gating) and the error is recorded
+  /// both per-outcome and as a suite error line.
+  void fail(const std::string &Label, std::string Error) {
     Metrics.clear();
+    Text.clear();
+    Run.reset();
     Outcome.Status = "failed";
     Outcome.Error = Error;
-    Errors.push_back(Name + ": " + std::move(Error));
+    Errors.push_back(Label + ": " + std::move(Error));
   }
 };
+
+/// Names a run in error lines: a ref-input run reports under its
+/// benchmark's outcome but says which run failed.
+std::string runLabel(const FigureProgram &P) {
+  return P.K == FigureProgram::Kind::RefInput ? P.Name + " (4x ref input)"
+                                              : P.Name;
+}
 
 double elapsedMs(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double, std::milli>(
@@ -67,108 +78,76 @@ std::string stageTraceJson(const DriverResult &R) {
   return telemetry::traceToChromeJson(Events);
 }
 
-/// Runs one paper benchmark through a private pipeline instance and
-/// collects its metrics. Each call constructs its own KremlinDriver, and
+/// Profiles one program through a private pipeline instance and reads
+/// its figures off the run. Each call constructs its own KremlinDriver, and
 /// through it its own Interpreter, ShadowMemory, and KremlinRuntime — no
 /// state is shared between concurrent calls.
-BenchTaskResult runOneBenchmark(const std::string &Name,
-                                const BenchSuiteOptions &Opts) {
+BenchTaskResult runOneProgram(const FigureProgram &P,
+                              const BenchSuiteOptions &Opts) {
   BenchTaskResult Out;
-  Out.Outcome.Name = Name;
+  Out.Outcome.Name = P.Name;
   auto Start = std::chrono::steady_clock::now();
 
-  Expected<GeneratedBenchmark> GB = tryGeneratePaperBenchmark(Name);
+  Expected<GeneratedBenchmark> GB = figureSource(P);
   if (!GB.ok()) {
-    Out.fail(Name, GB.status().toString());
+    Out.fail(runLabel(P), GB.status().toString());
     return Out;
   }
 
   DriverOptions DriverOpts;
   DriverOpts.PersonalityName = Opts.PersonalityName;
   KremlinDriver Driver(std::move(DriverOpts));
-  DriverResult R = Driver.runOnSource(GB->Source, Name + ".c");
-  if (!R.succeeded()) {
+  auto R = std::make_unique<DriverResult>(
+      Driver.runOnSource(GB->Source, GB->Name + ".c"));
+  if (!R->succeeded()) {
     // The structured status names the failed stage and input; extra parse
     // diagnostics ride along as suite error lines.
-    Out.fail(Name, R.Err.ok() ? R.Errors.front() : R.Err.toString());
-    for (size_t E = 1; E < R.Errors.size(); ++E)
-      Out.Errors.push_back(Name + ": " + R.Errors[E]);
+    Out.fail(runLabel(P), R->Err.ok() ? R->Errors.front() : R->Err.toString());
+    for (size_t E = 1; E < R->Errors.size(); ++E)
+      Out.Errors.push_back(runLabel(P) + ": " + R->Errors[E]);
     return Out;
   }
+  addRunFigures(P, *GB, *R, Opts.PersonalityName, Out.Metrics, Out.Text);
 
-  auto Metric = [&](const char *Key, double V) {
-    Out.Metrics[Name + "." + Key] = V;
-  };
+  if (P.K == FigureProgram::Kind::Benchmark) {
+    const std::string &Name = P.Name;
+    // Per-stage wall clock from the driver: "<bench>.<stage>_wall_ms".
+    // Informational like wall_ms (the *_wall_ms suffix is never gated).
+    for (const auto &[StageName, Ms] : R->StageMs)
+      Out.Metrics[Name + "." + StageName + "_wall_ms"] = Ms;
 
-  Metric("dyn_instructions", static_cast<double>(R.Exec.DynInstructions));
-  Metric("dyn_regions", static_cast<double>(R.Dict->numDynamicRegions()));
-  Metric("raw_trace_bytes", static_cast<double>(R.Dict->rawTraceBytes()));
-  Metric("compressed_bytes", static_cast<double>(R.Dict->compressedBytes()));
-  Metric("compression_ratio", R.Dict->compressionRatio());
-  Metric("dict_alphabet", static_cast<double>(R.Dict->alphabet().size()));
+    // Profile-explorer export: always generated so its cost is measured
+    // (the report_wall_ms stage metric); only written out when TraceDir
+    // is set.
+    auto ReportStart = std::chrono::steady_clock::now();
+    report::RegionTree Tree = report::buildRegionTree(*R->Profile);
+    std::string Speedscope =
+        report::exportSpeedscope(*R->Profile, Tree, Name);
+    Out.Metrics[Name + ".report_wall_ms"] = elapsedMs(ReportStart);
 
-  std::vector<RegionId> Manual =
-      loopRegionsAtLines(*R.M, GB->manualLines());
-  std::set<RegionId> ManualSet(Manual.begin(), Manual.end());
-  std::set<RegionId> Kremlin;
-  for (const PlanItem &I : R.ThePlan.Items)
-    Kremlin.insert(I.Region);
-  unsigned Overlap = 0;
-  for (RegionId Region : Kremlin)
-    Overlap += ManualSet.count(Region);
-  Metric("plan_size", static_cast<double>(Kremlin.size()));
-  Metric("manual_plan_size", static_cast<double>(ManualSet.size()));
-  Metric("plan_overlap", Overlap);
-  Metric("est_speedup", R.ThePlan.EstProgramSpeedup);
-
-  double MaxSp = 1.0;
-  for (const RegionProfileEntry &E : R.Profile->entries())
-    if (E.Executed)
-      MaxSp = std::max(MaxSp, E.SelfParallelism);
-  Metric("max_self_parallelism", MaxSp);
-
-  if (Opts.Simulate) {
-    ExecutionSimulator Sim(*R.Profile);
-    SimOutcome KremlinOutcome = Sim.evaluatePlan(R.ThePlan.regionIds());
-    SimOutcome ManualOutcome = Sim.evaluatePlan(Manual);
-    Metric("sim_speedup", KremlinOutcome.speedup());
-    Metric("sim_best_cores", KremlinOutcome.BestCores);
-    Metric("manual_sim_speedup", ManualOutcome.speedup());
+    if (!Opts.TraceDir.empty()) {
+      const std::string Base = Opts.TraceDir + "/" + Name;
+      if (!writeStringToFile(Base + ".json", stageTraceJson(*R)) ||
+          !writeStringToFile(Base + ".speedscope.json", Speedscope))
+        telemetry::logf(telemetry::LogLevel::Warn, "bench",
+                        "cannot write per-benchmark trace under '%s'",
+                        Opts.TraceDir.c_str());
+    }
+    Out.Metrics[Name + ".wall_ms"] = elapsedMs(Start);
   }
-
-  // Per-stage wall clock from the driver: "<bench>.<stage>_wall_ms".
-  // Informational like wall_ms (the *_wall_ms suffix is never gated).
-  for (const auto &[StageName, Ms] : R.StageMs)
-    Out.Metrics[Name + "." + StageName + "_wall_ms"] = Ms;
-
-  // Profile-explorer export: always generated so its cost is measured
-  // (the report_wall_ms stage metric); only written out when TraceDir is
-  // set.
-  auto ReportStart = std::chrono::steady_clock::now();
-  report::RegionTree Tree = report::buildRegionTree(*R.Profile);
-  std::string Speedscope = report::exportSpeedscope(*R.Profile, Tree, Name);
-  Metric("report_wall_ms", elapsedMs(ReportStart));
-
-  if (!Opts.TraceDir.empty()) {
-    const std::string Base = Opts.TraceDir + "/" + Name;
-    if (!writeStringToFile(Base + ".json", stageTraceJson(R)) ||
-        !writeStringToFile(Base + ".speedscope.json", Speedscope))
-      telemetry::logf(telemetry::LogLevel::Warn, "bench",
-                      "cannot write per-benchmark trace under '%s'",
-                      Opts.TraceDir.c_str());
-  }
-
-  Metric("wall_ms", elapsedMs(Start));
+  if (P.K == FigureProgram::Kind::Benchmark ||
+      P.K == FigureProgram::Kind::RefInput)
+    Out.Run = std::move(R);
   return Out;
 }
 
-/// The harness worker boundary. Everything a benchmark can do wrong stops
-/// here: C++ exceptions are caught and recorded (a throwing worker must
-/// not surface through the ThreadPool future as a top-level crash killing
-/// the sibling benchmarks), and a post-hoc wall-clock deadline overrun
-/// earns one retry before the benchmark is marked failed.
-BenchTaskResult runGuardedBenchmark(const std::string &Name,
-                                    const BenchSuiteOptions &Opts) {
+/// The harness worker boundary. Everything a run can do wrong stops here:
+/// C++ exceptions are caught and recorded (a throwing worker must not
+/// surface through the ThreadPool future as a top-level crash killing the
+/// sibling runs), and a post-hoc wall-clock deadline overrun earns one
+/// retry before the run is marked failed.
+BenchTaskResult runGuarded(const FigureProgram &P,
+                           const BenchSuiteOptions &Opts) {
   for (unsigned Attempt = 1;; ++Attempt) {
     BenchTaskResult Out;
     auto Start = std::chrono::steady_clock::now();
@@ -177,18 +156,20 @@ BenchTaskResult runGuardedBenchmark(const std::string &Name,
         throw std::runtime_error("injected bench worker exception "
                                  "(KREMLIN_FAULT=" +
                                  fault::activeSpec() + ")");
-      Out = runOneBenchmark(Name, Opts);
+      Out = runOneProgram(P, Opts);
     } catch (const std::exception &E) {
-      Out.Outcome.Name = Name;
-      Out.fail(Name, Status::error(ErrorCode::ExecutionError, E.what())
-                         .withInput(Name)
-                         .toString());
+      Out.Outcome.Name = P.Name;
+      Out.fail(runLabel(P),
+               Status::error(ErrorCode::ExecutionError, E.what())
+                   .withInput(P.Name)
+                   .toString());
     } catch (...) {
-      Out.Outcome.Name = Name;
-      Out.fail(Name, Status::error(ErrorCode::ExecutionError,
-                                   "non-standard exception from bench worker")
-                         .withInput(Name)
-                         .toString());
+      Out.Outcome.Name = P.Name;
+      Out.fail(runLabel(P),
+               Status::error(ErrorCode::ExecutionError,
+                             "non-standard exception from bench worker")
+                   .withInput(P.Name)
+                   .toString());
     }
     Out.Outcome.Attempts = Attempt;
     double Ms = elapsedMs(Start);
@@ -196,13 +177,13 @@ BenchTaskResult runGuardedBenchmark(const std::string &Name,
         Out.Outcome.failed())
       return Out;
     if (Attempt >= 2) {
-      Out.fail(Name,
+      Out.fail(runLabel(P),
                Status::error(
                    ErrorCode::DeadlineExceeded,
                    formatString("wall-clock deadline (%.0f ms) exceeded "
                                 "(%.0f ms on attempt %u)",
                                 Opts.DeadlineMs, Ms, Attempt))
-                   .withInput(Name)
+                   .withInput(P.Name)
                    .toString());
       return Out;
     }
@@ -235,29 +216,63 @@ BenchSuiteResult kremlin::runBenchSuite(const BenchSuiteOptions &Opts) {
                       Opts.TraceDir.c_str(), EC.message().c_str());
   }
 
+  std::vector<FigureProgram> Programs =
+      figurePrograms(Names, Opts.Benchmarks.empty());
   ThreadPool Pool(Opts.Threads);
   Result.ThreadsUsed = Pool.size();
 
   std::vector<std::future<BenchTaskResult>> Futures;
-  Futures.reserve(Names.size());
-  for (const std::string &Name : Names)
-    Futures.push_back(Pool.submit(
-        [Name, &Opts]() { return runGuardedBenchmark(Name, Opts); }));
+  Futures.reserve(Programs.size());
+  for (const FigureProgram &P : Programs)
+    Futures.push_back(
+        Pool.submit([&P, &Opts]() { return runGuarded(P, Opts); }));
 
+  // A benchmark's two runs share one outcome: it fails when either does,
+  // and then contributes no numbers at all.
+  struct Pending {
+    size_t Outcome;
+    MetricMap Metrics;
+    Listings Text;
+    std::unique_ptr<DriverResult> Train, Ref;
+  };
+  std::map<std::string, Pending> ByName;
   for (size_t I = 0; I < Futures.size(); ++I) {
     BenchTaskResult Task;
     try {
       Task = Futures[I].get();
     } catch (const std::exception &E) {
-      // Belt and braces: runGuardedBenchmark already catches, but nothing
+      // Belt and braces: runGuarded already catches, but nothing
       // propagated through the future may take down the suite.
-      Task.Outcome.Name = Names[I];
-      Task.fail(Names[I], E.what());
+      Task.Outcome.Name = Programs[I].Name;
+      Task.fail(runLabel(Programs[I]), E.what());
     }
-    Result.Metrics.insert(Task.Metrics.begin(), Task.Metrics.end());
-    Result.Outcomes.push_back(std::move(Task.Outcome));
+    auto [It, New] = ByName.try_emplace(Programs[I].Name);
+    Pending &P = It->second;
+    if (New) {
+      P.Outcome = Result.Outcomes.size();
+      Result.Outcomes.push_back(Task.Outcome);
+    }
+    BenchmarkOutcome &O = Result.Outcomes[P.Outcome];
+    O.Attempts = std::max(O.Attempts, Task.Outcome.Attempts);
+    if (Task.Outcome.failed() && !O.failed()) {
+      O.Status = Task.Outcome.Status;
+      O.Error = Task.Outcome.Error;
+    }
     Result.Errors.insert(Result.Errors.end(), Task.Errors.begin(),
                          Task.Errors.end());
+    P.Metrics.merge(Task.Metrics);
+    P.Text.merge(Task.Text);
+    (Programs[I].K == FigureProgram::Kind::RefInput ? P.Ref : P.Train) =
+        std::move(Task.Run);
+  }
+  Listings Text;
+  for (auto &[Name, P] : ByName) {
+    if (Result.Outcomes[P.Outcome].failed())
+      continue;
+    if (P.Train && P.Ref)
+      addInputSensitivity(Name, *P.Train, *P.Ref, P.Metrics);
+    Result.Metrics.merge(P.Metrics);
+    Text.merge(P.Text);
   }
 
   // Whole-suite per-stage totals: where the pipeline spends its time
@@ -278,6 +293,8 @@ BenchSuiteResult kremlin::runBenchSuite(const BenchSuiteOptions &Opts) {
       It != StageTotals.end())
     Result.Metrics["suite.report_wall_ms"] = It->second;
 
+  addSuiteFigures(Names, Result.Metrics);
+  Result.Figures = renderFigures(Names, Result.Metrics, Text);
   Result.Metrics["suite.benchmarks"] = static_cast<double>(Names.size());
   Result.Metrics["suite.failed"] =
       static_cast<double>(Result.failedBenchmarks().size());
@@ -353,13 +370,14 @@ namespace {
 
 /// Baseline tolerance policy: relative slack per metric suffix. Negative
 /// means informational-only (never fails). Everything the pipeline
-/// computes is deterministic, so the default is tight; timing and
-/// machine-shape metrics are excluded from gating. Any suffix ending in
+/// computes is deterministic, so the default is exact for every integer
+/// metric below 1e9 and leaves derived floats only rounding room; timing
+/// and machine-shape metrics are excluded from gating. Any suffix ending in
 /// "wall_ms" (per-stage timings) or "real_ns" (micro-bench nanoseconds
 /// merged into the baseline for trend tracking) is timing and therefore
 /// informational.
 struct TolerancePolicy {
-  double Default = 0.02;
+  double Default = 1e-9;
   std::map<std::string, double> BySuffix = {
       {"wall_ms", -1.0}, {"real_ns", -1.0}, {"threads", -1.0},
       // Failure count is surfaced through per-benchmark statuses and the
@@ -444,13 +462,13 @@ kremlin::compareToBaseline(const MetricMap &Actual,
 
     // A failed benchmark contributes no metrics; gating its baseline
     // entries would double-report the failure as spurious regressions.
+    // The suite aggregates then cover only the benchmarks that ran.
     if (!Delta.Skipped && !ExcludeBenchmarks.empty()) {
       std::string Prefix = E.first.substr(0, E.first.find('.'));
-      for (const std::string &Excluded : ExcludeBenchmarks)
-        if (Prefix == Excluded) {
-          Delta.Skipped = true;
-          break;
-        }
+      Delta.Skipped = Prefix == "suite" ||
+                      std::find(ExcludeBenchmarks.begin(),
+                                ExcludeBenchmarks.end(),
+                                Prefix) != ExcludeBenchmarks.end();
     }
 
     auto It = Actual.find(E.first);
@@ -567,7 +585,7 @@ std::string BaselineComparison::render() const {
                           formatJsonNumber(D.Expected).c_str());
     else
       Out += formatString(
-          "FAIL %-34s baseline %-12s got %-12s (%.1f%% off, tol %.1f%%)\n",
+          "FAIL %-34s baseline %-12s got %-12s (%.3g%% off, tol %.3g%%)\n",
           D.Name.c_str(), formatJsonNumber(D.Expected).c_str(),
           formatJsonNumber(D.Actual).c_str(), D.RelError * 100.0,
           D.Tolerance * 100.0);

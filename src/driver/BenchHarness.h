@@ -6,15 +6,15 @@
 ///
 /// \file
 /// The `kremlin-bench` harness: runs the paper benchmark suite through the
-/// full pipeline — each benchmark on its own ThreadPool worker with its own
-/// Interpreter + ShadowMemory + KremlinRuntime instance, so runs are
-/// embarrassingly parallel — and collects the paper's quantitative story as
-/// a flat metric map (dynamic instruction counts, self-parallelism, plan
-/// sizes and overlap with MANUAL, compression ratios, simulated speedups,
-/// wall times). The map serializes to `BENCH_results.json` and compares
-/// against a checked-in `bench/baseline.json` with per-metric relative
-/// tolerances; inherently noisy metrics (wall time) carry a negative
-/// tolerance in the baseline, which marks them informational-only.
+/// full pipeline — each profiled program on its own ThreadPool worker with
+/// its own Interpreter + ShadowMemory + KremlinRuntime instance, so runs
+/// are embarrassingly parallel — and collects every number of the paper's
+/// figures and tables (PaperFigures.h) as a flat metric map. The map
+/// serializes to `BENCH_results.json` and compares against a checked-in
+/// `bench/baseline.json`: every deterministic number is gated exactly
+/// (relative tolerance 1e-9), while inherently noisy metrics (wall time)
+/// carry a negative tolerance in the baseline, which marks them
+/// informational-only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,14 +41,13 @@ struct BenchSuiteOptions {
   unsigned Threads = 0;
   /// Planner personality used for every benchmark.
   std::string PersonalityName = "openmp";
-  /// Subset of paper benchmark names; empty = the full suite.
+  /// Subset of paper benchmark names; empty = the full suite, which also
+  /// profiles the programs only Figs. 2–3 and 5 and §4.4's cg sweep use.
   std::vector<std::string> Benchmarks;
-  /// Also evaluate the Kremlin and MANUAL plans on the machine model.
-  bool Simulate = true;
-  /// Per-benchmark wall-clock deadline in ms (0 = off). The check is
-  /// post-hoc (runs are in-process and cannot be preempted): a run that
-  /// finishes over the deadline gets one retry; a second overrun records
-  /// the benchmark as failed with DeadlineExceeded.
+  /// Per-run wall-clock deadline in ms (0 = off). The check is post-hoc
+  /// (runs are in-process and cannot be preempted): a run that finishes
+  /// over the deadline gets one retry; a second overrun records its
+  /// program as failed with DeadlineExceeded.
   double DeadlineMs = 0.0;
   /// When set, each benchmark writes a per-run Chrome trace (synthesized
   /// from its own stage timings, so concurrent workers never interleave)
@@ -71,25 +70,29 @@ struct BenchmarkOutcome {
   bool failed() const { return Status != "ok"; }
 };
 
-/// Everything one suite run produces. A failed benchmark never aborts the
+/// Everything one suite run produces. A failed program never aborts the
 /// suite: its outcome is recorded, its metrics are absent, and the
-/// remaining benchmarks complete normally.
+/// remaining programs complete normally. A benchmark fails when either of
+/// its runs (default or ref input) fails.
 struct BenchSuiteResult {
   MetricMap Metrics;
-  /// One entry per requested benchmark, in request order.
+  /// One entry per requested benchmark, in request order, then one per
+  /// figure-only program (full-suite runs).
   std::vector<BenchmarkOutcome> Outcomes;
   unsigned ThreadsUsed = 1;
   /// Pipeline failures ("<bench>: <error>"); empty on success.
   std::vector<std::string> Errors;
+  /// Every paper figure and table, rendered from Metrics.
+  std::string Figures;
 
   bool succeeded() const { return Errors.empty(); }
   /// Names of benchmarks that failed (baseline-gating exclusion list).
   std::vector<std::string> failedBenchmarks() const;
 };
 
-/// Runs the suite across a thread pool. Per-benchmark metrics are
-/// deterministic and independent of the thread count; only *.wall_ms and
-/// suite.* timing entries vary between machines and runs.
+/// Runs the suite across a thread pool. Every metric but the *wall_ms
+/// timings and suite.threads is deterministic and independent of the
+/// thread count.
 BenchSuiteResult runBenchSuite(const BenchSuiteOptions &Opts);
 
 /// Serializes a metric map as a results document:
@@ -158,6 +161,8 @@ struct BaselineComparison {
 /// \p ExcludeBenchmarks lists benchmarks whose metrics (name before the
 /// first '.') are demoted to informational — the fault-isolation path:
 /// a failed benchmark's missing metrics must not read as regressions.
+/// Any exclusion also demotes the suite.* aggregates, which then cover
+/// only part of the suite.
 BaselineComparison
 compareToBaseline(const MetricMap &Actual, std::string_view BaselineJson,
                   double ToleranceOverride = -1.0,

@@ -84,7 +84,7 @@ bool parseCount(const std::string &Text, uint64_t Max, uint64_t &Out);
 /// Concatenates row groups into one table.
 std::vector<Flag> join(std::initializer_list<std::vector<Flag>> Groups);
 
-/// A switch that sets \p B to false (--no-simulate).
+/// A switch that sets \p B to false (--no-static-analysis).
 Setter unset(bool &B);
 
 /// A positional handler that appends each argument to \p To.

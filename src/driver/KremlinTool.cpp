@@ -456,9 +456,7 @@ int benchMain(const Args &A) {
               "benchmark is marked failed",
               &Opts.DeadlineMs}},
             Tel.traceFlags(),
-            {Tel.metricsOut(),
-             {"--no-simulate", "", "skip machine-model plan evaluation",
-              unset(Opts.Simulate)}}}),
+            {Tel.metricsOut()}}),
       "--trace-out also writes per-benchmark traces and speedscope\n"
       "profiles to bench_traces/ next to the trace file.\n"};
   if (std::optional<int> Exit = parse(C, A, "bench"))
@@ -486,7 +484,8 @@ int benchMain(const Args &A) {
   // code reports the failure after everything else completes.
   std::vector<std::string> Failed = Result.failedBenchmarks();
 
-  // Per-benchmark summary table.
+  // Per-benchmark summary table; the figure-only programs appear in their
+  // figures below.
   TablePrinter Table;
   Table.setHeader({"Benchmark", "status", "dyn insns", "plan", "manual",
                    "overlap", "ratio", "sim", "wall"});
@@ -496,8 +495,13 @@ int benchMain(const Args &A) {
     auto It = Result.Metrics.find(Name + "." + std::string(Key));
     return It == Result.Metrics.end() ? 0.0 : It->second;
   };
+  size_t FigurePrograms = 0;
   for (const BenchmarkOutcome &O : Result.Outcomes) {
     const std::string &Name = O.Name;
+    if (std::find(Names.begin(), Names.end(), Name) == Names.end()) {
+      ++FigurePrograms;
+      continue;
+    }
     if (O.failed()) {
       Table.addRow({Name, "failed", "-", "-", "-", "-", "-", "-"});
       continue;
@@ -508,13 +512,15 @@ int benchMain(const Args &A) {
          formatString("%.0f", Get(Name, "manual_plan_size")),
          formatString("%.0f", Get(Name, "plan_overlap")),
          formatFactor(Get(Name, "compression_ratio"), 0),
-         Opts.Simulate ? formatFactor(Get(Name, "sim_speedup")) : "-",
+         formatFactor(Get(Name, "sim_speedup")),
          formatString("%.0f ms", Get(Name, "wall_ms"))});
   }
   std::fputs(Table.render().c_str(), stdout);
-  std::printf("suite: %zu benchmarks (%zu failed) on %u threads in %.0f ms\n",
-              Names.size(), Failed.size(), Result.ThreadsUsed,
+  std::printf("suite: %zu benchmarks + %zu figure programs (%zu failed) on "
+              "%u threads in %.0f ms\n\n",
+              Names.size(), FigurePrograms, Failed.size(), Result.ThreadsUsed,
               Result.Metrics["suite.wall_ms"]);
+  std::fputs(Result.Figures.c_str(), stdout);
 
   if (!writeStringToFile(OutPath, suiteResultToJson(Result))) {
     tel::logf(tel::LogLevel::Error, "bench", "cannot write '%s'",
@@ -560,20 +566,26 @@ int benchMain(const Args &A) {
       } else {
         std::printf("baseline update: no metric moved beyond tolerance\n");
       }
-      // Keep old-baseline metrics this run did not produce (micro-bench
-      // entries recorded by the separate gbench binaries): a suite-only
-      // refresh must not drop them from the gate.
-      MetricMap Old;
-      if (parseMetricsJson(OldJson, Old)) {
-        unsigned Kept = 0;
-        for (const auto &M : Old)
-          if (ToWrite.emplace(M.first, M.second).second)
-            ++Kept;
-        if (Kept > 0)
-          std::printf("baseline update: kept %u metric(s) absent from this "
-                      "run\n",
-                      Kept);
+      // Of the old metrics this run did not produce, keep the
+      // informational ones (micro-bench timings recorded by the separate
+      // gbench binaries); a gated one names a number the code no longer
+      // produces, and keeping it would fail every later check.
+      unsigned Kept = 0;
+      for (const MetricDelta &D : Cmp.Deltas) {
+        if (!D.Missing)
+          continue;
+        if (D.Skipped) {
+          ToWrite.emplace(D.Name, D.Expected);
+          ++Kept;
+        } else {
+          std::printf("baseline update: retired %s (no longer produced)\n",
+                      D.Name.c_str());
+        }
       }
+      if (Kept > 0)
+        std::printf("baseline update: kept %u informational metric(s) "
+                    "absent from this run\n",
+                    Kept);
     }
     if (!writeStringToFile(BaselinePath, makeBaselineJson(ToWrite))) {
       tel::logf(tel::LogLevel::Error, "bench", "cannot write '%s'",

@@ -43,12 +43,25 @@ TEST(BenchHarness, SuiteRunProducesMetrics) {
   const BenchSuiteResult &R = sharedRun();
   ASSERT_TRUE(R.succeeded());
   EXPECT_EQ(R.ThreadsUsed, 2u);
-  // Every benchmark contributes its full metric family.
+  // Every benchmark contributes its full metric family, one key per paper
+  // figure family included: Figs. 6(b), 7, 8 and 9, §4.4, §5.1, §6.1,
+  // §6.2 and the planner ablation.
   for (const char *Bench : {"ep", "cg"}) {
     for (const char *Key :
          {"dyn_instructions", "dyn_regions", "compression_ratio",
           "plan_size", "manual_plan_size", "plan_overlap", "est_speedup",
-          "max_self_parallelism", "sim_speedup", "wall_ms"}) {
+          "max_self_parallelism", "sim_speedup", "wall_ms",
+          "relative_speedup", "manual_sim_best_cores",
+          "total_time_reduction_pct", "kremlin_plan_reduction_pct",
+          "benefit_at_25pct", "benefit_at_100pct", "candidate_regions",
+          "work_only_plan_size", "selfp_filter_plan_size",
+          "raw_trace_bytes", "compressed_bytes", "dict_alphabet",
+          "plan_size_at_min_sp_4", "plan_size_at_min_doall_0_2",
+          "plan_size_at_min_doacross_4_5", "ref_plan_size",
+          "ref_sim_speedup", "train_on_ref_sim_speedup",
+          "train_on_ref_ratio", "regions", "low_by_total_parallelism",
+          "low_by_self_parallelism", "greedy_plan_size",
+          "greedy_sim_speedup", "cilk_plan_size"}) {
       std::string Name = std::string(Bench) + "." + Key;
       EXPECT_TRUE(R.Metrics.count(Name)) << "missing " << Name;
     }
@@ -211,6 +224,27 @@ TEST(BenchHarness, ExcludedBenchmarksAreInformationalInBaseline) {
   MetricMap Regressed = Partial;
   Regressed["ep.plan_size"] *= 2.0;
   EXPECT_FALSE(compareToBaseline(Regressed, Baseline, -1.0, {"cg"}).passed());
+
+  // The suite.* aggregates of a run without cg cover ep alone: none may
+  // read as a regression, nor as missing when every benchmark failed.
+  BenchSuiteOptions EpOnly;
+  EpOnly.Threads = 1;
+  EpOnly.Benchmarks = {"ep"};
+  MetricMap Aggregated = runBenchSuite(EpOnly).Metrics;
+  EXPECT_NE(Aggregated.at("suite.plan_size"), R.Metrics.at("suite.plan_size"));
+  Cmp = compareToBaseline(Aggregated, Baseline, -1.0, {"cg"});
+  EXPECT_TRUE(Cmp.passed()) << Cmp.render();
+  MetricMap NoSuite;
+  for (const auto &M : Aggregated)
+    if (M.first.rfind("suite.", 0) != 0)
+      NoSuite[M.first] = M.second;
+  Cmp = compareToBaseline(NoSuite, Baseline, -1.0, {"cg"});
+  EXPECT_TRUE(Cmp.passed()) << Cmp.render();
+  for (const MetricDelta &D : Cmp.Deltas) {
+    if (D.Name.rfind("suite.", 0) == 0) {
+      EXPECT_TRUE(D.Skipped) << D.Name;
+    }
+  }
 }
 
 TEST(BenchHarness, MetricsDiffRendersChanges) {
@@ -405,6 +439,19 @@ TEST(BenchHarness, MissingMetricFailsTheCheck) {
   Partial.erase("ep.plan_size");
   BaselineComparison Cmp = compareToBaseline(Partial, Baseline);
   EXPECT_FALSE(Cmp.passed());
+}
+
+TEST(BenchHarness, DefaultGateIsExactForIntegerMetrics) {
+  // The largest integer metric (sp.dyn_instructions) is below 1e9, so the
+  // default relative tolerance of 1e-9 fails any change of one.
+  const BenchSuiteResult &R = sharedRun();
+  MetricMap OneHigher = R.Metrics;
+  OneHigher["cg.dyn_instructions"] += 1.0;
+  BaselineComparison Cmp =
+      compareToBaseline(R.Metrics, makeBaselineJson(OneHigher));
+  EXPECT_FALSE(Cmp.passed()) << Cmp.render();
+  EXPECT_EQ(Cmp.failedMetricNames(),
+            std::vector<std::string>{"cg.dyn_instructions"});
 }
 
 TEST(BenchHarness, ToleranceOverrideWidensTheGate) {

@@ -286,7 +286,7 @@ TEST(Cli, ErrorPathsExitNonZero) {
 TEST(Cli, BenchHarnessEndToEnd) {
   std::string ResultsPath = scratchPath("cli_results.json");
   std::string BaselinePath = scratchPath("cli_baseline.json");
-  std::string Flags = " --threads=2 --benchmarks=ep,cg --no-simulate"
+  std::string Flags = " --threads=2 --benchmarks=ep,cg"
                       " --out=" + ResultsPath + " --baseline=" + BaselinePath;
 
   // Seed a baseline, then a check against it must pass — through both the
@@ -325,6 +325,87 @@ TEST(Cli, BenchHarnessEndToEnd) {
 
   std::remove(ResultsPath.c_str());
   std::remove(BaselinePath.c_str());
+}
+
+TEST(Cli, UpdateBaselineRetiresMetricsTheRunNoLongerProduces) {
+  std::string ResultsPath = scratchPath("retire_results.json");
+  std::string BaselinePath = scratchPath("retire_baseline.json");
+  std::string Flags = " --threads=2 --benchmarks=ep --out=" + ResultsPath +
+                      " --baseline=" + BaselinePath;
+  int Code = 0;
+  std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH,
+                              "--update-baseline" + Flags, Code);
+  ASSERT_EQ(Code, 0) << Out;
+
+  // A gated metric the code no longer produces (a renamed or retired
+  // figure) and an informational timing from a separate micro bench.
+  std::string Baseline;
+  ASSERT_TRUE(kremlin::readFileToString(BaselinePath, Baseline));
+  kremlin::JsonValue Doc;
+  ASSERT_TRUE(kremlin::JsonValue::parse(Baseline, Doc));
+  kremlin::JsonValue MetricsObj = *Doc.get("metrics");
+  MetricsObj.set("ep.renamed_away_metric", kremlin::JsonValue(7.0));
+  MetricsObj.set("micro_x.BM_Case.real_ns", kremlin::JsonValue(123.0));
+  Doc.set("metrics", std::move(MetricsObj));
+  ASSERT_TRUE(kremlin::writeStringToFile(BaselinePath, Doc.serialize()));
+
+  Out = runBinary(KREMLIN_BENCH_TOOL_PATH, "--update-baseline" + Flags, Code);
+  ASSERT_EQ(Code, 0) << Out;
+  EXPECT_NE(Out.find("retired ep.renamed_away_metric"), std::string::npos)
+      << Out;
+  Out = runBinary(KREMLIN_BENCH_TOOL_PATH, "--check-baseline" + Flags, Code);
+  EXPECT_EQ(Code, 0) << Out;
+  EXPECT_NE(Out.find("baseline: PASS"), std::string::npos) << Out;
+
+  kremlin::MetricMap Kept;
+  ASSERT_TRUE(kremlin::readFileToString(BaselinePath, Baseline));
+  ASSERT_TRUE(kremlin::parseMetricsJson(Baseline, Kept));
+  EXPECT_TRUE(Kept.count("micro_x.BM_Case.real_ns"));
+  EXPECT_FALSE(Kept.count("ep.renamed_away_metric"));
+  std::remove(ResultsPath.c_str());
+  std::remove(BaselinePath.c_str());
+}
+
+TEST(Cli, FailedBenchmarkExitsNonzeroWhileTheGatePasses) {
+  // The failed benchmark and every suite.* aggregate are informational,
+  // so the gate itself passes; the failure still sets the exit code.
+  std::string ResultsPath = scratchPath("partial_results.json");
+  std::string BaselinePath = scratchPath("partial_baseline.json");
+  std::string Common = " --threads=2 --out=" + ResultsPath +
+                       " --baseline=" + BaselinePath;
+  int Code = 0;
+  std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH,
+                              "--update-baseline --benchmarks=ep" + Common,
+                              Code);
+  ASSERT_EQ(Code, 0) << Out;
+  Out = runBinary(KREMLIN_BENCH_TOOL_PATH,
+                  "--check-baseline --benchmarks=ep,no-such-benchmark" +
+                      Common,
+                  Code);
+  EXPECT_NE(Code, 0) << Out;
+  EXPECT_NE(Out.find("baseline: PASS"), std::string::npos) << Out;
+  std::remove(ResultsPath.c_str());
+  std::remove(BaselinePath.c_str());
+}
+
+TEST(Cli, PaperFiguresMatchCommittedBaseline) {
+  // One full suite run regenerates every paper figure and table; each of
+  // their numbers must equal the committed baseline's.
+  std::string ResultsPath = scratchPath("paper_results.json");
+  int Code = 0;
+  std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH,
+                              "--check-baseline --baseline=" +
+                                  std::string(KREMLIN_BASELINE_PATH) +
+                                  " --out=" + ResultsPath,
+                              Code);
+  EXPECT_EQ(Code, 0) << Out;
+  EXPECT_NE(Out.find("baseline: PASS"), std::string::npos) << Out;
+  for (const char *Title :
+       {"Figure 2:", "Figure 3:", "Figure 5:", "Figure 6(a):", "Figure 6(b):",
+        "Figure 7:", "Figure 8:", "Figure 9:", "Section 4.4:",
+        "Section 6.2:", "Section 6.1:", "Section 5.1:", "Planner ablations"})
+    EXPECT_NE(Out.find(Title), std::string::npos) << Title;
+  std::remove(ResultsPath.c_str());
 }
 
 TEST(Cli, StatsSubcommand) {
@@ -582,7 +663,7 @@ TEST(Cli, HelpListsExactlyEachEntryPointsFlags) {
       "--threads", "--benchmarks", "--personality", "--out", "--baseline",
       "--check-baseline", "--update-baseline", "--tolerance",
       "--deadline-ms", "--trace-out", "--trace-ring-events",
-      "--trace-flush-kb", "--metrics-out", "--no-simulate"};
+      "--trace-flush-kb", "--metrics-out"};
   const std::vector<std::pair<std::string, std::vector<std::string>>>
       EntryPoints = {
           {"", Pipeline},

@@ -157,8 +157,9 @@ TEST(PaperSuite, TimestepLoopIsSerial) {
 
 TEST(PaperSuite, PlanSizesMatchPaper) {
   // Figure 6(a), per benchmark — the headline reproduction result. Run on
-  // the three smallest benchmarks to keep this test fast; the full table
-  // is regenerated by bench_fig6a_plan_size.
+  // the three smallest benchmarks to keep this test fast; kremlin-bench
+  // prints the full table, and Cli.PaperFiguresMatchCommittedBaseline
+  // gates every row of it.
   for (const char *NameCStr : {"ep", "is", "ammp"}) {
     std::string Name = NameCStr;
     GeneratedBenchmark GB = generatePaperBenchmark(Name);
