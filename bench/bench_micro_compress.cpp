@@ -8,8 +8,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "GBenchJson.h"
-
 #include "compress/Dictionary.h"
 
 #include <benchmark/benchmark.h>
@@ -73,6 +71,4 @@ BENCHMARK(BM_ComputeMultiplicities)->Arg(8)->Arg(64)->Arg(512);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  return kremlin::bench::gbenchJsonMain("micro_compress", argc, argv);
-}
+BENCHMARK_MAIN();

@@ -8,8 +8,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "GBenchJson.h"
-
 #include "rt/ShadowMemory.h"
 
 #include <benchmark/benchmark.h>
@@ -83,6 +81,4 @@ BENCHMARK(BM_ShadowReadUnallocated);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  return kremlin::bench::gbenchJsonMain("micro_shadow", argc, argv);
-}
+BENCHMARK_MAIN();

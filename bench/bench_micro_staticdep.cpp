@@ -1,14 +1,13 @@
 //===- bench/bench_micro_staticdep.cpp - static analysis microbenches -----===//
 //
-// Microbenchmarks for the static loop-dependence layer. The analyzer runs
-// once per pipeline (and on every `kremlin lint`), so its cost must stay
-// linear in module size: these cases pin the reaching-definitions fixpoint,
-// the per-loop scalar dependence scan, and the whole-module analyze stage
-// on a synthetic many-loop program.
+// Microbenchmarks for the parts of the static loop-dependence layer that
+// perfbench's static-lint workload times only as one analyze stage
+// (analysis.analyze_ms): the reaching-definitions fixpoint and the
+// per-loop scalar dependence scan on a synthetic many-loop program, and
+// call-graph construction, mod/ref summaries and their share of analyze
+// on a call-heavy one.
 //
 //===----------------------------------------------------------------------===//
-
-#include "GBenchJson.h"
 
 #include "analysis/CallGraph.h"
 #include "analysis/DataFlow.h"
@@ -95,20 +94,6 @@ void BM_LoopCarriedScalarDeps(benchmark::State &State) {
 }
 BENCHMARK(BM_LoopCarriedScalarDeps);
 
-/// The whole analyze stage as the driver runs it: every function, every
-/// loop, ZIV/SIV subscript tests included.
-void BM_AnalyzeModule(benchmark::State &State) {
-  const Module &M = staticDepModule();
-  for (auto _ : State) {
-    StaticAnalysisResult R = analyzeModuleDependence(M);
-    if (R.Loops.empty())
-      State.SkipWithError("no loops analyzed");
-    benchmark::DoNotOptimize(R.NumDoall + R.NumSerial + R.NumUnknown);
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_AnalyzeModule);
-
 /// A call-heavy module: a pure recursive helper, array-parameter writers,
 /// global accumulators, and loops whose verdicts need callee summaries
 /// plus GCD/Banerjee cross-stride subscript pairs.
@@ -191,6 +176,4 @@ BENCHMARK(BM_AnalyzeInterprocModule);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  return kremlin::bench::gbenchJsonMain("micro_staticdep", argc, argv);
-}
+BENCHMARK_MAIN();

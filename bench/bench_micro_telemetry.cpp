@@ -8,8 +8,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "GBenchJson.h"
-
 #include "support/AccessLog.h"
 #include "support/Telemetry.h"
 
@@ -188,6 +186,4 @@ BENCHMARK(BM_LogFilteredDebug);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  return kremlin::bench::gbenchJsonMain("micro_telemetry", argc, argv);
-}
+BENCHMARK_MAIN();

@@ -6,15 +6,16 @@
 // almost nothing on top of that: one counter per region entry), and the
 // measurement is the same interpreter driving the full shadow-memory
 // runtime. google-benchmark reports both; the ratio is the overhead
-// factor.
+// factor. The execute stage's parts perfbench cannot separate follow:
+// tape decode, and HCPA consumption of synthetic event batches with no
+// interpreter attached.
 //
 //===----------------------------------------------------------------------===//
-
-#include "GBenchJson.h"
 
 #include "compress/Dictionary.h"
 #include "instrument/Instrumenter.h"
 #include "interp/Interpreter.h"
+#include "interp/Tape.h"
 #include "parser/Lower.h"
 #include "rt/KremlinRuntime.h"
 #include "suite/PaperSuite.h"
@@ -88,7 +89,8 @@ BENCHMARK(BM_HcpaInstrumentedExecution)
 // apples-to-apples version of the paper's "~50x slower than
 // gprof-instrumented code".
 
-/// A sink that discards summaries (isolates the hook path).
+/// A sink that discards summaries (isolates the hook and consumption
+/// paths).
 class NullSink : public RegionSummarySink {
 public:
   SummaryChar intern(DynRegionSummary) override { return 0; }
@@ -122,8 +124,116 @@ void BM_GprofStyleHookPerInstruction(benchmark::State &State) {
 }
 BENCHMARK(BM_GprofStyleHookPerInstruction);
 
+// --- Execute-stage parts --------------------------------------------------
+
+/// Module -> tape decode cost (paid once per profiled execution).
+void BM_TapeDecode(benchmark::State &State) {
+  const Module &M = trackingModule();
+  std::vector<uint64_t> GlobalBase(M.Globals.size(), 0);
+  for (auto _ : State) {
+    ModuleTape Tape(M, GlobalBase);
+    benchmark::DoNotOptimize(Tape.Funcs.data());
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_TapeDecode);
+
+ProfEvent opEvent(Opcode Op, uint32_t Dst, uint32_t A, uint32_t B) {
+  ProfEvent E;
+  E.Kind = static_cast<uint8_t>(EvKind::Op);
+  E.Opc = static_cast<uint8_t>(Op);
+  E.A = Dst;
+  E.B = A;
+  E.C = B;
+  return E;
+}
+
+/// consumeBatch on a synthetic arithmetic-heavy batch: the suite's measured
+/// event mix is dominated by plain ops, so this is the consumption hot
+/// path (dispatch + watermark-checked slot loop) with no producer cost.
+void BM_ConsumeBatchOps(benchmark::State &State) {
+  NullSink Sink;
+  KremlinConfig Cfg;
+  KremlinRuntime RT(Cfg, Sink);
+  RT.pushFrame(/*NumRegs=*/64);
+  unsigned Depth = static_cast<unsigned>(State.range(0));
+  for (unsigned D = 0; D < Depth; ++D)
+    RT.enterRegion(D);
+  std::vector<ProfEvent> Batch;
+  Batch.reserve(ProfEventBatchSize);
+  for (size_t I = 0; I < ProfEventBatchSize; ++I)
+    Batch.push_back(opEvent(Opcode::Add, (I + 2) % 64, I % 64, (I + 1) % 64));
+  for (auto _ : State)
+    RT.consumeBatch(Batch.data(), Batch.size());
+  State.SetItemsProcessed(
+      static_cast<int64_t>(State.iterations() * Batch.size()));
+}
+BENCHMARK(BM_ConsumeBatchOps)->Arg(2)->Arg(6)->Arg(12);
+
+/// consumeBatch across a region boundary: enter/exit plus a burst of ops —
+/// exercises the structural events (instance retag, summary interning)
+/// that a pure op batch skips.
+void BM_ConsumeBatchRegionCycle(benchmark::State &State) {
+  NullSink Sink;
+  KremlinConfig Cfg;
+  KremlinRuntime RT(Cfg, Sink);
+  RT.pushFrame(/*NumRegs=*/64);
+  RT.enterRegion(0);
+  std::vector<ProfEvent> Batch;
+  Batch.reserve(ProfEventBatchSize);
+  for (size_t I = 0; I + 34 <= ProfEventBatchSize;) {
+    ProfEvent Enter;
+    Enter.Kind = static_cast<uint8_t>(EvKind::RegionEnter);
+    Enter.A = 1;
+    Batch.push_back(Enter);
+    ++I;
+    for (unsigned K = 0; K < 32; ++K, ++I)
+      Batch.push_back(
+          opEvent(Opcode::Add, (I + 2) % 64, I % 64, (I + 1) % 64));
+    ProfEvent Exit;
+    Exit.Kind = static_cast<uint8_t>(EvKind::RegionExit);
+    Exit.A = 1;
+    Batch.push_back(Exit);
+    ++I;
+  }
+  for (auto _ : State)
+    RT.consumeBatch(Batch.data(), Batch.size());
+  State.SetItemsProcessed(
+      static_cast<int64_t>(State.iterations() * Batch.size()));
+}
+BENCHMARK(BM_ConsumeBatchRegionCycle);
+
+/// Frame push/pop churn: the call-heavy path whose per-call cost the
+/// watermark scheme collapses from a cell memset to a row-watermark clear.
+void BM_ConsumeBatchCallChurn(benchmark::State &State) {
+  NullSink Sink;
+  KremlinConfig Cfg;
+  KremlinRuntime RT(Cfg, Sink);
+  RT.pushFrame(/*NumRegs=*/64);
+  RT.enterRegion(0);
+  std::vector<ProfEvent> Batch;
+  Batch.reserve(ProfEventBatchSize);
+  for (size_t I = 0; I + 8 <= ProfEventBatchSize;) {
+    ProfEvent Push;
+    Push.Kind = static_cast<uint8_t>(EvKind::PushFrame);
+    Push.A = 96;
+    Batch.push_back(Push);
+    ++I;
+    for (unsigned K = 0; K < 6; ++K, ++I)
+      Batch.push_back(
+          opEvent(Opcode::Add, (I + 2) % 64, I % 64, (I + 1) % 64));
+    ProfEvent Pop;
+    Pop.Kind = static_cast<uint8_t>(EvKind::PopFrame);
+    Batch.push_back(Pop);
+    ++I;
+  }
+  for (auto _ : State)
+    RT.consumeBatch(Batch.data(), Batch.size());
+  State.SetItemsProcessed(
+      static_cast<int64_t>(State.iterations() * Batch.size()));
+}
+BENCHMARK(BM_ConsumeBatchCallChurn);
+
 } // namespace
 
-int main(int argc, char **argv) {
-  return kremlin::bench::gbenchJsonMain("tab_overhead", argc, argv);
-}
+BENCHMARK_MAIN();

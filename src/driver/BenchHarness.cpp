@@ -16,7 +16,6 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
-#include <set>
 #include <stdexcept>
 
 using namespace kremlin;
@@ -25,6 +24,7 @@ namespace {
 
 struct BenchTaskResult {
   MetricMap Metrics;
+  MetricMap RunStats;
   Listings Text;
   BenchmarkOutcome Outcome;
   std::vector<std::string> Errors;
@@ -36,6 +36,7 @@ struct BenchTaskResult {
   /// both per-outcome and as a suite error line.
   void fail(const std::string &Label, std::string Error) {
     Metrics.clear();
+    RunStats.clear();
     Text.clear();
     Run.reset();
     Outcome.Status = "failed";
@@ -112,28 +113,21 @@ BenchTaskResult runOneProgram(const FigureProgram &P,
   if (P.K == FigureProgram::Kind::Benchmark) {
     const std::string &Name = P.Name;
     // Per-stage wall clock from the driver: "<bench>.<stage>_wall_ms".
-    // Informational like wall_ms (the *_wall_ms suffix is never gated).
     for (const auto &[StageName, Ms] : R->StageMs)
-      Out.Metrics[Name + "." + StageName + "_wall_ms"] = Ms;
-
-    // Profile-explorer export: always generated so its cost is measured
-    // (the report_wall_ms stage metric); only written out when TraceDir
-    // is set.
-    auto ReportStart = std::chrono::steady_clock::now();
-    report::RegionTree Tree = report::buildRegionTree(*R->Profile);
-    std::string Speedscope =
-        report::exportSpeedscope(*R->Profile, Tree, Name);
-    Out.Metrics[Name + ".report_wall_ms"] = elapsedMs(ReportStart);
+      Out.RunStats[Name + "." + StageName + "_wall_ms"] = Ms;
 
     if (!Opts.TraceDir.empty()) {
       const std::string Base = Opts.TraceDir + "/" + Name;
+      report::RegionTree Tree = report::buildRegionTree(*R->Profile);
       if (!writeStringToFile(Base + ".json", stageTraceJson(*R)) ||
-          !writeStringToFile(Base + ".speedscope.json", Speedscope))
+          !writeStringToFile(
+              Base + ".speedscope.json",
+              report::exportSpeedscope(*R->Profile, Tree, Name)))
         telemetry::logf(telemetry::LogLevel::Warn, "bench",
                         "cannot write per-benchmark trace under '%s'",
                         Opts.TraceDir.c_str());
     }
-    Out.Metrics[Name + ".wall_ms"] = elapsedMs(Start);
+    Out.RunStats[Name + ".wall_ms"] = elapsedMs(Start);
   }
   if (P.K == FigureProgram::Kind::Benchmark ||
       P.K == FigureProgram::Kind::RefInput)
@@ -231,7 +225,7 @@ BenchSuiteResult kremlin::runBenchSuite(const BenchSuiteOptions &Opts) {
   // and then contributes no numbers at all.
   struct Pending {
     size_t Outcome;
-    MetricMap Metrics;
+    MetricMap Metrics, RunStats;
     Listings Text;
     std::unique_ptr<DriverResult> Train, Ref;
   };
@@ -261,6 +255,7 @@ BenchSuiteResult kremlin::runBenchSuite(const BenchSuiteOptions &Opts) {
     Result.Errors.insert(Result.Errors.end(), Task.Errors.begin(),
                          Task.Errors.end());
     P.Metrics.merge(Task.Metrics);
+    P.RunStats.merge(Task.RunStats);
     P.Text.merge(Task.Text);
     (Programs[I].K == FigureProgram::Kind::RefInput ? P.Ref : P.Train) =
         std::move(Task.Run);
@@ -272,34 +267,27 @@ BenchSuiteResult kremlin::runBenchSuite(const BenchSuiteOptions &Opts) {
     if (P.Train && P.Ref)
       addInputSensitivity(Name, *P.Train, *P.Ref, P.Metrics);
     Result.Metrics.merge(P.Metrics);
+    Result.RunStats.merge(P.RunStats);
     Text.merge(P.Text);
   }
 
   // Whole-suite per-stage totals: where the pipeline spends its time
   // across all benchmarks ("suite.stage.<stage>_wall_ms").
   MetricMap StageTotals;
-  for (const auto &M : Result.Metrics) {
-    size_t Dot = M.first.rfind('.');
-    std::string Suffix =
-        Dot == std::string::npos ? "" : M.first.substr(Dot + 1);
-    if (Suffix.size() > 8 && Suffix.rfind("_wall_ms") == Suffix.size() - 8)
-      StageTotals["suite.stage." + Suffix] += M.second;
+  for (const auto &M : Result.RunStats) {
+    std::string Stage = M.first.substr(M.first.find('.') + 1);
+    if (Stage != "wall_ms")
+      StageTotals["suite.stage." + Stage] += M.second;
   }
-  Result.Metrics.insert(StageTotals.begin(), StageTotals.end());
-
-  // Report-generation cost across the suite, promoted to its own
-  // suite-level entry (also present as suite.stage.report_wall_ms).
-  if (auto It = StageTotals.find("suite.stage.report_wall_ms");
-      It != StageTotals.end())
-    Result.Metrics["suite.report_wall_ms"] = It->second;
+  Result.RunStats.merge(StageTotals);
 
   addSuiteFigures(Names, Result.Metrics);
   Result.Figures = renderFigures(Names, Result.Metrics, Text);
   Result.Metrics["suite.benchmarks"] = static_cast<double>(Names.size());
-  Result.Metrics["suite.failed"] =
+  Result.RunStats["suite.failed"] =
       static_cast<double>(Result.failedBenchmarks().size());
-  Result.Metrics["suite.threads"] = Result.ThreadsUsed;
-  Result.Metrics["suite.wall_ms"] = elapsedMs(Start);
+  Result.RunStats["suite.threads"] = Result.ThreadsUsed;
+  Result.RunStats["suite.wall_ms"] = elapsedMs(Start);
   return Result;
 }
 
@@ -308,8 +296,9 @@ std::string kremlin::suiteResultToJson(const BenchSuiteResult &Result) {
   Doc.set("schema", JsonValue(1));
   Doc.set("kind", JsonValue("kremlin-bench"));
   JsonValue Map = JsonValue::makeObject();
-  for (const auto &M : Result.Metrics)
-    Map.set(M.first, JsonValue(M.second));
+  for (const MetricMap *Part : {&Result.Metrics, &Result.RunStats})
+    for (const auto &M : *Part)
+      Map.set(M.first, JsonValue(M.second));
   Doc.set("metrics", std::move(Map));
   JsonValue Benchmarks = JsonValue::makeObject();
   for (const BenchmarkOutcome &O : Result.Outcomes) {
@@ -366,69 +355,13 @@ bool kremlin::parseMetricsJson(std::string_view Json, MetricMap &Out,
   return true;
 }
 
-namespace {
-
-/// Baseline tolerance policy: relative slack per metric suffix. Negative
-/// means informational-only (never fails). Everything the pipeline
-/// computes is deterministic, so the default is exact for every integer
-/// metric below 1e9 and leaves derived floats only rounding room; timing
-/// and machine-shape metrics are excluded from gating. Any suffix ending in
-/// "wall_ms" (per-stage timings) or "real_ns" (micro-bench nanoseconds
-/// merged into the baseline for trend tracking) is timing and therefore
-/// informational.
-struct TolerancePolicy {
-  double Default = 1e-9;
-  std::map<std::string, double> BySuffix = {
-      {"wall_ms", -1.0}, {"real_ns", -1.0}, {"threads", -1.0},
-      // Failure count is surfaced through per-benchmark statuses and the
-      // harness exit code, not baseline drift.
-      {"failed", -1.0},  {"benchmarks", 0.0}};
-
-  static bool isTimingSuffix(const std::string &Suffix) {
-    auto EndsWith = [&Suffix](std::string_view Tail) {
-      return Suffix.size() >= Tail.size() &&
-             Suffix.compare(Suffix.size() - Tail.size(), Tail.size(), Tail) ==
-                 0;
-    };
-    return EndsWith("wall_ms") || EndsWith("real_ns");
-  }
-
-  double lookup(const std::string &Metric) const {
-    size_t Dot = Metric.rfind('.');
-    std::string Suffix =
-        Dot == std::string::npos ? Metric : Metric.substr(Dot + 1);
-    auto It = BySuffix.find(Suffix);
-    if (It != BySuffix.end())
-      return It->second;
-    if (isTimingSuffix(Suffix))
-      return -1.0;
-    return Default;
-  }
-};
-
-} // namespace
-
 std::string kremlin::makeBaselineJson(const MetricMap &Metrics) {
-  TolerancePolicy Policy;
-  JsonValue Doc = JsonValue::makeObject();
-  Doc.set("schema", JsonValue(1));
-  Doc.set("kind", JsonValue("kremlin-bench-baseline"));
-  Doc.set("default_tolerance", JsonValue(Policy.Default));
-  JsonValue Tols = JsonValue::makeObject();
-  for (const auto &T : Policy.BySuffix)
-    Tols.set(T.first, JsonValue(T.second));
-  Doc.set("tolerances", std::move(Tols));
-  JsonValue Map = JsonValue::makeObject();
-  for (const auto &M : Metrics)
-    Map.set(M.first, JsonValue(M.second));
-  Doc.set("metrics", std::move(Map));
-  return Doc.serialize() + "\n";
+  return metricsToJson(Metrics, "kremlin-bench-baseline");
 }
 
 BaselineComparison
 kremlin::compareToBaseline(const MetricMap &Actual,
                            std::string_view BaselineJson,
-                           double ToleranceOverride,
                            const std::vector<std::string> &ExcludeBenchmarks) {
   BaselineComparison Cmp;
 
@@ -438,32 +371,30 @@ kremlin::compareToBaseline(const MetricMap &Actual,
     Cmp.Errors.push_back("baseline: " + Error);
     return Cmp;
   }
+  // Older baselines carried per-suffix tolerances; honouring them would
+  // loosen the one gate rule, and ignoring them would hide that the file
+  // predates it.
+  for (const char *Field : {"default_tolerance", "tolerances"})
+    if (Doc.get(Field))
+      Cmp.Errors.push_back(formatString(
+          "baseline: field \"%s\" is no longer supported (every metric is "
+          "gated at relative error %g; refresh with --update-baseline)",
+          Field, BaselineMaxRelError));
   MetricMap Expected;
-  if (!parseMetricsJson(BaselineJson, Expected, &Error)) {
+  if (!parseMetricsJson(BaselineJson, Expected, &Error))
     Cmp.Errors.push_back("baseline: " + Error);
+  if (!Cmp.Errors.empty())
     return Cmp;
-  }
-
-  TolerancePolicy Policy;
-  Policy.Default = Doc.getNumber("default_tolerance", Policy.Default);
-  if (ToleranceOverride >= 0.0)
-    Policy.Default = ToleranceOverride;
-  if (const JsonValue *Tols = Doc.get("tolerances"); Tols && Tols->isObject())
-    for (const auto &T : Tols->members())
-      if (T.second.isNumber())
-        Policy.BySuffix[T.first] = T.second.asNumber();
 
   for (const auto &E : Expected) {
     MetricDelta Delta;
     Delta.Name = E.first;
     Delta.Expected = E.second;
-    Delta.Tolerance = Policy.lookup(E.first);
-    Delta.Skipped = Delta.Tolerance < 0.0;
 
     // A failed benchmark contributes no metrics; gating its baseline
     // entries would double-report the failure as spurious regressions.
     // The suite aggregates then cover only the benchmarks that ran.
-    if (!Delta.Skipped && !ExcludeBenchmarks.empty()) {
+    if (!ExcludeBenchmarks.empty()) {
       std::string Prefix = E.first.substr(0, E.first.find('.'));
       Delta.Skipped = Prefix == "suite" ||
                       std::find(ExcludeBenchmarks.begin(),
@@ -476,8 +407,12 @@ kremlin::compareToBaseline(const MetricMap &Actual,
       Delta.Missing = true;
     } else {
       Delta.Actual = It->second;
-      Delta.RelError = std::fabs(Delta.Actual - Delta.Expected) /
-                       std::max(std::fabs(Delta.Expected), 1e-12);
+      if (std::isfinite(Delta.Actual) && std::isfinite(Delta.Expected))
+        Delta.RelError = std::fabs(Delta.Actual - Delta.Expected) /
+                         std::max(std::fabs(Delta.Expected), 1e-12);
+      else if (std::isnan(Delta.Actual) ? !std::isnan(Delta.Expected)
+                                        : Delta.Actual != Delta.Expected)
+        Delta.RelError = HUGE_VAL; // NaN never compares, so test by kind.
     }
 
     if (Delta.Skipped)
@@ -561,6 +496,15 @@ std::string kremlin::renderMetricsDiff(const MetricMap &A, const MetricMap &B) {
   return Out;
 }
 
+std::string MetricDelta::render() const {
+  if (Missing)
+    return formatString("FAIL %-34s missing from run (baseline %s)\n",
+                        Name.c_str(), formatJsonNumber(Expected).c_str());
+  return formatString("FAIL %-34s baseline %-12s got %-12s (%.3g%% off)\n",
+                      Name.c_str(), formatJsonNumber(Expected).c_str(),
+                      formatJsonNumber(Actual).c_str(), RelError * 100.0);
+}
+
 std::vector<std::string> BaselineComparison::failedMetricNames() const {
   std::vector<std::string> Names;
   for (const MetricDelta &D : Deltas)
@@ -576,21 +520,10 @@ std::string BaselineComparison::render() const {
   if (!Errors.empty())
     return Out;
 
-  for (const MetricDelta &D : Deltas) {
-    if (!D.failed())
-      continue;
-    if (D.Missing)
-      Out += formatString("FAIL %-34s missing from run (baseline %s)\n",
-                          D.Name.c_str(),
-                          formatJsonNumber(D.Expected).c_str());
-    else
-      Out += formatString(
-          "FAIL %-34s baseline %-12s got %-12s (%.3g%% off, tol %.3g%%)\n",
-          D.Name.c_str(), formatJsonNumber(D.Expected).c_str(),
-          formatJsonNumber(D.Actual).c_str(), D.RelError * 100.0,
-          D.Tolerance * 100.0);
-  }
-  Out += formatString("baseline: %u checked, %u failed, %u informational\n",
+  for (const MetricDelta &D : Deltas)
+    if (D.failed())
+      Out += D.render();
+  Out += formatString("baseline: %u checked, %u failed, %u skipped\n",
                       NumChecked, NumFailed, NumSkipped);
   Out += passed() ? "baseline: PASS\n" : "baseline: REGRESSION\n";
   return Out;

@@ -9,12 +9,11 @@
 /// full pipeline — each profiled program on its own ThreadPool worker with
 /// its own Interpreter + ShadowMemory + KremlinRuntime instance, so runs
 /// are embarrassingly parallel — and collects every number of the paper's
-/// figures and tables (PaperFigures.h) as a flat metric map. The map
-/// serializes to `BENCH_results.json` and compares against a checked-in
-/// `bench/baseline.json`: every deterministic number is gated exactly
-/// (relative tolerance 1e-9), while inherently noisy metrics (wall time)
-/// carry a negative tolerance in the baseline, which marks them
-/// informational-only.
+/// figures and tables (PaperFigures.h) as a flat metric map. That map is
+/// what a checked-in `bench/baseline.json` is written from and compared
+/// against, every entry exactly (relative error at most 1e-9). Wall times
+/// and the run's shape (threads, failures) live in a second map that only
+/// `BENCH_results.json` receives, so no timing can reach the gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,7 +74,14 @@ struct BenchmarkOutcome {
 /// remaining programs complete normally. A benchmark fails when either of
 /// its runs (default or ref input) fails.
 struct BenchSuiteResult {
+  /// Every figure number: deterministic, independent of the thread count,
+  /// and the only map the baseline is written from and compared against.
   MetricMap Metrics;
+  /// How this run went: per-benchmark stage and total wall times
+  /// ("<bench>.<stage>_wall_ms", "<bench>.wall_ms"), their suite totals
+  /// ("suite.stage.<stage>_wall_ms", "suite.wall_ms"), "suite.threads" and
+  /// "suite.failed". Written to BENCH_results.json only.
+  MetricMap RunStats;
   /// One entry per requested benchmark, in request order, then one per
   /// figure-only program (full-suite runs).
   std::vector<BenchmarkOutcome> Outcomes;
@@ -90,9 +96,7 @@ struct BenchSuiteResult {
   std::vector<std::string> failedBenchmarks() const;
 };
 
-/// Runs the suite across a thread pool. Every metric but the *wall_ms
-/// timings and suite.threads is deterministic and independent of the
-/// thread count.
+/// Runs the suite across a thread pool.
 BenchSuiteResult runBenchSuite(const BenchSuiteOptions &Opts);
 
 /// Serializes a metric map as a results document:
@@ -100,8 +104,9 @@ BenchSuiteResult runBenchSuite(const BenchSuiteOptions &Opts);
 std::string metricsToJson(const MetricMap &Metrics,
                           const std::string &Kind = "kremlin-bench");
 
-/// Serializes a full suite result: the metricsToJson document plus a
-/// "benchmarks" object recording each benchmark's completion status:
+/// Serializes a full suite result: the metricsToJson document of Metrics
+/// and RunStats together plus a "benchmarks" object recording each
+/// benchmark's completion status:
 ///   "benchmarks": {"cg": {"status": "ok", "attempts": 1}, ...}
 /// (failed entries additionally carry "error"). parseMetricsJson reads the
 /// document unchanged — the extra object is ignored by metric consumers.
@@ -112,26 +117,34 @@ std::string suiteResultToJson(const BenchSuiteResult &Result);
 bool parseMetricsJson(std::string_view Json, MetricMap &Out,
                       std::string *Error = nullptr);
 
-/// Serializes \p Metrics as a baseline document: the metrics plus the
-/// default tolerance block (wall-time metrics marked informational).
+/// Serializes \p Metrics as a baseline document.
 std::string makeBaselineJson(const MetricMap &Metrics);
+
+/// The one gate rule: a baseline entry passes when the run's value is
+/// within this relative error of it. Exact for every integer metric below
+/// 1e9; derived floats get rounding room only.
+constexpr double BaselineMaxRelError = 1e-9;
 
 /// One compared metric.
 struct MetricDelta {
   std::string Name;
   double Expected = 0.0;
   double Actual = 0.0;
-  /// |actual - expected| / max(|expected|, 1e-12).
+  /// |actual - expected| / max(|expected|, 1e-12) for finite values; 0 for
+  /// two equal non-finite values (NaN and NaN, or one infinity twice) and
+  /// infinite for any other pair involving a non-finite value.
   double RelError = 0.0;
-  double Tolerance = 0.0;
-  /// Informational metric (negative tolerance): never fails the run.
+  /// A failed benchmark's metric (or suite.* while any benchmark failed):
+  /// reported, never gated.
   bool Skipped = false;
   /// Metric present in the baseline but absent from the run.
   bool Missing = false;
 
   bool failed() const {
-    return !Skipped && (Missing || RelError > Tolerance);
+    return !Skipped && (Missing || RelError > BaselineMaxRelError);
   }
+  /// The report line of a failed metric ("FAIL <name> ...").
+  std::string render() const;
 };
 
 /// Result of comparing a run against a baseline.
@@ -153,19 +166,16 @@ struct BaselineComparison {
   std::string render() const;
 };
 
-/// Compares \p Actual against a baseline document. The baseline supplies
-/// "default_tolerance" and a "tolerances" object keyed by metric suffix
-/// (the part after the last '.'); \p ToleranceOverride, when >= 0,
-/// replaces the default tolerance for metrics without a suffix entry.
-/// Metrics with a negative tolerance are reported but never fail.
-/// \p ExcludeBenchmarks lists benchmarks whose metrics (name before the
-/// first '.') are demoted to informational — the fault-isolation path:
-/// a failed benchmark's missing metrics must not read as regressions.
-/// Any exclusion also demotes the suite.* aggregates, which then cover
-/// only part of the suite.
+/// Compares \p Actual against a baseline document, every entry by the
+/// BaselineMaxRelError rule. A document that still carries the retired
+/// "default_tolerance" or "tolerances" field is refused with an error
+/// naming it. \p ExcludeBenchmarks lists benchmarks whose metrics (name
+/// before the first '.') are reported but not gated — the fault-isolation
+/// path: a failed benchmark's missing metrics must not read as
+/// regressions. Any exclusion also ungates the suite.* aggregates, which
+/// then cover only part of the suite.
 BaselineComparison
 compareToBaseline(const MetricMap &Actual, std::string_view BaselineJson,
-                  double ToleranceOverride = -1.0,
                   const std::vector<std::string> &ExcludeBenchmarks = {});
 
 /// Renders a two-run metrics comparison (`kremlin stats --diff a b`):

@@ -37,6 +37,7 @@
 #include "driver/BenchHarness.h"
 #include "driver/Cli.h"
 #include "driver/KremlinDriver.h"
+#include "driver/PaperFigures.h"
 #include "ir/IRPrinter.h"
 #include "parser/Lower.h"
 #include "suite/PaperSuite.h"
@@ -49,6 +50,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <string>
 
 using namespace kremlin;
@@ -423,6 +425,24 @@ int lintMain(const Args &A) {
   return P.Tel.finish("cli") ? 0 : 1;
 }
 
+/// The first program \p Old has entries for that a full-suite run profiles
+/// but \p Result did not run ("" when there is none). Updating \p Old from
+/// \p Result would retire every one of that program's entries.
+std::string firstUnrunProgram(const BenchSuiteResult &Result,
+                              const MetricMap &Old) {
+  std::set<std::string> Known, Ran;
+  for (const FigureProgram &P : figurePrograms(paperBenchmarkNames(), true))
+    Known.insert(P.Name);
+  for (const BenchmarkOutcome &O : Result.Outcomes)
+    Ran.insert(O.Name);
+  for (const auto &M : Old) {
+    std::string Program = M.first.substr(0, M.first.find('.'));
+    if (Known.count(Program) && !Ran.count(Program))
+      return Program;
+  }
+  return "";
+}
+
 /// The `kremlin-bench` harness entry point; \p A excludes argv[0] and the
 /// `bench` subcommand word.
 int benchMain(const Args &A) {
@@ -431,7 +451,6 @@ int benchMain(const Args &A) {
   std::string BaselinePath = "bench/baseline.json";
   TelemetryOut Tel;
   bool CheckBaseline = false, UpdateBaseline = false;
-  double Tolerance = -1.0;
   Command C{
       "usage: kremlin-bench [options]   (or: kremlin bench [options])",
       join({{{"--threads", "<n>", "worker threads (default: hardware)",
@@ -449,8 +468,6 @@ int benchMain(const Args &A) {
               &CheckBaseline},
              {"--update-baseline", "", "rewrite the baseline from this run",
               &UpdateBaseline},
-             {"--tolerance", "<f>", "override the default relative tolerance",
-              &Tolerance},
              {"--deadline-ms", "<n>",
               "per-benchmark wall-clock deadline; one retry, then the "
               "benchmark is marked failed",
@@ -513,13 +530,13 @@ int benchMain(const Args &A) {
          formatString("%.0f", Get(Name, "plan_overlap")),
          formatFactor(Get(Name, "compression_ratio"), 0),
          formatFactor(Get(Name, "sim_speedup")),
-         formatString("%.0f ms", Get(Name, "wall_ms"))});
+         formatString("%.0f ms", Result.RunStats[Name + ".wall_ms"])});
   }
   std::fputs(Table.render().c_str(), stdout);
   std::printf("suite: %zu benchmarks + %zu figure programs (%zu failed) on "
               "%u threads in %.0f ms\n\n",
               Names.size(), FigurePrograms, Failed.size(), Result.ThreadsUsed,
-              Result.Metrics["suite.wall_ms"]);
+              Result.RunStats["suite.wall_ms"]);
   std::fputs(Result.Figures.c_str(), stdout);
 
   if (!writeStringToFile(OutPath, suiteResultToJson(Result))) {
@@ -540,54 +557,38 @@ int benchMain(const Args &A) {
                 Failed.size());
       return 1;
     }
-    MetricMap ToWrite = Result.Metrics;
     std::string OldJson;
     if (readFileToString(BaselinePath, OldJson)) {
-      // Never rewrite silently: surface everything that moved beyond its
-      // tolerance against the outgoing baseline — the same per-metric diff
-      // the --check-baseline gate renders — so a refresh that launders a
-      // regression is visible in the run log (and in the CI step summary).
-      BaselineComparison Cmp =
-          compareToBaseline(Result.Metrics, OldJson, Tolerance, Failed);
-      unsigned Moved = 0;
-      for (const MetricDelta &D : Cmp.Deltas)
-        if (!D.Missing && D.RelError > std::abs(D.Tolerance))
-          ++Moved;
-      if (Moved > 0 || Cmp.NumFailed > 0) {
-        std::printf("baseline update: %u metric(s) moved beyond tolerance "
-                    "against %s\n",
-                    Moved, BaselinePath.c_str());
-        for (const MetricDelta &D : Cmp.Deltas)
-          if (!D.Missing && D.RelError > std::abs(D.Tolerance))
-            std::printf("  %-48s %14.4f -> %14.4f  (%+.1f%%)\n",
-                        D.Name.c_str(), D.Expected, D.Actual,
-                        (D.Actual - D.Expected) /
-                            std::max(std::abs(D.Expected), 1e-12) * 100.0);
-      } else {
-        std::printf("baseline update: no metric moved beyond tolerance\n");
-      }
-      // Of the old metrics this run did not produce, keep the
-      // informational ones (micro-bench timings recorded by the separate
-      // gbench binaries); a gated one names a number the code no longer
-      // produces, and keeping it would fail every later check.
-      unsigned Kept = 0;
-      for (const MetricDelta &D : Cmp.Deltas) {
-        if (!D.Missing)
-          continue;
-        if (D.Skipped) {
-          ToWrite.emplace(D.Name, D.Expected);
-          ++Kept;
-        } else {
-          std::printf("baseline update: retired %s (no longer produced)\n",
-                      D.Name.c_str());
+      // A subset run must not replace a fuller baseline: it would retire
+      // the skipped programs' entries and rewrite suite.* to its own sums.
+      MetricMap Old;
+      if (parseMetricsJson(OldJson, Old)) {
+        if (std::string Program = firstUnrunProgram(Result, Old);
+            !Program.empty()) {
+          tel::logf(tel::LogLevel::Error, "bench",
+                    "refusing to update '%s': this run did not profile %s, "
+                    "and the update would retire every one of its entries "
+                    "(run the full suite, or pass a new --baseline path)",
+                    BaselinePath.c_str(), Program.c_str());
+          return 1;
         }
       }
-      if (Kept > 0)
-        std::printf("baseline update: kept %u informational metric(s) "
-                    "absent from this run\n",
-                    Kept);
+      // Never rewrite silently: show what changed against the outgoing
+      // baseline, as the --check-baseline gate would report it.
+      BaselineComparison Cmp = compareToBaseline(Result.Metrics, OldJson);
+      if (!Cmp.Errors.empty())
+        std::fputs(Cmp.render().c_str(), stdout);
+      else
+        std::printf("baseline update: %u of %u metric(s) differ from %s\n",
+                    Cmp.NumFailed, Cmp.NumChecked, BaselinePath.c_str());
+      for (const MetricDelta &D : Cmp.Deltas)
+        if (D.Missing)
+          std::printf("baseline update: retired %s (no longer produced)\n",
+                      D.Name.c_str());
+        else if (D.failed())
+          std::fputs(D.render().c_str(), stdout);
     }
-    if (!writeStringToFile(BaselinePath, makeBaselineJson(ToWrite))) {
+    if (!writeStringToFile(BaselinePath, makeBaselineJson(Result.Metrics))) {
       tel::logf(tel::LogLevel::Error, "bench", "cannot write '%s'",
                 BaselinePath.c_str());
       return 1;
@@ -606,7 +607,7 @@ int benchMain(const Args &A) {
       return 1;
     }
     BaselineComparison Cmp =
-        compareToBaseline(Result.Metrics, BaselineJson, Tolerance, Failed);
+        compareToBaseline(Result.Metrics, BaselineJson, Failed);
     std::fputs(Cmp.render().c_str(), stdout);
     if (!Cmp.passed()) {
       // One grep-able line naming every regressed metric; the rendered

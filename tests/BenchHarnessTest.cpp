@@ -2,8 +2,8 @@
 //
 // Covers the regression-baseline machinery end-to-end: run a (subset)
 // suite across the thread pool, round-trip the metrics through JSON, and
-// exercise the tolerance comparison — including a deliberately regressed
-// metric, which must fail the check.
+// exercise the exact baseline comparison — including a deliberately
+// regressed metric, which must fail the check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,9 +50,8 @@ TEST(BenchHarness, SuiteRunProducesMetrics) {
     for (const char *Key :
          {"dyn_instructions", "dyn_regions", "compression_ratio",
           "plan_size", "manual_plan_size", "plan_overlap", "est_speedup",
-          "max_self_parallelism", "sim_speedup", "wall_ms",
-          "relative_speedup", "manual_sim_best_cores",
-          "total_time_reduction_pct", "kremlin_plan_reduction_pct",
+          "max_self_parallelism", "sim_speedup", "relative_speedup",
+          "manual_sim_best_cores", "total_time_reduction_pct", "kremlin_plan_reduction_pct",
           "benefit_at_25pct", "benefit_at_100pct", "candidate_regions",
           "work_only_plan_size", "selfp_filter_plan_size",
           "raw_trace_bytes", "compressed_bytes", "dict_alphabet",
@@ -65,6 +64,7 @@ TEST(BenchHarness, SuiteRunProducesMetrics) {
       std::string Name = std::string(Bench) + "." + Key;
       EXPECT_TRUE(R.Metrics.count(Name)) << "missing " << Name;
     }
+    EXPECT_TRUE(R.RunStats.count(std::string(Bench) + ".wall_ms"));
   }
   EXPECT_EQ(R.Metrics.at("suite.benchmarks"), 2.0);
   EXPECT_GT(R.Metrics.at("ep.dyn_instructions"), 0.0);
@@ -78,10 +78,8 @@ TEST(BenchHarness, ParallelRunsMatchSerialRuns) {
   BenchSuiteResult SerialRun = runBenchSuite(Serial);
   ASSERT_TRUE(SerialRun.succeeded());
 
+  ASSERT_EQ(SerialRun.Metrics.size(), sharedRun().Metrics.size());
   for (const auto &M : sharedRun().Metrics) {
-    if (M.first.find("wall_ms") != std::string::npos ||
-        M.first == "suite.threads")
-      continue;
     ASSERT_TRUE(SerialRun.Metrics.count(M.first)) << M.first;
     EXPECT_DOUBLE_EQ(SerialRun.Metrics.at(M.first), M.second)
         << M.first << " differs between 1-thread and 2-thread runs";
@@ -117,7 +115,7 @@ TEST(BenchHarness, FailedBenchmarkDoesNotAbortTheSuite) {
             std::vector<std::string>{"no-such-benchmark"});
   EXPECT_TRUE(R.Metrics.count("ep.plan_size"));
   EXPECT_TRUE(R.Metrics.count("cg.plan_size"));
-  EXPECT_EQ(R.Metrics.at("suite.failed"), 1.0);
+  EXPECT_EQ(R.RunStats.at("suite.failed"), 1.0);
 }
 
 TEST(BenchHarness, WorkerExceptionIsCaughtAtTheHarnessBoundary) {
@@ -141,7 +139,7 @@ TEST(BenchHarness, WorkerExceptionIsCaughtAtTheHarnessBoundary) {
   EXPECT_EQ(R.failedBenchmarks().size(), 2u);
   // Failed benchmarks contribute no (partial) metrics.
   EXPECT_FALSE(R.Metrics.count("ep.plan_size"));
-  EXPECT_EQ(R.Metrics.at("suite.failed"), 2.0);
+  EXPECT_EQ(R.RunStats.at("suite.failed"), 2.0);
 }
 
 TEST(BenchHarness, StageFaultMarksBenchmarkFailed) {
@@ -171,7 +169,7 @@ TEST(BenchHarness, SuiteResultJsonRecordsOutcomes) {
   MetricMap Parsed;
   std::string Error;
   ASSERT_TRUE(parseMetricsJson(Json, Parsed, &Error)) << Error;
-  EXPECT_EQ(Parsed.size(), R.Metrics.size());
+  EXPECT_EQ(Parsed.size(), R.Metrics.size() + R.RunStats.size());
   // ...and the benchmarks object records per-benchmark completion.
   EXPECT_NE(Json.find("\"benchmarks\":"), std::string::npos);
   EXPECT_NE(Json.find("\"ep\":"), std::string::npos);
@@ -214,16 +212,16 @@ TEST(BenchHarness, ExcludedBenchmarksAreInformationalInBaseline) {
 
   // Without the exclusion the missing metrics read as regressions...
   EXPECT_FALSE(compareToBaseline(Partial, Baseline).passed());
-  // ...with it, the failed benchmark is demoted to informational and the
+  // ...with it, the failed benchmark is reported but not gated, and the
   // rest of the suite still gates normally.
-  BaselineComparison Cmp = compareToBaseline(Partial, Baseline, -1.0, {"cg"});
+  BaselineComparison Cmp = compareToBaseline(Partial, Baseline, {"cg"});
   EXPECT_TRUE(Cmp.passed()) << Cmp.render();
   EXPECT_GT(Cmp.NumSkipped, 0u);
 
   // An ep regression still fails even while cg is excluded.
   MetricMap Regressed = Partial;
   Regressed["ep.plan_size"] *= 2.0;
-  EXPECT_FALSE(compareToBaseline(Regressed, Baseline, -1.0, {"cg"}).passed());
+  EXPECT_FALSE(compareToBaseline(Regressed, Baseline, {"cg"}).passed());
 
   // The suite.* aggregates of a run without cg cover ep alone: none may
   // read as a regression, nor as missing when every benchmark failed.
@@ -232,13 +230,13 @@ TEST(BenchHarness, ExcludedBenchmarksAreInformationalInBaseline) {
   EpOnly.Benchmarks = {"ep"};
   MetricMap Aggregated = runBenchSuite(EpOnly).Metrics;
   EXPECT_NE(Aggregated.at("suite.plan_size"), R.Metrics.at("suite.plan_size"));
-  Cmp = compareToBaseline(Aggregated, Baseline, -1.0, {"cg"});
+  Cmp = compareToBaseline(Aggregated, Baseline, {"cg"});
   EXPECT_TRUE(Cmp.passed()) << Cmp.render();
   MetricMap NoSuite;
   for (const auto &M : Aggregated)
     if (M.first.rfind("suite.", 0) != 0)
       NoSuite[M.first] = M.second;
-  Cmp = compareToBaseline(NoSuite, Baseline, -1.0, {"cg"});
+  Cmp = compareToBaseline(NoSuite, Baseline, {"cg"});
   EXPECT_TRUE(Cmp.passed()) << Cmp.render();
   for (const MetricDelta &D : Cmp.Deltas) {
     if (D.Name.rfind("suite.", 0) == 0) {
@@ -262,17 +260,28 @@ TEST(BenchHarness, MetricsDiffRendersChanges) {
   EXPECT_NE(Diff.find("3 of 4 metrics differ"), std::string::npos) << Diff;
 }
 
-TEST(BenchHarness, SuiteRecordsReportExportCost) {
-  // Every benchmark times its report export; the suite aggregates the
-  // stage under both the generic stage key and the documented
-  // suite.report_wall_ms alias (informational in baselines).
+TEST(BenchHarness, TimingsStayOutOfTheGatedMetrics) {
+  // Wall times and the run's shape go to BENCH_results.json only; the map
+  // the baseline is written from and gated against holds none of them.
   const BenchSuiteResult &R = sharedRun();
-  for (const char *Bench : {"ep", "cg"})
-    EXPECT_TRUE(R.Metrics.count(std::string(Bench) + ".report_wall_ms"));
-  ASSERT_TRUE(R.Metrics.count("suite.report_wall_ms"));
-  EXPECT_DOUBLE_EQ(R.Metrics.at("suite.report_wall_ms"),
-                   R.Metrics.at("suite.stage.report_wall_ms"));
-  EXPECT_GE(R.Metrics.at("suite.report_wall_ms"), 0.0);
+  for (const auto &M : R.Metrics) {
+    EXPECT_EQ(M.first.find("wall_ms"), std::string::npos) << M.first;
+    EXPECT_NE(M.first, "suite.threads");
+    EXPECT_NE(M.first, "suite.failed");
+  }
+  EXPECT_EQ(makeBaselineJson(R.Metrics).find("wall_ms"), std::string::npos);
+  MetricMap Results;
+  ASSERT_TRUE(parseMetricsJson(suiteResultToJson(R), Results));
+  for (const char *Key :
+       {"ep.execute_wall_ms", "cg.analyze_wall_ms", "ep.wall_ms",
+        "suite.stage.execute_wall_ms", "suite.wall_ms", "suite.threads",
+        "suite.failed"}) {
+    EXPECT_TRUE(R.RunStats.count(Key)) << Key;
+    EXPECT_TRUE(Results.count(Key)) << Key;
+  }
+  EXPECT_DOUBLE_EQ(R.RunStats.at("suite.stage.execute_wall_ms"),
+                   R.RunStats.at("ep.execute_wall_ms") +
+                       R.RunStats.at("cg.execute_wall_ms"));
 }
 
 TEST(BenchHarness, TraceDirWritesPerBenchmarkTraces) {
@@ -396,9 +405,9 @@ TEST(BenchHarness, FreshBaselineComparesClean) {
   BaselineComparison Cmp = compareToBaseline(R.Metrics, Baseline);
   EXPECT_TRUE(Cmp.passed()) << Cmp.render();
   EXPECT_EQ(Cmp.NumFailed, 0u);
-  EXPECT_GT(Cmp.NumChecked, 0u);
-  // wall_ms metrics are informational, never gated.
-  EXPECT_GT(Cmp.NumSkipped, 0u);
+  // Every entry is gated.
+  EXPECT_EQ(Cmp.NumChecked, R.Metrics.size());
+  EXPECT_EQ(Cmp.NumSkipped, 0u);
 }
 
 TEST(BenchHarness, InjectedRegressionFailsTheCheck) {
@@ -420,16 +429,6 @@ TEST(BenchHarness, InjectedRegressionFailsTheCheck) {
   EXPECT_TRUE(Found);
   EXPECT_NE(Cmp.render().find("cg.plan_size"), std::string::npos);
   EXPECT_NE(Cmp.render().find("REGRESSION"), std::string::npos);
-}
-
-TEST(BenchHarness, WallTimeRegressionIsInformationalOnly) {
-  const BenchSuiteResult &R = sharedRun();
-  std::string Baseline = makeBaselineJson(R.Metrics);
-  MetricMap Slow = R.Metrics;
-  for (auto &M : Slow)
-    if (M.first.find("wall_ms") != std::string::npos)
-      M.second *= 100.0; // Twelve-year-old laptop.
-  EXPECT_TRUE(compareToBaseline(Slow, Baseline).passed());
 }
 
 TEST(BenchHarness, MissingMetricFailsTheCheck) {
@@ -454,25 +453,43 @@ TEST(BenchHarness, DefaultGateIsExactForIntegerMetrics) {
             std::vector<std::string>{"cg.dyn_instructions"});
 }
 
-TEST(BenchHarness, ToleranceOverrideWidensTheGate) {
-  const BenchSuiteResult &R = sharedRun();
-  std::string Baseline = makeBaselineJson(R.Metrics);
-  MetricMap Nudged = R.Metrics;
-  Nudged["cg.est_speedup"] *= 1.10; // 10% off: fails at 2%, passes at 25%.
-  EXPECT_FALSE(compareToBaseline(Nudged, Baseline).passed());
-  EXPECT_TRUE(compareToBaseline(Nudged, Baseline, 0.25).passed());
+TEST(BenchHarness, NonFiniteMetricFailsTheGate) {
+  // The serializer writes NaN and infinities as null, read back as NaN.
+  // NaN compares false against any bound, so a NaN relative error must
+  // not read as a pass: a non-finite value on one side only, or two
+  // different non-finite values, fails.
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  auto Gate = [](double Got, const std::string &Baseline) {
+    return compareToBaseline({{"ep.plan_size", Got}},
+                             R"({"metrics": {"ep.plan_size": )" + Baseline +
+                                 "}}");
+  };
+  for (const auto &[Got, Baseline] :
+       std::vector<std::pair<double, std::string>>{
+           {NaN, "1"}, {5.0, "null"}, {Inf, "1"}, {Inf, "null"}}) {
+    BaselineComparison Cmp = Gate(Got, Baseline);
+    EXPECT_FALSE(Cmp.passed()) << Got << " vs " << Baseline;
+    EXPECT_NE(Cmp.render().find("FAIL ep.plan_size"), std::string::npos)
+        << Cmp.render();
+  }
+  // The same non-finite value on both sides is no change.
+  EXPECT_TRUE(Gate(NaN, "null").passed());
 }
 
-TEST(BenchHarness, BaselineTolerancesObjectOverridesSuffixes) {
-  MetricMap Actual = {{"a.plan_size", 20.0}};
-  std::string Baseline = R"({
-    "schema": 1,
-    "default_tolerance": 0.02,
-    "tolerances": {"plan_size": 1.5},
-    "metrics": {"a.plan_size": 10}
-  })";
-  // 100% off but the suffix tolerance allows 150%.
-  EXPECT_TRUE(compareToBaseline(Actual, Baseline).passed());
+TEST(BenchHarness, RetiredToleranceFieldsAreRefused) {
+  // A baseline that carries a tolerance field is an error naming the
+  // field, not a silently looser or tighter gate.
+  MetricMap Actual = {{"a.plan_size", 10.0}};
+  for (const char *Field : {"default_tolerance", "tolerances"}) {
+    std::string Baseline = std::string(R"({"schema": 1, ")") + Field +
+                           R"(": 0.02, "metrics": {"a.plan_size": 10}})";
+    BaselineComparison Cmp = compareToBaseline(Actual, Baseline);
+    EXPECT_FALSE(Cmp.passed()) << Field;
+    ASSERT_EQ(Cmp.Errors.size(), 1u) << Field;
+    EXPECT_NE(Cmp.Errors[0].find(Field), std::string::npos) << Cmp.Errors[0];
+    EXPECT_NE(Cmp.render().find(Field), std::string::npos) << Cmp.render();
+  }
 }
 
 TEST(BenchHarness, MalformedBaselineIsAnError) {

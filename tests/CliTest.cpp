@@ -299,7 +299,8 @@ TEST(Cli, BenchHarnessEndToEnd) {
   EXPECT_EQ(Code, 0) << Out;
   EXPECT_NE(Out.find("baseline: PASS"), std::string::npos);
 
-  // The emitted results parse and carry per-benchmark metrics.
+  // The emitted results parse and carry per-benchmark metrics and stage
+  // times; the baseline carries no timing.
   std::string Json;
   ASSERT_TRUE(kremlin::readFileToString(ResultsPath, Json));
   kremlin::MetricMap Metrics;
@@ -307,10 +308,14 @@ TEST(Cli, BenchHarnessEndToEnd) {
   ASSERT_TRUE(kremlin::parseMetricsJson(Json, Metrics, &Error)) << Error;
   EXPECT_TRUE(Metrics.count("ep.dyn_instructions"));
   EXPECT_TRUE(Metrics.count("cg.plan_size"));
-
-  // Regress one metric in the baseline: the check must fail.
+  EXPECT_TRUE(Metrics.count("ep.execute_wall_ms"));
+  EXPECT_TRUE(Metrics.count("suite.wall_ms"));
   std::string Baseline;
   ASSERT_TRUE(kremlin::readFileToString(BaselinePath, Baseline));
+  EXPECT_EQ(Baseline.find("wall_ms"), std::string::npos) << Baseline;
+  EXPECT_EQ(Baseline.find("suite.threads"), std::string::npos) << Baseline;
+
+  // Regress one metric in the baseline: the check must fail.
   kremlin::JsonValue Doc;
   ASSERT_TRUE(kremlin::JsonValue::parse(Baseline, Doc));
   kremlin::JsonValue MetricsObj = *Doc.get("metrics");
@@ -337,8 +342,8 @@ TEST(Cli, UpdateBaselineRetiresMetricsTheRunNoLongerProduces) {
                               "--update-baseline" + Flags, Code);
   ASSERT_EQ(Code, 0) << Out;
 
-  // A gated metric the code no longer produces (a renamed or retired
-  // figure) and an informational timing from a separate micro bench.
+  // A metric the code no longer produces (a renamed or retired figure) and
+  // a stray timing: both are retired, nothing is carried over.
   std::string Baseline;
   ASSERT_TRUE(kremlin::readFileToString(BaselinePath, Baseline));
   kremlin::JsonValue Doc;
@@ -353,6 +358,8 @@ TEST(Cli, UpdateBaselineRetiresMetricsTheRunNoLongerProduces) {
   ASSERT_EQ(Code, 0) << Out;
   EXPECT_NE(Out.find("retired ep.renamed_away_metric"), std::string::npos)
       << Out;
+  EXPECT_NE(Out.find("retired micro_x.BM_Case.real_ns"), std::string::npos)
+      << Out;
   Out = runBinary(KREMLIN_BENCH_TOOL_PATH, "--check-baseline" + Flags, Code);
   EXPECT_EQ(Code, 0) << Out;
   EXPECT_NE(Out.find("baseline: PASS"), std::string::npos) << Out;
@@ -360,15 +367,39 @@ TEST(Cli, UpdateBaselineRetiresMetricsTheRunNoLongerProduces) {
   kremlin::MetricMap Kept;
   ASSERT_TRUE(kremlin::readFileToString(BaselinePath, Baseline));
   ASSERT_TRUE(kremlin::parseMetricsJson(Baseline, Kept));
-  EXPECT_TRUE(Kept.count("micro_x.BM_Case.real_ns"));
+  EXPECT_FALSE(Kept.count("micro_x.BM_Case.real_ns"));
   EXPECT_FALSE(Kept.count("ep.renamed_away_metric"));
   std::remove(ResultsPath.c_str());
   std::remove(BaselinePath.c_str());
 }
 
+TEST(Cli, SubsetUpdateLeavesAFullSuiteBaselineUntouched) {
+  // Refreshing the committed full-suite baseline from an ep-only run would
+  // retire every other program's entries and rewrite suite.* to ep's
+  // sums; it must be refused and leave the file as it was.
+  std::string Committed;
+  ASSERT_TRUE(kremlin::readFileToString(KREMLIN_BASELINE_PATH, Committed));
+  std::string ResultsPath = scratchPath("subset_results.json");
+  std::string BaselinePath = scratchPath("subset_baseline.json");
+  ASSERT_TRUE(kremlin::writeStringToFile(BaselinePath, Committed));
+  int Code = 0;
+  std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH,
+                              "--update-baseline --threads=2 --benchmarks=ep"
+                              " --out=" + ResultsPath +
+                                  " --baseline=" + BaselinePath,
+                              Code);
+  EXPECT_NE(Code, 0) << Out;
+  EXPECT_NE(Out.find("did not profile ammp"), std::string::npos) << Out;
+  std::string After;
+  ASSERT_TRUE(kremlin::readFileToString(BaselinePath, After));
+  EXPECT_TRUE(After == Committed) << "the baseline was rewritten";
+  std::remove(ResultsPath.c_str());
+  std::remove(BaselinePath.c_str());
+}
+
 TEST(Cli, FailedBenchmarkExitsNonzeroWhileTheGatePasses) {
-  // The failed benchmark and every suite.* aggregate are informational,
-  // so the gate itself passes; the failure still sets the exit code.
+  // The failed benchmark and every suite.* aggregate are not gated, so the
+  // gate itself passes; the failure still sets the exit code.
   std::string ResultsPath = scratchPath("partial_results.json");
   std::string BaselinePath = scratchPath("partial_baseline.json");
   std::string Common = " --threads=2 --out=" + ResultsPath +
@@ -661,9 +692,9 @@ TEST(Cli, HelpListsExactlyEachEntryPointsFlags) {
   };
   const std::vector<std::string> Bench = {
       "--threads", "--benchmarks", "--personality", "--out", "--baseline",
-      "--check-baseline", "--update-baseline", "--tolerance",
-      "--deadline-ms", "--trace-out", "--trace-ring-events",
-      "--trace-flush-kb", "--metrics-out"};
+      "--check-baseline", "--update-baseline", "--deadline-ms",
+      "--trace-out", "--trace-ring-events", "--trace-flush-kb",
+      "--metrics-out"};
   const std::vector<std::pair<std::string, std::vector<std::string>>>
       EntryPoints = {
           {"", Pipeline},
@@ -710,6 +741,10 @@ TEST(Cli, HelpListsExactlyEachEntryPointsFlags) {
   std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH, "--help", Code);
   EXPECT_EQ(Code, 0) << Out;
   EXPECT_EQ(Listed(Out), std::set<std::string>(Bench.begin(), Bench.end()));
+  // The baseline gate has one rule and no knob.
+  Out = runBinary(KREMLIN_BENCH_TOOL_PATH, "--tolerance=0.5", Code);
+  EXPECT_NE(Code, 0) << Out;
+  EXPECT_NE(Out.find("unknown option"), std::string::npos) << Out;
   // The top-level help keeps its environment notes.
   Out = runTool("--help", Code);
   EXPECT_NE(Out.find("KREMLIN_LOG="), std::string::npos) << Out;

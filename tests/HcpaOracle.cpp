@@ -379,6 +379,11 @@ private:
 
 } // namespace
 
+void kremlin::test::runOracle(const Module &M, const KremlinConfig &Cfg,
+                              DictionaryCompressor &Dict) {
+  Oracle(M, Cfg, Dict).run();
+}
+
 void kremlin::test::expectProfileMatchesOracle(const std::string &Source,
                                                const KremlinConfig &Cfg) {
   ProfiledRun Run = profileSource(Source, Cfg);

@@ -23,11 +23,19 @@
 #ifndef KREMLIN_TESTS_HCPAORACLE_H
 #define KREMLIN_TESTS_HCPAORACLE_H
 
+#include "compress/Dictionary.h"
+#include "ir/Module.h"
 #include "rt/KremlinRuntime.h"
 
 #include <string>
 
 namespace kremlin::test {
+
+/// Runs the oracle once on the instrumented module \p M, interning one
+/// summary per dynamic region into \p Dict, which may already hold earlier
+/// runs (so two calls profile the concatenated runs).
+void runOracle(const Module &M, const KremlinConfig &Cfg,
+               DictionaryCompressor &Dict);
 
 /// Profiles \p Source with the interpreter and KremlinRuntime, runs the
 /// oracle on the same module, and expects bit-equal results: exit value,

@@ -3,17 +3,19 @@
 // Property tests for the fleet merge operator: commutativity,
 // associativity, identity, SP bounds, and the ΣSelfWork invariant, over
 // deterministic pseudo-random profiles — plus exactness against the
-// multi-run ParallelismProfile constructor on real profiled runs, and the
-// ProfileStore round trip.
+// multi-run ParallelismProfile constructor and against the independent
+// HCPA oracle on real profiled runs, and the ProfileStore round trip.
 //
 //===----------------------------------------------------------------------===//
 
+#include "HcpaOracle.h"
 #include "TestUtil.h"
 
 #include "aggregate/ProfileMerge.h"
 #include "aggregate/ProfileStore.h"
 #include "compress/TraceIO.h"
 #include "report/ProfileExport.h"
+#include "suite/PaperSuite.h"
 #include "support/Json.h"
 #include "support/Prng.h"
 #include "support/StringUtils.h"
@@ -252,32 +254,63 @@ const char *MergeSrc = R"(
   }
 )";
 
-TEST(Merge, MatchesMultiRunAggregationExactly) {
-  // The merged dictionary must be observationally identical to handing
-  // ParallelismProfile both runs (the §2.4 multi-run constructor): same
-  // integer aggregates, same SP up to float associativity.
-  ProfiledRun Run = profileSource(MergeSrc);
-  Expected<DictionaryCompressor> Reloaded = readTrace(writeTrace(*Run.Dict));
-  ASSERT_TRUE(Reloaded.ok());
-
-  DictionaryCompressor Merged = mergeProfiles({Run.Dict.get(), &*Reloaded});
-  ParallelismProfile FromMerge(*Run.M, Merged);
-  ParallelismProfile MultiRun(*Run.M, {Run.Dict.get(), &*Reloaded});
-
-  EXPECT_EQ(FromMerge.programWork(), MultiRun.programWork());
-  ASSERT_EQ(FromMerge.entries().size(), MultiRun.entries().size());
-  for (size_t I = 0; I < FromMerge.entries().size(); ++I) {
-    const RegionProfileEntry &A = FromMerge.entries()[I];
-    const RegionProfileEntry &B = MultiRun.entries()[I];
+/// Same integer aggregates, same SP up to float associativity.
+void expectSameAggregates(const ParallelismProfile &Got,
+                          const ParallelismProfile &Want) {
+  EXPECT_EQ(Got.programWork(), Want.programWork());
+  ASSERT_EQ(Got.entries().size(), Want.entries().size());
+  for (size_t I = 0; I < Got.entries().size(); ++I) {
+    const RegionProfileEntry &A = Got.entries()[I];
+    const RegionProfileEntry &B = Want.entries()[I];
     EXPECT_EQ(A.TotalWork, B.TotalWork) << "r" << I;
     EXPECT_EQ(A.TotalCp, B.TotalCp) << "r" << I;
     EXPECT_EQ(A.Instances, B.Instances) << "r" << I;
     EXPECT_NEAR(A.SelfParallelism, B.SelfParallelism, 1e-9) << "r" << I;
   }
+}
+
+TEST(Merge, MatchesMultiRunAggregationExactly) {
+  // The merged dictionary must be observationally identical to handing
+  // ParallelismProfile both runs (the §2.4 multi-run constructor).
+  ProfiledRun Run = profileSource(MergeSrc);
+  Expected<DictionaryCompressor> Reloaded = readTrace(writeTrace(*Run.Dict));
+  ASSERT_TRUE(Reloaded.ok());
+
+  DictionaryCompressor Merged = mergeProfiles({Run.Dict.get(), &*Reloaded});
+  expectSameAggregates(ParallelismProfile(*Run.M, Merged),
+                       ParallelismProfile(*Run.M, {Run.Dict.get(), &*Reloaded}));
   // Identical runs share every summary: the merged alphabet must not have
   // grown (the dictionary-union compression win at fleet scale).
   EXPECT_EQ(Merged.alphabet().size(), Run.Dict->alphabet().size());
   EXPECT_EQ(Merged.numDynamicRegions(), 2 * Run.Dict->numDynamicRegions());
+}
+
+TEST(Merge, MatchesTheOracleOnConcatenatedRuns) {
+  // Merging two runtime profiles must give the profile of one dictionary
+  // into which the independent oracle (HcpaOracle.h) interned both runs.
+  // recursion_demo.c is left out: the oracle needs seconds for it.
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const char *Name : {"lint_demo.c", "quickstart.c", "reduction_demo.c"}) {
+    std::string Source;
+    ASSERT_TRUE(readFileToString(
+        std::string(KREMLIN_EXAMPLES_DIR "/minic/") + Name, Source))
+        << Name;
+    Programs.emplace_back(Name, std::move(Source));
+  }
+  Programs.emplace_back("is", generatePaperBenchmark("is").Source);
+
+  for (const auto &[Name, Source] : Programs) {
+    SCOPED_TRACE(Name);
+    ProfiledRun First = profileSource(Source);
+    ProfiledRun Second = profileSource(Source);
+    DictionaryCompressor Merged =
+        mergeProfiles({First.Dict.get(), Second.Dict.get()});
+    DictionaryCompressor Concatenated;
+    for (int Run = 0; Run < 2; ++Run)
+      runOracle(*First.M, KremlinConfig(), Concatenated);
+    expectSameAggregates(ParallelismProfile(*First.M, Merged),
+                         ParallelismProfile(*First.M, Concatenated));
+  }
 }
 
 TEST(Merge, DiffRendersDeltasAndOneSidedRegions) {
