@@ -14,6 +14,7 @@
 #include "driver/KremlinDriver.h"
 #include "report/ProfileExport.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
 #include <cstdio>
@@ -90,8 +91,26 @@ int cli::reportMain(const Args &A) {
   const DictionaryCompressor &Dict =
       LoadedDict ? *LoadedDict : *Result.Dict;
   std::unique_ptr<ParallelismProfile> LoadedProfile;
-  if (LoadedDict)
+  if (LoadedDict) {
+    // A loaded trace must name only regions this source has; a trace from a
+    // bigger program would index past the region table.
+    size_t NumRegions = Result.M->Regions.size();
+    for (const DynRegionSummary &S : Dict.alphabet()) {
+      if (S.Static < NumRegions)
+        continue;
+      tel::logError(
+          "report",
+          Status::error(ErrorCode::InvalidArgument,
+                        formatString("region id %u is out of range for '%s' "
+                                     "(%zu regions)",
+                                     S.Static, In.Name.c_str(), NumRegions))
+              .withStage("report")
+              .withInput(LoadTracePath)
+              .toString());
+      return 1;
+    }
     LoadedProfile = std::make_unique<ParallelismProfile>(*Result.M, Dict);
+  }
   const ParallelismProfile &Profile =
       LoadedProfile ? *LoadedProfile : *Result.Profile;
 

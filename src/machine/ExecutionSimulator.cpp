@@ -9,7 +9,7 @@ using namespace kremlin;
 
 ExecutionSimulator::ExecutionSimulator(const ParallelismProfile &Profile,
                                        MachineConfig Cfg)
-    : Profile(Profile), Cfg(std::move(Cfg)), Tree(Profile) {}
+    : Profile(Profile), Cfg(std::move(Cfg)) {}
 
 double ExecutionSimulator::serialTime() const {
   return static_cast<double>(Profile.programWork());
@@ -51,30 +51,28 @@ double ExecutionSimulator::regionTime(RegionId R,
 
   // Serial here; descend for parallel descendants.
   double ChildTime = 0.0;
-  double ChildWork = 0.0;
-  for (RegionId C : Tree.children(R)) {
+  for (RegionId C : Profile.children(R))
     ChildTime += regionTime(C, InPlan, Cores, CoveredFrac);
-    ChildWork += static_cast<double>(Profile.entry(C).TotalWork);
-  }
-  double SelfWork = std::max(0.0, Work - ChildWork);
-  return SelfWork + ChildTime;
+  return static_cast<double>(E.SelfWork) + ChildTime;
 }
 
 double
 ExecutionSimulator::simulateTime(const std::vector<RegionId> &PlanRegions,
                                  unsigned Cores) const {
-  if (Tree.root() == NoRegion)
+  const Module &M = Profile.module();
+  if (Profile.rootRegion() == NoRegion)
     return 0.0;
-  std::vector<char> InPlan(Profile.module().Regions.size(), 0);
+  std::vector<char> InPlan(M.Regions.size(), 0);
   double CoveredFrac = 0.0;
   for (RegionId R : PlanRegions) {
-    if (R < InPlan.size() && Tree.containsRegion(R)) {
+    if (R < InPlan.size() && Profile.entry(R).Executed &&
+        M.Regions[R].Kind != RegionKind::Body) {
       InPlan[R] = 1;
       CoveredFrac += Profile.entry(R).CoveragePct / 100.0;
     }
   }
   CoveredFrac = std::min(CoveredFrac, 1.0);
-  return regionTime(Tree.root(), InPlan, Cores, CoveredFrac);
+  return regionTime(Profile.rootRegion(), InPlan, Cores, CoveredFrac);
 }
 
 SimOutcome

@@ -19,7 +19,7 @@
 ///    data migration happens", which makes later plan entries look
 ///    super-linear in Figure 7;
 ///  - everything outside parallelized subtrees runs serially at measured
-///    work.
+///    self-work, walking the profile's region tree.
 ///
 /// The evaluation protocol mirrors §6.1: run every core configuration in
 /// {1,2,4,8,16,32} and report the best.
@@ -30,7 +30,6 @@
 #define KREMLIN_MACHINE_EXECUTIONSIMULATOR_H
 
 #include "planner/Plan.h"
-#include "planner/RegionTree.h"
 #include "profile/ParallelismProfile.h"
 
 #include <vector>
@@ -91,7 +90,6 @@ public:
 private:
   const ParallelismProfile &Profile;
   MachineConfig Cfg;
-  PlanningTree Tree;
 
   double regionTime(RegionId R, const std::vector<char> &InPlan,
                     unsigned Cores, double CoveredFrac) const;

@@ -93,10 +93,10 @@ public:
   /// from a selection. Suboptimal when a parent's single gain beats each
   /// child but not their sum (ft/lu).
   template <typename EligibleFn>
-  Plan planGreedy(const ParallelismProfile &Profile, const PlanningTree &Tree,
+  Plan planGreedy(const ParallelismProfile &Profile,
                   const PlannerOptions &Opts, EligibleFn Eligible) const {
     std::vector<PlanItem> Candidates;
-    for (RegionId R : Tree.preorder())
+    for (RegionId R : Profile.preorder())
       if (Eligible(R))
         Candidates.push_back(makePlanItem(Profile, R));
     std::sort(Candidates.begin(), Candidates.end(),
@@ -104,33 +104,35 @@ public:
                 return A.GainFrac > B.GainFrac;
               });
     std::vector<PlanItem> Items;
-    auto OnPathToSelection = [&](RegionId R) {
+    auto NestsWithSelection = [&](RegionId R) {
       for (const PlanItem &Sel : Items) {
         // Ancestor?
-        for (RegionId P = Sel.Region; P != NoRegion; P = Tree.parent(P))
+        for (RegionId P = Sel.Region; P != NoRegion; P = Profile.parent(P))
           if (P == R)
             return true;
         // Descendant?
-        for (RegionId P = R; P != NoRegion; P = Tree.parent(P))
+        for (RegionId P = R; P != NoRegion; P = Profile.parent(P))
           if (P == Sel.Region)
             return true;
       }
       return false;
     };
     for (const PlanItem &C : Candidates)
-      if (!OnPathToSelection(C.Region))
+      if (!NestsWithSelection(C.Region))
         Items.push_back(C);
     return finishPlan("openmp-greedy", std::move(Items), Opts);
   }
 
   Plan plan(const ParallelismProfile &Profile,
             const PlannerOptions &Opts) const override {
-    PlanningTree Tree(Profile);
     const Module &M = Profile.module();
 
-    // Eligibility filter: the system model. Every verdict is reported as
-    // a planner decision event (counter + optional trace instant).
+    // Eligibility filter: the system model. Every verdict on a Function or
+    // Loop region is reported as a planner decision event (counter +
+    // optional trace instant); Body regions are measurement-internal.
     auto Eligible = [&](RegionId R) {
+      if (M.Regions[R].Kind == RegionKind::Body)
+        return false;
       if (Opts.Excluded.count(R)) {
         planDecision(R, false, "excluded");
         return false;
@@ -184,19 +186,20 @@ public:
     };
 
     if (Opts.Greedy)
-      return planGreedy(Profile, Tree, Opts, Eligible);
+      return planGreedy(Profile, Opts, Eligible);
 
     // Bottom-up DP over the tree: best(R) = max(gain(R) if eligible,
-    // sum(best(children))). Because Preorder lists parents before
-    // children, a reverse walk visits children first.
+    // sum(best(children))); a Body region passes its children's sum up.
+    // Because the preorder lists parents before children, a reverse walk
+    // visits children first.
     size_t N = M.Regions.size();
     std::vector<double> Best(N, 0.0);
     std::vector<char> TakeSelf(N, 0);
-    const std::vector<RegionId> &Order = Tree.preorder();
+    const std::vector<RegionId> &Order = Profile.preorder();
     for (size_t Idx = Order.size(); Idx-- > 0;) {
       RegionId R = Order[Idx];
       double ChildSum = 0.0;
-      for (RegionId C : Tree.children(R))
+      for (RegionId C : Profile.children(R))
         ChildSum += Best[C];
       double SelfGain = Eligible(R) ? makePlanItem(Profile, R).GainFrac : 0.0;
       if (SelfGain > ChildSum && SelfGain > 0.0) {
@@ -209,7 +212,9 @@ public:
 
     // Collect selections top-down: a selected region prunes its subtree.
     std::vector<PlanItem> Items;
-    std::vector<RegionId> Stack = {Tree.root()};
+    std::vector<RegionId> Stack;
+    if (!Order.empty())
+      Stack.push_back(Profile.rootRegion());
     while (!Stack.empty()) {
       RegionId R = Stack.back();
       Stack.pop_back();
@@ -217,7 +222,7 @@ public:
         Items.push_back(makePlanItem(Profile, R));
         continue;
       }
-      for (RegionId C : Tree.children(R))
+      for (RegionId C : Profile.children(R))
         Stack.push_back(C);
     }
     return finishPlan(name(), std::move(Items), Opts);
@@ -232,7 +237,6 @@ public:
 
   Plan plan(const ParallelismProfile &Profile,
             const PlannerOptions &Opts) const override {
-    PlanningTree Tree(Profile);
     const Module &M = Profile.module();
 
     // Cilk++ handles nested and finer-grained parallelism: lower
@@ -241,8 +245,8 @@ public:
     double MinPct = Opts.MinDoallSpeedupPct / 2.0;
 
     std::vector<PlanItem> Items;
-    for (RegionId R : Tree.preorder()) {
-      if (R == Tree.root())
+    for (RegionId R : Profile.preorder()) {
+      if (R == Profile.rootRegion() || M.Regions[R].Kind == RegionKind::Body)
         continue;
       if (Opts.Excluded.count(R)) {
         planDecision(R, false, "excluded");
@@ -270,7 +274,8 @@ public:
       // count; keep the gain attribution but flag nesting by discounting
       // descendants of an already-selected ancestor.
       bool UnderSelected = false;
-      for (RegionId P = Tree.parent(R); P != NoRegion; P = Tree.parent(P)) {
+      for (RegionId P = Profile.parent(R); P != NoRegion;
+           P = Profile.parent(P)) {
         for (const PlanItem &Sel : Items)
           if (Sel.Region == P)
             UnderSelected = true;
@@ -281,7 +286,6 @@ public:
         Item.GainFrac = 0.0; // Counted by the enclosing selection.
       Items.push_back(Item);
     }
-    (void)M;
     return finishPlan(name(), std::move(Items), Opts);
   }
 };

@@ -29,7 +29,6 @@
 
 #include "analysis/StaticDependence.h"
 #include "planner/Plan.h"
-#include "planner/RegionTree.h"
 #include "profile/ParallelismProfile.h"
 
 #include <map>

@@ -43,72 +43,60 @@ kremlin::summarySelfParallelism(const DynRegionSummary &S,
 ParallelismProfile::ParallelismProfile(const Module &Mod,
                                        const DictionaryCompressor &Dict,
                                        double DoallTolerance)
-    : ParallelismProfile(
-          Mod, std::vector<const DictionaryCompressor *>{&Dict},
-          DoallTolerance) {}
-
-ParallelismProfile::ParallelismProfile(
-    const Module &Mod, const std::vector<const DictionaryCompressor *> &Runs,
-    double DoallTolerance)
     : M(&Mod) {
   Entries.resize(Mod.Regions.size());
-  ChildEdgeIndex.resize(Mod.Regions.size());
   for (size_t R = 0; R < Mod.Regions.size(); ++R)
     Entries[R].Id = static_cast<RegionId>(R);
 
-  // Per-region accumulation of work-weighted SP/TP plus DOALL voting,
-  // across every run's dictionary (characters are run-local, so each run
-  // is folded in independently).
+  // Per-region accumulation of work-weighted SP/TP plus DOALL voting.
   std::vector<double> SpAcc(Entries.size(), 0.0), TpAcc(Entries.size(), 0.0),
       WeightAcc(Entries.size(), 0.0), DoallVote(Entries.size(), 0.0);
   std::map<std::pair<RegionId, RegionId>, std::pair<uint64_t, uint64_t>>
       EdgeAcc;
 
-  for (const DictionaryCompressor *Dict : Runs) {
-    const std::vector<DynRegionSummary> &Alphabet = Dict->alphabet();
-    std::vector<uint64_t> Mult = Dict->computeMultiplicities();
+  const std::vector<DynRegionSummary> &Alphabet = Dict.alphabet();
+  std::vector<uint64_t> Mult = Dict.computeMultiplicities();
+  for (size_t C = 0; C < Alphabet.size(); ++C) {
+    if (Mult[C] == 0)
+      continue;
+    const DynRegionSummary &S = Alphabet[C];
+    RegionProfileEntry &E = Entries[S.Static];
+    E.Executed = true;
+    E.Instances += Mult[C];
+    E.TotalWork += S.Work * Mult[C];
+    E.TotalCp += S.Cp * Mult[C];
+    uint64_t Iters = S.numDynamicChildren();
+    E.TotalChildren += Iters * Mult[C];
 
-    for (size_t C = 0; C < Alphabet.size(); ++C) {
-      if (Mult[C] == 0)
-        continue;
-      const DynRegionSummary &S = Alphabet[C];
-      RegionProfileEntry &E = Entries[S.Static];
-      E.Executed = true;
-      E.Instances += Mult[C];
-      E.TotalWork += S.Work * Mult[C];
-      E.TotalCp += S.Cp * Mult[C];
-      uint64_t Iters = S.numDynamicChildren();
-      E.TotalChildren += Iters * Mult[C];
+    double SP = summarySelfParallelism(S, Alphabet);
+    double TP = S.Cp ? static_cast<double>(S.Work) /
+                           static_cast<double>(S.Cp)
+                     : 1.0;
+    if (TP < 1.0)
+      TP = 1.0;
+    double Weight = static_cast<double>(S.Work) *
+                    static_cast<double>(Mult[C]);
+    if (Weight <= 0)
+      Weight = static_cast<double>(Mult[C]);
+    SpAcc[S.Static] += SP * Weight;
+    TpAcc[S.Static] += TP * Weight;
+    WeightAcc[S.Static] += Weight;
 
-      double SP = summarySelfParallelism(S, Alphabet);
-      double TP = S.Cp ? static_cast<double>(S.Work) /
-                             static_cast<double>(S.Cp)
-                       : 1.0;
-      if (TP < 1.0)
-        TP = 1.0;
-      double Weight = static_cast<double>(S.Work) *
-                      static_cast<double>(Mult[C]);
-      if (Weight <= 0)
-        Weight = static_cast<double>(Mult[C]);
-      SpAcc[S.Static] += SP * Weight;
-      TpAcc[S.Static] += TP * Weight;
-      WeightAcc[S.Static] += Weight;
+    // DOALL vote: self-parallelism equivalent to the iteration count.
+    if (Iters >= 2 &&
+        SP >= (1.0 - DoallTolerance) * static_cast<double>(Iters))
+      DoallVote[S.Static] += Weight;
 
-      // DOALL vote: self-parallelism equivalent to the iteration count.
-      if (Iters >= 2 &&
-          SP >= (1.0 - DoallTolerance) * static_cast<double>(Iters))
-        DoallVote[S.Static] += Weight;
-
-      for (const auto &[Child, Freq] : S.Children) {
-        auto &Acc = EdgeAcc[{S.Static, Alphabet[Child].Static}];
-        Acc.first += Alphabet[Child].Work * Freq * Mult[C];
-        Acc.second += Freq * Mult[C];
-      }
+    for (const auto &[Child, Freq] : S.Children) {
+      auto &Acc = EdgeAcc[{S.Static, Alphabet[Child].Static}];
+      Acc.first += Alphabet[Child].Work * Freq * Mult[C];
+      Acc.second += Freq * Mult[C];
     }
   }
 
   for (size_t R = 0; R < Entries.size(); ++R) {
     RegionProfileEntry &E = Entries[R];
+    E.SelfWork = E.TotalWork;
     if (WeightAcc[R] > 0) {
       E.SelfParallelism = SpAcc[R] / WeightAcc[R];
       E.TotalParallelism = TpAcc[R] / WeightAcc[R];
@@ -125,12 +113,10 @@ ParallelismProfile::ParallelismProfile(
     }
   }
 
-  // Program work & root: sum over every run's root characters.
-  for (const DictionaryCompressor *Dict : Runs) {
-    for (const auto &[RootChar, Count] : Dict->roots()) {
-      ProgramWork += Dict->alphabet()[RootChar].Work * Count;
-      Root = Dict->alphabet()[RootChar].Static;
-    }
+  // Program work & root: sum over the root characters.
+  for (const auto &[RootChar, Count] : Dict.roots()) {
+    ProgramWork += Alphabet[RootChar].Work * Count;
+    Root = Alphabet[RootChar].Static;
   }
   if (ProgramWork > 0) {
     for (RegionProfileEntry &E : Entries)
@@ -138,16 +124,77 @@ ParallelismProfile::ParallelismProfile(
                       static_cast<double>(ProgramWork);
   }
 
-  // Materialize the region graph.
+  // Materialize the region graph. A summary's work covers its children's,
+  // so self-work never saturates on a well-formed dictionary.
   for (const auto &[Key, Acc] : EdgeAcc) {
     RegionEdge Edge;
     Edge.Parent = Key.first;
     Edge.Child = Key.second;
     Edge.Work = Acc.first;
     Edge.Count = Acc.second;
-    ChildEdgeIndex[Edge.Parent].push_back(
-        static_cast<uint32_t>(Edges.size()));
+    uint64_t &Self = Entries[Edge.Parent].SelfWork;
+    Self -= std::min(Self, Edge.Work);
     Edges.push_back(Edge);
+  }
+  buildTree();
+}
+
+void ParallelismProfile::buildTree() {
+  size_t N = Entries.size();
+  Parent.assign(N, NoRegion);
+  Children.assign(N, {});
+  if (Root == NoRegion)
+    return;
+
+  // Heaviest parent other than the region itself. Edges are sorted by
+  // (parent, child), so the strict comparison leaves a tie with the lowest
+  // parent id. The root keeps no parent even if recursion re-enters it.
+  std::vector<uint64_t> BestWork(N, 0);
+  for (const RegionEdge &E : Edges) {
+    if (E.Child == Root || E.Child == E.Parent)
+      continue;
+    if (Parent[E.Child] == NoRegion || E.Work > BestWork[E.Child]) {
+      Parent[E.Child] = E.Parent;
+      BestWork[E.Child] = E.Work;
+    }
+  }
+
+  // A parent chain that comes back to a region it already passed is a
+  // cycle (mutual recursion): every region on it moves under the root.
+  std::vector<uint32_t> WalkOf(N, 0);
+  uint32_t Walk = 0;
+  for (RegionId R = 0; R < N; ++R) {
+    if (!Entries[R].Executed || R == Root || WalkOf[R])
+      continue;
+    ++Walk;
+    RegionId P = R;
+    for (; P != NoRegion && P != Root && !WalkOf[P]; P = Parent[P])
+      WalkOf[P] = Walk;
+    if (P == NoRegion || WalkOf[P] != Walk)
+      continue; // Reached the root, a dead end or an earlier walk.
+    RegionId C = P;
+    do {
+      RegionId Next = Parent[C];
+      Parent[C] = Root;
+      C = Next;
+    } while (C != P);
+  }
+
+  for (RegionId R = 0; R < N; ++R) {
+    if (!Entries[R].Executed || R == Root)
+      continue;
+    if (Parent[R] == NoRegion)
+      Parent[R] = Root; // No observed parent: another run's root.
+    Children[Parent[R]].push_back(R);
+  }
+
+  // Depth-first from the root; each region's last child is visited first.
+  std::vector<RegionId> Stack = {Root};
+  while (!Stack.empty()) {
+    RegionId R = Stack.back();
+    Stack.pop_back();
+    Preorder.push_back(R);
+    Stack.insert(Stack.end(), Children[R].begin(), Children[R].end());
   }
 }
 

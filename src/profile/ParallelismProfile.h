@@ -17,8 +17,11 @@
 /// planning-on-compressed-data property) and aggregated per static region
 /// by work-weighted averaging. Also derives total-parallelism (plain CPA's
 /// work/cp, the §6.2 comparison baseline), execution coverage, loop
-/// classification (DOALL by SP ≈ iteration-count equivalence, §5.1), and
-/// the dynamic region graph (observed static nesting with work weights).
+/// classification (DOALL by SP ≈ iteration-count equivalence, §5.1), the
+/// dynamic region graph (observed static nesting with work weights), and
+/// the region tree every planner, the machine simulator and every report
+/// view read: one node per executed region, under its heaviest observed
+/// parent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,6 +59,10 @@ struct RegionProfileEntry {
   uint64_t TotalCp = 0;
   /// Σ dynamic children over all instances (loop: total iterations).
   uint64_t TotalChildren = 0;
+  /// Exclusive work (Eq. 2 summed over instances): TotalWork minus the
+  /// work of every observed child occurrence. Σ over regions is program
+  /// work.
+  uint64_t SelfWork = 0;
 
   /// Work-weighted mean self-parallelism (≥ 1).
   double SelfParallelism = 1.0;
@@ -94,16 +101,9 @@ class ParallelismProfile {
 public:
   /// Builds the profile for \p M from a completed profiling run's
   /// dictionary. \p DoallTolerance is the relative slack for the SP ≈
-  /// iteration-count DOALL check.
+  /// iteration-count DOALL check. Several runs (paper §2.4) are profiled
+  /// as one dictionary: aggregate::mergeProfiles combines them first.
   ParallelismProfile(const Module &M, const DictionaryCompressor &Dict,
-                     double DoallTolerance = 0.2);
-
-  /// Multi-run aggregation (paper §2.4): builds one profile from several
-  /// profiling runs of the same module (typically with different inputs),
-  /// reducing input-dependence risk. Work/instances accumulate across
-  /// runs; SP/TP are work-weighted across all runs' dictionary entries.
-  ParallelismProfile(const Module &M,
-                     const std::vector<const DictionaryCompressor *> &Runs,
                      double DoallTolerance = 0.2);
 
   const RegionProfileEntry &entry(RegionId R) const { return Entries[R]; }
@@ -112,13 +112,24 @@ public:
   uint64_t programWork() const { return ProgramWork; }
   const Module &module() const { return *M; }
 
-  /// Children of \p R in the observed region graph (edge indices).
-  const std::vector<uint32_t> &childEdges(RegionId R) const {
-    return ChildEdgeIndex[R];
-  }
-
   /// The root region (main's Function region), NoRegion if nothing ran.
   RegionId rootRegion() const { return Root; }
+
+  // The region tree, built once here for the planners, the machine
+  // simulator and every report view. Every executed region, Body regions
+  // included, is one node under its heaviest observed parent other than
+  // itself (ties go to the lowest parent id). Regions with no such parent,
+  // and regions on a parent cycle (mutual recursion), hang under the root.
+
+  /// Tree parent of \p R; NoRegion for the root and unexecuted regions.
+  RegionId parent(RegionId R) const { return Parent[R]; }
+  /// Tree children of \p R, ascending by id.
+  const std::vector<RegionId> &children(RegionId R) const {
+    return Children[R];
+  }
+  /// Every executed region, parents before children (empty if nothing
+  /// ran).
+  const std::vector<RegionId> &preorder() const { return Preorder; }
 
   /// Serializes per-region rows for logging/tests.
   std::string toText() const;
@@ -127,9 +138,13 @@ private:
   const Module *M;
   std::vector<RegionProfileEntry> Entries;
   std::vector<RegionEdge> Edges;
-  std::vector<std::vector<uint32_t>> ChildEdgeIndex;
+  std::vector<RegionId> Parent;
+  std::vector<std::vector<RegionId>> Children;
+  std::vector<RegionId> Preorder;
   uint64_t ProgramWork = 0;
   RegionId Root = NoRegion;
+
+  void buildTree();
 };
 
 /// Self-parallelism of one summary given its children's summaries — the

@@ -8,68 +8,11 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace kremlin;
 using namespace kremlin::report;
 
-// --- Tree building ----------------------------------------------------------
-
 namespace {
-
-struct TreeBuilder {
-  const ParallelismProfile &P;
-  const ReportOptions &Opts;
-  RegionTree Tree;
-  /// Regions on the current DFS path — recursion back-edges are cut so a
-  /// recursive program yields a finite tree.
-  std::unordered_set<RegionId> OnPath;
-
-  TreeBuilder(const ParallelismProfile &Prof, const ReportOptions &O)
-      : P(Prof), Opts(O) {}
-
-  double coverageOf(uint64_t Work) const {
-    return Tree.ProgramWork
-               ? 100.0 * static_cast<double>(Work) /
-                     static_cast<double>(Tree.ProgramWork)
-               : 0.0;
-  }
-
-  void visit(RegionId R, int Parent, unsigned Depth, uint64_t Work,
-             uint64_t Visits) {
-    const RegionProfileEntry &E = P.entry(R);
-    int Self = static_cast<int>(Tree.Nodes.size());
-    RegionTreeNode Node;
-    Node.Region = R;
-    Node.Parent = Parent;
-    Node.Depth = Depth;
-    Node.Work = Work;
-    Node.SelfWork = Work; // Kept children subtract below.
-    Node.Visits = Visits;
-    Node.SelfParallelism = E.SelfParallelism;
-    Node.CoveragePct = coverageOf(Work);
-    Tree.Nodes.push_back(Node);
-
-    OnPath.insert(R);
-    // Children sorted by descending work so sibling order is meaningful in
-    // every rendering.
-    std::vector<uint32_t> Kids(P.childEdges(R));
-    std::stable_sort(Kids.begin(), Kids.end(), [&](uint32_t A, uint32_t B) {
-      return P.edges()[A].Work > P.edges()[B].Work;
-    });
-    for (uint32_t EdgeIdx : Kids) {
-      const RegionEdge &Edge = P.edges()[EdgeIdx];
-      if (OnPath.count(Edge.Child))
-        continue; // Recursion back-edge.
-      if (coverageOf(Edge.Work) < Opts.MinCoveragePct)
-        continue; // Pruned subtree folds into this node's self-work.
-      Tree.Nodes[Self].SelfWork -= std::min(Tree.Nodes[Self].SelfWork,
-                                            Edge.Work);
-      visit(Edge.Child, Self, Depth + 1, Edge.Work, Edge.Count);
-    }
-    OnPath.erase(R);
-  }
-};
 
 /// Compact, space-free frame label for collapsed-stacks output.
 std::string collapsedLabel(const Module &M, const RegionProfileEntry &E) {
@@ -90,16 +33,70 @@ std::vector<int> pathTo(const RegionTree &T, int Node) {
 
 } // namespace
 
+// --- Tree building ----------------------------------------------------------
+
 RegionTree report::buildRegionTree(const ParallelismProfile &P,
                                    const ReportOptions &Opts) {
-  TreeBuilder B(P, Opts);
-  B.Tree.ProgramWork = P.programWork();
-  RegionId Root = P.rootRegion();
-  if (Root != NoRegion) {
-    const RegionProfileEntry &E = P.entry(Root);
-    B.visit(Root, -1, 0, E.TotalWork, E.Instances);
+  RegionTree T;
+  T.ProgramWork = P.programWork();
+  auto CoverageOf = [&](uint64_t Work) {
+    return T.ProgramWork ? 100.0 * static_cast<double>(Work) /
+                               static_cast<double>(T.ProgramWork)
+                         : 0.0;
+  };
+
+  // Subtree work: the profile's preorder lists parents first, so a reverse
+  // walk sums each region's self-work into its ancestors.
+  const std::vector<RegionId> &Order = P.preorder();
+  std::vector<uint64_t> Work(P.entries().size(), 0);
+  for (size_t I = Order.size(); I-- > 0;) {
+    RegionId R = Order[I];
+    Work[R] += P.entry(R).SelfWork;
+    if (P.parent(R) != NoRegion)
+      Work[P.parent(R)] += Work[R];
   }
-  return std::move(B.Tree);
+
+  // Emit depth-first with children by descending work, ties by id. A
+  // pruned child's subtree folds into its parent's self-work.
+  struct Pending {
+    RegionId Region;
+    int Parent;
+    unsigned Depth;
+  };
+  std::vector<Pending> Stack;
+  if (!Order.empty())
+    Stack.push_back({P.rootRegion(), -1, 0});
+  std::vector<RegionId> Kids;
+  while (!Stack.empty()) {
+    Pending Cur = Stack.back();
+    Stack.pop_back();
+    const RegionProfileEntry &E = P.entry(Cur.Region);
+    RegionTreeNode Node;
+    Node.Region = Cur.Region;
+    Node.Parent = Cur.Parent;
+    Node.Depth = Cur.Depth;
+    Node.Work = Work[Cur.Region];
+    Node.SelfWork = E.SelfWork;
+    Node.Visits = E.Instances;
+    Node.SelfParallelism = E.SelfParallelism;
+    Node.CoveragePct = CoverageOf(Node.Work);
+
+    Kids.clear();
+    for (RegionId C : P.children(Cur.Region)) {
+      if (CoverageOf(Work[C]) < Opts.MinCoveragePct)
+        Node.SelfWork += Work[C];
+      else
+        Kids.push_back(C);
+    }
+    std::sort(Kids.begin(), Kids.end(), [&](RegionId A, RegionId B) {
+      return Work[A] != Work[B] ? Work[A] > Work[B] : A < B;
+    });
+    int Self = static_cast<int>(T.Nodes.size());
+    for (size_t K = Kids.size(); K-- > 0;)
+      Stack.push_back({Kids[K], Self, Cur.Depth + 1});
+    T.Nodes.push_back(Node);
+  }
+  return T;
 }
 
 std::string report::frameLabel(const Module &M, const RegionProfileEntry &E) {

@@ -7,8 +7,9 @@
 /// \file
 /// Exports the HCPA parallelism profile as artifacts a programmer can
 /// actually look at (the gprof lesson: a profiler is its report). The
-/// observed region graph is flattened into a work-weighted tree whose
-/// frames carry self-parallelism annotations, then rendered as:
+/// profile's region tree — the one the planners chose the plan from — is
+/// laid out as a work-weighted tree whose frames carry self-parallelism
+/// annotations, then rendered as:
 ///
 ///  - speedscope JSON ("sampled" profile; one sample per tree node,
 ///    weighted by self-work) — drop the file on speedscope.app and the
@@ -39,44 +40,46 @@ namespace report {
 
 /// Shared knobs for every export format.
 struct ReportOptions {
-  /// Prune tree nodes whose path-work coverage is below this percentage;
+  /// Prune tree nodes whose subtree coverage is below this percentage;
   /// pruned subtrees fold back into the parent's self-work so totals are
   /// preserved.
   double MinCoveragePct = 0.0;
-  /// Keep only the N highest-work rows in flat outputs (tree/timeline);
-  /// 0 means unlimited. Stack-shaped outputs (speedscope/collapsed) keep
-  /// ancestors of kept nodes regardless.
+  /// Keep only the first N rows of the tree view and the N highest-work
+  /// regions of the timeline; 0 means unlimited. speedscope and collapsed
+  /// output ignore it.
   unsigned Top = 0;
 };
 
-/// One node of the flattened region tree, preorder. A static region can
-/// appear several times (once per distinct observed call path); recursive
-/// back-edges are cut.
+/// One node of the region tree, preorder. Each executed static region
+/// appears once, under its tree parent (ParallelismProfile::parent).
 struct RegionTreeNode {
   RegionId Region = NoRegion;
   /// Index of the parent node in RegionTree::Nodes, -1 for the root.
   int Parent = -1;
   unsigned Depth = 0;
-  /// Inclusive work attributed to this path (the observed edge weight).
+  /// Σ SelfWork over the region's subtree. A recursive region's TotalWork
+  /// counts its nested calls; this does not, so coverage stays ≤ 100%.
   uint64_t Work = 0;
-  /// Work minus the work of kept children — the flamegraph sample weight.
+  /// The region's exclusive work plus its pruned children's work — the
+  /// flamegraph sample weight.
   uint64_t SelfWork = 0;
-  /// Dynamic visits along this path (edge count; instances for the root).
+  /// Dynamic instances of the region.
   uint64_t Visits = 0;
   double SelfParallelism = 1.0;
   /// Work / programWork, percent.
   double CoveragePct = 0.0;
 };
 
-/// The flattened, pruned region tree every export renders from.
+/// The pruned region tree every export renders from.
 struct RegionTree {
   std::vector<RegionTreeNode> Nodes; ///< Preorder; Nodes[0] is the root.
   uint64_t ProgramWork = 0;
 };
 
-/// Builds the tree from the profile's observed region graph, cutting
-/// recursion cycles and applying MinCoveragePct pruning. Children are
-/// ordered by descending work.
+/// Lays out the profile's region tree, applying MinCoveragePct pruning.
+/// Children are ordered by descending work, ties by ascending region id.
+/// Σ SelfWork over the nodes is the program's work. Costs O(regions),
+/// plus sorting each region's children.
 RegionTree buildRegionTree(const ParallelismProfile &P,
                            const ReportOptions &Opts = ReportOptions());
 

@@ -3,8 +3,8 @@
 #include "TestUtil.h"
 
 #include "planner/Personality.h"
-#include "planner/RegionTree.h"
 #include "suite/SourceGenerator.h"
+#include "support/Json.h"
 
 using namespace kremlin;
 using namespace kremlin::test;
@@ -110,13 +110,12 @@ TEST(Planner, NoNestedSelections) {
     }
   )");
   Plan P = planWith(Run, "openmp");
-  PlanningTree Tree(*Run.Profile);
   for (const PlanItem &A : P.Items)
     for (const PlanItem &B : P.Items) {
       if (A.Region == B.Region)
         continue;
-      for (RegionId R = Tree.parent(A.Region); R != NoRegion;
-           R = Tree.parent(R))
+      for (RegionId R = Run.Profile->parent(A.Region); R != NoRegion;
+           R = Run.Profile->parent(R))
         EXPECT_NE(R, B.Region) << "nested plan selections";
     }
 }
@@ -147,9 +146,9 @@ TEST(Planner, DpPrefersChildrenWhenCollectivelyBetter) {
   // Greedy takes the one parent; DP takes the three children.
   ASSERT_EQ(Greedy.Items.size(), 1u);
   ASSERT_EQ(Dp.Items.size(), 3u);
-  PlanningTree Tree(*Run.Profile);
   for (const PlanItem &I : Dp.Items)
-    EXPECT_EQ(Tree.parent(I.Region), Greedy.Items[0].Region);
+    EXPECT_EQ(candidateParent(*Run.Profile, I.Region),
+              Greedy.Items[0].Region);
   // And the children collectively promise more.
   EXPECT_GT(Dp.EstProgramSpeedup, Greedy.EstProgramSpeedup);
 }
@@ -265,7 +264,34 @@ TEST(Planner, PrintPlanFormat) {
   EXPECT_NE(Text.find("t.c ("), std::string::npos);
 }
 
-TEST(PlanningTree, BuildsCandidateTree) {
+TEST(Planner, CilkCountsRecursiveCalleeUnderItsHeaviestCaller) {
+  // fib's calls to itself outweigh both of its call sites; the tree skips
+  // that self-edge, so fib hangs under tabulate's loop and the Cilk plan
+  // does not count it a second time.
+  std::string Source;
+  ASSERT_TRUE(readFileToString(
+      KREMLIN_EXAMPLES_DIR "/minic/recursion_demo.c", Source));
+  ProfiledRun Run = profileSource(Source);
+  const ParallelismProfile &P = *Run.Profile;
+  const RegionProfileEntry *Fib = findRegion(Run, RegionKind::Function, "fib");
+  ASSERT_NE(Fib, nullptr);
+  RegionId Heaviest = NoRegion;
+  uint64_t HeaviestWork = 0;
+  for (const RegionEdge &E : P.edges())
+    if (E.Child == Fib->Id && E.Parent != Fib->Id &&
+        (Heaviest == NoRegion || E.Work > HeaviestWork)) {
+      Heaviest = E.Parent;
+      HeaviestWork = E.Work;
+    }
+  ASSERT_NE(Heaviest, NoRegion);
+  EXPECT_EQ(P.parent(Fib->Id), Heaviest);
+  RegionId Caller = candidateParent(P, Fib->Id);
+  EXPECT_EQ(Run.M->Regions[Caller].Kind, RegionKind::Loop);
+  EXPECT_EQ(Run.M->Functions[Run.M->Regions[Caller].Func].Name, "tabulate");
+  EXPECT_LT(planWith(Run, "cilk").EstProgramSpeedup, 1000.0);
+}
+
+TEST(ProfileTree, BuildsCandidateTree) {
   ProfiledRun Run = profileSource(R"(
     int helper(int x) { return x * 3; }
     int main() {
@@ -274,32 +300,58 @@ TEST(PlanningTree, BuildsCandidateTree) {
       return s;
     }
   )");
-  PlanningTree Tree(*Run.Profile);
-  RegionId Root = Tree.root();
+  const ParallelismProfile &P = *Run.Profile;
+  RegionId Root = P.rootRegion();
   EXPECT_EQ(Run.M->Regions[Root].Name, "main");
-  // Candidates only: no Body regions anywhere in the tree.
-  for (RegionId R : Tree.preorder())
-    EXPECT_NE(Run.M->Regions[R].Kind, RegionKind::Body);
-  // helper's tree parent is the loop (its heaviest caller context).
+  ASSERT_FALSE(P.preorder().empty());
+  EXPECT_EQ(P.preorder().front(), Root);
+  // Every executed region once; a Body region sits under its own loop.
+  std::set<RegionId> Seen;
+  for (RegionId R : P.preorder()) {
+    EXPECT_TRUE(Seen.insert(R).second);
+    if (Run.M->Regions[R].Kind == RegionKind::Body) {
+      EXPECT_EQ(P.parent(R), Run.M->Regions[R].Parent);
+    }
+  }
+  for (const RegionProfileEntry &E : P.entries())
+    EXPECT_EQ(Seen.count(E.Id), E.Executed ? 1u : 0u);
+  // helper's nearest candidate ancestor is the loop (its heaviest caller
+  // context).
   RegionId Helper = NoRegion;
   for (const StaticRegion &R : Run.M->Regions)
     if (R.Kind == RegionKind::Function && R.Name == "helper")
       Helper = R.Id;
   ASSERT_NE(Helper, NoRegion);
-  EXPECT_EQ(Run.M->Regions[Tree.parent(Helper)].Kind, RegionKind::Loop);
+  EXPECT_EQ(Run.M->Regions[candidateParent(P, Helper)].Kind,
+            RegionKind::Loop);
 }
 
-TEST(PlanningTree, RecursionDoesNotCycle) {
-  ProfiledRun Run = profileSource(R"(
+TEST(ProfileTree, RecursionDoesNotCycle) {
+  // Self-recursion, then mutual recursion: each of even and odd is the
+  // other's heaviest parent, so the cycle hangs under the root.
+  for (const char *Src : {R"(
     int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }
     int main() { return fact(10) % 1000; }
-  )");
-  PlanningTree Tree(*Run.Profile);
-  // Preorder terminates and visits each candidate at most once.
-  std::set<RegionId> Seen;
-  for (RegionId R : Tree.preorder())
-    EXPECT_TRUE(Seen.insert(R).second);
-  EXPECT_GE(Seen.size(), 2u); // main + fact at least.
+  )",
+                          R"(
+    int even(int n) { if (n == 0) { return 1; } return odd(n - 1); }
+    int odd(int n) { if (n == 0) { return 0; } return even(n - 1); }
+    int main() { return even(10); }
+  )"}) {
+    ProfiledRun Run = profileSource(Src);
+    const ParallelismProfile &P = *Run.Profile;
+    // Preorder terminates and visits each region at most once.
+    std::set<RegionId> Seen;
+    for (RegionId R : P.preorder())
+      EXPECT_TRUE(Seen.insert(R).second);
+    EXPECT_GE(Seen.size(), 2u); // main + a recursive function at least.
+    for (const char *Name : {"even", "odd"}) {
+      if (const RegionProfileEntry *E =
+              findRegion(Run, RegionKind::Function, Name)) {
+        EXPECT_EQ(P.parent(E->Id), P.rootRegion()) << Name;
+      }
+    }
+  }
 }
 
 } // namespace

@@ -14,7 +14,6 @@
 
 #include "analysis/StaticDependence.h"
 #include "planner/Personality.h"
-#include "planner/RegionTree.h"
 #include "support/Prng.h"
 #include "support/StringUtils.h"
 
@@ -250,14 +249,13 @@ TEST_P(PipelineProperty, OpenMPPlanRespectsPathConstraint) {
   ProfiledRun Run = profileSource(P.source());
   Plan Plan =
       makeOpenMPPersonality()->plan(*Run.Profile, PlannerOptions());
-  PlanningTree Tree(*Run.Profile);
   for (const PlanItem &A : Plan.Items) {
     EXPECT_EQ(Run.M->Regions[A.Region].Kind, RegionKind::Loop);
     for (const PlanItem &B : Plan.Items) {
       if (A.Region == B.Region)
         continue;
-      for (RegionId R = Tree.parent(A.Region); R != NoRegion;
-           R = Tree.parent(R))
+      for (RegionId R = Run.Profile->parent(A.Region); R != NoRegion;
+           R = Run.Profile->parent(R))
         ASSERT_NE(R, B.Region) << "nested selections in plan";
     }
   }

@@ -1,7 +1,7 @@
 //===- tests/ReportTest.cpp - Profile explorer export tests ---------------===//
 //
-// Covers the report layer: region-tree flattening (preorder shape, work
-// accounting, recursion cuts, coverage pruning), speedscope JSON schema
+// Covers the report layer: the region-tree layout (preorder shape, work
+// accounting, one node per region, coverage pruning), speedscope JSON schema
 // validity, collapsed-stacks weights, the per-region timeline export, the
 // terminal tree view, and byte-exact golden files for a fixed MiniC
 // program (regenerate with KREMLIN_UPDATE_GOLDEN=1).
@@ -15,6 +15,7 @@
 #include "support/StringUtils.h"
 
 #include <cstdlib>
+#include <set>
 #include <string>
 
 using namespace kremlin;
@@ -113,6 +114,25 @@ TEST(ReportTree, RecursionBackEdgesAreCut) {
   for (const RegionTreeNode &N : T.Nodes)
     DownNodes += Run.M->Regions[N.Region].Name == "down";
   EXPECT_EQ(DownNodes, 1u);
+}
+
+TEST(ReportTree, CallChainIsOneNodePerRegion) {
+  // Every f<k+1> has two callers, so the region graph has 2^24
+  // root-to-leaf paths; the tree still holds each executed region once.
+  ProfiledRun Run = profileSource(callChainSource(24));
+  RegionTree T = buildRegionTree(*Run.Profile);
+  std::set<RegionId> Regions;
+  uint64_t SelfSum = 0;
+  for (const RegionTreeNode &N : T.Nodes) {
+    EXPECT_TRUE(Regions.insert(N.Region).second) << "r" << N.Region;
+    SelfSum += N.SelfWork;
+  }
+  size_t Executed = 0;
+  for (const RegionProfileEntry &E : Run.Profile->entries())
+    Executed += E.Executed;
+  EXPECT_EQ(T.Nodes.size(), Executed);
+  EXPECT_EQ(SelfSum, Run.Profile->programWork());
+  EXPECT_EQ(T.Nodes[0].Work, Run.Profile->programWork());
 }
 
 TEST(ReportSpeedscope, SchemaAndWeightInvariants) {

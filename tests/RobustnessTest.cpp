@@ -176,6 +176,42 @@ TEST(Robustness, FaultEnvIsHonored) {
   EXPECT_NE(SS.str().find("stage 'execute'"), std::string::npos) << SS.str();
 }
 
+TEST(Robustness, ReportRendersDeepCallChain) {
+  // 2^24 root-to-leaf paths in the region graph; the report is one node
+  // per region and returns at once.
+  std::string Src = scratchPath("chain.c");
+  {
+    std::ofstream Out(Src);
+    Out << kremlin::test::callChainSource(24);
+  }
+  RunResult R = runTool("report " + Src + " --format=speedscope", "timeout 60");
+  EXPECT_TRUE(R.ExitedCleanly) << R.Output;
+  EXPECT_EQ(R.ExitCode, 0) << R.Output.substr(0, 2000);
+  EXPECT_NE(R.Output.find("\"samples\""), std::string::npos);
+  expectNoSanitizerReport(R.Output);
+  std::remove(Src.c_str());
+}
+
+TEST(Robustness, ReportRefusesTraceFromBiggerProgram) {
+  // sp's region ids run past is's region table.
+  std::string Trace = scratchPath("sp.ktrace");
+  RunResult Save = runTool("--bench=sp --save-trace=" + Trace + " --rows=1");
+  ASSERT_EQ(Save.ExitCode, 0) << Save.Output;
+  RunResult R =
+      runTool("report --bench=is --load-trace=" + Trace + " --format=tree");
+  EXPECT_TRUE(R.ExitedCleanly) << R.Output;
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_EQ(std::count(R.Output.begin(), R.Output.end(), '\n'), 1)
+      << R.Output;
+  EXPECT_NE(R.Output.find(Trace), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("'is.c'"), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("region id"), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("invalid-argument"), std::string::npos)
+      << R.Output;
+  expectNoSanitizerReport(R.Output);
+  std::remove(Trace.c_str());
+}
+
 // --- Malformed flag values. ----------------------------------------------
 
 /// A flag value the parser must reject: exit 1 with one line naming the

@@ -9,6 +9,8 @@
 
 #include "aggregate/ProfileService.h"
 
+#include "TestUtil.h"
+
 #include "aggregate/ProfileMerge.h"
 #include "compress/TraceIO.h"
 #include "support/FaultInjection.h"
@@ -19,6 +21,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 using namespace kremlin;
 using namespace kremlin::aggregate;
@@ -115,6 +118,42 @@ TEST(Serve, IngestThenViewRoundTrip) {
   http::Response Metrics = Svc->handle(makeRequest("GET", "/metrics"));
   EXPECT_EQ(Metrics.Code, 200);
   EXPECT_NE(Metrics.Body.find("serve.requests"), std::string::npos);
+}
+
+TEST(Serve, CallChainViewIsOneSamplePerRegion) {
+  // A region graph with 2^24 root-to-leaf paths renders one sample per
+  // region, and the weights still sum to the program's work.
+  kremlin::test::ProfiledRun Run =
+      kremlin::test::profileSource(kremlin::test::callChainSource(24));
+  std::unique_ptr<ProfileService> Svc = makeService();
+  ASSERT_TRUE(Svc);
+  ASSERT_EQ(Svc->handle(makeRequest("POST", "/ingest", {},
+                                    writeTrace(*Run.Dict)))
+                .Code,
+            200);
+  http::Response View =
+      Svc->handle(makeRequest("GET", "/profile", {{"format", "speedscope"}}));
+  ASSERT_EQ(View.Code, 200);
+  JsonValue Doc;
+  ASSERT_TRUE(JsonValue::parse(View.Body, Doc));
+  const JsonValue &Profile = Doc.get("profiles")->at(0);
+  const JsonValue *Samples = Profile.get("samples");
+  const JsonValue *Weights = Profile.get("weights");
+  std::set<double> Leaves;
+  double WeightSum = 0;
+  for (size_t I = 0; I < Samples->size(); ++I) {
+    const JsonValue &Stack = Samples->at(I);
+    EXPECT_TRUE(Leaves.insert(Stack.at(Stack.size() - 1).asNumber()).second)
+        << "a region is sampled twice";
+    WeightSum += Weights->at(I).asNumber();
+  }
+  size_t Executed = 0;
+  for (const RegionProfileEntry &E : Run.Profile->entries())
+    Executed += E.Executed;
+  EXPECT_LE(Samples->size(), Executed);
+  EXPECT_LE(Doc.get("shared")->get("frames")->size(), Executed);
+  EXPECT_EQ(WeightSum, static_cast<double>(Run.Profile->programWork()));
+  EXPECT_EQ(Profile.getNumber("endValue"), WeightSum);
 }
 
 TEST(Serve, ErrorPathsReturnStructuredCodes) {

@@ -95,6 +95,40 @@ inline constexpr const char *DeadFrameArraySource = R"(
   }
 )";
 
+/// A guarded call chain of \p Depth levels: f<k>(0) calls f<k+1> from two
+/// loops, so every f<k+1> has two observed parents and the region graph
+/// has 2^Depth root-to-leaf paths. Only f<k+1>(0) goes deeper, so the run
+/// itself stays small (four calls per level).
+inline std::string callChainSource(unsigned Depth) {
+  std::string Src =
+      "int f" + std::to_string(Depth) + "(int n) { return n; }\n";
+  for (unsigned K = Depth; K-- > 0;) {
+    std::string Next = "f" + std::to_string(K + 1);
+    Src += "int f" + std::to_string(K) +
+           "(int n) {\n"
+           "  if (n == 0) {\n"
+           "    for (int i = 0; i < 2; i = i + 1) { " +
+           Next +
+           "(i); }\n"
+           "    for (int j = 0; j < 2; j = j + 1) { " +
+           Next +
+           "(j + 1); }\n"
+           "  }\n"
+           "  return 0;\n"
+           "}\n";
+  }
+  return Src + "int main() { f0(0); return 0; }\n";
+}
+
+/// The nearest non-Body ancestor of \p R in the profile's region tree: the
+/// parent a planner sees. NoRegion for the root.
+inline RegionId candidateParent(const ParallelismProfile &P, RegionId R) {
+  RegionId Up = P.parent(R);
+  while (Up != NoRegion && P.module().Regions[Up].Kind == RegionKind::Body)
+    Up = P.parent(Up);
+  return Up;
+}
+
 /// Sanitizer builds exit 1 on a report, the same code as a structured
 /// error, so a drill that runs the tools must check their output too.
 inline void expectNoSanitizerReport(const std::string &Output) {

@@ -2,6 +2,7 @@
 
 #include "TestUtil.h"
 
+#include "aggregate/ProfileMerge.h"
 #include "compress/TraceIO.h"
 #include "support/FaultInjection.h"
 
@@ -193,7 +194,8 @@ TEST(Aggregation, TwoRunsDoubleTheTotals) {
     ASSERT_TRUE(I.run(&RT).Ok);
   }
   ParallelismProfile Single(*M, D1);
-  ParallelismProfile Both(*M, {&D1, &D2});
+  DictionaryCompressor Merged = aggregate::mergeProfiles({&D1, &D2});
+  ParallelismProfile Both(*M, Merged);
   EXPECT_EQ(Both.programWork(), 2 * Single.programWork());
   for (size_t I = 0; I < Both.entries().size(); ++I) {
     const RegionProfileEntry &S = Single.entries()[I];
@@ -223,7 +225,8 @@ TEST(Aggregation, CombinesRunsWithDifferentBehaviour) {
   }
   Expected<DictionaryCompressor> Reloaded = readTrace(writeTrace(D1));
   ASSERT_TRUE(Reloaded.ok());
-  ParallelismProfile Agg(*M, {&D1, &*Reloaded});
+  DictionaryCompressor Merged = aggregate::mergeProfiles({&D1, &*Reloaded});
+  ParallelismProfile Agg(*M, Merged);
   ParallelismProfile One(*M, D1);
   EXPECT_EQ(Agg.programWork(), 2 * One.programWork());
   EXPECT_EQ(Agg.rootRegion(), One.rootRegion());
