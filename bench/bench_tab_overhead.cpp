@@ -22,6 +22,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
+
 using namespace kremlin;
 
 namespace {
@@ -169,6 +171,47 @@ void BM_ConsumeBatchOps(benchmark::State &State) {
       static_cast<int64_t>(State.iterations() * Batch.size()));
 }
 BENCHMARK(BM_ConsumeBatchOps)->Arg(2)->Arg(6)->Arg(12);
+
+/// consumeBatch on Tree events of 3-4 ops and 3 leaves: the per-event cost
+/// of onTree, next to BM_ConsumeBatchOps' per-op cost. The suite's trees
+/// average 3.6 ops and 1.4 leaves, so this errs on the costly side. Items
+/// are events; the batch stands for 3.7 times as many instructions.
+void BM_ConsumeBatchTrees(benchmark::State &State) {
+  NullSink Sink;
+  KremlinConfig Cfg;
+  KremlinRuntime RT(Cfg, Sink);
+  RT.pushFrame(/*NumRegs=*/64);
+  unsigned Depth = static_cast<unsigned>(State.range(0));
+  for (unsigned D = 0; D < Depth; ++D)
+    RT.enterRegion(D);
+  // 64 shapes: each reads three rows and roots a tree of 3 or 4 ops.
+  std::vector<TreeLeaf> Leaves;
+  std::vector<TreeShape> Shapes(64);
+  for (uint32_t K = 0; K < 64; ++K) {
+    Leaves.push_back({K, 3});
+    Leaves.push_back({(K + 1) % 64, 3});
+    Leaves.push_back({(K + 2) % 64, 2});
+  }
+  for (uint32_t K = 0; K < 64; ++K) {
+    TreeShape &S = Shapes[K];
+    S.Leaves = Leaves.data() + 3 * K;
+    S.NumLeaves = 3;
+    S.CdDist = 3;
+    S.Ops = K % 10 < 7 ? 4 : 3;
+    S.Work = S.Ops;
+  }
+  std::vector<ProfEvent> Batch(ProfEventBatchSize);
+  for (size_t I = 0; I < Batch.size(); ++I) {
+    Batch[I].Kind = static_cast<uint8_t>(EvKind::Tree);
+    Batch[I].A = static_cast<uint32_t>((I + 3) % 64);
+    Batch[I].Addr = std::bit_cast<uint64_t>(&Shapes[I % 64]);
+  }
+  for (auto _ : State)
+    RT.consumeBatch(Batch.data(), Batch.size());
+  State.SetItemsProcessed(
+      static_cast<int64_t>(State.iterations() * Batch.size()));
+}
+BENCHMARK(BM_ConsumeBatchTrees)->Arg(2)->Arg(6)->Arg(12);
 
 /// consumeBatch across a region boundary: enter/exit plus a burst of ops —
 /// exercises the structural events (instance retag, summary interning)

@@ -65,6 +65,7 @@ void flushExecutionTelemetry(const KremlinRuntime &RT,
                              const DictionaryCompressor &Dict) {
   telemetry::Registry &Reg = telemetry::Registry::global();
   static telemetry::Counter &DynInsns = Reg.counter("rt.dyn_instructions");
+  static telemetry::Counter &Events = Reg.counter("rt.prof_events");
   static telemetry::Counter &DynRegions = Reg.counter("rt.dyn_region_entries");
   static telemetry::Counter &Loads = Reg.counter("rt.loads");
   static telemetry::Counter &Stores = Reg.counter("rt.stores");
@@ -80,6 +81,7 @@ void flushExecutionTelemetry(const KremlinRuntime &RT,
 
   const RuntimeStats &Stats = RT.stats();
   DynInsns.add(Stats.DynInstructions);
+  Events.add(Stats.Events);
   DynRegions.add(Stats.DynRegionEntries);
   Loads.add(Stats.Loads);
   Stores.add(Stats.Stores);

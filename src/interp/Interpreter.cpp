@@ -432,6 +432,24 @@ private:
     commit();
   }
 
+  /// The event of tree op \p I (see TreeShape): none for an inner op,
+  /// which its root's Tree event accounts for; a Tree event at the root of
+  /// a multi-op tree, whose shape is Shapes[\p Shape]; else a plain Op
+  /// event.
+  void emitTreeOp(const TapeInst *I, const TreeShape *Shapes, uint64_t Shape,
+                  Opcode Op, uint32_t Dst, uint32_t A, uint32_t B) {
+    if (I->Flags & InnerFlag)
+      return;
+    if (I->Flags & TreeRootFlag) {
+      ProfEvent &E = push(EvKind::Tree);
+      E.A = Dst;
+      E.Addr = std::bit_cast<uint64_t>(Shapes + Shape);
+      commit();
+      return;
+    }
+    emitOp(Op, Dst, A, B, I->Flags);
+  }
+
   void emitMem(EvKind Kind, uint32_t Dst, uint32_t AddrReg, uint64_t Addr) {
     ProfEvent &E = push(Kind);
     E.A = Dst;
@@ -578,6 +596,7 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
   uint64_t *const Mem = Heap.data();
   const uint64_t HeapSize = Heap.size();
   const TapeInst *const Code = TF.Code.data();
+  const TreeShape *const Shapes = TF.Shapes.data();
   const TapeInst *I;
   size_t PC = 0;
   uint64_t RetValue = 0;
@@ -625,7 +644,7 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
   OP(Move) {
     Regs[I->Dst] = Regs[I->A];
     if (Profiled)
-      emitOp(Opcode::Move, I->Dst, I->A, NoValue, I->Flags);
+      emitTreeOp(I, Shapes, I->Imm, Opcode::Move, I->Dst, I->A, NoValue);
     ++PC;
     DISPATCH();
   }
@@ -662,7 +681,7 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
     (void)Vb;                                                                 \
     Regs[I->Dst] = (expr);                                                    \
     if (Profiled)                                                             \
-      emitOp(Opcode::name, I->Dst, I->A, I->B, I->Flags);                     \
+      emitTreeOp(I, Shapes, I->Imm, Opcode::name, I->Dst, I->A, I->B);       \
     ++PC;                                                                     \
     DISPATCH();                                                               \
   }
@@ -698,13 +717,13 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
     uint64_t Va = Regs[I->A];                                                 \
     Regs[I->Dst] = (expr);                                                    \
     if (Profiled)                                                             \
-      emitOp(Opcode::name, I->Dst, I->A, NoValue, I->Flags);                  \
+      emitTreeOp(I, Shapes, I->Imm, Opcode::name, I->Dst, I->A, NoValue);    \
     ++PC;                                                                     \
     DISPATCH();                                                               \
   }
 
   UNOP(Not, Va == 0)
-  UNOP(Neg, fromI(-toI(Va)))
+  UNOP(Neg, 0 - Va) // Wraps: -INT64_MIN == INT64_MIN.
   UNOP(FNeg, fromF(-toF(Va)))
   UNOP(IntToFloat, fromF(static_cast<double>(toI(Va))))
   UNOP(FloatToInt, fromI(static_cast<int64_t>(toF(Va))))
@@ -828,11 +847,11 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
       goto L_Budget;
     uint64_t C = evalBinary(I->SubOp, Regs[I->A], Regs[I->B]);
     Regs[I->Dst] = C;
-    if (Profiled)
-      emitOp(static_cast<Opcode>(I->SubOp), I->Dst, I->A, I->B, I->Flags);
     bool Taken = C != 0;
     if (Profiled) {
       const CondBrInfo &CB = TF.Branches[I->Imm];
+      emitTreeOp(I, Shapes, CB.Shape, static_cast<Opcode>(I->SubOp), I->Dst,
+                 I->A, I->B);
       emitCondBranch(I->Dst, CB.Merge, CB.PushBlock);
       emitA(EvKind::BlockEntry, Taken ? CB.TrueBlock : CB.FalseBlock);
     }
@@ -857,7 +876,8 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
     uint64_t R2 = evalBinary(I->SubOp, Regs[I->Dst], Regs[I->B]);
     Regs[I->X] = R2;
     if (Profiled)
-      emitOp(static_cast<Opcode>(I->SubOp), I->X, I->Dst, I->B, I->Flags);
+      emitTreeOp(I, Shapes, I->Imm, static_cast<Opcode>(I->SubOp), I->X,
+                 I->Dst, I->B);
     // The address register is untouched by the fused pair, so the store
     // address provably equals the (bounds-checked) load address.
     Mem[Addr] = R2;

@@ -2,6 +2,9 @@
 
 #include "interp/Tape.h"
 
+#include "rt/Timestamp.h"
+
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -35,12 +38,66 @@ uint8_t breakFlag(const Instruction &I) {
   return (I.IsInductionUpdate || I.IsReductionUpdate) ? BreakDepFlag : 0;
 }
 
+bool isConstClass(Opcode Op) {
+  return Op == Opcode::ConstInt || Op == Opcode::ConstFloat ||
+         Op == Opcode::GlobalAddr || Op == Opcode::FrameAddr;
+}
+
+/// A pure register op (arithmetic, compares, logic, unary ops, casts,
+/// Move and PtrAdd) that may join an expression tree: not an
+/// induction/reduction update, whose A dependence must not flow on.
+bool isTreeOp(uint8_t Op, uint8_t Flags) {
+  // Opcode.h lists arithmetic, compares, logic, unary ops and casts from
+  // Add up to Move.
+  static_assert(Opcode::Add < Opcode::Move && Opcode::Move < Opcode::PtrAdd);
+  return !(Flags & BreakDepFlag) &&
+         ((Op >= tapeOp(Opcode::Add) && Op <= tapeOp(Opcode::Move)) ||
+          Op == tapeOp(Opcode::PtrAdd));
+}
+
+/// One tree op of the function being decoded, with the tree it roots so
+/// far.
+struct TreeNode {
+  uint32_t Tape = 0; ///< Its instruction's index in TapeFunction::Code.
+  uint32_t Step = 0; ///< Its position in event order.
+  uint32_t LeafBegin = 0, LeafEnd = 0; ///< Its leaves in DecodeScratch.
+  uint32_t CdDist = 0, Ops = 0, Work = 0;
+  bool Inner = false;
+};
+
+/// What the decoder knows about one register of the function at hand.
+struct RegState {
+  uint32_t Writers = 0; ///< Static writers.
+  uint32_t Reads = 0;   ///< Static reads: every operand counts.
+  bool ConstWriter = false; ///< Its (last) writer is const-class.
+  /// Step of its latest write so far (0 = none). Steps count events in
+  /// program order across the function, so a write in an earlier block
+  /// always predates a node of the current one.
+  uint32_t LastWrite = 0;
+  /// 1 + index into Nodes of the tree op computing it while that op may
+  /// still become an inner temporary, until its one reader is planned.
+  uint32_t Pending = 0;
+  /// 1 + index into TapeFunction::Leaves of its entry in the shape being
+  /// recorded (leaf deduplication).
+  uint32_t LeafAt = 0;
+};
+
+/// Planning state shared by the functions of one module, so decoding
+/// allocates it once.
+struct DecodeScratch {
+  std::vector<RegState> Regs;
+  std::vector<TreeNode> Nodes;
+  std::vector<TreeLeaf> Leaves;
+};
+
 /// Lowers one function. Branch targets are recorded as block ids first and
 /// patched to tape indices once every block's start offset is known.
 class FunctionDecoder {
 public:
-  FunctionDecoder(const Function &F, const std::vector<uint64_t> &GlobalBase)
-      : F(F), GlobalBase(GlobalBase) {}
+  FunctionDecoder(const Function &F, const std::vector<uint64_t> &GlobalBase,
+                  DecodeScratch &Scratch)
+      : F(F), GlobalBase(GlobalBase), Regs(Scratch.Regs),
+        Nodes(Scratch.Nodes), Leaves(Scratch.Leaves) {}
 
   TapeFunction decode() {
     TF.Src = &F;
@@ -56,17 +113,31 @@ public:
 
     // Static writer counts, for the const event elision (a register with
     // several writers can hold a real availability time that a later const
-    // write must clear, so only single-writer consts are elidable).
-    WriterCount.assign(F.NumValues, 0);
+    // write must clear, so only single-writer consts are elidable), and
+    // static read counts, for expression trees.
+    Regs.assign(F.NumValues, RegState());
+    Nodes.clear();
+    auto Read = [&](ValueId V) {
+      if (V < F.NumValues)
+        ++Regs[V].Reads;
+    };
     for (const BasicBlock &B : F.Blocks)
-      for (const Instruction &I : B.Insts)
-        if (I.Result != NoValue && I.Result < F.NumValues)
-          ++WriterCount[I.Result];
+      for (const Instruction &I : B.Insts) {
+        if (I.Result != NoValue && I.Result < F.NumValues) {
+          ++Regs[I.Result].Writers;
+          Regs[I.Result].ConstWriter = isConstClass(I.Op);
+        }
+        Read(I.A);
+        Read(I.B);
+        for (ValueId V : I.CallArgs)
+          Read(V);
+      }
 
     BlockStart.resize(F.Blocks.size());
     for (uint32_t B = 0; B < F.Blocks.size(); ++B) {
       BlockStart[B] = static_cast<uint32_t>(TF.Code.size());
       lowerBlock(B);
+      planTrees(BlockStart[B]);
     }
     patchTargets();
     return std::move(TF);
@@ -78,7 +149,12 @@ private:
   TapeFunction TF;
   std::vector<uint64_t> FrameOffset;
   std::vector<uint32_t> BlockStart;
-  std::vector<uint32_t> WriterCount;
+  std::vector<RegState> &Regs;
+  std::vector<TreeNode> &Nodes;
+  std::vector<TreeLeaf> &Leaves; ///< Leaves of the block's nodes.
+  uint32_t Step = 0;
+  /// Step of the latest Call or region marker.
+  uint32_t LastBarrier = 0;
 
   void lowerBlock(uint32_t BlockId) {
     const std::vector<Instruction> &Insts = F.Blocks[BlockId].Insts;
@@ -98,10 +174,7 @@ private:
   /// Operand materializations are pure and operand-free, so they can be
   /// hoisted above a load when reordering them cannot change a value the
   /// fusion pattern reads.
-  static bool isHoistable(const Instruction &X) {
-    return X.Op == Opcode::ConstInt || X.Op == Opcode::ConstFloat ||
-           X.Op == Opcode::GlobalAddr || X.Op == Opcode::FrameAddr;
-  }
+  static bool isHoistable(const Instruction &X) { return isConstClass(X.Op); }
 
   /// Load r1 = [p]; r2 = r1 op x; [p] = r2  =>  one superinstruction.
   /// The address register must survive the load and the op (p is not
@@ -159,7 +232,6 @@ private:
     T.B = Op.B;
     T.X = Op.Result;
     T.Y = Ld.Line;
-    T.Imm = St.Line;
     TF.Code.push_back(T);
     ++TF.FusedLoadOpStore;
     I = K;
@@ -189,8 +261,134 @@ private:
     return true;
   }
 
+  /// Plans the expression trees of the block whose tape code starts at
+  /// \p Begin, in event order (after fusion, so hoisted constants and the
+  /// load inside a TapeLoadOpStore are seen where they execute), and sets
+  /// the tree flags and shapes of its instructions.
+  void planTrees(uint32_t Begin) {
+    const uint32_t FirstNode = static_cast<uint32_t>(Nodes.size());
+    Leaves.clear();
+    for (uint32_t K = Begin; K < TF.Code.size(); ++K) {
+      const TapeInst &T = TF.Code[K];
+      ++Step;
+      if (T.Op == TapeLoadOpStore) {
+        Regs[T.Dst].LastWrite = Step++; // The load, then the op.
+        if (isTreeOp(T.SubOp, T.Flags))
+          addNode(K, T.SubOp, T.Dst, T.B, FirstNode);
+        Regs[T.X].LastWrite = Step;
+        continue;
+      }
+      if (T.Op == TapeCmpBr) {
+        if (isTreeOp(T.SubOp, T.Flags))
+          addNode(K, T.SubOp, T.A, T.B, FirstNode);
+      } else if (isTreeOp(T.Op, T.Flags)) {
+        addNode(K, T.Op, T.A, T.B, FirstNode);
+        if (Regs[T.Dst].Writers == 1 && Regs[T.Dst].Reads == 1)
+          Regs[T.Dst].Pending = static_cast<uint32_t>(Nodes.size());
+      } else if (T.Op == tapeOp(Opcode::Call) ||
+                 T.Op == tapeOp(Opcode::RegionEnter) ||
+                 T.Op == tapeOp(Opcode::RegionExit)) {
+        // Frames, instance ids and the control-dependence cache change.
+        LastBarrier = Step;
+      }
+      if (T.Dst != NoValue)
+        Regs[T.Dst].LastWrite = Step;
+    }
+    // Whatever no later tree op absorbed is a root.
+    for (uint32_t N = FirstNode; N < Nodes.size(); ++N) {
+      const TreeNode &Node = Nodes[N];
+      TapeInst &T = TF.Code[Node.Tape];
+      if (Node.Inner) {
+        T.Flags |= InnerFlag;
+        ++TF.InnerOps;
+      } else if (Node.Ops > 1) {
+        T.Flags |= TreeRootFlag;
+        uint32_t Shape = addShape(Node);
+        if (T.Op == TapeCmpBr)
+          TF.Branches[T.Imm].Shape = Shape;
+        else
+          T.Imm = Shape;
+      }
+    }
+  }
+
+  /// Plans the tree op at tape index \p K (opcode \p Op, operands \p A and
+  /// \p B) at the current step: absorbs each operand that is a pending
+  /// temporary of this block (from node \p FirstNode on) and can still
+  /// join, and records the other operands as leaves.
+  void addNode(uint32_t K, uint8_t Op, ValueId A, ValueId B,
+               uint32_t FirstNode) {
+    TreeNode N;
+    N.Tape = K;
+    N.Step = Step;
+    const uint32_t Lat = latencyOf(static_cast<Opcode>(Op));
+    N.CdDist = Lat;
+    N.Ops = 1;
+    N.Work = Lat;
+    N.LeafBegin = static_cast<uint32_t>(Leaves.size());
+    for (ValueId V : {A, B}) {
+      if (V == NoValue)
+        continue;
+      if (TreeNode *Sub = absorb(V, FirstNode)) {
+        Sub->Inner = true;
+        N.CdDist = std::max(N.CdDist, Sub->CdDist + Lat);
+        N.Ops += Sub->Ops;
+        N.Work += Sub->Work;
+        for (uint32_t L = Sub->LeafBegin; L < Sub->LeafEnd; ++L) {
+          TreeLeaf Leaf = Leaves[L];
+          Leaf.Dist += Lat;
+          Leaves.push_back(Leaf);
+        }
+      } else if (!(Regs[V].Writers == 1 && Regs[V].ConstWriter)) {
+        // A single-writer constant always reads as time 0: no leaf.
+        Leaves.push_back({V, Lat});
+      }
+    }
+    N.LeafEnd = static_cast<uint32_t>(Leaves.size());
+    Nodes.push_back(N);
+  }
+
+  /// The pending tree computing \p V, if this read (its only one) may fold
+  /// it into the reader: nothing between its root and here wrote one of its
+  /// leaves or changed frames, instances or control state.
+  TreeNode *absorb(ValueId V, uint32_t FirstNode) {
+    uint32_t P = Regs[V].Pending;
+    if (P <= FirstNode)
+      return nullptr; // None, or one from an earlier block.
+    Regs[V].Pending = 0;
+    TreeNode &Sub = Nodes[P - 1];
+    if (LastBarrier > Sub.Step)
+      return nullptr;
+    for (uint32_t L = Sub.LeafBegin; L < Sub.LeafEnd; ++L)
+      if (Regs[Leaves[L].Reg].LastWrite > Sub.Step)
+        return nullptr;
+    return &Sub;
+  }
+
+  /// Appends \p N's shape, one leaf per register at its largest distance.
+  uint32_t addShape(const TreeNode &N) {
+    const uint32_t First = static_cast<uint32_t>(TF.Leaves.size());
+    for (uint32_t L = N.LeafBegin; L < N.LeafEnd; ++L) {
+      const TreeLeaf &Leaf = Leaves[L];
+      uint32_t &At = Regs[Leaf.Reg].LeafAt;
+      if (At > First) {
+        TF.Leaves[At - 1].Dist = std::max(TF.Leaves[At - 1].Dist, Leaf.Dist);
+        continue;
+      }
+      TF.Leaves.push_back(Leaf);
+      At = static_cast<uint32_t>(TF.Leaves.size());
+    }
+    TreeShape S;
+    S.NumLeaves = static_cast<uint32_t>(TF.Leaves.size()) - First;
+    S.CdDist = N.CdDist;
+    S.Ops = N.Ops;
+    S.Work = N.Work;
+    TF.Shapes.push_back(S);
+    return static_cast<uint32_t>(TF.Shapes.size() - 1);
+  }
+
   void markNoEmit(TapeInst &T) {
-    if (T.Dst != NoValue && WriterCount[T.Dst] == 1)
+    if (T.Dst != NoValue && Regs[T.Dst].Writers == 1)
       T.Flags |= NoEmitFlag;
   }
 
@@ -290,6 +488,15 @@ private:
 ModuleTape::ModuleTape(const Module &M,
                        const std::vector<uint64_t> &GlobalBase) {
   Funcs.reserve(M.Functions.size());
-  for (const Function &F : M.Functions)
-    Funcs.push_back(FunctionDecoder(F, GlobalBase).decode());
+  DecodeScratch Scratch;
+  for (const Function &F : M.Functions) {
+    TapeFunction &TF =
+        Funcs.emplace_back(FunctionDecoder(F, GlobalBase, Scratch).decode());
+    // The leaf pool is final: point each shape at its leaves.
+    const TreeLeaf *L = TF.Leaves.data();
+    for (TreeShape &S : TF.Shapes) {
+      S.Leaves = L;
+      L += S.NumLeaves;
+    }
+  }
 }

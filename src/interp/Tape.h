@@ -18,7 +18,11 @@
 ///    suite: compare-branch (loop exits and if tests) and load-op-store
 ///    (read-modify-write of an array cell). Fused instructions execute and
 ///    emit profiling events exactly as their components would — only the
-///    dispatches are saved — so profiles stay bit-identical.
+///    dispatches are saved — so profiles stay bit-identical;
+///  * expression trees: each maximal tree of pure register ops whose inner
+///    results are single-use temporaries gets a TreeShape, and the profiled
+///    run emits one EvKind::Tree event at its root instead of one Op event
+///    per op (the runtime's onTree computes the same root time).
 ///
 /// Tape opcodes reuse the IR Opcode numbering and append the fused forms,
 /// so a computed-goto jump table indexes directly on TapeInst::Op.
@@ -29,6 +33,7 @@
 #define KREMLIN_INTERP_TAPE_H
 
 #include "ir/Module.h"
+#include "rt/ProfEvent.h"
 
 #include <cstdint>
 #include <vector>
@@ -47,6 +52,8 @@ enum : uint8_t {
 enum : uint8_t {
   BreakDepFlag = 1, ///< Induction/reduction update: ignore the A dep.
   NoEmitFlag = 2,   ///< Profiling event elided (see class comment).
+  InnerFlag = 4,    ///< Inner op of a tree: its root's Tree event counts it.
+  TreeRootFlag = 8, ///< Root of a multi-op tree: emits a Tree event.
 };
 
 /// Side table for conditional branches: everything the profiler needs that
@@ -56,6 +63,8 @@ struct CondBrInfo {
   uint32_t PushBlock = UINT32_MAX; ///< Block containing the branch.
   uint32_t TrueBlock = 0;          ///< Taken successor (block id).
   uint32_t FalseBlock = 0;         ///< Fall-through successor (block id).
+  /// TapeCmpBr whose compare is a tree root: its TapeFunction::Shapes index.
+  uint32_t Shape = UINT32_MAX;
 };
 
 /// One pre-decoded instruction. Field use by opcode:
@@ -69,7 +78,8 @@ struct CondBrInfo {
 /// zero-initialized frame row (a tag mismatch reads as time 0), so the
 /// runtime's row write is a no-op and only the instruction count remains —
 /// reported in bulk via KremlinRuntime::noteFreeOps.
-///   unary/binary/Move/PtrAdd: Dst, A, B; Flags bit 0 = BreakDepA
+///   unary/binary/Move/PtrAdd: Dst, A, B; Flags bit 0 = BreakDepA;
+///     Imm (shape index) with TreeRootFlag
 ///   Load: Dst, A (addr reg), X (line)     Store: A (addr), B (val), X (line)
 ///   RegionEnter/Exit: Imm (region id)
 ///   Call: Dst (or NoValue), Imm (callee), X (arg-pool offset), Y (#args)
@@ -77,9 +87,19 @@ struct CondBrInfo {
 ///   Br: X (target tape index), Y (target block id)
 ///   CondBr: A (cond), X/Y (true/false tape index), Imm (CondBrInfo index)
 ///   TapeCmpBr: SubOp (compare opcode), Dst, A, B, Flags; X/Y/Imm as CondBr
+///     (the shape index of a tree-root compare is CondBrInfo::Shape)
 ///   TapeLoadOpStore: SubOp (binop opcode), A (addr reg), Dst (load result),
 ///     B (other operand), X (op result reg), Flags; Y (load line),
-///     Imm (store line)
+///     Imm (shape index) with TreeRootFlag
+///
+/// Tree flags (see TreeShape) go on the pure register ops: binary, unary,
+/// Move, PtrAdd, compares and casts, never a const-class op or a BreakDepA
+/// update. A tree op whose result register has one static writer and one
+/// static read, by a later tree op of its block, is an inner op
+/// (InnerFlag): it executes but emits nothing, unless a write to one of its
+/// tree's leaves or a Call or region marker comes before that reader. The
+/// op that reads it roots a tree of two or more ops (TreeRootFlag) and
+/// emits one Tree event; an op with no inner operand keeps its Op event.
 struct TapeInst {
   uint8_t Op = 0;
   uint8_t SubOp = 0;
@@ -103,13 +123,18 @@ struct TapeFunction {
   const Function *Src = nullptr; ///< For names/lines in error messages.
   uint32_t NumValues = 0;
   uint64_t FrameWords = 0;
-  /// Fusion tallies (decode-time statistics, asserted on by tests).
+  /// Expression-tree shapes; each one's leaves are the next NumLeaves
+  /// entries of Leaves, in shape order.
+  std::vector<TreeShape> Shapes;
+  std::vector<TreeLeaf> Leaves;
+  /// Fusion and tree tallies (decode-time statistics, asserted on by tests).
   unsigned FusedCmpBr = 0;
   unsigned FusedLoadOpStore = 0;
+  unsigned InnerOps = 0; ///< Tree ops folded into a root (InnerFlag).
 };
 
 /// The whole module in tape form. Built once per Interpreter; immutable
-/// afterwards.
+/// afterwards, so Tree events may point into it for the whole run.
 struct ModuleTape {
   /// \p GlobalBase gives each global's absolute word address, resolved into
   /// GlobalAddr immediates at decode time.

@@ -22,8 +22,6 @@ KremlinRuntime::KremlinRuntime(const KremlinConfig &Cfg,
          "NumLevels outside the supported window");
   CurInstance.assign(Cfg.NumLevels, 0);
   LevelMaxTimes.assign(Cfg.NumLevels, 0);
-  for (size_t Op = 0; Op < sizeof(LatOf) / sizeof(LatOf[0]); ++Op)
-    LatOf[Op] = Cfg.Latency.latencyFor(static_cast<Opcode>(Op));
 }
 
 void KremlinRuntime::enterRegion(RegionId R) {
@@ -179,7 +177,7 @@ void KremlinRuntime::copyReturnToCaller(ValueId DstInCaller,
 
 void KremlinRuntime::onCondBranch(ValueId CondReg, uint32_t MergeBlock,
                                   uint32_t PushBlock) {
-  unsigned Lat = LatOf[static_cast<size_t>(Opcode::CondBr)];
+  constexpr unsigned Lat = latencyOf(Opcode::CondBr);
   addWork(Lat);
   ++Stats.DynInstructions;
   Frame &F = curFrame();
@@ -221,7 +219,7 @@ void KremlinRuntime::onCondBranch(ValueId CondReg, uint32_t MergeBlock,
 
 void KremlinRuntime::onOp(Opcode Op, ValueId Dst, ValueId A, ValueId B,
                           bool BreakDepA) {
-  unsigned Lat = LatOf[static_cast<size_t>(Op)];
+  const unsigned Lat = latencyOf(Op);
   addWork(Lat);
   ++Stats.DynInstructions;
   if (LiveFrames == 0)
@@ -280,8 +278,48 @@ void KremlinRuntime::onOp(Opcode Op, ValueId Dst, ValueId A, ValueId B,
   }
 }
 
+void KremlinRuntime::onTree(ValueId Root, const TreeShape &S) {
+  addWork(S.Work);
+  Stats.DynInstructions += S.Ops;
+  if (LiveFrames == 0)
+    return;
+  const unsigned NL = Cfg.NumLevels;
+  const unsigned Slots = SlotsActive;
+  Time *FC = FrameCells;
+  uint64_t *RW = FrameRowW;
+  const uint64_t *Inst = CurInstance.data();
+
+  // Every op of the tree reads the same control dependence (no control
+  // event falls inside a tree), and the longest op-to-root path carries it
+  // furthest. A leaf read at a slot its row is not valid for reads as 0,
+  // which that path already dominates, so only valid leaves are maxed in.
+  // The leaves are read before the root's watermark is bumped: the root
+  // may overwrite one of its own leaves.
+  Time T[MaxTrackedLevels];
+  for (unsigned Slot = 0; Slot < Slots; ++Slot)
+    T[Slot] = CdNow[Slot] + S.CdDist;
+  for (const TreeLeaf *L = S.Leaves, *End = L + S.NumLeaves; L != End; ++L) {
+    const uint64_t W = RW[L->Reg];
+    if (W == 0)
+      continue; // Unwritten, or reset by a constant: 0 everywhere.
+    const Time *TL = FC + static_cast<size_t>(L->Reg) * NL;
+    const Time D = L->Dist;
+    for (unsigned Slot = 0; Slot < Slots; ++Slot) {
+      Time Tl = Inst[Slot] <= W ? TL[Slot] + D : 0;
+      T[Slot] = Tl > T[Slot] ? Tl : T[Slot];
+    }
+  }
+  RW[Root] = NextInstance;
+  Time *TDst = FC + static_cast<size_t>(Root) * NL;
+  Time *LM = LevelMaxTimes.data();
+  for (unsigned Slot = 0; Slot < Slots; ++Slot) {
+    TDst[Slot] = T[Slot];
+    LM[Slot] = T[Slot] > LM[Slot] ? T[Slot] : LM[Slot];
+  }
+}
+
 void KremlinRuntime::onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr) {
-  unsigned Lat = LatOf[static_cast<size_t>(Opcode::Load)];
+  constexpr unsigned Lat = latencyOf(Opcode::Load);
   addWork(Lat);
   ++Stats.DynInstructions;
   ++Stats.Loads;
@@ -316,7 +354,7 @@ void KremlinRuntime::onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr) {
 }
 
 void KremlinRuntime::onStore(ValueId ValReg, ValueId AddrReg, uint64_t Addr) {
-  unsigned Lat = LatOf[static_cast<size_t>(Opcode::Store)];
+  constexpr unsigned Lat = latencyOf(Opcode::Store);
   addWork(Lat);
   ++Stats.DynInstructions;
   ++Stats.Stores;
@@ -363,11 +401,15 @@ void KremlinRuntime::onStore(ValueId ValReg, ValueId AddrReg, uint64_t Addr) {
 __attribute__((flatten))
 #endif
 void KremlinRuntime::consumeBatch(const ProfEvent *Ev, size_t N) {
+  Stats.Events += N;
   for (size_t I = 0; I < N; ++I) {
     const ProfEvent &E = Ev[I];
     switch (static_cast<EvKind>(E.Kind)) {
     case EvKind::Op:
       onOp(static_cast<Opcode>(E.Opc), E.A, E.B, E.C, (E.Flags & 1) != 0);
+      break;
+    case EvKind::Tree:
+      onTree(E.A, E.shape());
       break;
     case EvKind::Load:
       onLoad(E.A, E.B, E.Addr);

@@ -60,12 +60,14 @@ struct KremlinConfig {
   /// Region-nesting depth cap; 0 = unlimited. Exceeding it (runaway
   /// recursion in the profiled program) trips ResourceExhausted.
   unsigned MaxRegionDepth = 0;
-  LatencyModel Latency;
 };
 
 /// Counters exposed for the overhead and compression experiments.
 struct RuntimeStats {
   uint64_t DynInstructions = 0;
+  /// ProfEvents consumed (execute's throughput unit). An expression tree
+  /// is one event however many instructions it folds.
+  uint64_t Events = 0;
   uint64_t DynRegionEntries = 0;
   uint64_t Loads = 0;
   uint64_t Stores = 0;
@@ -127,6 +129,11 @@ public:
   /// NoValue for unused operands/result. \p BreakDepA ignores the data
   /// dependence on A (induction/reduction update rule).
   void onOp(Opcode Op, ValueId Dst, ValueId A, ValueId B, bool BreakDepA);
+
+  /// A whole expression tree ending in register \p Root (see TreeShape):
+  /// equivalent to onOp on each of its ops in order, but only the root's
+  /// row is written, since nothing reads an inner temporary's row.
+  void onTree(ValueId Root, const TreeShape &S);
 
   void onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr);
   void onStore(ValueId ValReg, ValueId AddrReg, uint64_t Addr);
@@ -269,8 +276,6 @@ private:
   uint64_t *TopWork = nullptr;
   /// activeSlots(), maintained at region enter/exit.
   unsigned SlotsActive = 0;
-  /// Per-opcode latency, flattened from Cfg.Latency at construction.
-  unsigned LatOf[static_cast<size_t>(Opcode::RegionExit) + 1] = {};
 
   void refreshCdTop() {
     CdTop = (LiveFrames > 0 &&

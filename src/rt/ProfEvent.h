@@ -10,7 +10,9 @@
 /// (KremlinRuntime). The producer appends fixed-size ProfEvent records to a
 /// buffer and hands full batches to KremlinRuntime::consumeBatch(); events
 /// are consumed strictly in order, so a batched stream produces bit-identical
-/// profiles to the equivalent sequence of direct hook calls.
+/// profiles to the equivalent sequence of direct hook calls. Most events
+/// stand for one instruction; a Tree event stands for a whole expression
+/// tree of register ops (TreeShape), about 3.7 of them on the paper suite.
 ///
 /// Nothing in the stream flows back to the producer: every hook is
 /// fire-and-forget. That is what lets the two sides run on different
@@ -30,6 +32,7 @@
 #ifndef KREMLIN_RT_PROFEVENT_H
 #define KREMLIN_RT_PROFEVENT_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -39,6 +42,7 @@ namespace kremlin {
 /// hook; see consumeBatch() for the exact dispatch.
 enum class EvKind : uint8_t {
   Op,           ///< onOp(Op, A=Dst, B=SrcA, C=SrcB, Flags&1=BreakDepA)
+  Tree,         ///< onTree(A=RootDst, *(const TreeShape *)Addr)
   Load,         ///< onLoad(A=Dst, B=AddrReg, Addr)
   Store,        ///< onStore(A=ValReg, B=AddrReg, Addr)
   CondBranch,   ///< onCondBranch(A=CondReg, B=MergeBlock, C=PushBlock)
@@ -50,6 +54,30 @@ enum class EvKind : uint8_t {
   CopyParam,    ///< copyParamFromCaller(A=DstParam, B=SrcArgInCaller)
   CopyReturn,   ///< copyReturnToCaller(A=DstInCaller, B=SrcInCallee)
   ReleaseRange, ///< ShadowMemory::releaseRange(Addr, Words=B | C<<32)
+};
+
+/// One leaf of an expression tree: a register the tree reads that no op of
+/// the tree computes, and the latency from its reader to the root,
+/// inclusive of both.
+struct TreeLeaf {
+  uint32_t Reg = 0;
+  uint32_t Dist = 0;
+};
+
+/// The static shape of one expression tree: a maximal set of pure register
+/// ops in one block whose inner results are single-use temporaries read
+/// only inside the tree. The producer emits one EvKind::Tree event at the
+/// root instead of one Op event per op, and the runtime computes the root's
+/// time per active level as
+///   T = max(Cd + CdDist, max over valid leaves (T_leaf + Dist)),
+/// which is exact in max-plus arithmetic (DESIGN §5). Shapes live in the
+/// decoded tape, which outlives the run, so an event carries a pointer.
+struct TreeShape {
+  const TreeLeaf *Leaves = nullptr; ///< NumLeaves entries.
+  uint32_t NumLeaves = 0;
+  uint32_t CdDist = 0; ///< Longest node-to-root latency, inclusive.
+  uint32_t Ops = 0;    ///< Instructions in the tree, root included.
+  uint32_t Work = 0;   ///< Their summed latency.
 };
 
 /// One profiling event. 24 bytes, trivially copyable; field use per kind is
@@ -65,6 +93,9 @@ struct ProfEvent {
   uint64_t Addr = 0;
 
   uint64_t words() const { return uint64_t(B) | (uint64_t(C) << 32); }
+  const TreeShape &shape() const {
+    return *std::bit_cast<const TreeShape *>(Addr);
+  }
 };
 
 static_assert(sizeof(ProfEvent) == 24, "keep the event record dense");

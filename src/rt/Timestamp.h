@@ -24,44 +24,26 @@ namespace kremlin {
 /// Region-relative availability time, in latency units.
 using Time = uint64_t;
 
-/// Per-opcode latency table. The defaults make work approximate the
-/// dynamic instruction count: every real operation costs 1; artifacts of
-/// lowering that a compiler would fold away (constants, register moves,
-/// address-base materialization, region markers) cost 0.
-struct LatencyModel {
-  unsigned Arith = 1;    ///< Integer/float arithmetic, compares, logic.
-  unsigned Memory = 1;   ///< Load/Store.
-  unsigned AddrCalc = 1; ///< PtrAdd (indexing arithmetic).
-  unsigned Branch = 1;   ///< Br/CondBr/Ret.
-  unsigned CallOp = 1;   ///< Call result materialization.
-  unsigned Free = 0;     ///< Constants, moves, base addresses, markers.
-
-  unsigned latencyFor(Opcode Op) const {
-    switch (Op) {
-    case Opcode::ConstInt:
-    case Opcode::ConstFloat:
-    case Opcode::Move:
-    case Opcode::GlobalAddr:
-    case Opcode::FrameAddr:
-    case Opcode::RegionEnter:
-    case Opcode::RegionExit:
-      return Free;
-    case Opcode::Load:
-    case Opcode::Store:
-      return Memory;
-    case Opcode::PtrAdd:
-      return AddrCalc;
-    case Opcode::Br:
-    case Opcode::CondBr:
-    case Opcode::Ret:
-      return Branch;
-    case Opcode::Call:
-      return CallOp;
-    default:
-      return Arith;
-    }
+/// Latency of one operation. Work approximates the dynamic instruction
+/// count: every real operation costs 1; artifacts of lowering that a
+/// compiler would fold away (constants, register moves, address-base
+/// materialization, region markers) cost 0. It is a constant, not an
+/// option, because the tape decoder folds latencies into expression-tree
+/// shapes (rt/ProfEvent.h) before the runtime exists.
+constexpr unsigned latencyOf(Opcode Op) {
+  switch (Op) {
+  case Opcode::ConstInt:
+  case Opcode::ConstFloat:
+  case Opcode::Move:
+  case Opcode::GlobalAddr:
+  case Opcode::FrameAddr:
+  case Opcode::RegionEnter:
+  case Opcode::RegionExit:
+    return 0;
+  default:
+    return 1;
   }
-};
+}
 
 } // namespace kremlin
 

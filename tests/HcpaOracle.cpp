@@ -157,7 +157,7 @@ private:
   /// Work accrues to the innermost region only; exitRegion() passes it up.
   void addWork(Opcode Op) {
     if (!Regions.empty())
-      Regions.back().Work += Cfg.Latency.latencyFor(Op);
+      Regions.back().Work += latencyOf(Op);
   }
 
   /// Times one operation of call \p Call: at every tracked instance it
@@ -168,7 +168,7 @@ private:
   void timed(Opcode Op, uint64_t Call, bool UseCd, ValueId A, ValueId B,
              const uint64_t *LoadAddr, PutFn Put) {
     addWork(Op);
-    Time Lat = Cfg.Latency.latencyFor(Op);
+    Time Lat = latencyOf(Op);
     for (Instance &R : Regions) {
       if (!R.Tracked)
         continue;
@@ -384,26 +384,30 @@ void kremlin::test::runOracle(const Module &M, const KremlinConfig &Cfg,
   Oracle(M, Cfg, Dict).run();
 }
 
-void kremlin::test::expectProfileMatchesOracle(const std::string &Source,
+void kremlin::test::expectProfileMatchesOracle(const Module &M,
                                                const KremlinConfig &Cfg) {
-  ProfiledRun Run = profileSource(Source, Cfg);
+  DictionaryCompressor GotDict;
+  KremlinRuntime RT(Cfg, GotDict);
+  ExecResult Exec = Interpreter(M).run(&RT);
+  ASSERT_TRUE(Exec.Ok) << Exec.Error;
+  ParallelismProfile GotProfile(M, GotDict);
   DictionaryCompressor Dict;
-  OracleResult Want = Oracle(*Run.M, Cfg, Dict).run();
-  ParallelismProfile Profile(*Run.M, Dict);
+  OracleResult Want = Oracle(M, Cfg, Dict).run();
+  ParallelismProfile Profile(M, Dict);
 
-  EXPECT_EQ(Run.Exec.ExitValue, Want.ExitValue);
-  EXPECT_EQ(Run.Exec.DynInstructions, Want.DynInstructions);
-  ASSERT_EQ(Run.Dict->alphabet().size(), Dict.alphabet().size());
+  EXPECT_EQ(Exec.ExitValue, Want.ExitValue);
+  EXPECT_EQ(Exec.DynInstructions, Want.DynInstructions);
+  ASSERT_EQ(GotDict.alphabet().size(), Dict.alphabet().size());
   for (size_t C = 0; C < Dict.alphabet().size(); ++C)
-    EXPECT_TRUE(Run.Dict->alphabet()[C] == Dict.alphabet()[C])
+    EXPECT_TRUE(GotDict.alphabet()[C] == Dict.alphabet()[C])
         << "summary " << C << " diverges";
-  EXPECT_EQ(Run.Dict->roots(), Dict.roots());
-  EXPECT_EQ(Run.Dict->numDynamicRegions(), Dict.numDynamicRegions());
-  ASSERT_EQ(Run.Profile->entries().size(), Profile.entries().size());
+  EXPECT_EQ(GotDict.roots(), Dict.roots());
+  EXPECT_EQ(GotDict.numDynamicRegions(), Dict.numDynamicRegions());
+  ASSERT_EQ(GotProfile.entries().size(), Profile.entries().size());
   for (size_t R = 0; R < Profile.entries().size(); ++R) {
-    const RegionProfileEntry &Got = Run.Profile->entries()[R];
+    const RegionProfileEntry &Got = GotProfile.entries()[R];
     const RegionProfileEntry &Exp = Profile.entries()[R];
-    SCOPED_TRACE(Run.M->Regions[R].sourceSpan());
+    SCOPED_TRACE(M.Regions[R].sourceSpan());
     EXPECT_EQ(Got.Executed, Exp.Executed);
     EXPECT_EQ(Got.Instances, Exp.Instances);
     EXPECT_EQ(Got.TotalWork, Exp.TotalWork);
@@ -414,4 +418,13 @@ void kremlin::test::expectProfileMatchesOracle(const std::string &Source,
     EXPECT_EQ(Got.CoveragePct, Exp.CoveragePct);
     EXPECT_EQ(Got.Class, Exp.Class);
   }
+}
+
+void kremlin::test::expectProfileMatchesOracle(const std::string &Source,
+                                               const KremlinConfig &Cfg) {
+  std::unique_ptr<Module> M = compileOrDie(Source);
+  InstrumentResult IR = instrumentModule(*M);
+  for (const std::string &W : IR.Warnings)
+    ADD_FAILURE() << "instrumenter: " << W;
+  expectProfileMatchesOracle(*M, Cfg);
 }

@@ -13,7 +13,7 @@
 /// control dependences sit on an explicit stack.
 ///
 /// It deliberately shares nothing with the production execute stage beyond
-/// the IR, KremlinConfig/LatencyModel and the DictionaryCompressor it
+/// the IR, KremlinConfig, latencyOf() and the DictionaryCompressor it
 /// interns summaries into: no Interpreter, tape, ProfEvent stream,
 /// KremlinRuntime or ShadowMemory. A bug in any of those therefore shows up
 /// as a difference against this oracle.
@@ -37,10 +37,14 @@ namespace kremlin::test {
 void runOracle(const Module &M, const KremlinConfig &Cfg,
                DictionaryCompressor &Dict);
 
-/// Profiles \p Source with the interpreter and KremlinRuntime, runs the
-/// oracle on the same module, and expects bit-equal results: exit value,
-/// dynamic instructions, summary alphabet, roots, dynamic region count and
-/// every per-region profile entry.
+/// Profiles the instrumented (or hand-built) module \p M with the
+/// interpreter and KremlinRuntime, runs the oracle on it, and expects
+/// bit-equal results: exit value, dynamic instructions, summary alphabet,
+/// roots, dynamic region count and every per-region profile entry.
+void expectProfileMatchesOracle(const Module &M,
+                                const KremlinConfig &Cfg = KremlinConfig());
+
+/// Compiles and instruments \p Source, then checks it as above.
 void expectProfileMatchesOracle(const std::string &Source,
                                 const KremlinConfig &Cfg = KremlinConfig());
 

@@ -4,6 +4,9 @@
 #include "TestUtil.h"
 
 #include "interp/Tape.h"
+#include "suite/PaperSuite.h"
+
+#include <map>
 
 using namespace kremlin;
 using namespace kremlin::test;
@@ -310,6 +313,64 @@ TEST(Tape, ElidesSingleWriterConstEvents) {
                   I.Op == static_cast<uint8_t>(Opcode::FrameAddr));
     }
   EXPECT_GE(Elided, 2u); // At least the two integer literals.
+}
+
+TEST(Tape, FoldsExpressionTreesIntoTheirRoot) {
+  // (a * b + c) * (a - c): the product, the sum and the difference are
+  // single-use temporaries of the final product, which Ret reads. One
+  // shape of four ops; c's two reads become one leaf at its longer
+  // distance, and the longest op-to-root path is three ops.
+  auto [M, Tape] = decodeTape("int f(int a, int b, int c) {"
+                              " return (a * b + c) * (a - c); }"
+                              "int main() { return f(1, 2, 3); }");
+  const TapeFunction &F = tapeOf(M, *Tape, "f");
+  ASSERT_EQ(F.Shapes.size(), 1u);
+  EXPECT_EQ(F.InnerOps, 3u);
+  const TreeShape &S = F.Shapes[0];
+  EXPECT_EQ(S.Ops, 4u);
+  EXPECT_EQ(S.Work, 4u);
+  EXPECT_EQ(S.CdDist, 3u);
+  ASSERT_EQ(S.NumLeaves, 3u);
+  std::map<uint32_t, uint32_t> Dist;
+  for (uint32_t L = 0; L < S.NumLeaves; ++L)
+    Dist[S.Leaves[L].Reg] = S.Leaves[L].Dist;
+  EXPECT_EQ(Dist, (std::map<uint32_t, uint32_t>{{0, 3}, {1, 3}, {2, 2}}));
+  unsigned Roots = 0, Inner = 0;
+  for (const TapeInst &I : F.Code) {
+    Roots += (I.Flags & TreeRootFlag) != 0;
+    Inner += (I.Flags & InnerFlag) != 0;
+  }
+  EXPECT_EQ(Roots, 1u);
+  EXPECT_EQ(Inner, F.InnerOps);
+}
+
+TEST(Tape, InnerTemporariesHaveOneWriterAndOneReader) {
+  // The invariant that lets a Tree event skip the inner rows: nothing but
+  // the tree reads an inner op's register, on any path.
+  auto [M, Tape] = decodeTape(generatePaperBenchmark("sp").Source);
+  unsigned Inner = 0;
+  for (size_t FI = 0; FI < M->Functions.size(); ++FI) {
+    const Function &Fn = M->Functions[FI];
+    std::vector<unsigned> Reads(Fn.NumValues, 0), Writes(Fn.NumValues, 0);
+    for (const BasicBlock &B : Fn.Blocks)
+      for (const Instruction &I : B.Insts) {
+        for (ValueId V : {I.A, I.B})
+          if (V != NoValue)
+            ++Reads[V];
+        for (ValueId V : I.CallArgs)
+          ++Reads[V];
+        if (I.Result != NoValue)
+          ++Writes[I.Result];
+      }
+    for (const TapeInst &I : Tape->Funcs[FI].Code) {
+      if (!(I.Flags & InnerFlag))
+        continue;
+      ++Inner;
+      EXPECT_EQ(Reads[I.Dst], 1u) << Fn.Name << " %" << I.Dst;
+      EXPECT_EQ(Writes[I.Dst], 1u) << Fn.Name << " %" << I.Dst;
+    }
+  }
+  EXPECT_GT(Inner, 100u);
 }
 
 TEST(Tape, EveryBlockEndsInTerminator) {

@@ -56,8 +56,78 @@ private:
 
   void indent(unsigned Depth) { Src.append(2 * Depth + 2, ' '); }
 
+  /// A random int expression of depth <= \p Depth: integer arithmetic
+  /// with Div/Rem, unary - and !, compares and &&/|| of int
+  /// subexpressions, and compares of float ones. Leaves are v (often
+  /// several times), literals, array reads and calls. A \p Full tree only
+  /// has binary nodes above its leaves, which are v or array reads, so
+  /// no call cuts it and most of its 2^Depth leaves are distinct.
+  std::string intExpr(unsigned Depth, unsigned CanCall, bool Full) {
+    if (Depth == 0 || (!Full && Rng.nextBool(0.15)))
+      return leaf(CanCall, /*Bounded=*/false, Full);
+    static const char *const Ops[] = {"+",  "-",  "*",  "/",  "%",
+                                      "<",  "<=", ">",  ">=", "==",
+                                      "!=", "&&", "||"};
+    switch (Full ? 3 : Rng.nextBelow(6)) {
+    case 0:
+      return "(-" + intExpr(Depth - 1, CanCall, Full) + ")";
+    case 1:
+      return "(!" + intExpr(Depth - 1, CanCall, Full) + ")";
+    case 2:
+      return "(" + floatExpr(Depth - 1, CanCall, Full) +
+             (Rng.nextBool(0.5) ? " < " : " >= ") +
+             floatExpr(Depth - 1, CanCall, Full) + ")";
+    default:
+      return "(" + intExpr(Depth - 1, CanCall, Full) + " " +
+             Ops[Rng.nextBelow(std::size(Ops))] + " " +
+             intExpr(Depth - 1, CanCall, Full) + ")";
+    }
+  }
+
+  /// A float expression mixing int leaves (promoted) with float literals.
+  /// Leaves stay below 9 in magnitude and only +, -, * and division by 2.0
+  /// combine them, so a depth-4 tree stays far inside int64 range when it
+  /// is converted back.
+  std::string floatExpr(unsigned Depth, unsigned CanCall, bool Full) {
+    if (Depth == 0 || (!Full && Rng.nextBool(0.15)))
+      return !Full && Rng.nextBool(0.25)
+                 ? formatString("%llu.5", (unsigned long long)Rng.nextBelow(8))
+                 : leaf(CanCall, /*Bounded=*/true, Full);
+    switch (Full ? 2 : Rng.nextBelow(5)) {
+    case 0:
+      return "(-" + floatExpr(Depth - 1, CanCall, Full) + ")";
+    case 1:
+      return "(" + floatExpr(Depth - 1, CanCall, Full) + " / 2.0)";
+    default: {
+      const char *Op = Rng.nextBool(0.4) ? "*" : Rng.nextBool(0.5) ? "+" : "-";
+      return "(" + floatExpr(Depth - 1, CanCall, Full) + " " + Op + " " +
+             floatExpr(Depth - 1, CanCall, Full) + ")";
+    }
+    }
+  }
+
+  /// v, a literal, an array read or a call (only v or an array read when
+  /// \p Full); reduced modulo 9 when \p Bounded.
+  std::string leaf(unsigned CanCall, bool Bounded, bool Full) {
+    std::string L;
+    unsigned Kind = Rng.nextBelow(20);
+    if (Full && Kind >= 5)
+      Kind = 8; // An array read, never a literal or a call.
+    if (Kind < 5)
+      L = "v";
+    else if (Kind < 8)
+      return formatString("%llu", (unsigned long long)Rng.nextInRange(1, 9));
+    else if (Kind < 17 || CanCall == 0)
+      L = formatString("mem[((v %% 64 + 64) + %llu) %% 64]",
+                       (unsigned long long)Rng.nextBelow(64));
+    else
+      L = formatString("%s((v %% 50 + 50) %% 50)",
+                       Funcs[Rng.nextBelow(CanCall)].c_str());
+    return Bounded ? "(" + L + " % 9)" : L;
+  }
+
   void emitStmt(unsigned Depth, unsigned CanCall) {
-    switch (Rng.nextBelow(Depth >= 3 ? 4 : 10)) {
+    switch (Rng.nextBelow(Depth >= 3 ? 4 : 11)) {
     case 0: // Scalar update chain.
       indent(Depth);
       Src += formatString("v = v * %llu + %llu;\n",
@@ -147,6 +217,15 @@ private:
       emitBlock(1 + Rng.nextBelow(2), Depth + 1, CanCall);
       indent(Depth);
       Src += "}\n";
+      break;
+    }
+    case 9: { // Expression trees, int or converted back from float.
+      bool Full = Rng.nextBool(0.5);
+      indent(Depth);
+      if (Rng.nextBool(0.3))
+        Src += "v = (v % 1009) + " + floatExpr(3, CanCall, Full) + ";\n";
+      else
+        Src += "v = " + intExpr(4, CanCall, Full) + ";\n";
       break;
     }
     case 6: { // Provably DOALL loop: distinct par[] cell per iteration.
