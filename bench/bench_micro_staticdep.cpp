@@ -5,7 +5,10 @@
 // (analysis.analyze_ms): the reaching-definitions fixpoint and the
 // per-loop scalar dependence scan on a synthetic many-loop program, and
 // call-graph construction, mod/ref summaries and their share of analyze
-// on a call-heavy one.
+// on a call-heavy one. The *OneKernel cases time instrument and analyze
+// on one generated kernel of 50-400 loop sites: their cost per doubling
+// of the argument shows whether the front end stays linear in function
+// size.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +18,7 @@
 #include "analysis/StaticDependence.h"
 #include "instrument/Instrumenter.h"
 #include "parser/Lower.h"
+#include "suite/SourceGenerator.h"
 #include "support/StringUtils.h"
 
 #include <benchmark/benchmark.h>
@@ -70,27 +74,28 @@ const Function &mainFunction() {
 /// The gen/kill bitvector fixpoint over the 32-loop main function.
 void BM_ReachingDefs(benchmark::State &State) {
   const Function &F = mainFunction();
+  FunctionAnalysis FA = buildFunctionAnalysis(F);
   for (auto _ : State) {
-    ReachingDefs RD(F);
-    benchmark::DoNotOptimize(RD.defs().size());
+    ReachingDefs RD(F, FA);
+    benchmark::DoNotOptimize(&RD);
   }
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_ReachingDefs);
 
 /// One back-edge scalar dependence scan per natural loop, reusing a
-/// single reaching-defs result the way the analyzer does.
+/// single reaching-defs result and loop arena the way the analyzer does.
 void BM_LoopCarriedScalarDeps(benchmark::State &State) {
   const Function &F = mainFunction();
-  ReachingDefs RD(F);
-  DomTree DT = computeDominators(F);
-  LoopInfo LI = computeLoops(F);
+  FunctionAnalysis FA = buildFunctionAnalysis(F);
+  ReachingDefs RD(F, FA);
+  LoopScratch Scratch(F);
   size_t Deps = 0;
   for (auto _ : State)
-    for (const Loop &L : LI.Loops)
-      Deps += findLoopCarriedScalarDeps(F, L, RD, DT).size();
+    for (const Loop &L : FA.LI.Loops)
+      Deps += findLoopCarriedScalarDeps(F, FA, L, RD, Scratch).size();
   benchmark::DoNotOptimize(Deps);
-  State.SetItemsProcessed(State.iterations() * LI.Loops.size());
+  State.SetItemsProcessed(State.iterations() * FA.LI.Loops.size());
 }
 BENCHMARK(BM_LoopCarriedScalarDeps);
 
@@ -152,8 +157,11 @@ BENCHMARK(BM_CallGraphBuild);
 void BM_ModRefSummaries(benchmark::State &State) {
   const Module &M = interprocModule();
   CallGraph CG(M);
+  std::vector<FunctionAnalysis> FA;
+  for (const Function &F : M.Functions)
+    FA.push_back(buildFunctionAnalysis(F));
   for (auto _ : State) {
-    ModRefResult MR = computeModRef(M, CG);
+    ModRefResult MR = computeModRef(M, CG, FA);
     benchmark::DoNotOptimize(MR.Summaries.size());
   }
   State.SetItemsProcessed(State.iterations());
@@ -173,6 +181,47 @@ void BM_AnalyzeInterprocModule(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_AnalyzeInterprocModule);
+
+/// One kernel function of \p Sites loop sites cycling every SiteKind,
+/// lowered.
+std::unique_ptr<Module> loweredKernel(unsigned Sites) {
+  LowerResult LR = compileMiniC(
+      generateBenchmark(cyclingSiteSpec(Sites, Sites)).Source, "kernel.c");
+  if (!LR.succeeded())
+    std::abort();
+  return std::move(LR.M);
+}
+
+/// The instrument stage on one kernel of range(0) sites; each iteration
+/// instruments a fresh copy of the lowered module, copied untimed.
+void BM_InstrumentOneKernel(benchmark::State &State) {
+  std::unique_ptr<Module> Lowered =
+      loweredKernel(static_cast<unsigned>(State.range(0)));
+  for (auto _ : State) {
+    State.PauseTiming();
+    Module M = *Lowered;
+    State.ResumeTiming();
+    InstrumentResult R = instrumentModule(M);
+    benchmark::DoNotOptimize(R.NumInductionUpdates);
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_InstrumentOneKernel)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
+    ->Unit(benchmark::kMillisecond);
+
+/// The analyze stage on one instrumented kernel of range(0) sites.
+void BM_AnalyzeOneKernel(benchmark::State &State) {
+  std::unique_ptr<Module> M =
+      loweredKernel(static_cast<unsigned>(State.range(0)));
+  instrumentModule(*M);
+  for (auto _ : State) {
+    StaticAnalysisResult R = analyzeModuleDependence(*M);
+    benchmark::DoNotOptimize(R.NumDoall + R.NumReduction + R.NumUnknown);
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_AnalyzeOneKernel)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -7,317 +7,246 @@
 
 using namespace kremlin;
 
-std::vector<ValueId> kremlin::instructionUses(const Instruction &I) {
-  std::vector<ValueId> Uses;
-  auto Push = [&Uses](ValueId V) {
-    if (V != NoValue)
-      Uses.push_back(V);
-  };
-  if (isBinaryOp(I.Op)) {
-    Push(I.A);
-    Push(I.B);
-    return Uses;
+namespace {
+
+/// Clears bits [Lo, Hi) of \p Row.
+void clearBitRange(uint64_t *Row, unsigned Lo, unsigned Hi) {
+  for (unsigned Bit = Lo; Bit < Hi;) {
+    unsigned First = Bit % 64;
+    unsigned Count = std::min(64 - First, Hi - Bit);
+    uint64_t Mask = Count == 64 ? ~0ull : ((1ull << Count) - 1) << First;
+    Row[Bit / 64] &= ~Mask;
+    Bit += Count;
   }
-  if (isUnaryOp(I.Op)) {
-    Push(I.A);
-    return Uses;
-  }
-  switch (I.Op) {
-  case Opcode::Load:
-    Push(I.A);
-    break;
-  case Opcode::Store:
-    Push(I.A);
-    Push(I.B);
-    break;
-  case Opcode::Call:
-    for (ValueId Arg : I.CallArgs)
-      Push(Arg);
-    break;
-  case Opcode::Ret:
-  case Opcode::CondBr:
-    Push(I.A);
-    break;
-  default:
-    break; // Constants, addresses, Br, region markers: no register reads.
-  }
-  return Uses;
 }
 
-ReachingDefs::ReachingDefs(const Function &F) : F(F) {
-  // Collect every definition site in (block, index) order.
-  for (BlockId BB = 0; BB < F.Blocks.size(); ++BB)
-    for (unsigned Idx = 0; Idx < F.Blocks[BB].Insts.size(); ++Idx) {
-      const Instruction &I = F.Blocks[BB].Insts[Idx];
-      if (producesValue(I.Op) && I.Result != NoValue)
-        Defs.push_back({BB, Idx, I.Result});
-    }
+bool testBit(const uint64_t *Row, unsigned Bit) {
+  return (Row[Bit / 64] >> (Bit % 64)) & 1;
+}
 
-  DefsOfValue.assign(F.NumValues, {});
-  for (unsigned D = 0; D < Defs.size(); ++D)
-    if (Defs[D].Value < DefsOfValue.size())
-      DefsOfValue[Defs[D].Value].push_back(D);
+void setBit(uint64_t *Row, unsigned Bit) {
+  Row[Bit / 64] |= 1ull << (Bit % 64);
+}
 
-  size_t N = F.Blocks.size();
-  Words = static_cast<unsigned>((Defs.size() + 63) / 64);
-  In.assign(N, std::vector<uint64_t>(Words, 0));
-  Out.assign(N, std::vector<uint64_t>(Words, 0));
-  if (N == 0 || Words == 0)
+void clearBit(uint64_t *Row, unsigned Bit) {
+  Row[Bit / 64] &= ~(1ull << (Bit % 64));
+}
+
+} // namespace
+
+ReachingDefs::ReachingDefs(const Function &F, const FunctionAnalysis &FA)
+    : BitOf(FA.Defs.Defs.size(), Untracked), NumBlocks(F.Blocks.size()) {
+  const DefIndex &Defs = FA.Defs;
+  // Track the registers defined in two or more blocks, numbered register
+  // by register: each owns one contiguous bit range, which is what a block
+  // defining it kills. (A register's defs are block-major, so its first
+  // and last name its first and last defining block.)
+  std::vector<unsigned> RangeBegin(F.NumValues, 0);
+  unsigned NumBits = 0;
+  for (ValueId V = 0; V < F.NumValues; ++V) {
+    std::span<const unsigned> Of = Defs.defsOf(V);
+    if (Of.empty() || Defs.Defs[Of.front()].BB == Defs.Defs[Of.back()].BB)
+      continue;
+    RangeBegin[V] = NumBits;
+    for (unsigned D : Of)
+      BitOf[D] = NumBits++;
+  }
+  Words = (NumBits + 63) / 64;
+  Out.assign(NumBlocks * Words, 0);
+  if (NumBlocks == 0 || Words == 0)
     return;
 
-  // GEN[B]: the last definition of each value in B. KILL[B]: every other
-  // definition of a value B defines.
-  std::vector<std::vector<uint64_t>> Gen(N, std::vector<uint64_t>(Words, 0));
-  std::vector<std::vector<uint64_t>> Kill(N, std::vector<uint64_t>(Words, 0));
-  {
-    // Definition indices are block-major, so the last def of V in B is the
-    // highest-numbered def of V belonging to B.
-    std::vector<unsigned> Cursor(F.NumValues, 0);
-    for (BlockId BB = 0; BB < N; ++BB) {
-      std::vector<unsigned> LastInBlock(0);
-      for (unsigned D = 0; D < Defs.size(); ++D) {
-        if (Defs[D].BB != BB)
-          continue;
-        ValueId V = Defs[D].Value;
-        // Kill all defs of V everywhere...
-        for (unsigned K : DefsOfValue[V])
-          Kill[BB][K / 64] |= 1ull << (K % 64);
-        // ...then re-gen the latest one in this block.
-        Gen[BB][D / 64] |= 1ull << (D % 64);
-        // Clear any earlier gen of V in this block (later def wins).
-        for (unsigned K : DefsOfValue[V])
-          if (K != D && Defs[K].BB == BB && Defs[K].Idx < Defs[D].Idx)
-            Gen[BB][K / 64] &= ~(1ull << (K % 64));
-      }
-      for (unsigned W = 0; W < Words; ++W)
-        Kill[BB][W] &= ~Gen[BB][W];
+  // Each block's transfer function, one entry per tracked register it
+  // defines: KILL that register's range, then GEN its last definition in
+  // the block. Read from the block's own def range, last definition first.
+  struct Effect {
+    unsigned KillBegin, KillEnd, GenBit;
+  };
+  std::vector<Effect> Effects;
+  std::vector<unsigned> EffectBegin = {0};
+  std::vector<BlockId> SeenIn(F.NumValues, NoBlock);
+  for (BlockId BB = 0; BB < NumBlocks; ++BB) {
+    for (unsigned D = Defs.BlockBegin[BB + 1]; D-- > Defs.BlockBegin[BB];) {
+      ValueId V = Defs.Defs[D].Value;
+      if (BitOf[D] == Untracked || SeenIn[V] == BB)
+        continue; // Untracked, or a later definition here already won.
+      SeenIn[V] = BB;
+      Effects.push_back(
+          {RangeBegin[V],
+           RangeBegin[V] + static_cast<unsigned>(Defs.defsOf(V).size()),
+           BitOf[D]});
     }
+    EffectBegin.push_back(static_cast<unsigned>(Effects.size()));
   }
 
-  std::vector<std::vector<BlockId>> Preds(N);
-  for (BlockId BB = 0; BB < N; ++BB) {
+  std::vector<std::vector<BlockId>> Preds(NumBlocks);
+  for (BlockId BB = 0; BB < NumBlocks; ++BB) {
     if (!F.Blocks[BB].hasTerminator())
       continue;
     for (BlockId S : F.successors(BB))
-      if (S < N)
+      if (S < NumBlocks)
         Preds[S].push_back(BB);
   }
 
+  // Reverse postorder first, so one pass carries facts along every
+  // forward edge; unreachable blocks (which may still feed reachable
+  // ones) follow.
+  std::vector<BlockId> Order = FA.DT.Rpo;
+  for (BlockId BB = 0; BB < NumBlocks; ++BB)
+    if (!FA.DT.isReachable(BB))
+      Order.push_back(BB);
+  std::vector<uint64_t> Row(Words);
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (BlockId BB = 0; BB < N; ++BB) {
-      for (unsigned W = 0; W < Words; ++W) {
-        uint64_t Merged = 0;
-        for (BlockId P : Preds[BB])
-          Merged |= Out[P][W];
-        In[BB][W] = Merged;
-        uint64_t NewOut = Gen[BB][W] | (Merged & ~Kill[BB][W]);
-        if (NewOut != Out[BB][W]) {
-          Out[BB][W] = NewOut;
-          Changed = true;
+    for (BlockId BB : Order) {
+      // OUT = GEN | (IN - KILL), with IN the union of the preds' OUT.
+      std::fill(Row.begin(), Row.end(), 0);
+      for (BlockId P : Preds[BB]) {
+        const uint64_t *PredOut = &Out[P * Words];
+        for (unsigned W = 0; W < Words; ++W)
+          Row[W] |= PredOut[W];
+      }
+      for (unsigned E = EffectBegin[BB]; E < EffectBegin[BB + 1]; ++E) {
+        clearBitRange(Row.data(), Effects[E].KillBegin, Effects[E].KillEnd);
+        setBit(Row.data(), Effects[E].GenBit);
+      }
+      uint64_t *OutRow = &Out[BB * Words];
+      if (!std::equal(Row.begin(), Row.end(), OutRow)) {
+        std::copy(Row.begin(), Row.end(), OutRow);
+        Changed = true;
+      }
+    }
+  }
+}
+
+bool ReachingDefs::defReachesOut(unsigned DefIdx, BlockId BB) const {
+  assert(tracks(DefIdx) &&
+         "reaching definitions track only registers defined in two or more "
+         "blocks");
+  if (BB >= NumBlocks || !tracks(DefIdx))
+    return false;
+  return testBit(&Out[BB * Words], BitOf[DefIdx]);
+}
+
+std::vector<ScalarCarriedDep>
+kremlin::findLoopCarriedScalarDeps(const Function &F,
+                                   const FunctionAnalysis &FA, const Loop &L,
+                                   const ReachingDefs &RD,
+                                   LoopScratch &Scratch) {
+  std::vector<ScalarCarriedDep> Deps;
+  if (F.Blocks.empty() || F.NumValues == 0)
+    return Deps;
+  Scratch.mark(L);
+  const DefIndex &DI = FA.Defs;
+  std::vector<unsigned> &Local = Scratch.slots();
+
+  // Carried registers, numbered locally in first-seen order, with their
+  // carried sources: in-loop definitions surviving to a latch exit -- the
+  // bindings the back edge hands to the next iteration. A register that
+  // reaching definitions do not track is defined in one block only: its
+  // last definition there is never killed, and every block of a natural
+  // loop reaches a latch, so that definition is carried and the others
+  // (killed in their own block) are not.
+  std::vector<ValueId> Carried;
+  std::vector<std::vector<unsigned>> Sources;
+  for (BlockId B : L.Blocks)
+    for (unsigned D = DI.BlockBegin[B]; D < DI.BlockBegin[B + 1]; ++D) {
+      ValueId V = DI.Defs[D].Value;
+      bool Reaches =
+          RD.tracks(D)
+              ? std::any_of(L.Latches.begin(), L.Latches.end(),
+                            [&](BlockId T) { return RD.defReachesOut(D, T); })
+              : D == DI.defsOf(V).back();
+      if (!Reaches)
+        continue;
+      if (Local[V] == LoopScratch::NoSlot) {
+        Local[V] = static_cast<unsigned>(Carried.size());
+        Carried.push_back(V);
+        Sources.emplace_back();
+      }
+      Sources[Local[V]].push_back(D);
+    }
+  if (Carried.empty())
+    return Deps;
+
+  // Sets over the carried registers, one row of Words per loop block
+  // (indexed by position in L.Blocks).
+  size_t NB = L.Blocks.size();
+  unsigned Words = static_cast<unsigned>((Carried.size() + 63) / 64);
+  auto Row = [Words](std::vector<uint64_t> &Set, size_t P) {
+    return &Set[P * Words];
+  };
+
+  // Defined[P]: carried registers block P defines; InLoopDefs counts every
+  // in-loop definition of each carried register.
+  std::vector<uint64_t> Defined(NB * Words, 0);
+  std::vector<unsigned> InLoopDefs(Carried.size(), 0);
+  std::vector<std::vector<unsigned>> LoopPreds(NB);
+  for (size_t P = 0; P < NB; ++P) {
+    BlockId B = L.Blocks[P];
+    for (unsigned D = DI.BlockBegin[B]; D < DI.BlockBegin[B + 1]; ++D) {
+      unsigned C = Local[DI.Defs[D].Value];
+      if (C == LoopScratch::NoSlot)
+        continue;
+      setBit(Row(Defined, P), C);
+      ++InLoopDefs[C];
+    }
+    if (!F.Blocks[B].hasTerminator())
+      continue;
+    for (BlockId S : F.successors(B))
+      if (Scratch.inLoop(S) && S != L.Header) // Back edges excluded.
+        LoopPreds[Scratch.pos(S)].push_back(static_cast<unsigned>(P));
+  }
+
+  // Token pass: TokenIn[B] = carried registers whose previous-iteration
+  // binding can still be live at B's entry. Seeded with every carried
+  // register at the header; any definition of V inside the current
+  // iteration kills V's token.
+  //
+  // SameIter pass: registers some current-iteration definition reaches (a
+  // may analysis: gen-only, since any same-iteration def of V counts).
+  std::vector<uint64_t> TokenIn(NB * Words, 0), SameIn(NB * Words, 0);
+  for (unsigned C = 0; C < Carried.size(); ++C)
+    setBit(Row(TokenIn, Scratch.pos(L.Header)), C);
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (size_t P = 0; P < NB; ++P) {
+      if (L.Blocks[P] == L.Header)
+        continue; // Header sets are the fixed seeds.
+      uint64_t *Token = Row(TokenIn, P), *Same = Row(SameIn, P);
+      for (unsigned Pred : LoopPreds[P]) {
+        // TokenOut = TokenIn - Defined; SameOut = SameIn + Defined.
+        const uint64_t *PT = Row(TokenIn, Pred), *PS = Row(SameIn, Pred),
+                       *PD = Row(Defined, Pred);
+        for (unsigned W = 0; W < Words; ++W) {
+          uint64_t NewToken = Token[W] | (PT[W] & ~PD[W]);
+          uint64_t NewSame = Same[W] | PS[W] | PD[W];
+          Changed |= NewToken != Token[W] || NewSame != Same[W];
+          Token[W] = NewToken;
+          Same[W] = NewSame;
         }
       }
     }
   }
-}
 
-const std::vector<unsigned> &ReachingDefs::defsOf(ValueId V) const {
-  static const std::vector<unsigned> Empty;
-  return V < DefsOfValue.size() ? DefsOfValue[V] : Empty;
-}
-
-std::vector<unsigned>
-ReachingDefs::expand(const std::vector<uint64_t> &Set) const {
-  std::vector<unsigned> Result;
-  for (unsigned D = 0; D < Defs.size(); ++D)
-    if (inBit(Set, D))
-      Result.push_back(D);
-  return Result;
-}
-
-std::vector<unsigned> ReachingDefs::reachingIn(BlockId BB) const {
-  if (BB >= In.size())
-    return {};
-  return expand(In[BB]);
-}
-
-std::vector<unsigned> ReachingDefs::reachingOut(BlockId BB) const {
-  if (BB >= Out.size())
-    return {};
-  return expand(Out[BB]);
-}
-
-std::vector<unsigned> ReachingDefs::reachingAtUse(BlockId BB, unsigned Idx,
-                                                  ValueId V) const {
-  std::vector<unsigned> Result;
-  if (BB >= In.size())
-    return Result;
-  // The latest upstream definition of V inside this block, if any,
-  // supersedes the whole incoming set.
-  unsigned LocalDef = UINT32_MAX;
-  for (unsigned D : defsOf(V))
-    if (Defs[D].BB == BB && Defs[D].Idx < Idx &&
-        (LocalDef == UINT32_MAX || Defs[D].Idx > Defs[LocalDef].Idx))
-      LocalDef = D;
-  if (LocalDef != UINT32_MAX) {
-    Result.push_back(LocalDef);
-    return Result;
-  }
-  for (unsigned D : defsOf(V))
-    if (inBit(In[BB], D))
-      Result.push_back(D);
-  return Result;
-}
-
-bool ReachingDefs::defReachesOut(unsigned DefIdx, BlockId BB) const {
-  return BB < Out.size() && DefIdx < Defs.size() && inBit(Out[BB], DefIdx);
-}
-
-DefUseChains kremlin::buildDefUseChains(const Function &F,
-                                        const ReachingDefs &RD) {
-  DefUseChains Chains;
-  Chains.UsesOfDef.assign(RD.defs().size(), {});
-  for (BlockId BB = 0; BB < F.Blocks.size(); ++BB)
-    for (unsigned Idx = 0; Idx < F.Blocks[BB].Insts.size(); ++Idx) {
-      const Instruction &I = F.Blocks[BB].Insts[Idx];
-      for (ValueId V : instructionUses(I)) {
-        std::vector<unsigned> Reaching = RD.reachingAtUse(BB, Idx, V);
-        if (Reaching.empty())
-          Chains.UndefinedUses.push_back({BB, Idx, V});
-        for (unsigned D : Reaching)
-          Chains.UsesOfDef[D].push_back({BB, Idx, V});
-      }
-    }
-  return Chains;
-}
-
-namespace {
-
-/// Dense bitset over a function's value ids.
-class ValueSet {
-public:
-  explicit ValueSet(unsigned NumValues) : Bits((NumValues + 63) / 64, 0) {}
-  void set(ValueId V) { Bits[V / 64] |= 1ull << (V % 64); }
-  void clear(ValueId V) { Bits[V / 64] &= ~(1ull << (V % 64)); }
-  bool test(ValueId V) const { return (Bits[V / 64] >> (V % 64)) & 1; }
-  /// Unions \p Other in; returns true if anything changed.
-  bool unionWith(const ValueSet &Other) {
-    bool Changed = false;
-    for (size_t W = 0; W < Bits.size(); ++W) {
-      uint64_t Next = Bits[W] | Other.Bits[W];
-      Changed |= Next != Bits[W];
-      Bits[W] = Next;
-    }
-    return Changed;
-  }
-
-private:
-  std::vector<uint64_t> Bits;
-};
-
-} // namespace
-
-std::vector<ScalarCarriedDep>
-kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
-                                   const ReachingDefs &RD, const DomTree &DT) {
-  std::vector<ScalarCarriedDep> Deps;
-  size_t N = F.Blocks.size();
-  if (N == 0 || F.NumValues == 0)
-    return Deps;
-
-  std::vector<char> InLoop(N, 0);
-  for (BlockId B : L.Blocks)
-    if (B < N)
-      InLoop[B] = 1;
-
-  // Carried sources per value: in-loop definitions surviving to a latch
-  // exit — the bindings the back edge hands to the next iteration.
-  std::vector<std::vector<unsigned>> CarriedSources(F.NumValues);
-  ValueSet CarriedValues(F.NumValues);
-  bool AnyCarried = false;
-  for (unsigned D = 0; D < RD.defs().size(); ++D) {
-    const DefSite &Def = RD.defs()[D];
-    if (!InLoop[Def.BB])
-      continue;
-    for (BlockId Latch : L.Latches)
-      if (RD.defReachesOut(D, Latch)) {
-        CarriedSources[Def.Value].push_back(D);
-        CarriedValues.set(Def.Value);
-        AnyCarried = true;
-        break;
-      }
-  }
-  if (!AnyCarried)
-    return Deps;
-
-  std::vector<std::vector<BlockId>> LoopPreds(N);
-  for (BlockId B : L.Blocks) {
-    if (!F.Blocks[B].hasTerminator())
-      continue;
-    for (BlockId S : F.successors(B))
-      if (S < N && InLoop[S] && S != L.Header) // Back edges excluded.
-        LoopPreds[S].push_back(B);
-  }
-
-  // Token pass: TokenIn[B] = values whose previous-iteration binding can
-  // still be live at B's entry. Seeded with every carried value at the
-  // header; any definition of V inside the current iteration kills V's
-  // token.
-  //
-  // SameIter pass: values some current-iteration definition reaches (a may
-  // analysis: gen-only, since any same-iteration def of V counts).
-  std::vector<ValueSet> TokenIn(N, ValueSet(F.NumValues));
-  std::vector<ValueSet> SameIn(N, ValueSet(F.NumValues));
-  TokenIn[L.Header] = CarriedValues;
-
-  auto DefinedValues = [&](BlockId B) {
-    ValueSet S(F.NumValues);
-    for (const Instruction &I : F.Blocks[B].Insts)
-      if (producesValue(I.Op) && I.Result != NoValue)
-        S.set(I.Result);
-    return S;
+  auto Inst = [&F](const DefSite &D) -> const Instruction & {
+    return F.Blocks[D.BB].Insts[D.Idx];
   };
-  std::vector<ValueSet> Defined;
-  Defined.reserve(N);
-  for (BlockId B = 0; B < N; ++B)
-    Defined.push_back(InLoop[B] ? DefinedValues(B) : ValueSet(F.NumValues));
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (BlockId B : L.Blocks) {
-      if (B == L.Header)
-        continue; // Header sets are the fixed seeds.
-      for (BlockId P : LoopPreds[B]) {
-        // TokenOut[P] = TokenIn[P] - Defined[P]; SameOut[P] = SameIn[P] +
-        // Defined[P]. Computed on the fly to avoid storing OUT sets.
-        ValueSet TokenOut = TokenIn[P];
-        for (ValueId V = 0; V < F.NumValues; ++V)
-          if (Defined[P].test(V))
-            TokenOut.clear(V);
-        ValueSet SameOut = SameIn[P];
-        SameOut.unionWith(Defined[P]);
-        Changed |= TokenIn[B].unionWith(TokenOut);
-        Changed |= SameIn[B].unionWith(SameOut);
-      }
-    }
-  }
-
   // True when every in-loop definition that can feed this value across the
   // back edge is an HCPA-breakable update: the marked op itself, or the
   // canonical `v = Move t` copy whose source op is marked.
   auto BreakableDef = [&](unsigned D) {
-    const DefSite &Def = RD.defs()[D];
-    const Instruction &I = F.Blocks[Def.BB].Insts[Def.Idx];
+    const Instruction &I = Inst(DI.Defs[D]);
     if (I.IsInductionUpdate || I.IsReductionUpdate)
       return true;
     if (I.Op == Opcode::Move && I.A != NoValue) {
-      const std::vector<unsigned> &SrcDefs = RD.defsOf(I.A);
+      std::span<const unsigned> SrcDefs = DI.defsOf(I.A);
       if (SrcDefs.size() == 1) {
-        const DefSite &Src = RD.defs()[SrcDefs[0]];
-        const Instruction &SrcI = F.Blocks[Src.BB].Insts[Src.Idx];
-        if (InLoop[Src.BB] &&
+        const DefSite &Src = DI.Defs[SrcDefs[0]];
+        const Instruction &SrcI = Inst(Src);
+        if (Scratch.inLoop(Src.BB) &&
             (SrcI.IsInductionUpdate || SrcI.IsReductionUpdate))
           return true;
       }
@@ -327,51 +256,50 @@ kremlin::findLoopCarriedScalarDeps(const Function &F, const Loop &L,
 
   auto DominatesAllLatches = [&](BlockId B) {
     for (BlockId Latch : L.Latches)
-      if (!DT.dominates(B, Latch))
+      if (!FA.DT.dominates(B, Latch))
         return false;
     return true;
   };
 
   // Scan the loop body for uses whose previous-iteration token is alive.
   // One dependence is reported per (value, use) pair.
-  for (BlockId B : L.Blocks) {
-    ValueSet TokenAlive = TokenIn[B];
-    ValueSet SameAlive = SameIn[B];
+  std::vector<uint64_t> TokenAlive(Words), SameAlive(Words);
+  for (size_t P = 0; P < NB; ++P) {
+    BlockId B = L.Blocks[P];
+    std::copy_n(Row(TokenIn, P), Words, TokenAlive.begin());
+    std::copy_n(Row(SameIn, P), Words, SameAlive.begin());
     const std::vector<Instruction> &Insts = F.Blocks[B].Insts;
     for (unsigned Idx = 0; Idx < Insts.size(); ++Idx) {
       const Instruction &I = Insts[Idx];
-      for (ValueId V : instructionUses(I)) {
-        if (V >= F.NumValues || !TokenAlive.test(V) || !CarriedValues.test(V))
-          continue;
+      forEachUse(I, [&](ValueId V) {
+        if (V >= F.NumValues || Local[V] == LoopScratch::NoSlot ||
+            !testBit(TokenAlive.data(), Local[V]))
+          return;
+        unsigned C = Local[V];
         ScalarCarriedDep Dep;
         Dep.Value = V;
         Dep.Use = {B, Idx, V};
-        Dep.Def = RD.defs()[CarriedSources[V].front()];
+        Dep.Def = DI.Defs[Sources[C].front()];
         Dep.Breakable = true;
-        for (unsigned D : CarriedSources[V])
+        for (unsigned D : Sources[C])
           Dep.Breakable &= BreakableDef(D);
         // Certain: both endpoints execute every iteration, the value has
         // exactly one in-loop definition, and no same-iteration definition
         // can satisfy the use instead.
-        Dep.Certain = !SameAlive.test(V) &&
-                      RD.defsOf(V).size() >= 1 &&
-                      CarriedSources[V].size() == 1 &&
-                      [&] {
-                        unsigned InLoopDefs = 0;
-                        for (unsigned D : RD.defsOf(V))
-                          InLoopDefs += InLoop[RD.defs()[D].BB];
-                        return InLoopDefs == 1;
-                      }() &&
+        Dep.Certain = !testBit(SameAlive.data(), C) &&
+                      Sources[C].size() == 1 && InLoopDefs[C] == 1 &&
                       DominatesAllLatches(B) &&
                       DominatesAllLatches(Dep.Def.BB);
         Deps.push_back(Dep);
-      }
-      if (producesValue(I.Op) && I.Result != NoValue &&
-          I.Result < F.NumValues) {
-        TokenAlive.clear(I.Result);
-        SameAlive.set(I.Result);
+      });
+      if (producesValue(I.Op) && I.Result < F.NumValues &&
+          Local[I.Result] != LoopScratch::NoSlot) {
+        clearBit(TokenAlive.data(), Local[I.Result]);
+        setBit(SameAlive.data(), Local[I.Result]);
       }
     }
   }
+  for (ValueId V : Carried)
+    Local[V] = LoopScratch::NoSlot;
   return Deps;
 }

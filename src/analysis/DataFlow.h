@@ -1,4 +1,4 @@
-//===- analysis/DataFlow.h - Reaching defs and def-use chains ---*- C++ -*-===//
+//===- analysis/DataFlow.h - Reaching defs, carried scalar deps -*- C++ -*-===//
 //
 // Part of the Kremlin reproduction project.
 //
@@ -6,8 +6,9 @@
 ///
 /// \file
 /// A small dataflow framework over the register IR: reaching definitions
-/// (classic gen/kill bitvector analysis), def-use chains built on top of
-/// them, and loop-carried scalar dependence detection for natural loops.
+/// (classic gen/kill bitvector analysis, over the definitions of registers
+/// defined in more than one block) and loop-carried scalar dependence
+/// detection for natural loops.
 ///
 /// These feed the static loop-dependence analyzer (StaticDependence.h),
 /// which cross-checks the dynamic self-parallelism numbers HCPA measures:
@@ -19,21 +20,13 @@
 #ifndef KREMLIN_ANALYSIS_DATAFLOW_H
 #define KREMLIN_ANALYSIS_DATAFLOW_H
 
-#include "analysis/Dominators.h"
-#include "analysis/Loops.h"
+#include "analysis/FunctionAnalysis.h"
 #include "ir/Function.h"
 
 #include <cstdint>
 #include <vector>
 
 namespace kremlin {
-
-/// One static definition of a virtual register.
-struct DefSite {
-  BlockId BB = NoBlock;
-  unsigned Idx = 0; ///< Instruction index within the block.
-  ValueId Value = NoValue;
-};
 
 /// One static read of a virtual register.
 struct UseSite {
@@ -42,60 +35,76 @@ struct UseSite {
   ValueId Value = NoValue;
 };
 
-/// Register operands read by \p I (the Result is excluded). Covers every
-/// opcode: binary/unary operands, Load/Store addresses and values, call
-/// arguments, branch conditions, and return values.
-std::vector<ValueId> instructionUses(const Instruction &I);
+/// Calls \p Visit on each register operand \p I reads, in operand order
+/// (the Result is excluded). Covers every opcode: binary/unary operands,
+/// Load/Store addresses and values, call arguments, branch conditions, and
+/// return values.
+template <typename Fn> void forEachUse(const Instruction &I, Fn &&Visit) {
+  auto Use = [&Visit](ValueId V) {
+    if (V != NoValue)
+      Visit(V);
+  };
+  if (isBinaryOp(I.Op)) {
+    Use(I.A);
+    Use(I.B);
+    return;
+  }
+  if (isUnaryOp(I.Op)) {
+    Use(I.A);
+    return;
+  }
+  switch (I.Op) {
+  case Opcode::Load:
+    Use(I.A);
+    break;
+  case Opcode::Store:
+    Use(I.A);
+    Use(I.B);
+    break;
+  case Opcode::Call:
+    for (ValueId Arg : I.CallArgs)
+      Use(Arg);
+    break;
+  case Opcode::Ret:
+  case Opcode::CondBr:
+    Use(I.A);
+    break;
+  default:
+    break; // Constants, addresses, Br, region markers: no register reads.
+  }
+}
 
-/// Reaching definitions for one function: for every program point, the set
-/// of definitions that may reach it. Definitions are numbered densely; the
-/// per-block IN/OUT sets are bitvectors over that numbering.
+/// Reaching definitions for one function, over the definitions of
+/// registers defined in two or more blocks. A register defined in one block
+/// is killed nowhere else, so the last of its definitions there reaches
+/// every block the CFG lets it reach and the others reach none: it needs
+/// no bit. The per-block OUT sets are one flat blocks x words bitvector
+/// array, and each block's GEN/KILL comes from its own def range.
 class ReachingDefs {
 public:
-  explicit ReachingDefs(const Function &F);
+  /// \p FA must be \p F's analysis.
+  ReachingDefs(const Function &F, const FunctionAnalysis &FA);
 
-  /// All definition sites, in (block, index) order.
-  const std::vector<DefSite> &defs() const { return Defs; }
+  /// True when definition \p DefIdx (an index into DefIndex::Defs) has a
+  /// bit: its register is defined in two or more blocks.
+  bool tracks(unsigned DefIdx) const {
+    return DefIdx < BitOf.size() && BitOf[DefIdx] != Untracked;
+  }
 
-  /// Indices into defs() of the definitions of \p V.
-  const std::vector<unsigned> &defsOf(ValueId V) const;
-
-  /// Definition indices reaching the entry of \p BB.
-  std::vector<unsigned> reachingIn(BlockId BB) const;
-
-  /// Definition indices reaching the exit of \p BB.
-  std::vector<unsigned> reachingOut(BlockId BB) const;
-
-  /// Definitions of \p V reaching the use at instruction \p Idx of \p BB
-  /// (block-local definitions upstream of \p Idx kill the incoming set).
-  std::vector<unsigned> reachingAtUse(BlockId BB, unsigned Idx,
-                                      ValueId V) const;
-
-  /// True when definition \p DefIdx is in the OUT set of \p BB.
+  /// True when tracked definition \p DefIdx is in the OUT set of \p BB.
+  /// Asking about an untracked definition is a programming error.
   bool defReachesOut(unsigned DefIdx, BlockId BB) const;
 
 private:
-  bool inBit(const std::vector<uint64_t> &Set, unsigned Bit) const {
-    return (Set[Bit / 64] >> (Bit % 64)) & 1;
-  }
-  std::vector<unsigned> expand(const std::vector<uint64_t> &Set) const;
+  static constexpr unsigned Untracked = UINT32_MAX;
 
-  const Function &F;
-  std::vector<DefSite> Defs;
-  std::vector<std::vector<unsigned>> DefsOfValue; ///< Indexed by ValueId.
+  /// Bit of each definition in the OUT rows, or Untracked.
+  std::vector<unsigned> BitOf;
+  size_t NumBlocks = 0;
   unsigned Words = 0;
-  std::vector<std::vector<uint64_t>> In, Out;
+  /// OUT[B] is Out[B * Words .. (B + 1) * Words).
+  std::vector<uint64_t> Out;
 };
-
-/// Def-use chains: for every definition, the uses it may reach.
-struct DefUseChains {
-  /// Indexed by definition index (ReachingDefs::defs() order).
-  std::vector<std::vector<UseSite>> UsesOfDef;
-  /// Uses no definition reaches (parameters, reads of undefined locals).
-  std::vector<UseSite> UndefinedUses;
-};
-
-DefUseChains buildDefUseChains(const Function &F, const ReachingDefs &RD);
 
 /// A scalar dependence carried by a loop's back edge: a use that may read
 /// the value an in-loop definition produced in a *previous* iteration.
@@ -115,11 +124,14 @@ struct ScalarCarriedDep {
   bool Breakable = false;
 };
 
-/// Detects scalar dependences carried by \p L's back edges. \p DT must be
-/// the dominator tree of \p F (used for the Certain classification).
+/// Detects scalar dependences carried by \p L's back edges. \p FA and
+/// \p RD must be \p F's analysis and reaching definitions; \p Scratch is
+/// \p F's per-loop arena (this marks \p L in it). Costs the size of the
+/// loop, not of the function.
 std::vector<ScalarCarriedDep>
-findLoopCarriedScalarDeps(const Function &F, const Loop &L,
-                          const ReachingDefs &RD, const DomTree &DT);
+findLoopCarriedScalarDeps(const Function &F, const FunctionAnalysis &FA,
+                          const Loop &L, const ReachingDefs &RD,
+                          LoopScratch &Scratch);
 
 } // namespace kremlin
 

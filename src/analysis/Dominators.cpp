@@ -7,26 +7,51 @@
 
 using namespace kremlin;
 
-bool DomTree::dominates(BlockId A, BlockId B) const {
-  if (!isReachable(B))
-    return false;
-  while (true) {
-    if (A == B)
-      return true;
-    if (B == Root)
-      return false;
-    B = IDom[B];
+namespace {
+
+/// Fills \p DT's DFS entry/exit numbers by an iterative walk of the tree
+/// from its root; unreachable nodes keep UINT32_MAX.
+void numberTree(DomTree &DT) {
+  size_t N = DT.IDom.size();
+  DT.DfsIn.assign(N, UINT32_MAX);
+  DT.DfsOut.assign(N, UINT32_MAX);
+  if (N == 0)
+    return;
+  // Children in CSR form: Kids[Begin[P] .. Begin[P + 1]).
+  std::vector<uint32_t> Begin(N + 1, 0), Kids;
+  for (BlockId B = 0; B < N; ++B)
+    if (B != DT.Root && DT.IDom[B] != NoBlock)
+      ++Begin[DT.IDom[B] + 1];
+  for (size_t P = 0; P < N; ++P)
+    Begin[P + 1] += Begin[P];
+  Kids.resize(Begin[N]);
+  std::vector<uint32_t> Fill(Begin.begin(), Begin.end() - 1);
+  for (BlockId B = 0; B < N; ++B)
+    if (B != DT.Root && DT.IDom[B] != NoBlock)
+      Kids[Fill[DT.IDom[B]]++] = B;
+
+  uint32_t Clock = 0;
+  std::vector<std::pair<BlockId, uint32_t>> Stack = {{DT.Root, Begin[DT.Root]}};
+  DT.DfsIn[DT.Root] = Clock++;
+  while (!Stack.empty()) {
+    auto &[Node, Next] = Stack.back();
+    if (Next < Begin[Node + 1]) {
+      BlockId Kid = Kids[Next++];
+      DT.DfsIn[Kid] = Clock++;
+      Stack.push_back({Kid, Begin[Kid]});
+      continue;
+    }
+    DT.DfsOut[Node] = Clock++;
+    Stack.pop_back();
   }
 }
-
-namespace {
 
 /// Generic CHK iterative dominator computation over an explicit graph.
 /// \p Preds are the predecessor lists; \p Order is a reverse postorder of
 /// reachable nodes starting with the root.
 DomTree computeOnGraph(size_t NumNodes, BlockId Root,
                        const std::vector<std::vector<BlockId>> &Preds,
-                       const std::vector<BlockId> &Order) {
+                       std::vector<BlockId> Order) {
   DomTree DT;
   DT.Root = Root;
   DT.IDom.assign(NumNodes, NoBlock);
@@ -65,6 +90,8 @@ DomTree computeOnGraph(size_t NumNodes, BlockId Root,
       }
     }
   }
+  numberTree(DT);
+  DT.Rpo = std::move(Order);
   return DT;
 }
 

@@ -8,7 +8,10 @@
 /// Dominator and post-dominator tree computation over Kremlin IR CFGs using
 /// the Cooper-Harvey-Kennedy iterative algorithm. Post-dominators are
 /// computed against a virtual exit node that all Ret blocks feed, so
-/// functions with multiple returns are handled uniformly.
+/// functions with multiple returns are handled uniformly. Each tree also
+/// numbers its nodes in DFS order, so a dominance query compares two
+/// intervals instead of walking idoms (a function of N sequential loops
+/// has a tree about N deep).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,9 +33,18 @@ public:
   /// blocks have idom == NoBlock.
   std::vector<BlockId> IDom;
   BlockId Root = NoBlock;
+  /// DFS entry and exit numbers of each reachable node in the tree: A
+  /// dominates B iff A's interval encloses B's.
+  std::vector<uint32_t> DfsIn, DfsOut;
+  /// The reachable nodes in reverse postorder of the graph, root first.
+  std::vector<BlockId> Rpo;
 
-  /// True if \p A dominates \p B (reflexively).
-  bool dominates(BlockId A, BlockId B) const;
+  /// True if \p A dominates \p B (reflexively); false when either is
+  /// unreachable. O(1).
+  bool dominates(BlockId A, BlockId B) const {
+    return isReachable(A) && isReachable(B) && DfsIn[A] <= DfsIn[B] &&
+           DfsOut[B] <= DfsOut[A];
+  }
 
   /// Immediate dominator of \p B (NoBlock for the root or unreachable).
   BlockId idom(BlockId B) const {

@@ -2,33 +2,24 @@
 
 #include "analysis/Induction.h"
 
-#include <map>
+#include <algorithm>
 #include <set>
 
 using namespace kremlin;
 
 namespace {
 
-/// Location of one instruction.
-struct InstRef {
-  BlockId BB = NoBlock;
-  uint32_t Idx = 0;
-};
-
-/// Helper with the per-function def maps the patterns need.
+/// Helper with the per-loop def queries the patterns need. Every query
+/// walks the def index's list for one register and keeps the definitions
+/// inside the current loop (the one Scratch marks).
 class Marker {
 public:
-  Marker(Function &F, const LoopInfo &LI) : F(F), LI(LI) {
-    for (BlockId BB = 0; BB < F.Blocks.size(); ++BB)
-      for (uint32_t I = 0; I < F.Blocks[BB].Insts.size(); ++I) {
-        const Instruction &Inst = F.Blocks[BB].Insts[I];
-        if (producesValue(Inst.Op) && Inst.Result != NoValue)
-          Defs[Inst.Result].push_back({BB, I});
-      }
-  }
+  Marker(Function &F, const FunctionAnalysis &FA)
+      : F(F), FA(FA), Scratch(F) {}
 
   InductionMarkResult run() {
-    for (const Loop &L : LI.Loops) {
+    for (const Loop &L : FA.LI.Loops) {
+      Scratch.mark(L);
       markScalarUpdates(L);
       markMemoryReductions(L);
     }
@@ -37,40 +28,49 @@ public:
 
 private:
   Function &F;
-  const LoopInfo &LI;
-  std::map<ValueId, std::vector<InstRef>> Defs;
+  const FunctionAnalysis &FA;
+  LoopScratch Scratch;
   InductionMarkResult Result;
 
-  Instruction &inst(InstRef R) { return F.Blocks[R.BB].Insts[R.Idx]; }
+  Instruction &inst(const DefSite &D) { return F.Blocks[D.BB].Insts[D.Idx]; }
 
-  /// All defs of \p V whose block is inside loop \p L.
-  std::vector<InstRef> defsInLoop(ValueId V, const Loop &L) {
-    std::vector<InstRef> Out;
-    auto It = Defs.find(V);
-    if (It == Defs.end())
-      return Out;
-    for (InstRef R : It->second)
-      if (L.contains(R.BB))
-        Out.push_back(R);
-    return Out;
+  /// The only definition of \p V inside the current loop; nullptr when it
+  /// has none there or several.
+  const DefSite *singleDefInLoop(ValueId V) const {
+    const DefSite *Found = nullptr;
+    for (unsigned D : FA.Defs.defsOf(V)) {
+      const DefSite &Def = FA.Defs.Defs[D];
+      if (!Scratch.inLoop(Def.BB))
+        continue;
+      if (Found)
+        return nullptr;
+      Found = &Def;
+    }
+    return Found;
   }
 
-  /// True when \p V is invariant with respect to \p L: all its defs are
-  /// outside the loop, or its single in-loop def is a constant.
-  bool isInvariant(ValueId V, const Loop &L) {
-    std::vector<InstRef> InLoop = defsInLoop(V, L);
-    if (InLoop.empty())
+  /// True when \p V is invariant with respect to the current loop: all its
+  /// defs are outside the loop, or its single in-loop def is a constant.
+  bool isInvariant(ValueId V) {
+    unsigned InLoop = 0;
+    const DefSite *Only = nullptr;
+    for (unsigned D : FA.Defs.defsOf(V))
+      if (Scratch.inLoop(FA.Defs.Defs[D].BB)) {
+        ++InLoop;
+        Only = &FA.Defs.Defs[D];
+      }
+    if (InLoop == 0)
       return true;
-    if (InLoop.size() > 1)
+    if (InLoop > 1)
       return false;
-    Opcode Op = inst(InLoop[0]).Op;
+    Opcode Op = inst(*Only).Op;
     return Op == Opcode::ConstInt || Op == Opcode::ConstFloat;
   }
 
   /// True when \p V's in-loop def chains can read \p Banned. Worklist walk
   /// with a visited set (def chains cycle through loop-carried variables);
   /// conservatively true if the walk grows past a size bound.
-  bool dependsOn(ValueId V, ValueId Banned, const Loop &L) {
+  bool dependsOn(ValueId V, ValueId Banned) {
     if (V == Banned)
       return true;
     std::set<ValueId> Visited;
@@ -81,8 +81,11 @@ private:
         return true; // Give up conservatively on huge chains.
       ValueId Cur = Work.back();
       Work.pop_back();
-      for (InstRef R : defsInLoop(Cur, L)) {
-        const Instruction &I = inst(R);
+      for (unsigned D : FA.Defs.defsOf(Cur)) {
+        const DefSite &Def = FA.Defs.Defs[D];
+        if (!Scratch.inLoop(Def.BB))
+          continue;
+        const Instruction &I = inst(Def);
         auto Visit = [&](ValueId Next) {
           if (Next == NoValue)
             return false;
@@ -136,14 +139,14 @@ private:
   /// sibling operands passed on the way are collected for an
   /// independence-of-v check. Returns nullptr if no such op exists.
   Instruction *findAccumulatorOp(ValueId Cur, ValueId V, bool Additive,
-                                 const Loop &L, unsigned Depth,
+                                 unsigned Depth,
                                  std::vector<ValueId> &Siblings) {
     if (Depth == 0)
       return nullptr;
-    std::vector<InstRef> CurDefs = defsInLoop(Cur, L);
-    if (CurDefs.size() != 1)
+    const DefSite *CurDef = singleDefInLoop(Cur);
+    if (!CurDef)
       return nullptr;
-    Instruction &I = inst(CurDefs[0]);
+    Instruction &I = inst(*CurDef);
     if (!isReductionOpcode(I.Op) ||
         (Additive ? !isAdditive(I.Op) : !isMultiplicative(I.Op)))
       return nullptr;
@@ -162,13 +165,13 @@ private:
     size_t Mark = Siblings.size();
     Siblings.push_back(I.B);
     if (Instruction *Found =
-            findAccumulatorOp(I.A, V, Additive, L, Depth - 1, Siblings))
+            findAccumulatorOp(I.A, V, Additive, Depth - 1, Siblings))
       return Found;
     Siblings.resize(Mark);
     if (isCommutative(I.Op)) {
       Siblings.push_back(I.A);
       if (Instruction *Found =
-              findAccumulatorOp(I.B, V, Additive, L, Depth - 1, Siblings))
+              findAccumulatorOp(I.B, V, Additive, Depth - 1, Siblings))
         return Found;
       Siblings.resize(Mark);
     }
@@ -178,23 +181,33 @@ private:
   /// Scalar patterns: the single in-loop def of v is Move(v <- t) where t's
   /// def chain accumulates v through associative ops.
   void markScalarUpdates(const Loop &L) {
-    // Group in-loop Move defs by destination variable register.
-    for (auto &[V, AllDefs] : Defs) {
-      (void)AllDefs;
-      std::vector<InstRef> InLoop = defsInLoop(V, L);
-      if (InLoop.size() != 1)
+    // Candidates: the destinations of the loop's own Moves, in register
+    // order. Swaps below only touch arithmetic ops, never a Move, so the
+    // set cannot change during the walk.
+    std::vector<ValueId> Candidates;
+    for (BlockId B : L.Blocks)
+      for (unsigned D = FA.Defs.BlockBegin[B]; D < FA.Defs.BlockBegin[B + 1];
+           ++D)
+        if (inst(FA.Defs.Defs[D]).Op == Opcode::Move)
+          Candidates.push_back(FA.Defs.Defs[D].Value);
+    std::sort(Candidates.begin(), Candidates.end());
+    Candidates.erase(std::unique(Candidates.begin(), Candidates.end()),
+                     Candidates.end());
+    for (ValueId V : Candidates) {
+      const DefSite *MoveDef = singleDefInLoop(V);
+      if (!MoveDef)
         continue;
-      Instruction &MoveInst = inst(InLoop[0]);
+      Instruction &MoveInst = inst(*MoveDef);
       if (MoveInst.Op != Opcode::Move)
         continue;
       ValueId T = MoveInst.A;
-      std::vector<InstRef> TDefs = defsInLoop(T, L);
-      if (TDefs.size() != 1)
+      const DefSite *TDef = singleDefInLoop(T);
+      if (!TDef)
         continue;
-      bool Additive = isAdditive(inst(TDefs[0]).Op);
+      bool Additive = isAdditive(inst(*TDef).Op);
       std::vector<ValueId> Siblings;
       Instruction *Acc =
-          findAccumulatorOp(T, V, Additive, L, /*Depth=*/8, Siblings);
+          findAccumulatorOp(T, V, Additive, /*Depth=*/8, Siblings);
       if (!Acc)
         continue;
       Instruction &OpInst = *Acc;
@@ -202,7 +215,7 @@ private:
       // genuine recurrence that must not be broken.
       bool Recurrence = false;
       for (ValueId Sibling : Siblings)
-        if (dependsOn(Sibling, V, L)) {
+        if (dependsOn(Sibling, V)) {
           Recurrence = true;
           break;
         }
@@ -213,7 +226,7 @@ private:
       // reduction.
       bool StepInvariant = true;
       for (ValueId Sibling : Siblings)
-        if (!isInvariant(Sibling, L)) {
+        if (!isInvariant(Sibling)) {
           StepInvariant = false;
           break;
         }
@@ -245,13 +258,11 @@ private:
       return true;
     if (Depth == 0 || A == NoValue || B == NoValue)
       return false;
-    auto ItA = Defs.find(A), ItB = Defs.find(B);
-    if (ItA == Defs.end() || ItB == Defs.end())
+    std::span<const unsigned> DA = FA.Defs.defsOf(A), DB = FA.Defs.defsOf(B);
+    if (DA.size() != 1 || DB.size() != 1)
       return false;
-    if (ItA->second.size() != 1 || ItB->second.size() != 1)
-      return false;
-    const Instruction &IA = inst(ItA->second[0]);
-    const Instruction &IB = inst(ItB->second[0]);
+    const Instruction &IA = inst(FA.Defs.Defs[DA[0]]);
+    const Instruction &IB = inst(FA.Defs.Defs[DB[0]]);
     if (IA.Op != IB.Op)
       return false;
     switch (IA.Op) {
@@ -281,19 +292,19 @@ private:
       for (Instruction &Store : F.Blocks[BB].Insts) {
         if (Store.Op != Opcode::Store)
           continue;
-        std::vector<InstRef> ValDefs = defsInLoop(Store.B, L);
-        if (ValDefs.size() != 1)
+        const DefSite *ValDef = singleDefInLoop(Store.B);
+        if (!ValDef)
           continue;
-        Instruction &OpInst = inst(ValDefs[0]);
+        Instruction &OpInst = inst(*ValDef);
         if (!isReductionOpcode(OpInst.Op) || OpInst.IsReductionUpdate ||
             OpInst.IsInductionUpdate)
           continue;
 
         auto LoadMatches = [&](ValueId Operand) {
-          std::vector<InstRef> LDefs = defsInLoop(Operand, L);
-          if (LDefs.size() != 1)
+          const DefSite *LDef = singleDefInLoop(Operand);
+          if (!LDef)
             return false;
-          const Instruction &LoadInst = inst(LDefs[0]);
+          const Instruction &LoadInst = inst(*LDef);
           if (LoadInst.Op != Opcode::Load)
             return false;
           return sameValueChain(LoadInst.A, Store.A, /*Depth=*/16);
@@ -314,7 +325,7 @@ private:
 
 } // namespace
 
-InductionMarkResult kremlin::markInductionAndReductions(Function &F,
-                                                        const LoopInfo &LI) {
-  return Marker(F, LI).run();
+InductionMarkResult
+kremlin::markInductionAndReductions(Function &F, const FunctionAnalysis &FA) {
+  return Marker(F, FA).run();
 }

@@ -28,7 +28,7 @@
 #ifndef KREMLIN_ANALYSIS_INDUCTION_H
 #define KREMLIN_ANALYSIS_INDUCTION_H
 
-#include "analysis/Loops.h"
+#include "analysis/FunctionAnalysis.h"
 #include "ir/Function.h"
 
 namespace kremlin {
@@ -40,9 +40,11 @@ struct InductionMarkResult {
   unsigned NumMemoryReductions = 0;
 };
 
-/// Detects and marks induction/reduction updates in \p F using \p LI.
+/// Detects and marks induction/reduction updates in \p F, using its loops
+/// and def index from \p FA. Each loop costs the size of its body: the
+/// candidates are the destinations of the loop's own Moves.
 InductionMarkResult markInductionAndReductions(Function &F,
-                                               const LoopInfo &LI);
+                                               const FunctionAnalysis &FA);
 
 } // namespace kremlin
 

@@ -8,7 +8,8 @@
 /// Natural-loop detection and nesting. A back edge T->H (where H dominates
 /// T) defines a loop with header H whose body is every block that can reach
 /// T without passing through H. Loops sharing a header are merged. Nesting
-/// is derived by body-set containment.
+/// is derived by body-set containment: a loop's parent is the smallest
+/// other loop containing its header.
 ///
 /// The frontend also emits Loop regions structurally; this analysis is the
 /// independent source of truth used by induction-variable detection and by
@@ -49,8 +50,9 @@ struct LoopInfo {
   int innermostLoop(BlockId B) const;
 };
 
-/// Detects the natural loops of \p F.
-LoopInfo computeLoops(const Function &F);
+/// Detects the natural loops of \p F, whose dominator tree is \p DT. Loops
+/// are ordered by header; each costs the size of its body.
+LoopInfo computeLoops(const Function &F, const DomTree &DT);
 
 } // namespace kremlin
 

@@ -25,36 +25,26 @@ struct AddrRoot {
   uint32_t Id = 0;
 };
 
-/// Definition sites per virtual register of one function. Parameters have no
-/// defining instruction; a register with exactly one def has an unambiguous
-/// chain regardless of control flow.
-struct FuncDefs {
-  std::vector<std::vector<const Instruction *>> Defs;
-
-  explicit FuncDefs(const Function &F) : Defs(F.NumValues) {
-    for (const BasicBlock &B : F.Blocks)
-      for (const Instruction &I : B.Insts)
-        if (producesValue(I.Op) && I.Result != NoValue &&
-            I.Result < Defs.size())
-          Defs[I.Result].push_back(&I);
-  }
-};
-
-AddrRoot resolveRoot(const Function &F, const FuncDefs &D, ValueId V,
+/// Resolves \p V to its root through single-definition chains. Parameters
+/// have no defining instruction; a register with exactly one def has an
+/// unambiguous chain regardless of control flow.
+AddrRoot resolveRoot(const Function &F, const DefIndex &D, ValueId V,
                      unsigned Depth = 0) {
   AddrRoot R;
-  if (Depth > MaxChainDepth || V == NoValue || V >= D.Defs.size())
+  if (Depth > MaxChainDepth || V == NoValue || V >= F.NumValues)
     return R;
-  if (D.Defs[V].empty()) {
+  std::span<const unsigned> Defs = D.defsOf(V);
+  if (Defs.empty()) {
     if (V < F.NumParams) {
       R.K = AddrRoot::Kind::Param;
       R.Id = V;
     }
     return R;
   }
-  if (D.Defs[V].size() != 1)
+  if (Defs.size() != 1)
     return R;
-  const Instruction &I = *D.Defs[V][0];
+  const DefSite &Site = D.Defs[Defs[0]];
+  const Instruction &I = F.Blocks[Site.BB].Insts[Site.Idx];
   switch (I.Op) {
   case Opcode::GlobalAddr:
     R.K = AddrRoot::Kind::Global;
@@ -107,7 +97,7 @@ void recordEffect(ModRefSummary &S, const AddrRoot &Root, bool IsWrite) {
 /// Recomputes \p F's summary from its body plus the current summaries of
 /// its callees. Monotone in the callee summaries, so iterating this to a
 /// fixpoint over an SCC converges.
-ModRefSummary computeOne(const Function &F, const FuncDefs &D,
+ModRefSummary computeOne(const Function &F, const DefIndex &D,
                          const std::vector<ModRefSummary> &Current) {
   ModRefSummary S;
   S.ParamReads.assign(F.NumParams, 0);
@@ -159,13 +149,10 @@ ModRefSummary computeOne(const Function &F, const FuncDefs &D,
 
 } // namespace
 
-ModRefResult kremlin::computeModRef(const Module &M, const CallGraph &CG) {
+ModRefResult kremlin::computeModRef(const Module &M, const CallGraph &CG,
+                                    const std::vector<FunctionAnalysis> &FA) {
   ModRefResult Result;
   Result.Summaries.resize(M.Functions.size());
-  std::vector<FuncDefs> Defs;
-  Defs.reserve(M.Functions.size());
-  for (const Function &F : M.Functions)
-    Defs.emplace_back(F);
 
   // Bottom-up over the SCC condensation; multi-member (or self-recursive)
   // components iterate to a fixpoint of the finite effect lattice.
@@ -175,7 +162,7 @@ ModRefResult kremlin::computeModRef(const Module &M, const CallGraph &CG) {
       Changed = false;
       for (FuncId F : Component) {
         ModRefSummary S =
-            computeOne(M.Functions[F], Defs[F], Result.Summaries);
+            computeOne(M.Functions[F], FA[F].Defs, Result.Summaries);
         S.Recursive = CG.isRecursive(F);
         if (!summariesEqual(S, Result.Summaries[F])) {
           Result.Summaries[F] = std::move(S);

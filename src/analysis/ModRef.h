@@ -27,6 +27,7 @@
 #define KREMLIN_ANALYSIS_MODREF_H
 
 #include "analysis/CallGraph.h"
+#include "analysis/FunctionAnalysis.h"
 #include "ir/Module.h"
 
 #include <algorithm>
@@ -79,8 +80,10 @@ struct ModRefResult {
 };
 
 /// Computes bottom-up mod/ref summaries for every function of \p M using
-/// the SCC order of \p CG.
-ModRefResult computeModRef(const Module &M, const CallGraph &CG);
+/// the SCC order of \p CG; \p FA holds each function's analysis, indexed
+/// by FuncId, whose def index resolves address chains.
+ModRefResult computeModRef(const Module &M, const CallGraph &CG,
+                           const std::vector<FunctionAnalysis> &FA);
 
 } // namespace kremlin
 

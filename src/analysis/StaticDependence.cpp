@@ -3,8 +3,6 @@
 #include "analysis/StaticDependence.h"
 
 #include "analysis/DataFlow.h"
-#include "analysis/Dominators.h"
-#include "analysis/Loops.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
@@ -125,14 +123,14 @@ bool basesMayAlias(MemAccess::Base K1, uint32_t Id1, MemAccess::Base K2,
 }
 
 /// Per-loop evaluation context: affine forms for registers, address
-/// resolution, and iteration-cost estimation.
+/// resolution, and iteration-cost estimation. Loop membership comes from
+/// the function's LoopScratch, which this marks with \p L.
 class LoopAnalyzer {
 public:
-  LoopAnalyzer(const Function &F, const Loop &L, const ReachingDefs &RD,
-               const DomTree &DT)
-      : F(F), L(L), RD(RD), DT(DT), InLoop(F.Blocks.size(), 0) {
-    for (BlockId B : L.Blocks)
-      InLoop[B] = 1;
+  LoopAnalyzer(const Function &F, const Loop &L, const FunctionAnalysis &FA,
+               LoopScratch &Scratch)
+      : F(F), L(L), DI(FA.Defs), DT(FA.DT), Scratch(Scratch) {
+    Scratch.mark(L);
     findInductionVars();
   }
 
@@ -144,9 +142,9 @@ public:
   /// The single in-loop definition of \p V, or nullopt (zero or many).
   std::optional<DefSite> singleInLoopDef(ValueId V) const {
     std::optional<DefSite> Found;
-    for (unsigned D : RD.defsOf(V)) {
-      const DefSite &Def = RD.defs()[D];
-      if (!InLoop[Def.BB])
+    for (unsigned D : DI.defsOf(V)) {
+      const DefSite &Def = DI.Defs[D];
+      if (!Scratch.inLoop(Def.BB))
         continue;
       if (Found)
         return std::nullopt;
@@ -156,8 +154,8 @@ public:
   }
 
   bool hasInLoopDef(ValueId V) const {
-    for (unsigned D : RD.defsOf(V))
-      if (InLoop[RD.defs()[D].BB])
+    for (unsigned D : DI.defsOf(V))
+      if (Scratch.inLoop(DI.Defs[D].BB))
         return true;
     return false;
   }
@@ -166,10 +164,10 @@ public:
   std::optional<int64_t> constEval(ValueId V, unsigned Depth = 0) const {
     if (Depth > MaxEvalDepth || V == NoValue)
       return std::nullopt;
-    const std::vector<unsigned> &Ds = RD.defsOf(V);
+    std::span<const unsigned> Ds = DI.defsOf(V);
     if (Ds.size() != 1)
       return std::nullopt;
-    const Instruction &I = inst(RD.defs()[Ds[0]]);
+    const Instruction &I = inst(DI.Defs[Ds[0]]);
     switch (I.Op) {
     case Opcode::ConstInt:
       return I.IntImm;
@@ -263,9 +261,9 @@ public:
     std::optional<DefSite> Def;
     if (hasInLoopDef(V)) {
       Def = singleInLoopDef(V);
-    } else if (RD.defsOf(V).size() == 1) {
-      Def = RD.defs()[RD.defsOf(V)[0]];
-    } else if (RD.defsOf(V).empty() && V < F.NumParams) {
+    } else if (DI.defsOf(V).size() == 1) {
+      Def = DI.Defs[DI.defsOf(V)[0]];
+    } else if (DI.defsOf(V).empty() && V < F.NumParams) {
       // Array parameter: a definite base address with offset 0.
       Out.Kind = MemAccess::Base::Param;
       Out.BaseId = V;
@@ -307,10 +305,6 @@ public:
     }
   }
 
-  const std::map<ValueId, int64_t> &inductionVars() const {
-    return InductionStep;
-  }
-
   bool dominatesAllLatches(BlockId B) const {
     for (BlockId Latch : L.Latches)
       if (!DT.dominates(B, Latch))
@@ -328,8 +322,8 @@ public:
     const Instruction &T = H.terminator();
     if (T.Op != Opcode::CondBr)
       return std::nullopt;
-    bool TrueIn = T.Aux < InLoop.size() && InLoop[T.Aux];
-    bool FalseIn = T.Aux2 < InLoop.size() && InLoop[T.Aux2];
+    bool TrueIn = Scratch.inLoop(T.Aux);
+    bool FalseIn = Scratch.inLoop(T.Aux2);
     if (TrueIn == FalseIn)
       return std::nullopt;
     std::optional<DefSite> CDef = singleInLoopDef(T.A);
@@ -409,10 +403,11 @@ public:
     const Instruction &I = inst(*Def);
     if (I.Op == Opcode::Call || I.Op == Opcode::Store)
       return true;
-    for (ValueId U : instructionUses(I))
-      if (chainDependsOnImpl(U, Target, Visited))
-        return true;
-    return false;
+    bool Depends = false;
+    forEachUse(I, [&](ValueId U) {
+      Depends = Depends || chainDependsOnImpl(U, Target, Visited);
+    });
+    return Depends;
   }
 
   /// Structural equality of two value chains: both compute the same
@@ -469,11 +464,9 @@ public:
       std::optional<DefSite> Def = singleInLoopDef(V);
       return Def ? &inst(*Def) : nullptr;
     }
-    const std::vector<unsigned> &Ds = RD.defsOf(V);
-    return Ds.size() == 1 ? &inst(RD.defs()[Ds[0]]) : nullptr;
+    std::span<const unsigned> Ds = DI.defsOf(V);
+    return Ds.size() == 1 ? &inst(DI.Defs[Ds[0]]) : nullptr;
   }
-
-  bool inLoop(BlockId B) const { return B < InLoop.size() && InLoop[B]; }
 
   // --- Iteration-cost model -------------------------------------------------
   //
@@ -484,46 +477,75 @@ public:
   // the measured critical path too.
 
   struct CostModel {
-    /// Linearized node id per (BB, Idx), UINT32_MAX for excluded insts.
-    std::map<std::pair<BlockId, unsigned>, unsigned> NodeOf;
-    /// Same-iteration def->use edges, by node id (Preds[n] = def nodes).
-    std::vector<std::vector<unsigned>> Preds;
+    static constexpr unsigned NoNode = UINT32_MAX;
+    /// Node of instruction Idx of the loop block at position P in
+    /// Loop::Blocks: NodeOf[InstBase[P] + Idx], NoNode for excluded insts.
+    std::vector<unsigned> InstBase;
+    std::vector<unsigned> NodeOf;
+    /// Same-iteration def->use edges: node n's def nodes are
+    /// PredList[PredBegin[n] .. PredBegin[n + 1]).
+    std::vector<unsigned> PredBegin = {0};
+    std::vector<unsigned> PredList;
     std::vector<BlockId> BlockOf;
+
+    unsigned numNodes() const {
+      return static_cast<unsigned>(BlockOf.size());
+    }
+    std::span<const unsigned> preds(unsigned N) const {
+      return {PredList.data() + PredBegin[N], PredBegin[N + 1] - PredBegin[N]};
+    }
   };
 
   CostModel buildCostModel() const {
     CostModel CM;
-    std::vector<BlockId> Order = L.Blocks; // Already sorted ascending.
-    std::map<ValueId, unsigned> LastDef;
-    for (BlockId B : Order) {
+    // The last node defining each register, kept in the scratch's
+    // per-register slots and restored before returning.
+    std::vector<unsigned> &LastDef = Scratch.slots();
+    std::vector<ValueId> Touched;
+    for (BlockId B : L.Blocks) { // Already sorted ascending.
+      CM.InstBase.push_back(static_cast<unsigned>(CM.NodeOf.size()));
       for (unsigned Idx = 0; Idx < F.Blocks[B].Insts.size(); ++Idx) {
         const Instruction &I = F.Blocks[B].Insts[Idx];
         if (isTerminator(I.Op) || I.Op == Opcode::RegionEnter ||
-            I.Op == Opcode::RegionExit || I.IsInductionUpdate)
+            I.Op == Opcode::RegionExit || I.IsInductionUpdate) {
+          CM.NodeOf.push_back(CostModel::NoNode);
           continue;
-        unsigned Node = static_cast<unsigned>(CM.Preds.size());
-        CM.NodeOf[{B, Idx}] = Node;
-        CM.Preds.push_back({});
-        CM.BlockOf.push_back(B);
-        for (ValueId V : instructionUses(I)) {
-          auto It = LastDef.find(V);
-          if (It != LastDef.end())
-            CM.Preds[Node].push_back(It->second);
         }
-        if (producesValue(I.Op) && I.Result != NoValue)
+        unsigned Node = CM.numNodes();
+        CM.NodeOf.push_back(Node);
+        CM.BlockOf.push_back(B);
+        forEachUse(I, [&](ValueId V) {
+          if (V < F.NumValues && LastDef[V] != LoopScratch::NoSlot)
+            CM.PredList.push_back(LastDef[V]);
+        });
+        CM.PredBegin.push_back(static_cast<unsigned>(CM.PredList.size()));
+        if (producesValue(I.Op) && I.Result < F.NumValues) {
+          if (LastDef[I.Result] == LoopScratch::NoSlot)
+            Touched.push_back(I.Result);
           LastDef[I.Result] = Node;
+        }
       }
     }
+    for (ValueId V : Touched)
+      LastDef[V] = LoopScratch::NoSlot;
     return CM;
+  }
+
+  /// The cost-model node of instruction \p Idx of loop block \p B, or
+  /// NoNode when the model excludes it.
+  unsigned nodeAt(const CostModel &CM, BlockId B, unsigned Idx) const {
+    if (!Scratch.inLoop(B) || Idx >= F.Blocks[B].Insts.size())
+      return CostModel::NoNode;
+    return CM.NodeOf[CM.InstBase[Scratch.pos(B)] + Idx];
   }
 
   /// Longest unit-cost dependence path through one iteration.
   static unsigned criticalPathEstimate(const CostModel &CM) {
     unsigned Max = 0;
-    std::vector<unsigned> Depth(CM.Preds.size(), 0);
-    for (unsigned N = 0; N < CM.Preds.size(); ++N) {
+    std::vector<unsigned> Depth(CM.numNodes(), 0);
+    for (unsigned N = 0; N < CM.numNodes(); ++N) {
       unsigned Best = 0;
-      for (unsigned P : CM.Preds[N])
+      for (unsigned P : CM.preds(N))
         Best = std::max(Best, Depth[P]);
       Depth[N] = Best + 1;
       Max = std::max(Max, Depth[N]);
@@ -534,14 +556,14 @@ public:
   /// Longest path from node \p Src to node \p Dst through must-execute
   /// blocks; 0 when no such path exists.
   unsigned chainCost(const CostModel &CM, unsigned Src, unsigned Dst) const {
-    if (Src >= CM.Preds.size() || Dst >= CM.Preds.size() || Src > Dst)
+    if (Src >= CM.numNodes() || Dst >= CM.numNodes() || Src > Dst)
       return 0;
-    std::vector<unsigned> Dist(CM.Preds.size(), 0);
+    std::vector<unsigned> Dist(CM.numNodes(), 0);
     Dist[Src] = 1;
     for (unsigned N = Src + 1; N <= Dst; ++N) {
       if (!dominatesAllLatches(CM.BlockOf[N]))
         continue;
-      for (unsigned P : CM.Preds[N])
+      for (unsigned P : CM.preds(N))
         if (Dist[P] > 0)
           Dist[N] = std::max(Dist[N], Dist[P] + 1);
     }
@@ -553,42 +575,42 @@ private:
   /// (`v = Move t` with t = `v +/- step`, both marked by the Induction
   /// pass) has a compile-time-constant step.
   void findInductionVars() {
-    for (unsigned D = 0; D < RD.defs().size(); ++D) {
-      const DefSite &Def = RD.defs()[D];
-      if (!InLoop[Def.BB])
-        continue;
-      const Instruction &MoveI = inst(Def);
-      if (MoveI.Op != Opcode::Move || !MoveI.IsInductionUpdate)
-        continue;
-      ValueId V = MoveI.Result;
-      // The update must be V's only in-loop definition: otherwise the
-      // affine form init + step*i does not hold.
-      if (!singleInLoopDef(V))
-        continue;
-      std::optional<DefSite> OpDef = singleInLoopDef(MoveI.A);
-      if (!OpDef)
-        continue;
-      const Instruction &OpI = inst(*OpDef);
-      if (!OpI.IsInductionUpdate ||
-          (OpI.Op != Opcode::Add && OpI.Op != Opcode::Sub))
-        continue;
-      // Induction normalizes the accumulator to operand A; B is the step.
-      std::optional<int64_t> Step = constEval(OpI.B);
-      if (!Step)
-        continue;
-      InductionStep[V] = OpI.Op == Opcode::Add ? *Step : -*Step;
-      if (std::optional<int64_t> Init = initialValueOf(V))
-        InductionInit[V] = *Init;
-    }
+    for (BlockId B : L.Blocks)
+      for (unsigned D = DI.BlockBegin[B]; D < DI.BlockBegin[B + 1]; ++D)
+        addInductionVar(inst(DI.Defs[D]));
+  }
+
+  void addInductionVar(const Instruction &MoveI) {
+    if (MoveI.Op != Opcode::Move || !MoveI.IsInductionUpdate)
+      return;
+    ValueId V = MoveI.Result;
+    // The update must be V's only in-loop definition: otherwise the
+    // affine form init + step*i does not hold.
+    if (!singleInLoopDef(V))
+      return;
+    std::optional<DefSite> OpDef = singleInLoopDef(MoveI.A);
+    if (!OpDef)
+      return;
+    const Instruction &OpI = inst(*OpDef);
+    if (!OpI.IsInductionUpdate ||
+        (OpI.Op != Opcode::Add && OpI.Op != Opcode::Sub))
+      return;
+    // Induction normalizes the accumulator to operand A; B is the step.
+    std::optional<int64_t> Step = constEval(OpI.B);
+    if (!Step)
+      return;
+    InductionStep[V] = OpI.Op == Opcode::Add ? *Step : -*Step;
+    if (std::optional<int64_t> Init = initialValueOf(V))
+      InductionInit[V] = *Init;
   }
 
   /// Compile-time initial value of induction variable \p V: the unique
   /// out-of-loop definition, constant-folded.
   std::optional<int64_t> initialValueOf(ValueId V) const {
     const DefSite *OutDef = nullptr;
-    for (unsigned D : RD.defsOf(V)) {
-      const DefSite &Def = RD.defs()[D];
-      if (InLoop[Def.BB])
+    for (unsigned D : DI.defsOf(V)) {
+      const DefSite &Def = DI.Defs[D];
+      if (Scratch.inLoop(Def.BB))
         continue;
       if (OutDef)
         return std::nullopt;
@@ -627,9 +649,9 @@ private:
 
   const Function &F;
   const Loop &L;
-  const ReachingDefs &RD;
+  const DefIndex &DI;
   const DomTree &DT;
-  std::vector<char> InLoop;
+  LoopScratch &Scratch;
   std::map<ValueId, int64_t> InductionStep;
   std::map<ValueId, int64_t> InductionInit;
 };
@@ -790,9 +812,10 @@ const char *minMaxIdiom(const LoopAnalyzer &LA, const Function &F,
     for (const Instruction &I : F.Blocks[B].Insts) {
       if (&I == Cmp || &I == &MoveI || &I == VCopy)
         continue;
-      for (ValueId U : instructionUses(I))
-        if (U == V)
-          return nullptr;
+      bool ReadsV = false;
+      forEachUse(I, [&](ValueId U) { ReadsV |= U == V; });
+      if (ReadsV)
+        return nullptr;
     }
 
   // Replacing v by t when P(t, v) holds keeps the smaller value iff the
@@ -804,8 +827,9 @@ const char *minMaxIdiom(const LoopAnalyzer &LA, const Function &F,
 }
 
 StaticLoopResult classifyLoop(const Module &M, const Function &F,
-                              const Loop &L, const LoopInfo &LI, size_t LoopIdx,
-                              const ReachingDefs &RD, const DomTree &DT,
+                              const Loop &L, bool HasNestedLoop,
+                              const FunctionAnalysis &FA,
+                              const ReachingDefs &RD, LoopScratch &Scratch,
                               const ModRefResult *MR) {
   StaticLoopResult Result;
   Result.Func = F.Id;
@@ -815,13 +839,12 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   // Only innermost loops get a definite verdict: an inner loop's carried
   // dependences and trip counts make the subscript tests meaningless for
   // the outer loop.
-  for (size_t Other = 0; Other < LI.Loops.size(); ++Other)
-    if (LI.Loops[Other].Parent == static_cast<int>(LoopIdx)) {
-      Result.Reason = "contains a nested loop";
-      return Result;
-    }
+  if (HasNestedLoop) {
+    Result.Reason = "contains a nested loop";
+    return Result;
+  }
 
-  LoopAnalyzer LA(F, L, RD, DT);
+  LoopAnalyzer LA(F, L, FA, Scratch);
 
   // --- Calls: map callee mod/ref summaries to caller-side effects ----------
   //
@@ -902,7 +925,7 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
 
   // --- Scalar dependences + reduction recognition ---------------------------
   std::vector<ScalarCarriedDep> ScalarDeps =
-      findLoopCarriedScalarDeps(F, L, RD, DT);
+      findLoopCarriedScalarDeps(F, FA, L, RD, Scratch);
   const ScalarCarriedDep *BlockingScalar = nullptr;
   const ScalarCarriedDep *CertainScalar = nullptr;
   std::set<ValueId> ReductionValues;
@@ -1193,11 +1216,14 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   };
 
   if (CertainScalar) {
-    auto UseIt = CM.NodeOf.find({CertainScalar->Use.BB, CertainScalar->Use.Idx});
-    auto DefIt = CM.NodeOf.find({CertainScalar->Def.BB, CertainScalar->Def.Idx});
+    unsigned Use =
+        LA.nodeAt(CM, CertainScalar->Use.BB, CertainScalar->Use.Idx);
+    unsigned Def =
+        LA.nodeAt(CM, CertainScalar->Def.BB, CertainScalar->Def.Idx);
     unsigned C = 0;
-    if (UseIt != CM.NodeOf.end() && DefIt != CM.NodeOf.end())
-      C = LA.chainCost(CM, UseIt->second, DefIt->second);
+    if (Use != LoopAnalyzer::CostModel::NoNode &&
+        Def != LoopAnalyzer::CostModel::NoNode)
+      C = LA.chainCost(CM, Use, Def);
     if (CycleDominates(C)) {
       const Instruction &DefI = F.Blocks[CertainScalar->Def.BB]
                                     .Insts[CertainScalar->Def.Idx];
@@ -1222,11 +1248,12 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
     if (!LA.dominatesAllLatches(Dep.Store->BB) ||
         !LA.dominatesAllLatches(Dep.Load->BB))
       continue;
-    auto LdIt = CM.NodeOf.find({Dep.Load->BB, Dep.Load->Idx});
-    auto StIt = CM.NodeOf.find({Dep.Store->BB, Dep.Store->Idx});
+    unsigned Ld = LA.nodeAt(CM, Dep.Load->BB, Dep.Load->Idx);
+    unsigned St = LA.nodeAt(CM, Dep.Store->BB, Dep.Store->Idx);
     unsigned C = 0;
-    if (LdIt != CM.NodeOf.end() && StIt != CM.NodeOf.end())
-      C = LA.chainCost(CM, LdIt->second, StIt->second);
+    if (Ld != LoopAnalyzer::CostModel::NoNode &&
+        St != LoopAnalyzer::CostModel::NoNode)
+      C = LA.chainCost(CM, Ld, St);
     if (!CycleDominates(C))
       continue;
     Result.Verdict = LoopVerdict::ProvablySerial;
@@ -1264,29 +1291,36 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
 
 std::vector<StaticLoopResult>
 kremlin::analyzeFunctionDependence(const Module &M, const Function &F,
+                                   const FunctionAnalysis &FA,
                                    const ModRefResult *MR) {
   std::vector<StaticLoopResult> Results;
-  if (F.Blocks.empty())
+  const std::vector<Loop> &Loops = FA.LI.Loops;
+  if (F.Blocks.empty() || Loops.empty())
     return Results;
-  DomTree DT = computeDominators(F);
-  LoopInfo LI = computeLoops(F);
-  if (LI.Loops.empty())
-    return Results;
-  ReachingDefs RD(F);
-  for (size_t Idx = 0; Idx < LI.Loops.size(); ++Idx)
-    Results.push_back(
-        classifyLoop(M, F, LI.Loops[Idx], LI, Idx, RD, DT, MR));
+  std::vector<char> HasNestedLoop(Loops.size(), 0);
+  for (const Loop &L : Loops)
+    if (L.Parent >= 0)
+      HasNestedLoop[static_cast<size_t>(L.Parent)] = 1;
+  ReachingDefs RD(F, FA);
+  LoopScratch Scratch(F);
+  for (size_t Idx = 0; Idx < Loops.size(); ++Idx)
+    Results.push_back(classifyLoop(M, F, Loops[Idx], HasNestedLoop[Idx], FA,
+                                   RD, Scratch, MR));
   return Results;
 }
 
 StaticAnalysisResult kremlin::analyzeModuleDependence(const Module &M) {
   StaticAnalysisResult Result;
   auto Start = std::chrono::steady_clock::now();
+  std::vector<FunctionAnalysis> FA;
+  FA.reserve(M.Functions.size());
+  for (const Function &F : M.Functions)
+    FA.push_back(buildFunctionAnalysis(F));
   CallGraph CG(M);
-  Result.ModRef = computeModRef(M, CG);
-  for (const Function &F : M.Functions) {
+  Result.ModRef = computeModRef(M, CG, FA);
+  for (size_t I = 0; I < M.Functions.size(); ++I) {
     std::vector<StaticLoopResult> FR =
-        analyzeFunctionDependence(M, F, &Result.ModRef);
+        analyzeFunctionDependence(M, M.Functions[I], FA[I], &Result.ModRef);
     Result.Loops.insert(Result.Loops.end(), FR.begin(), FR.end());
   }
   for (const StaticLoopResult &L : Result.Loops) {

@@ -145,16 +145,19 @@ struct StaticAnalysisResult {
   }
 };
 
-/// Analyzes every natural loop of \p F. Requires induction/reduction marks
-/// (run after instrumentModule); unmarked IR degrades to Unknown verdicts,
-/// never to unsound ones. \p MR supplies callee mod/ref summaries; when
-/// null, loops containing calls stay Unknown.
+/// Analyzes every natural loop of \p F, whose analysis is \p FA. Requires
+/// induction/reduction marks (run after instrumentModule); unmarked IR
+/// degrades to Unknown verdicts, never to unsound ones. \p MR supplies
+/// callee mod/ref summaries; when null, loops containing calls stay
+/// Unknown.
 std::vector<StaticLoopResult>
 analyzeFunctionDependence(const Module &M, const Function &F,
+                          const FunctionAnalysis &FA,
                           const ModRefResult *MR = nullptr);
 
-/// Analyzes every function of \p M (building the call graph and mod/ref
-/// summaries first), updates the telemetry registry (static.loops_analyzed,
+/// Analyzes every function of \p M (building each function's analysis,
+/// then the call graph and mod/ref summaries), updates the telemetry
+/// registry (static.loops_analyzed,
 /// static.verdict_*, static.calls_summarized, static.reductions) and
 /// records wall time.
 StaticAnalysisResult analyzeModuleDependence(const Module &M);

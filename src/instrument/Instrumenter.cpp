@@ -4,7 +4,6 @@
 
 #include "analysis/ControlDependence.h"
 #include "analysis/Induction.h"
-#include "analysis/Loops.h"
 #include "ir/Verifier.h"
 #include "support/StringUtils.h"
 
@@ -47,8 +46,8 @@ void runInductionMarkingPass(Module &M, InstrumentResult &Result) {
   for (Function &F : M.Functions) {
     if (F.Blocks.empty())
       continue;
-    LoopInfo LI = computeLoops(F);
-    InductionMarkResult IMR = markInductionAndReductions(F, LI);
+    InductionMarkResult IMR =
+        markInductionAndReductions(F, buildFunctionAnalysis(F));
     Result.NumInductionUpdates += IMR.NumInductionUpdates;
     Result.NumReductionUpdates += IMR.NumReductionUpdates;
     Result.NumMemoryReductions += IMR.NumMemoryReductions;

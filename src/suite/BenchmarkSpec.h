@@ -94,6 +94,14 @@ struct BenchmarkSpec {
   }
 };
 
+/// \p Sites loop sites that cycle every SiteKind, with Work, the inner
+/// loop count and both iteration counts varied by site index (\p Salt
+/// shifts the pattern), \p SitesPerKernel to a kernel function. With
+/// SitesPerKernel == Sites it is one big function: the front end's size
+/// probe.
+BenchmarkSpec cyclingSiteSpec(unsigned Sites, unsigned SitesPerKernel,
+                              unsigned Salt = 0);
+
 } // namespace kremlin
 
 #endif // KREMLIN_SUITE_BENCHMARKSPEC_H

@@ -33,6 +33,24 @@ const char *kremlin::siteKindName(SiteKind Kind) {
   return "?";
 }
 
+BenchmarkSpec kremlin::cyclingSiteSpec(unsigned Sites, unsigned SitesPerKernel,
+                                       unsigned Salt) {
+  BenchmarkSpec S;
+  S.Name = formatString("cycle%u_%u_%u", Sites, SitesPerKernel, Salt);
+  S.SitesPerKernel = SitesPerKernel;
+  for (unsigned I = 0; I < Sites; ++I) {
+    SiteSpec Site;
+    Site.Kind = static_cast<SiteKind>((I + Salt) % 10);
+    Site.Work = 1 + (5 * I + Salt) % 12;
+    Site.InnerCount = 1 + (I + Salt) % 3;
+    Site.Iters = 16 + (37 * I + 11 * Salt) % 497;
+    Site.InnerIters = 8 + (13 * I + Salt) % 57;
+    Site.InnerDoacross = (I / 10 + Salt) % 2 == 1;
+    S.Sites.push_back(Site);
+  }
+  return S;
+}
+
 std::vector<unsigned> GeneratedBenchmark::manualLines() const {
   std::vector<unsigned> Lines;
   for (const GeneratedLoop &L : Loops)

@@ -153,7 +153,8 @@ TEST(Loops, DetectsForAndWhile) {
     }
   )", "t.c");
   ASSERT_TRUE(R.succeeded());
-  LoopInfo LI = computeLoops(R.M->Functions[0]);
+  const Function &F = R.M->Functions[0];
+  LoopInfo LI = computeLoops(F, computeDominators(F));
   EXPECT_EQ(LI.Loops.size(), 2u);
   for (const Loop &L : LI.Loops) {
     EXPECT_EQ(L.Depth, 1u);
@@ -176,7 +177,8 @@ TEST(Loops, NestingDepths) {
     }
   )", "t.c");
   ASSERT_TRUE(R.succeeded());
-  LoopInfo LI = computeLoops(R.M->Functions[0]);
+  const Function &F = R.M->Functions[0];
+  LoopInfo LI = computeLoops(F, computeDominators(F));
   ASSERT_EQ(LI.Loops.size(), 3u);
   unsigned DepthHist[4] = {0, 0, 0, 0};
   for (const Loop &L : LI.Loops)
@@ -198,7 +200,7 @@ TEST(Loops, InnermostLoopQuery) {
   )", "t.c");
   ASSERT_TRUE(R.succeeded());
   const Function &F = R.M->Functions[0];
-  LoopInfo LI = computeLoops(F);
+  LoopInfo LI = computeLoops(F, computeDominators(F));
   ASSERT_EQ(LI.Loops.size(), 2u);
   const Loop &Inner = LI.Loops[LI.Loops[0].Depth == 2 ? 0 : 1];
   int Found = LI.innermostLoop(Inner.Header);
@@ -218,8 +220,7 @@ MarkCounts markAndCount(const std::string &Src) {
   EXPECT_TRUE(R.succeeded());
   MarkCounts C;
   for (Function &F : R.M->Functions) {
-    LoopInfo LI = computeLoops(F);
-    markInductionAndReductions(F, LI);
+    markInductionAndReductions(F, buildFunctionAnalysis(F));
     for (const BasicBlock &BB : F.Blocks)
       for (const Instruction &I : BB.Insts) {
         // Count only the arithmetic update, not the helper Move.

@@ -1,9 +1,10 @@
 //===- tests/StaticDepTest.cpp - dataflow + static loop dependence --------===//
 //
-// Covers the static-analysis subsystem: reaching definitions, def-use
-// chains, loop-carried scalar dependences, the ZIV/SIV loop classifier,
-// the --verify-ir instrumentation gate, the lint pipeline, and the
-// soundness cross-check against the dynamic profile on the paper suite.
+// Covers the static-analysis subsystem: reaching definitions, loop-carried
+// scalar dependences, the ZIV/SIV loop classifier, the --verify-ir
+// instrumentation gate, the lint pipeline, the front end's output pinned
+// at scale, and the soundness cross-check against the dynamic profile on
+// the paper suite.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,12 +13,16 @@
 #include "driver/KremlinDriver.h"
 #include "ir/IRBuilder.h"
 #include "suite/PaperSuite.h"
+#include "suite/SourceGenerator.h"
 #include "support/FaultInjection.h"
+#include "support/StringUtils.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 
 using namespace kremlin;
 using namespace kremlin::test;
@@ -44,7 +49,7 @@ StaticLoopResult analyzeSingleLoop(const std::string &Source) {
   return R.Loops.empty() ? StaticLoopResult() : R.Loops.front();
 }
 
-// --- Reaching definitions / def-use chains ---------------------------------
+// --- Reaching definitions ---------------------------------------------------
 
 /// Diamond with the same register defined in the entry and both arms.
 struct RedefDiamond {
@@ -79,53 +84,72 @@ struct RedefDiamond {
   const Function &fn() const { return M.Functions[Id]; }
 };
 
+/// The definitions of \p X in \p DI, keyed by their block.
+std::map<BlockId, unsigned> defsByBlock(const DefIndex &DI, ValueId X) {
+  std::map<BlockId, unsigned> ByBlock;
+  for (unsigned D : DI.defsOf(X))
+    ByBlock[DI.Defs[D].BB] = D;
+  return ByBlock;
+}
+
 TEST(ReachingDefs, ArmDefsKillEntryDefAtJoin) {
   RedefDiamond D;
-  ReachingDefs RD(D.fn());
-  const std::vector<unsigned> &DefsOfX = RD.defsOf(D.X);
-  ASSERT_EQ(DefsOfX.size(), 3u);
-  std::vector<unsigned> AtJoin = RD.reachingIn(D.Join);
-  // Both arm redefinitions reach the join; the entry definition is killed
-  // on every path.
-  unsigned XDefsAtJoin = 0;
-  for (unsigned DefIdx : AtJoin)
-    if (RD.defs()[DefIdx].Value == D.X) {
-      ++XDefsAtJoin;
-      EXPECT_NE(RD.defs()[DefIdx].BB, 0u);
-    }
-  EXPECT_EQ(XDefsAtJoin, 2u);
+  FunctionAnalysis FA = buildFunctionAnalysis(D.fn());
+  ReachingDefs RD(D.fn(), FA);
+  std::map<BlockId, unsigned> DefOfX = defsByBlock(FA.Defs, D.X);
+  // One definition each in the entry (bb0) and both arms (bb1, bb2).
+  ASSERT_EQ(DefOfX.size(), 3u);
+  ASSERT_EQ(DefOfX.count(0), 1u);
+  // Both arm redefinitions reach through the join, which defines nothing;
+  // the entry definition is killed on every path.
+  EXPECT_TRUE(RD.defReachesOut(DefOfX[1], D.Join));
+  EXPECT_TRUE(RD.defReachesOut(DefOfX[2], D.Join));
+  EXPECT_FALSE(RD.defReachesOut(DefOfX[0], D.Join));
+  EXPECT_TRUE(RD.defReachesOut(DefOfX[0], 0));
 }
 
 TEST(ReachingDefs, LocalDefSupersedesIncoming) {
   RedefDiamond D;
-  ReachingDefs RD(D.fn());
-  // In the then-arm (bb1), the use of X by the ret would see only the
-  // local redefinition; emulate with reachingAtUse past the Move.
-  const Function &F = D.fn();
-  unsigned MoveIdx = 0;
-  for (unsigned I = 0; I < F.Blocks[1].Insts.size(); ++I)
-    if (F.Blocks[1].Insts[I].Op == Opcode::Move)
-      MoveIdx = I;
-  std::vector<unsigned> Reaching =
-      RD.reachingAtUse(1, MoveIdx + 1, D.X);
-  ASSERT_EQ(Reaching.size(), 1u);
-  EXPECT_EQ(RD.defs()[Reaching.front()].BB, 1u);
+  FunctionAnalysis FA = buildFunctionAnalysis(D.fn());
+  ReachingDefs RD(D.fn(), FA);
+  std::map<BlockId, unsigned> DefOfX = defsByBlock(FA.Defs, D.X);
+  ASSERT_EQ(DefOfX.size(), 3u);
+  // Past the then-arm's Move (bb1), only the local redefinition of X is
+  // live: it kills the incoming entry definition.
+  EXPECT_TRUE(RD.defReachesOut(DefOfX[1], 1));
+  EXPECT_FALSE(RD.defReachesOut(DefOfX[0], 1));
+  EXPECT_FALSE(RD.defReachesOut(DefOfX[2], 1));
 }
 
 TEST(DefUseChains, RetUseMapsToBothArmDefs) {
   RedefDiamond D;
-  ReachingDefs RD(D.fn());
-  DefUseChains DU = buildDefUseChains(D.fn(), RD);
-  ASSERT_EQ(DU.UsesOfDef.size(), RD.defs().size());
-  // Each arm definition of X reaches exactly the ret's use in the join.
-  for (unsigned DefIdx = 0; DefIdx < RD.defs().size(); ++DefIdx) {
-    const DefSite &Def = RD.defs()[DefIdx];
-    if (Def.Value != D.X || Def.BB == 0)
-      continue;
-    ASSERT_EQ(DU.UsesOfDef[DefIdx].size(), 1u);
-    EXPECT_EQ(DU.UsesOfDef[DefIdx].front().BB, D.Join);
+  FunctionAnalysis FA = buildFunctionAnalysis(D.fn());
+  ReachingDefs RD(D.fn(), FA);
+  std::map<BlockId, unsigned> DefOfX = defsByBlock(FA.Defs, D.X);
+  ASSERT_EQ(DefOfX.size(), 3u);
+  // The ret reads X in the join, which defines nothing before it: what
+  // reaches the join's exit is what the use sees. Each arm definition
+  // gets there only through its own arm.
+  for (BlockId Arm : {BlockId(1), BlockId(2)}) {
+    BlockId Other = Arm == 1 ? 2 : 1;
+    EXPECT_TRUE(RD.defReachesOut(DefOfX[Arm], D.Join)) << "bb" << Arm;
+    EXPECT_TRUE(RD.defReachesOut(DefOfX[Arm], Arm)) << "bb" << Arm;
+    EXPECT_FALSE(RD.defReachesOut(DefOfX[Arm], Other)) << "bb" << Arm;
+    EXPECT_FALSE(RD.defReachesOut(DefOfX[Arm], 0)) << "bb" << Arm;
   }
-  EXPECT_TRUE(DU.UndefinedUses.empty());
+}
+
+/// The carried scalar dependences of the first loop of \p M's first
+/// function, computed the way the analyzer does.
+std::vector<ScalarCarriedDep> firstLoopCarriedDeps(const Module &M) {
+  const Function &F = M.Functions[0];
+  FunctionAnalysis FA = buildFunctionAnalysis(F);
+  EXPECT_EQ(FA.LI.Loops.size(), 1u);
+  if (FA.LI.Loops.empty())
+    return {};
+  ReachingDefs RD(F, FA);
+  LoopScratch Scratch(F);
+  return findLoopCarriedScalarDeps(F, FA, FA.LI.Loops[0], RD, Scratch);
 }
 
 TEST(ScalarCarriedDeps, AccumulatorIsCarriedAndBreakable) {
@@ -136,13 +160,7 @@ TEST(ScalarCarriedDeps, AccumulatorIsCarriedAndBreakable) {
       " for (int i = 0; i < 8; i = i + 1) { s = s + i; }"
       " return s; }");
   instrumentModule(*M);
-  const Function &F = M->Functions[0];
-  LoopInfo LI = computeLoops(F);
-  ASSERT_EQ(LI.Loops.size(), 1u);
-  ReachingDefs RD(F);
-  DomTree DT = computeDominators(F);
-  std::vector<ScalarCarriedDep> Deps =
-      findLoopCarriedScalarDeps(F, LI.Loops[0], RD, DT);
+  std::vector<ScalarCarriedDep> Deps = firstLoopCarriedDeps(*M);
   ASSERT_FALSE(Deps.empty());
   for (const ScalarCarriedDep &Dep : Deps)
     EXPECT_TRUE(Dep.Breakable) << "value v" << Dep.Value;
@@ -156,17 +174,31 @@ TEST(ScalarCarriedDeps, NonReductionRecurrenceIsCertain) {
       " for (int i = 0; i < 8; i = i + 1) { s = s * 2 + 1; }"
       " return s; }");
   instrumentModule(*M);
-  const Function &F = M->Functions[0];
-  LoopInfo LI = computeLoops(F);
-  ASSERT_EQ(LI.Loops.size(), 1u);
-  ReachingDefs RD(F);
-  DomTree DT = computeDominators(F);
-  std::vector<ScalarCarriedDep> Deps =
-      findLoopCarriedScalarDeps(F, LI.Loops[0], RD, DT);
+  std::vector<ScalarCarriedDep> Deps = firstLoopCarriedDeps(*M);
   bool SawCertainUnbreakable = false;
   for (const ScalarCarriedDep &Dep : Deps)
     SawCertainUnbreakable |= Dep.Certain && !Dep.Breakable;
   EXPECT_TRUE(SawCertainUnbreakable);
+}
+
+TEST(ScalarCarriedDeps, SameIterationDefinitionKillsTheCarriedToken) {
+  // t is written at the top of every iteration and read again in a later
+  // block of the same iteration, which can never see the previous
+  // iteration's t: only the induction variable's dependence is carried.
+  const char *Source = "int a[64]; int b[64];"
+                       "int main() {"
+                       " for (int i = 0; i < 64; i = i + 1) {"
+                       "   int t = a[i];"
+                       "   if (t > 0) { b[i] = t; }"
+                       " }"
+                       " return b[3]; }";
+  std::unique_ptr<Module> M = compileOrDie(Source);
+  instrumentModule(*M);
+  std::vector<ScalarCarriedDep> Deps = firstLoopCarriedDeps(*M);
+  ASSERT_FALSE(Deps.empty());
+  for (const ScalarCarriedDep &Dep : Deps)
+    EXPECT_TRUE(Dep.Breakable) << "value v" << Dep.Value;
+  EXPECT_EQ(analyzeSingleLoop(Source).Verdict, LoopVerdict::ProvablyDoall);
 }
 
 // --- Loop verdicts ----------------------------------------------------------
@@ -662,6 +694,84 @@ TEST(AnalyzeStage, FaultInjectionFailsThePipelineCleanly) {
   EXPECT_FALSE(Result.succeeded());
   EXPECT_EQ(Result.failedStage(), "analyze");
   EXPECT_EQ(Result.Err.code(), ErrorCode::FaultInjected);
+}
+
+// --- Front-end output at scale ----------------------------------------------
+
+/// One line pinning what the front end decides about one program: loop and
+/// per-verdict counts, induction/reduction mark counts, and an fnv1a hash
+/// over every loop's verdict canon (region, function, header, verdict,
+/// reason) and every instruction's marks, operands and merge block after
+/// instrument.
+std::string frontEndFingerprint(const std::string &Name,
+                                const std::string &Source) {
+  KremlinDriver Driver;
+  DriverResult R = Driver.lintSource(Source, Name);
+  EXPECT_TRUE(R.succeeded()) << Name << ": " << R.Err.toString();
+  if (!R.succeeded())
+    return Name + " lint failed";
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  auto Mix = [&Hash](const std::string &Text) {
+    for (unsigned char C : Text) {
+      Hash ^= C;
+      Hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const StaticLoopResult &L : R.Static.Loops)
+    Mix(std::to_string(L.Region) + ' ' + std::to_string(L.Func) + ' ' +
+        std::to_string(L.Header) + ' ' +
+        std::to_string(static_cast<int>(L.Verdict)) + ' ' + L.Reason + '\n');
+  unsigned Inductions = 0, Reductions = 0;
+  for (const Function &F : R.M->Functions)
+    for (const BasicBlock &B : F.Blocks)
+      for (const Instruction &I : B.Insts) {
+        Inductions += I.IsInductionUpdate;
+        Reductions += I.IsReductionUpdate;
+        Mix(std::to_string(I.IsInductionUpdate) +
+            std::to_string(I.IsReductionUpdate) + ' ' + std::to_string(I.A) +
+            ' ' + std::to_string(I.B) + ' ' + std::to_string(I.MergeBlock) +
+            '\n');
+      }
+  const StaticAnalysisResult &S = R.Static;
+  return formatString("%s loops=%zu doall=%u reduction=%u serial=%u "
+                      "unknown=%u induction_marks=%u reduction_marks=%u "
+                      "hash=%016llx",
+                      Name.c_str(), S.Loops.size(), S.NumDoall,
+                      S.NumReduction, S.NumSerial, S.NumUnknown, Inductions,
+                      Reductions, static_cast<unsigned long long>(Hash));
+}
+
+TEST(StaticDependence, FrontEndFingerprintsMatchGolden) {
+  // Verdicts, reasons, marks, operand order and merge blocks of the 11
+  // suite programs, two 300-site programs and one 100-site kernel must not
+  // move when the front end is rewritten for speed.
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const std::string &Name : paperBenchmarkNames())
+    Programs.push_back({Name, generatePaperBenchmark(Name).Source});
+  for (unsigned Salt = 0; Salt < 2; ++Salt)
+    Programs.push_back({"sites300_" + std::to_string(Salt),
+                        generateBenchmark(cyclingSiteSpec(300, 4, Salt))
+                            .Source});
+  Programs.push_back(
+      {"kernel100", generateBenchmark(cyclingSiteSpec(100, 100)).Source});
+
+  std::ifstream In(std::string(KREMLIN_GOLDEN_DIR) +
+                   "/frontend_fingerprint.txt");
+  ASSERT_TRUE(In.good()) << "missing tests/golden/frontend_fingerprint.txt";
+  std::map<std::string, std::string> Golden;
+  for (std::string Line; std::getline(In, Line);)
+    if (!Line.empty())
+      Golden[Line.substr(0, Line.find(' '))] = Line;
+  EXPECT_EQ(Golden.size(), Programs.size());
+  for (const auto &[Name, Source] : Programs) {
+    std::string Line = frontEndFingerprint(Name, Source);
+    auto It = Golden.find(Name);
+    EXPECT_TRUE(It != Golden.end() && It->second == Line)
+        << "front-end fingerprint of " << Name
+        << " differs; if the change is intended, its line in "
+           "tests/golden/frontend_fingerprint.txt becomes:\n"
+        << Line;
+  }
 }
 
 // --- Paper-suite cross-check ------------------------------------------------
