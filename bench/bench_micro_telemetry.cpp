@@ -17,34 +17,7 @@ using namespace kremlin;
 
 namespace {
 
-/// The disabled fast path: one relaxed fetch_add on the event counter,
-/// then an early return. This is what every pipeline stage pays when the
-/// user did not ask for a trace.
-void BM_SpanDisabled(benchmark::State &State) {
-  telemetry::setTraceEnabled(false);
-  for (auto _ : State) {
-    telemetry::Span S("bench.span");
-    benchmark::DoNotOptimize(&S);
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_SpanDisabled);
-
-/// The enabled path: record start/stop into the lock-sharded trace buffer.
-/// Drained each pause so the buffer does not grow across iterations.
-void BM_SpanEnabled(benchmark::State &State) {
-  telemetry::setTraceEnabled(true);
-  for (auto _ : State) {
-    telemetry::Span S("bench.span");
-    benchmark::DoNotOptimize(&S);
-  }
-  telemetry::setTraceEnabled(false);
-  telemetry::takeTrace();
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_SpanEnabled);
-
-/// Counts and discards chunks so the benchmark measures the ring + sink
+/// Counts and discards chunks so the enabled cases measure the ring + sink
 /// hand-off itself, not unbounded accumulation or file I/O.
 struct DiscardingSink final : telemetry::TraceSink {
   uint64_t Events = 0;
@@ -53,23 +26,31 @@ struct DiscardingSink final : telemetry::TraceSink {
   }
 };
 
-/// The streaming path: a sink is installed, so full ring shards hand
-/// their chunks to it instead of overwriting. This pins the cost of
-/// producing a bounded-memory trace so the streaming overhead over
-/// BM_SpanEnabled stays visible in baselines.
-void BM_SpanStreamingSink(benchmark::State &State) {
-  telemetry::TraceSinkConfig Cfg;
-  Cfg.RingEvents = 4096;
-  (void)telemetry::setTraceSink(std::make_unique<DiscardingSink>(), Cfg);
+/// The disabled fast path: one relaxed fetch_add on the event counter,
+/// then an early return. This is what every pipeline stage pays when the
+/// user did not ask for a trace.
+void BM_SpanDisabled(benchmark::State &State) {
+  for (auto _ : State) {
+    telemetry::Span S("bench.span");
+    benchmark::DoNotOptimize(&S);
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_SpanDisabled);
+
+/// The enabled path: record start/stop into the lock-sharded trace ring,
+/// whose full shards hand their chunks to the installed sink. This pins
+/// the cost of producing a bounded-memory trace.
+void BM_SpanEnabled(benchmark::State &State) {
+  (void)telemetry::setTraceSink(std::make_unique<DiscardingSink>());
   for (auto _ : State) {
     telemetry::Span S("bench.span");
     benchmark::DoNotOptimize(&S);
   }
   (void)telemetry::closeTraceSink();
-  telemetry::setTraceRingEvents(0);
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_SpanStreamingSink);
+BENCHMARK(BM_SpanEnabled);
 
 void BM_CounterAdd(benchmark::State &State) {
   telemetry::Counter &C =
@@ -98,7 +79,7 @@ BENCHMARK(BM_HistogramRecord);
 /// a scoped trace context plus a Span carrying the args the access log
 /// and Chrome trace need. This is the request-observability hot path.
 void BM_RequestSpanWithTraceContext(benchmark::State &State) {
-  telemetry::setTraceEnabled(true);
+  (void)telemetry::setTraceSink(std::make_unique<DiscardingSink>());
   telemetry::TraceContext Ctx = telemetry::mintTraceContext();
   for (auto _ : State) {
     telemetry::ScopedTraceContext Scope(Ctx);
@@ -107,8 +88,7 @@ void BM_RequestSpanWithTraceContext(benchmark::State &State) {
     S.arg("path", "/ingest");
     benchmark::DoNotOptimize(&S);
   }
-  telemetry::setTraceEnabled(false);
-  telemetry::takeTrace();
+  (void)telemetry::closeTraceSink();
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_RequestSpanWithTraceContext);
@@ -117,7 +97,6 @@ BENCHMARK(BM_RequestSpanWithTraceContext);
 /// whole per-request observability envelope must collapse to the same
 /// near-zero cost as a bare disabled Span.
 void BM_RequestSpanDisabledPath(benchmark::State &State) {
-  telemetry::setTraceEnabled(false);
   for (auto _ : State) {
     telemetry::Span S("bench.request", "serve");
     S.arg("method", "POST");

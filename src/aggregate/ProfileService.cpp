@@ -216,17 +216,8 @@ Expected<std::string> ProfileService::viewBody(const std::string &Key,
   RenderSpan.arg("format", Format);
   Module M = syntheticModule(Merged);
   ParallelismProfile P(M, Merged);
-  report::RegionTree Tree = report::buildRegionTree(P);
   std::string Body;
-  if (Format == "speedscope") {
-    Body = report::exportSpeedscope(P, Tree, "fleet");
-  } else if (Format == "tree") {
-    Body = report::renderTree(P, Tree);
-  } else if (Format == "collapsed") {
-    Body = report::exportCollapsed(P, Tree);
-  } else if (Format == "timeline") {
-    Body = report::exportTimeline(P, Merged);
-  } else if (Format == "plan") {
+  if (Format == "plan") {
     std::unique_ptr<kremlin::Personality> Pers =
         makePersonality(Personality);
     if (!Pers)
@@ -236,10 +227,14 @@ Expected<std::string> ProfileService::viewBody(const std::string &Key,
     Plan ThePlan = Pers->plan(P, PlannerOptions());
     Body = printPlan(M, ThePlan, Opts.PlanRows);
   } else {
-    return Status::error(ErrorCode::InvalidArgument,
-                         "unknown format '" + Format +
-                             "' (speedscope|tree|plan|collapsed|timeline)")
-        .withStage("serve-view");
+    Expected<std::string> View =
+        report::renderView(P, Merged, Format, "fleet");
+    if (!View.ok())
+      return Status::error(ErrorCode::InvalidArgument,
+                           "unknown format '" + Format + "' (plan|" +
+                               std::string(report::ViewFormats) + ")")
+          .withStage("serve-view");
+    Body = View.takeValue();
   }
   ViewCache[Key] = {Generation, Body};
   return Body;

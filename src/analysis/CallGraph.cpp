@@ -21,7 +21,6 @@ struct TarjanNode {
 CallGraph::CallGraph(const Module &M) {
   size_t N = M.Functions.size();
   Callees.resize(N);
-  SccIndex.assign(N, 0);
   Recursive.assign(N, 0);
 
   std::vector<char> SelfEdge(N, 0);
@@ -83,7 +82,6 @@ CallGraph::CallGraph(const Module &M) {
           Member = Stack.back();
           Stack.pop_back();
           Nodes[Member].OnStack = false;
-          SccIndex[Member] = static_cast<unsigned>(Sccs.size());
           Component.push_back(Member);
         } while (Member != Top.F);
         std::sort(Component.begin(), Component.end());

@@ -42,11 +42,9 @@ public:
   /// Every call instruction in the module, in (function, block, index) order.
   const std::vector<CallSite> &sites() const { return Sites; }
 
-  /// SCC index of \p F. SCCs are numbered in bottom-up (callees-first)
-  /// order: every callee of F outside F's component has a smaller index.
-  unsigned sccOf(FuncId F) const { return SccIndex[F]; }
-
-  /// Components in bottom-up order; each is a sorted list of members.
+  /// Components in bottom-up (callees-first) order: every callee of a
+  /// component's member outside it sits in an earlier component. Each is a
+  /// sorted list of members.
   const std::vector<std::vector<FuncId>> &sccs() const { return Sccs; }
 
   /// True when \p F can (transitively) call itself: it sits in a
@@ -58,7 +56,6 @@ public:
 private:
   std::vector<std::vector<FuncId>> Callees;
   std::vector<CallSite> Sites;
-  std::vector<unsigned> SccIndex;
   std::vector<std::vector<FuncId>> Sccs;
   std::vector<char> Recursive;
 };

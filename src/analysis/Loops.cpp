@@ -10,18 +10,6 @@ bool Loop::contains(BlockId B) const {
   return std::binary_search(Blocks.begin(), Blocks.end(), B);
 }
 
-int LoopInfo::innermostLoop(BlockId B) const {
-  int Best = -1;
-  unsigned BestDepth = 0;
-  for (size_t I = 0; I < Loops.size(); ++I) {
-    if (Loops[I].contains(B) && Loops[I].Depth >= BestDepth) {
-      Best = static_cast<int>(I);
-      BestDepth = Loops[I].Depth;
-    }
-  }
-  return Best;
-}
-
 LoopInfo kremlin::computeLoops(const Function &F, const DomTree &DT) {
   LoopInfo LI;
   size_t N = F.Blocks.size();

@@ -45,9 +45,6 @@ struct Loop {
 /// All loops of a function, outermost-first within each nest.
 struct LoopInfo {
   std::vector<Loop> Loops;
-
-  /// Index of the innermost loop containing \p B, or -1.
-  int innermostLoop(BlockId B) const;
 };
 
 /// Detects the natural loops of \p F, whose dominator tree is \p DT. Loops

@@ -6,14 +6,6 @@
 
 using namespace kremlin;
 
-bool ModRefSummary::readsGlobal(GlobalId G) const {
-  return std::binary_search(GlobalReads.begin(), GlobalReads.end(), G);
-}
-
-bool ModRefSummary::writesGlobal(GlobalId G) const {
-  return std::binary_search(GlobalWrites.begin(), GlobalWrites.end(), G);
-}
-
 namespace {
 
 constexpr unsigned MaxChainDepth = 32;

@@ -50,8 +50,6 @@ struct ModRefSummary {
   std::vector<unsigned char> ParamReads;
   std::vector<unsigned char> ParamWrites;
 
-  bool readsGlobal(GlobalId G) const;
-  bool writesGlobal(GlobalId G) const;
   bool readsParam(unsigned K) const {
     return K < ParamReads.size() && ParamReads[K];
   }

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <optional>
 #include <set>
 
@@ -1311,7 +1310,6 @@ kremlin::analyzeFunctionDependence(const Module &M, const Function &F,
 
 StaticAnalysisResult kremlin::analyzeModuleDependence(const Module &M) {
   StaticAnalysisResult Result;
-  auto Start = std::chrono::steady_clock::now();
   std::vector<FunctionAnalysis> FA;
   FA.reserve(M.Functions.size());
   for (const Function &F : M.Functions)
@@ -1342,10 +1340,6 @@ StaticAnalysisResult kremlin::analyzeModuleDependence(const Module &M) {
     Result.CallsSummarized += L.CallsSummarized;
     Result.ReductionsRecognized += L.Reductions;
   }
-  Result.WallMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
-
   telemetry::Registry &Reg = telemetry::Registry::global();
   static telemetry::Counter &Analyzed = Reg.counter("static.loops_analyzed");
   static telemetry::Counter &Doall = Reg.counter("static.verdict_doall");
@@ -1363,7 +1357,5 @@ StaticAnalysisResult kremlin::analyzeModuleDependence(const Module &M) {
   Reduction.add(Result.NumReduction);
   CallsSum.add(Result.CallsSummarized);
   Reductions.add(Result.ReductionsRecognized);
-  Reg.histogram("static.analyze_us")
-      .record(static_cast<uint64_t>(Result.WallMs * 1000.0));
   return Result;
 }

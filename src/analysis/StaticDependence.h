@@ -105,7 +105,6 @@ struct StaticLoopResult {
 /// Whole-module analysis output.
 struct StaticAnalysisResult {
   std::vector<StaticLoopResult> Loops;
-  double WallMs = 0.0;
   unsigned NumDoall = 0;
   unsigned NumSerial = 0;
   unsigned NumUnknown = 0;

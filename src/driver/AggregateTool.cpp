@@ -18,7 +18,6 @@
 #include "driver/Cli.h"
 #include "report/ProfileExport.h"
 #include "support/Http.h"
-#include "support/Json.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "support/Telemetry.h"
@@ -111,16 +110,12 @@ int cli::mergeMain(const Args &A) {
   if (!SpeedscopePath.empty()) {
     Module M = syntheticModule(Merged);
     ParallelismProfile P(M, Merged);
-    report::RegionTree Tree = report::buildRegionTree(P);
-    std::string Output = report::exportSpeedscope(P, Tree, "merge");
+    std::string Output =
+        report::renderView(P, Merged, "speedscope", "merge").takeValue();
     // Same contract as `kremlin report`: JSON artifacts self-validate
     // before anything is written; an invalid document is exit 2.
-    JsonValue Parsed;
-    std::string Error;
-    if (!JsonValue::parse(Output, Parsed, &Error)) {
-      tel::logf(tel::LogLevel::Error, "merge",
-                "internal error: speedscope output is not valid JSON: %s",
-                Error.c_str());
+    if (Status St = report::checkViewJson("speedscope", Output); !St.ok()) {
+      tel::logError("merge", St.toString());
       return 2;
     }
     if (!writeStringToFile(SpeedscopePath, Output)) {

@@ -58,11 +58,11 @@ double elapsedMs(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Synthesizes a Chrome trace for one benchmark from its own stage
-/// timings. The process-wide trace ring is shared by every concurrent
-/// worker, so per-benchmark traces are rebuilt from the run's private
-/// StageMs copy instead of the interleaved global stream.
-std::string stageTraceJson(const DriverResult &R) {
+/// Writes a Chrome trace of one benchmark to \p Path, synthesized from its
+/// own stage timings. The process-wide trace ring is shared by every
+/// concurrent worker, so per-benchmark traces are rebuilt from the run's
+/// private StageMs copy instead of the interleaved global stream.
+Status writeStageTrace(const DriverResult &R, std::string Path) {
   std::vector<telemetry::TraceEvent> Events;
   uint64_t CursorUs = 0;
   for (const auto &[StageName, Ms] : R.StageMs) {
@@ -76,7 +76,12 @@ std::string stageTraceJson(const DriverResult &R) {
     CursorUs += E.DurUs;
     Events.push_back(std::move(E));
   }
-  return telemetry::traceToChromeJson(Events);
+  Expected<std::unique_ptr<telemetry::FileTraceSink>> Sink =
+      telemetry::FileTraceSink::open(std::move(Path));
+  if (!Sink.ok())
+    return Sink.status();
+  (*Sink)->writeBatch(std::move(Events));
+  return (*Sink)->close();
 }
 
 /// Profiles one program through a private pipeline instance and reads
@@ -118,11 +123,11 @@ BenchTaskResult runOneProgram(const FigureProgram &P,
 
     if (!Opts.TraceDir.empty()) {
       const std::string Base = Opts.TraceDir + "/" + Name;
-      report::RegionTree Tree = report::buildRegionTree(*R->Profile);
-      if (!writeStringToFile(Base + ".json", stageTraceJson(*R)) ||
-          !writeStringToFile(
-              Base + ".speedscope.json",
-              report::exportSpeedscope(*R->Profile, Tree, Name)))
+      if (!writeStageTrace(*R, Base + ".json").ok() ||
+          !writeStringToFile(Base + ".speedscope.json",
+                             report::renderView(*R->Profile, *R->Dict,
+                                                "speedscope", Name)
+                                 .takeValue()))
         telemetry::logf(telemetry::LogLevel::Warn, "bench",
                         "cannot write per-benchmark trace under '%s'",
                         Opts.TraceDir.c_str());

@@ -9,6 +9,7 @@
 #include "suite/PaperSuite.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <charconv>
@@ -198,14 +199,6 @@ Flag TelemetryOut::traceOut() {
           &TracePath};
 }
 
-std::vector<Flag> TelemetryOut::traceFlags() {
-  return {traceOut(),
-          {"--trace-ring-events", "<n>",
-           "trace ring capacity in events (default 65536)", &Sink.RingEvents},
-          {"--trace-flush-kb", "<n>",
-           "trace file write-buffer size in KiB (default 64)", &Sink.FlushKb}};
-}
-
 Flag TelemetryOut::metricsOut() {
   return {"--metrics-out", "<path>",
           "write the telemetry registry as metrics JSON", &MetricsPath};
@@ -215,14 +208,14 @@ bool TelemetryOut::start(const char *Tag) const {
   if (TracePath.empty())
     return true;
   Expected<std::unique_ptr<tel::FileTraceSink>> File =
-      tel::FileTraceSink::open(TracePath, Sink);
+      tel::FileTraceSink::open(TracePath);
   if (!File.ok()) {
     tel::logError(Tag, File.status().toString());
     return false;
   }
   // The returned status reports closing a *previous* sink; none is
   // installed at tool startup.
-  (void)tel::setTraceSink(File.takeValue(), Sink);
+  (void)tel::setTraceSink(File.takeValue());
   return true;
 }
 

@@ -18,7 +18,6 @@
 #define KREMLIN_DRIVER_CLI_H
 
 #include "support/Status.h"
-#include "support/Telemetry.h"
 
 #include <cstdint>
 #include <functional>
@@ -106,18 +105,15 @@ struct SourceInput {
   Setter readFile();
 };
 
-/// The telemetry outputs: --trace-out= (plus its ring and flush-buffer
-/// sizes) and --metrics-out=. Its rows point into it, so it stays put.
+/// The telemetry outputs: --trace-out= and --metrics-out=. Its rows point
+/// into it, so it stays put.
 struct TelemetryOut {
   TelemetryOut() = default;
   TelemetryOut(const TelemetryOut &) = delete;
   TelemetryOut &operator=(const TelemetryOut &) = delete;
 
   std::string TracePath, MetricsPath;
-  telemetry::TraceSinkConfig Sink;
   Flag traceOut();
-  /// --trace-out, --trace-ring-events and --trace-flush-kb.
-  std::vector<Flag> traceFlags();
   Flag metricsOut();
   /// Installs a streaming file sink when --trace-out= is set.
   bool start(const char *Tag) const;

@@ -58,10 +58,11 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
-/// Flushes one profiled execution's runtime/shadow/compressor tallies into
-/// the process-wide registry, and — when tracing — emits counter samples
-/// so the numbers line up with the stage spans in the Chrome trace.
-void flushExecutionTelemetry(const KremlinRuntime &RT,
+/// Flushes one profiled execution's interpreter/runtime/shadow/compressor
+/// tallies into the process-wide registry, and — when tracing — emits
+/// counter samples so the numbers line up with the stage spans in the
+/// Chrome trace.
+void flushExecutionTelemetry(const ExecResult &Exec, const KremlinRuntime &RT,
                              const DictionaryCompressor &Dict) {
   telemetry::Registry &Reg = telemetry::Registry::global();
   static telemetry::Counter &DynInsns = Reg.counter("rt.dyn_instructions");
@@ -79,8 +80,8 @@ void flushExecutionTelemetry(const KremlinRuntime &RT,
   static telemetry::Counter &DictInterns = Reg.counter("dict.interns");
   static telemetry::Counter &DictHits = Reg.counter("dict.hits");
 
+  DynInsns.add(Exec.DynInstructions);
   const RuntimeStats &Stats = RT.stats();
-  DynInsns.add(Stats.DynInstructions);
   Events.add(Stats.Events);
   DynRegions.add(Stats.DynRegionEntries);
   Loads.add(Stats.Loads);
@@ -260,7 +261,7 @@ void KremlinDriver::runPipeline(DriverResult &Result) {
     Stage.span().arg("dyn_instructions",
                      std::to_string(Result.Exec.DynInstructions));
   }
-  flushExecutionTelemetry(RT, *Result.Dict);
+  flushExecutionTelemetry(Result.Exec, RT, *Result.Dict);
   if (!Result.Exec.Ok) {
     failStage(Result, "execute",
               Result.Exec.Err.ok() ? Status::error(ErrorCode::ExecutionError,

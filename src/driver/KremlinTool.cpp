@@ -196,9 +196,9 @@ Command Pipeline::command(std::string Usage, std::string Epilogue) {
              {"--load-trace", "<path>",
               "decode a compressed trace and print its summary",
               &LoadTracePath},
-             maxProfileMb(ReadLimits.MaxBytes)},
-            Tel.traceFlags(),
-            {Tel.metricsOut(),
+             maxProfileMb(ReadLimits.MaxBytes),
+             Tel.traceOut(),
+             Tel.metricsOut(),
              {"--dump-ir", "", "print instrumented IR", &DumpIR},
              {"--stats", "", "runtime/compression stats", &DumpStats},
              {"--verify-ir", "",
@@ -403,6 +403,10 @@ int lintMain(const Args &A) {
                   loopVerdictName(L.Verdict), L.Reason});
   }
   std::fputs(Table.render().c_str(), stdout);
+  double AnalyzeMs = 0.0;
+  for (const auto &[Stage, Ms] : Result.StageMs)
+    if (Stage == "analyze")
+      AnalyzeMs = Ms;
   std::printf("lint: %zu loop(s) analyzed -- %u doall, %u reduction, "
               "%u serial, %u unknown (%.0f%% unknown); %u/%u call "
               "site(s) summarized (%.1f ms)\n",
@@ -411,7 +415,7 @@ int lintMain(const Args &A) {
               Result.Static.NumUnknown,
               100.0 * Result.Static.unknownFraction(),
               Result.Static.CallsSummarized, Result.Static.CallSites,
-              Result.Static.WallMs);
+              AnalyzeMs);
   if (!JsonPath.empty()) {
     std::string Doc = lintReportJson(Result, P.In.Name).serialize() + "\n";
     if (JsonPath == "-") {
@@ -453,27 +457,26 @@ int benchMain(const Args &A) {
   bool CheckBaseline = false, UpdateBaseline = false;
   Command C{
       "usage: kremlin-bench [options]   (or: kremlin bench [options])",
-      join({{{"--threads", "<n>", "worker threads (default: hardware)",
-              &Opts.Threads},
-             {"--benchmarks", "<a,b,...>", "subset of the paper suite",
-              &Opts.Benchmarks},
-             {"--personality", "<name>",
-              "planner personality (default openmp)", &Opts.PersonalityName},
-             {"--out", "<path>", "results JSON (default BENCH_results.json)",
-              &OutPath},
-             {"--baseline", "<path>",
-              "baseline JSON (default bench/baseline.json)", &BaselinePath},
-             {"--check-baseline", "",
-              "compare against baseline; nonzero on regression",
-              &CheckBaseline},
-             {"--update-baseline", "", "rewrite the baseline from this run",
-              &UpdateBaseline},
-             {"--deadline-ms", "<n>",
-              "per-benchmark wall-clock deadline; one retry, then the "
-              "benchmark is marked failed",
-              &Opts.DeadlineMs}},
-            Tel.traceFlags(),
-            {Tel.metricsOut()}}),
+      {{"--threads", "<n>", "worker threads (default: hardware)",
+        &Opts.Threads},
+       {"--benchmarks", "<a,b,...>", "subset of the paper suite",
+        &Opts.Benchmarks},
+       {"--personality", "<name>", "planner personality (default openmp)",
+        &Opts.PersonalityName},
+       {"--out", "<path>", "results JSON (default BENCH_results.json)",
+        &OutPath},
+       {"--baseline", "<path>", "baseline JSON (default bench/baseline.json)",
+        &BaselinePath},
+       {"--check-baseline", "",
+        "compare against baseline; nonzero on regression", &CheckBaseline},
+       {"--update-baseline", "", "rewrite the baseline from this run",
+        &UpdateBaseline},
+       {"--deadline-ms", "<n>",
+        "per-benchmark wall-clock deadline; one retry, then the benchmark "
+        "is marked failed",
+        &Opts.DeadlineMs},
+       Tel.traceOut(),
+       Tel.metricsOut()},
       "--trace-out also writes per-benchmark traces and speedscope\n"
       "profiles to bench_traces/ next to the trace file.\n"};
   if (std::optional<int> Exit = parse(C, A, "bench"))
@@ -483,7 +486,7 @@ int benchMain(const Args &A) {
     // Suite-level spans stream to --trace-out; per-benchmark traces go to a
     // bench_traces/ directory beside it (workers share one process-wide
     // ring, so each benchmark's trace is rebuilt from its own stage
-    // timings — see BenchHarness::stageTraceJson).
+    // timings — see writeStageTrace in BenchHarness.cpp).
     if (!Tel.start("bench"))
       return 1;
     size_t Slash = Tel.TracePath.find_last_of('/');

@@ -13,7 +13,6 @@
 #include "driver/Cli.h"
 #include "driver/KremlinDriver.h"
 #include "report/ProfileExport.h"
-#include "support/Json.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
@@ -33,7 +32,7 @@ int cli::reportMain(const Args &A) {
       "usage: kremlin report (<source.c> | --bench=<name> | --tracking) "
       "[options]",
       join({In.flags(),
-            {{"--format", "<speedscope|collapsed|tree|timeline>",
+            {{"--format", "<" + std::string(ViewFormats) + ">",
               "output format (default tree)", &Format},
              {"--top", "<n>",
               "keep only the N highest-work rows (tree/timeline; 0 = all)",
@@ -54,10 +53,8 @@ int cli::reportMain(const Args &A) {
   if (std::optional<int> Exit = parse(C, A, "report"))
     return *Exit;
 
-  if (Format != "speedscope" && Format != "collapsed" && Format != "tree" &&
-      Format != "timeline") {
-    tel::logf(tel::LogLevel::Error, "report", "unknown format '%s'",
-              Format.c_str());
+  if (Status St = checkViewFormat(Format); !St.ok()) {
+    tel::logError("report", St.toString());
     printUsage(C);
     return 1;
   }
@@ -116,29 +113,16 @@ int cli::reportMain(const Args &A) {
 
   tel::Span RenderSpan("report.render", "report");
   RenderSpan.arg("format", Format);
-  RegionTree Tree = buildRegionTree(Profile, Opts);
-  std::string Output;
-  if (Format == "speedscope")
-    Output = exportSpeedscope(Profile, Tree, In.Name);
-  else if (Format == "collapsed")
-    Output = exportCollapsed(Profile, Tree);
-  else if (Format == "timeline")
-    Output = exportTimeline(Profile, Dict, Opts);
-  else
-    Output = renderTree(Profile, Tree, Opts);
+  // The format was checked before profiling, so the view renders.
+  std::string Output =
+      renderView(Profile, Dict, Format, In.Name, Opts).takeValue();
   RenderSpan.end();
 
   // JSON formats are self-validated before anything is written: report
   // output must always parse (the CI artifact contract).
-  if (Format == "speedscope" || Format == "timeline") {
-    JsonValue Parsed;
-    std::string Error;
-    if (!JsonValue::parse(Output, Parsed, &Error)) {
-      tel::logf(tel::LogLevel::Error, "report",
-                "internal error: %s output is not valid JSON: %s",
-                Format.c_str(), Error.c_str());
-      return 2;
-    }
+  if (Status St = checkViewJson(Format, Output); !St.ok()) {
+    tel::logError("report", St.toString());
+    return 2;
   }
 
   if (OutPath.empty()) {

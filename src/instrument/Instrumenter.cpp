@@ -2,7 +2,7 @@
 
 #include "instrument/Instrumenter.h"
 
-#include "analysis/ControlDependence.h"
+#include "analysis/Dominators.h"
 #include "analysis/Induction.h"
 #include "ir/Verifier.h"
 #include "support/StringUtils.h"
@@ -12,12 +12,14 @@ using namespace kremlin;
 namespace {
 
 /// Pass 1: compute control-dependence merge blocks for every CondBr,
-/// validating any value the structured frontend filled in.
+/// validating any value the structured frontend filled in. A branch's merge
+/// block is its immediate post-dominator: the runtime pushes a control
+/// dependence when the branch executes and pops it there.
 void runControlDependencePass(Module &M, InstrumentResult &Result) {
   for (Function &F : M.Functions) {
     if (F.Blocks.empty())
       continue;
-    ControlDependenceInfo CDI = computeControlDependence(F);
+    DomTree PDT = computePostDominators(F);
     for (BlockId BB = 0; BB < F.Blocks.size(); ++BB) {
       if (!F.Blocks[BB].hasTerminator())
         continue;
@@ -25,7 +27,7 @@ void runControlDependencePass(Module &M, InstrumentResult &Result) {
       if (Term.Op != Opcode::CondBr)
         continue;
       ++Result.NumCondBranches;
-      BlockId Computed = CDI.MergeBlock[BB];
+      BlockId Computed = immediatePostDominator(PDT, F, BB);
       if (Term.MergeBlock == NoBlock) {
         Term.MergeBlock = Computed;
       } else if (Term.MergeBlock != Computed && Computed != NoBlock) {

@@ -64,9 +64,6 @@ public:
 
   struct Batch {
     size_t N = 0;
-    /// Elided const ops (KremlinRuntime::noteFreeOps) counted while this
-    /// batch filled; the tally travels with its batch.
-    uint64_t FreeOps = 0;
     ProfEvent Ev[ProfEventBatchSize];
   };
 
@@ -78,19 +75,19 @@ public:
   /// until publish() or close() hands it over.
   ProfEvent *events() { return filling().Ev; }
 
-  /// Hands the first \p N events of events() to the consumer, with the
-  /// elided-op tally, and waits until the next buffer is free (at once if
-  /// the consumer abandoned the run).
-  void publish(size_t N, uint64_t FreeOps) {
-    uint64_t T = seal(N, FreeOps);
+  /// Hands the first \p N events of events() to the consumer and waits
+  /// until the next buffer is free (at once if the consumer abandoned the
+  /// run).
+  void publish(size_t N) {
+    uint64_t T = seal(N);
     wake(ConsumerAsleep, ConsumerWake);
     if (T - Head.load() >= Depth)
       awaitSpace(T);
   }
 
   /// Like publish(), for the stream's last batch; never waits.
-  void close(size_t N, uint64_t FreeOps) {
-    seal(N, FreeOps);
+  void close(size_t N) {
+    seal(N);
     Closed.store(true);
     wake(ConsumerAsleep, ConsumerWake);
   }
@@ -163,10 +160,8 @@ private:
   }
 
   /// Publishes filling(); returns the new Tail.
-  uint64_t seal(size_t N, uint64_t FreeOps) {
-    Batch &B = filling();
-    B.N = N;
-    B.FreeOps = FreeOps;
+  uint64_t seal(size_t N) {
+    filling().N = N;
     uint64_t T = Tail.load(std::memory_order_relaxed) + 1;
     Tail.store(T);
     return T;
@@ -368,8 +363,6 @@ private:
   std::unique_ptr<BatchRing> Ring;
   ProfEvent *EvBuf = nullptr;
   size_t EvN = 0;
-  /// Elided zero-latency const ops since the last flush (see NoEmitFlag).
-  uint64_t FreeOps = 0;
   /// Set when a post-flush guardrail poll failed; acted on at branches.
   bool Bail = false;
 
@@ -402,10 +395,9 @@ private:
   // --- Event production ---------------------------------------------------
 
   void flush() {
-    Ring->publish(EvN, FreeOps);
+    Ring->publish(EvN);
     EvBuf = Ring->events();
     EvN = 0;
-    FreeOps = 0;
     if (Ring->consumerFailed())
       Bail = true;
   }
@@ -517,7 +509,7 @@ private:
         } catch (...) {
           ProducerErr = std::current_exception();
         }
-        R.close(EvN, FreeOps);
+        R.close(EvN);
       });
     } catch (const std::system_error &E) {
       fail(ErrorCode::ResourceExhausted,
@@ -526,7 +518,6 @@ private:
     }
     try {
       while (const BatchRing::Batch *B = R.next()) {
-        RT.noteFreeOps(B->FreeOps);
         RT.consumeBatch(B->Ev, B->N);
         R.release(RT.failed());
       }
@@ -630,13 +621,8 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
   OP(ConstInt)
   OP(ConstFloat) {
     Regs[I->Dst] = I->Imm;
-    if (Profiled) {
-      if (I->Flags & NoEmitFlag)
-        ++FreeOps;
-      else
-        emitOp(static_cast<Opcode>(I->Op), I->Dst, NoValue, NoValue,
-               I->Flags);
-    }
+    if (Profiled && !(I->Flags & NoEmitFlag))
+      emitOp(static_cast<Opcode>(I->Op), I->Dst, NoValue, NoValue, I->Flags);
     ++PC;
     DISPATCH();
   }
@@ -651,24 +637,16 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
 
   OP(GlobalAddr) {
     Regs[I->Dst] = I->Imm;
-    if (Profiled) {
-      if (I->Flags & NoEmitFlag)
-        ++FreeOps;
-      else
-        emitOp(Opcode::GlobalAddr, I->Dst, NoValue, NoValue, I->Flags);
-    }
+    if (Profiled && !(I->Flags & NoEmitFlag))
+      emitOp(Opcode::GlobalAddr, I->Dst, NoValue, NoValue, I->Flags);
     ++PC;
     DISPATCH();
   }
 
   OP(FrameAddr) {
     Regs[I->Dst] = FrameBase + I->Imm;
-    if (Profiled) {
-      if (I->Flags & NoEmitFlag)
-        ++FreeOps;
-      else
-        emitOp(Opcode::FrameAddr, I->Dst, NoValue, NoValue, I->Flags);
-    }
+    if (Profiled && !(I->Flags & NoEmitFlag))
+      emitOp(Opcode::FrameAddr, I->Dst, NoValue, NoValue, I->Flags);
     ++PC;
     DISPATCH();
   }

@@ -76,8 +76,7 @@ struct CondBrInfo {
 /// elided: when its register has exactly one static writer, the row only
 /// ever holds "available at time 0", which is indistinguishable from the
 /// zero-initialized frame row (a tag mismatch reads as time 0), so the
-/// runtime's row write is a no-op and only the instruction count remains —
-/// reported in bulk via KremlinRuntime::noteFreeOps.
+/// runtime's row write is a no-op and the op emits nothing.
 ///   unary/binary/Move/PtrAdd: Dst, A, B; Flags bit 0 = BreakDepA;
 ///     Imm (shape index) with TreeRootFlag
 ///   Load: Dst, A (addr reg), X (line)     Store: A (addr), B (val), X (line)

@@ -41,8 +41,6 @@ public:
     CurBlock = BB;
   }
 
-  BlockId insertBlock() const { return CurBlock; }
-
   /// True if the current block already ends in a terminator (in which case
   /// further straight-line emission would be unreachable).
   bool blockTerminated() const;

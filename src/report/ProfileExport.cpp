@@ -290,3 +290,44 @@ std::string report::renderTree(const ParallelismProfile &P,
   }
   return Table.render();
 }
+
+// --- The one view entry point -----------------------------------------------
+
+Status report::checkViewFormat(std::string_view Format) {
+  for (std::string_view F : splitString(ViewFormats, '|'))
+    if (F == Format)
+      return Status::success();
+  return Status::error(ErrorCode::InvalidArgument,
+                       "unknown format '" + std::string(Format) + "' (" +
+                           std::string(ViewFormats) + ")");
+}
+
+Expected<std::string> report::renderView(const ParallelismProfile &P,
+                                         const DictionaryCompressor &Dict,
+                                         std::string_view Format,
+                                         const std::string &Name,
+                                         const ReportOptions &Opts) {
+  if (Status St = checkViewFormat(Format); !St.ok())
+    return St;
+  if (Format == "timeline")
+    return exportTimeline(P, Dict, Opts);
+  RegionTree Tree = buildRegionTree(P, Opts);
+  if (Format == "speedscope")
+    return exportSpeedscope(P, Tree, Name);
+  if (Format == "collapsed")
+    return exportCollapsed(P, Tree);
+  return renderTree(P, Tree, Opts);
+}
+
+Status report::checkViewJson(std::string_view Format,
+                             const std::string &Body) {
+  if (Format != "speedscope" && Format != "timeline")
+    return Status::success();
+  JsonValue Parsed;
+  std::string Error;
+  if (JsonValue::parse(Body, Parsed, &Error))
+    return Status::success();
+  return Status::error(ErrorCode::Internal,
+                       std::string(Format) +
+                           " output is not valid JSON: " + Error);
+}

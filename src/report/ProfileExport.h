@@ -31,8 +31,10 @@
 
 #include "compress/Dictionary.h"
 #include "profile/ParallelismProfile.h"
+#include "support/Status.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace kremlin {
@@ -106,6 +108,29 @@ std::string exportTimeline(const ParallelismProfile &P,
 /// Terminal tree view (TablePrinter-aligned).
 std::string renderTree(const ParallelismProfile &P, const RegionTree &T,
                        const ReportOptions &Opts = ReportOptions());
+
+/// The views renderView() produces, as help text and errors list them.
+inline constexpr std::string_view ViewFormats =
+    "speedscope|collapsed|tree|timeline";
+
+/// Ok when \p Format is one of ViewFormats; otherwise InvalidArgument
+/// naming them.
+Status checkViewFormat(std::string_view Format);
+
+/// The one entry point every profile view goes through: builds the region
+/// tree (pruned by \p Opts) when the view needs it and renders \p P in
+/// \p Format. \p Dict is the profile's dictionary (the timeline reads its
+/// alphabet); \p Name labels a speedscope profile. Fails as
+/// checkViewFormat() does for an unknown format.
+Expected<std::string> renderView(const ParallelismProfile &P,
+                                 const DictionaryCompressor &Dict,
+                                 std::string_view Format,
+                                 const std::string &Name,
+                                 const ReportOptions &Opts = ReportOptions());
+
+/// The self-check a view written to a file or stdout passes first: a JSON
+/// view (speedscope, timeline) must parse. Internal when it does not.
+Status checkViewJson(std::string_view Format, const std::string &Body);
 
 } // namespace report
 } // namespace kremlin

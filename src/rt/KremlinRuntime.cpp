@@ -179,7 +179,6 @@ void KremlinRuntime::onCondBranch(ValueId CondReg, uint32_t MergeBlock,
                                   uint32_t PushBlock) {
   constexpr unsigned Lat = latencyOf(Opcode::CondBr);
   addWork(Lat);
-  ++Stats.DynInstructions;
   Frame &F = curFrame();
   unsigned Slots = SlotsActive;
 
@@ -221,7 +220,6 @@ void KremlinRuntime::onOp(Opcode Op, ValueId Dst, ValueId A, ValueId B,
                           bool BreakDepA) {
   const unsigned Lat = latencyOf(Op);
   addWork(Lat);
-  ++Stats.DynInstructions;
   if (LiveFrames == 0)
     return;
   const unsigned NL = Cfg.NumLevels;
@@ -280,7 +278,6 @@ void KremlinRuntime::onOp(Opcode Op, ValueId Dst, ValueId A, ValueId B,
 
 void KremlinRuntime::onTree(ValueId Root, const TreeShape &S) {
   addWork(S.Work);
-  Stats.DynInstructions += S.Ops;
   if (LiveFrames == 0)
     return;
   const unsigned NL = Cfg.NumLevels;
@@ -321,7 +318,6 @@ void KremlinRuntime::onTree(ValueId Root, const TreeShape &S) {
 void KremlinRuntime::onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr) {
   constexpr unsigned Lat = latencyOf(Opcode::Load);
   addWork(Lat);
-  ++Stats.DynInstructions;
   ++Stats.Loads;
   const unsigned Slots = SlotsActive;
   if (Slots == 0)
@@ -356,7 +352,6 @@ void KremlinRuntime::onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr) {
 void KremlinRuntime::onStore(ValueId ValReg, ValueId AddrReg, uint64_t Addr) {
   constexpr unsigned Lat = latencyOf(Opcode::Store);
   addWork(Lat);
-  ++Stats.DynInstructions;
   ++Stats.Stores;
   const unsigned Slots = SlotsActive;
   if (Slots == 0)

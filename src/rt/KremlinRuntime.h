@@ -64,7 +64,6 @@ struct KremlinConfig {
 
 /// Counters exposed for the overhead and compression experiments.
 struct RuntimeStats {
-  uint64_t DynInstructions = 0;
   /// ProfEvents consumed (execute's throughput unit). An expression tree
   /// is one event however many instructions it folds.
   uint64_t Events = 0;
@@ -138,12 +137,6 @@ public:
   void onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr);
   void onStore(ValueId ValReg, ValueId AddrReg, uint64_t Addr);
 
-  /// Accounts \p N zero-latency instructions whose shadow effect was proven
-  /// a no-op at decode time (single-writer constant materializations: their
-  /// rows only ever read as time 0, exactly like untouched rows). The
-  /// event stream elides them and reports the tally in bulk with each batch.
-  void noteFreeOps(uint64_t N) { Stats.DynInstructions += N; }
-
   // --- Batched event consumption ------------------------------------------
 
   /// Consumes \p N events in order, dispatching each onto the hook it
@@ -169,19 +162,6 @@ public:
   /// Read access to the shadow memory (telemetry flush, tests).
   const ShadowMemory &shadowMemory() const { return Memory; }
 
-  /// Work accumulated by the innermost active region so far (testing aid).
-  uint64_t currentWork() const {
-    return Regions.empty() ? 0 : Regions.back().Work;
-  }
-  /// Running critical-path max of the innermost region (testing aid).
-  Time currentMaxTime() const {
-    if (Regions.empty())
-      return 0;
-    unsigned Level = depth() - 1;
-    if (Level >= Cfg.MinLevel && Level - Cfg.MinLevel < Cfg.NumLevels)
-      return LevelMaxTimes[Level - Cfg.MinLevel];
-    return 0; // Outside the window no availability times are measured.
-  }
 
 private:
   /// One active dynamic region (a region-stack entry). Its running

@@ -19,8 +19,7 @@
 /// threads. The interpreter produces on a helper thread into a ring of
 /// batch buffers, and the thread that called Interpreter::run() consumes
 /// them, so the runtime and its RegionSummarySink stay on the caller's
-/// thread. A batch carries its events and the count of events elided while
-/// it filled (KremlinRuntime::noteFreeOps). The only feedback is one flag:
+/// thread. A batch carries only its events. The only feedback is one flag:
 /// after each batch the consumer records whether KremlinRuntime::failed(),
 /// and the producer reads the flag when it hands over its next batch. The
 /// producer may therefore run up to a ring of batches past a guardrail

@@ -126,7 +126,6 @@ public:
   /// covered pages are kept, with the released words' cells zeroed.
   void releaseRange(uint64_t Addr, uint64_t Words);
 
-  unsigned numLevels() const { return NumLevels; }
   uint64_t segmentWords() const { return PageWords; }
   uint64_t allocatedSegments() const { return AllocatedPages; }
 

@@ -243,24 +243,11 @@ void Registry::resetValues() {
 
 namespace {
 
-/// One lock-sharded ring segment. Events is a circular window: Start
-/// indexes the oldest event once the shard has wrapped (sink-less mode);
-/// with a sink installed the shard never wraps — filling it hands the
-/// whole chunk to the sink instead.
+/// One lock-sharded ring segment. It never wraps: filling it hands the
+/// whole chunk to the sink.
 struct TraceShard {
   std::mutex Mutex;
   std::vector<TraceEvent> Events;
-  size_t Start = 0;
-
-  /// Restores chronological order after wrapping; call under Mutex.
-  void normalize() {
-    if (Start != 0) {
-      std::rotate(Events.begin(),
-                  Events.begin() + static_cast<ptrdiff_t>(Start),
-                  Events.end());
-      Start = 0;
-    }
-  }
 };
 
 TraceShard *shards() {
@@ -277,21 +264,11 @@ TraceShard &shardForThisThread() {
   return shards()[Shard];
 }
 
+/// Whether a sink is installed: the one tracing switch, which the record
+/// path reads without taking the sink mutex.
 std::atomic<bool> TraceOn{false};
 
-/// Per-shard ring capacity, derived from TraceSinkConfig::RingEvents.
-std::atomic<size_t> ShardCapacity{TraceSinkConfig().RingEvents /
-                                  NumTraceShards};
-
-size_t perShardCapacity(size_t TotalEvents) {
-  if (TotalEvents == 0)
-    TotalEvents = TraceSinkConfig().RingEvents;
-  size_t Per = TotalEvents / NumTraceShards;
-  return Per < 4 ? 4 : Per;
-}
-
-/// The installed sink. SinkPresent mirrors (Sink != nullptr) so the
-/// record path can branch without taking the sink mutex.
+/// The installed sink.
 struct SinkState {
   std::mutex Mutex;
   std::unique_ptr<TraceSink> Sink;
@@ -302,17 +279,15 @@ SinkState &sinkState() {
   return S;
 }
 
-std::atomic<bool> SinkPresent{false};
-
-/// Events observed (recorded or dropped); the disabled-path cost.
+/// Events observed (recorded or not); the disabled-path cost.
 Counter &eventCounter() {
   static Counter &C = Registry::global().counter("telemetry.events");
   return C;
 }
 
-/// Streaming-path accounting. recorded counts ring insertions, dropped
-/// counts ring overwrites (sink-less mode), flushes/flushed_events count
-/// chunks handed to the sink.
+/// Streaming-path accounting. recorded counts ring insertions,
+/// flushes/flushed_events count chunks handed to the sink, and dropped
+/// counts only the events of chunks that raced the sink's removal.
 Counter &recordedCounter() {
   static Counter &C = Registry::global().counter("telemetry.trace.recorded");
   return C;
@@ -346,8 +321,8 @@ uint32_t compactTid() {
   return Cached;
 }
 
-/// Hands one chunk to the installed sink (if any); events of chunks that
-/// race with sink removal are dropped with accounting, never lost silently.
+/// Hands one chunk to the installed sink; events of chunks that race with
+/// sink removal are dropped with accounting, never lost silently.
 void writeChunkToSink(std::vector<TraceEvent> Chunk) {
   if (Chunk.empty())
     return;
@@ -369,25 +344,14 @@ void recordEvent(TraceEvent E) {
   std::vector<TraceEvent> Chunk;
   {
     std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    size_t Cap = ShardCapacity.load(std::memory_order_relaxed);
-    if (Shard.Events.size() >= Cap) {
-      if (SinkPresent.load(std::memory_order_relaxed)) {
-        // Chunk boundary: move the full shard out (under the shard lock)
-        // and stream it after release, so sink I/O never blocks siblings.
-        Shard.normalize();
-        Chunk = std::move(Shard.Events);
-        Shard.Events = {};
-        Shard.Events.reserve(Cap);
-        Shard.Events.push_back(std::move(E));
-      } else {
-        // Bounded window: overwrite the oldest event in place.
-        Shard.Events[Shard.Start] = std::move(E);
-        Shard.Start = (Shard.Start + 1) % Shard.Events.size();
-        droppedCounter().add();
-      }
-    } else {
-      Shard.Events.push_back(std::move(E));
+    if (Shard.Events.size() >= TraceShardEvents) {
+      // Chunk boundary: move the full shard out (under the shard lock)
+      // and stream it after release, so sink I/O never blocks siblings.
+      Chunk = std::move(Shard.Events);
+      Shard.Events = {};
+      Shard.Events.reserve(TraceShardEvents);
     }
+    Shard.Events.push_back(std::move(E));
     recordedCounter().add();
   }
   writeChunkToSink(std::move(Chunk));
@@ -399,7 +363,6 @@ std::vector<TraceEvent> drainShards() {
   for (unsigned I = 0; I < NumTraceShards; ++I) {
     TraceShard &Shard = shards()[I];
     std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    Shard.normalize();
     Out.insert(Out.end(), std::make_move_iterator(Shard.Events.begin()),
                std::make_move_iterator(Shard.Events.end()));
     Shard.Events.clear();
@@ -417,15 +380,45 @@ std::chrono::steady_clock::time_point processStart() {
   return Start;
 }
 
+/// One event as a Chrome trace_event object.
+JsonValue traceEventToJson(const TraceEvent &E) {
+  JsonValue Ev = JsonValue::makeObject();
+  Ev.set("name", JsonValue(E.Name));
+  Ev.set("cat", JsonValue(E.Category));
+  Ev.set("pid", JsonValue(1));
+  Ev.set("tid", JsonValue(E.Tid));
+  Ev.set("ts", JsonValue(static_cast<double>(E.TimeUs)));
+  switch (E.K) {
+  case TraceEvent::Kind::Span:
+    Ev.set("ph", JsonValue("X"));
+    Ev.set("dur", JsonValue(static_cast<double>(E.DurUs)));
+    break;
+  case TraceEvent::Kind::Instant:
+    Ev.set("ph", JsonValue("i"));
+    Ev.set("s", JsonValue("t"));
+    break;
+  case TraceEvent::Kind::CounterSample:
+    Ev.set("ph", JsonValue("C"));
+    break;
+  }
+  JsonValue Args = JsonValue::makeObject();
+  if (E.K == TraceEvent::Kind::CounterSample)
+    Args.set("value", JsonValue(E.Value));
+  for (const auto &[Key, Value] : E.Args)
+    Args.set(Key, JsonValue(Value));
+  if (Args.size() > 0)
+    Ev.set("args", std::move(Args));
+  return Ev;
+}
+
+/// The file sink's write buffer: serialized JSON accumulates until this
+/// many bytes, then one fwrite+fflush runs.
+constexpr size_t FileSinkFlushBytes = 64 * 1024;
+
 } // namespace
 
 bool kremlin::telemetry::traceEnabled() {
   return TraceOn.load(std::memory_order_relaxed);
-}
-
-void kremlin::telemetry::setTraceEnabled(bool Enabled) {
-  processStart(); // Pin the epoch before the first span.
-  TraceOn.store(Enabled, std::memory_order_relaxed);
 }
 
 // --- Sinks ------------------------------------------------------------------
@@ -444,7 +437,7 @@ std::vector<TraceEvent> InMemoryTraceSink::take() {
 }
 
 Expected<std::unique_ptr<FileTraceSink>>
-FileTraceSink::open(std::string Path, const TraceSinkConfig &Cfg) {
+FileTraceSink::open(std::string Path) {
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   if (!F)
     return Status::error(ErrorCode::IoError,
@@ -454,12 +447,11 @@ FileTraceSink::open(std::string Path, const TraceSinkConfig &Cfg) {
   std::unique_ptr<FileTraceSink> Sink(new FileTraceSink());
   Sink->Path = std::move(Path);
   Sink->File = F;
-  Sink->FlushBytes = (Cfg.FlushKb ? Cfg.FlushKb : 1) * 1024;
   Sink->Buf = "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [";
   return Sink;
 }
 
-FileTraceSink::~FileTraceSink() { close(); }
+FileTraceSink::~FileTraceSink() { (void)close(); }
 
 void FileTraceSink::writeBatch(std::vector<TraceEvent> Batch) {
   if (Closed)
@@ -473,7 +465,7 @@ void FileTraceSink::writeBatch(std::vector<TraceEvent> Batch) {
 }
 
 void FileTraceSink::flushBuffer(bool Force) {
-  if (!File || Buf.empty() || (!Force && Buf.size() < FlushBytes))
+  if (!File || Buf.empty() || (!Force && Buf.size() < FileSinkFlushBytes))
     return;
   std::FILE *F = static_cast<std::FILE *>(File);
   size_t Written = std::fwrite(Buf.data(), 1, Buf.size(), F);
@@ -504,19 +496,17 @@ Status FileTraceSink::close() {
   return CloseStatus;
 }
 
-Status kremlin::telemetry::setTraceSink(std::unique_ptr<TraceSink> Sink,
-                                        TraceSinkConfig Cfg) {
+Status kremlin::telemetry::setTraceSink(std::unique_ptr<TraceSink> Sink) {
   Status Prev = closeTraceSink();
   if (!Sink)
     return Prev;
-  setTraceRingEvents(Cfg.RingEvents);
+  processStart(); // Pin the epoch before the first span.
   {
     SinkState &S = sinkState();
     std::lock_guard<std::mutex> Lock(S.Mutex);
     S.Sink = std::move(Sink);
   }
-  SinkPresent.store(true, std::memory_order_relaxed);
-  setTraceEnabled(true);
+  TraceOn.store(true, std::memory_order_relaxed);
   return Prev;
 }
 
@@ -527,28 +517,24 @@ TraceSink *kremlin::telemetry::traceSink() {
 }
 
 void kremlin::telemetry::flushTraceRings() {
-  if (!SinkPresent.load(std::memory_order_relaxed))
-    return;
-  writeChunkToSink(drainShards());
+  if (traceEnabled())
+    writeChunkToSink(drainShards());
 }
 
 Status kremlin::telemetry::closeTraceSink() {
+  TraceOn.store(false, std::memory_order_relaxed);
   std::unique_ptr<TraceSink> Sink;
   {
     SinkState &S = sinkState();
     std::lock_guard<std::mutex> Lock(S.Mutex);
     Sink = std::move(S.Sink);
   }
-  if (!Sink) {
-    SinkPresent.store(false, std::memory_order_relaxed);
+  if (!Sink)
     return Status();
-  }
   // Residual ring contents belong to this sink; stream them before the
-  // tail is written. SinkPresent stays set so concurrent recorders keep
-  // chunking (their chunks land in the drop accounting once Sink is gone).
+  // tail is written. A recorder that filled its shard concurrently finds
+  // the sink gone, and its chunk lands in the drop accounting.
   std::vector<TraceEvent> Residue = drainShards();
-  SinkPresent.store(false, std::memory_order_relaxed);
-  setTraceEnabled(false);
   if (!Residue.empty()) {
     size_t N = Residue.size();
     Sink->writeBatch(std::move(Residue));
@@ -556,23 +542,6 @@ Status kremlin::telemetry::closeTraceSink() {
     flushedEventsCounter().add(N);
   }
   return Sink->close();
-}
-
-void kremlin::telemetry::setTraceRingEvents(size_t TotalEvents) {
-  size_t Cap = perShardCapacity(TotalEvents);
-  ShardCapacity.store(Cap, std::memory_order_relaxed);
-  // Trim shards already above the new capacity, oldest first.
-  for (unsigned I = 0; I < NumTraceShards; ++I) {
-    TraceShard &Shard = shards()[I];
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    if (Shard.Events.size() <= Cap)
-      continue;
-    Shard.normalize();
-    size_t Excess = Shard.Events.size() - Cap;
-    Shard.Events.erase(Shard.Events.begin(),
-                       Shard.Events.begin() + static_cast<ptrdiff_t>(Excess));
-    droppedCounter().add(Excess);
-  }
 }
 
 uint64_t kremlin::telemetry::nowUs() {
@@ -626,53 +595,6 @@ void kremlin::telemetry::recordSpanAt(
   E.DurUs = DurUs;
   E.Args = std::move(Args);
   recordEvent(std::move(E));
-}
-
-std::vector<TraceEvent> kremlin::telemetry::takeTrace() { return drainShards(); }
-
-JsonValue kremlin::telemetry::traceEventToJson(const TraceEvent &E) {
-  JsonValue Ev = JsonValue::makeObject();
-  Ev.set("name", JsonValue(E.Name));
-  Ev.set("cat", JsonValue(E.Category));
-  Ev.set("pid", JsonValue(1));
-  Ev.set("tid", JsonValue(E.Tid));
-  Ev.set("ts", JsonValue(static_cast<double>(E.TimeUs)));
-  switch (E.K) {
-  case TraceEvent::Kind::Span:
-    Ev.set("ph", JsonValue("X"));
-    Ev.set("dur", JsonValue(static_cast<double>(E.DurUs)));
-    break;
-  case TraceEvent::Kind::Instant:
-    Ev.set("ph", JsonValue("i"));
-    Ev.set("s", JsonValue("t"));
-    break;
-  case TraceEvent::Kind::CounterSample:
-    Ev.set("ph", JsonValue("C"));
-    break;
-  }
-  JsonValue Args = JsonValue::makeObject();
-  if (E.K == TraceEvent::Kind::CounterSample)
-    Args.set("value", JsonValue(E.Value));
-  for (const auto &[Key, Value] : E.Args)
-    Args.set(Key, JsonValue(Value));
-  if (Args.size() > 0)
-    Ev.set("args", std::move(Args));
-  return Ev;
-}
-
-std::string
-kremlin::telemetry::traceToChromeJson(const std::vector<TraceEvent> &Events) {
-  JsonValue Doc = JsonValue::makeObject();
-  JsonValue Arr = JsonValue::makeArray();
-  for (const TraceEvent &E : Events)
-    Arr.push(traceEventToJson(E));
-  Doc.set("traceEvents", std::move(Arr));
-  Doc.set("displayTimeUnit", JsonValue("ms"));
-  return Doc.serialize() + "\n";
-}
-
-std::string kremlin::telemetry::takeTraceAsChromeJson() {
-  return traceToChromeJson(takeTrace());
 }
 
 // --- Trace-context propagation ----------------------------------------------

@@ -15,12 +15,11 @@
 /// Cost model: spans and instant events stay compiled-in everywhere
 /// because the disabled path — tracing off — is one relaxed atomic
 /// increment per event (the event counter) with no clock read and no
-/// allocation. The enabled path is one shard-mutex push into a fixed-size
-/// ring; when a shard fills, the whole chunk is handed to the installed
-/// sink, so sink cost (serialization, file writes) is amortized over the
-/// chunk. With no sink installed the ring is a bounded window: the oldest
-/// event is overwritten and telemetry.trace.dropped counts the loss —
-/// telemetry memory stays constant no matter how long the run. Counters
+/// allocation. Tracing is on exactly while a sink is installed. The
+/// enabled path is one shard-mutex push into a fixed-size ring; when a
+/// shard fills, the whole chunk is handed to the sink, so sink cost
+/// (serialization, file writes) is amortized over the chunk and telemetry
+/// memory stays bounded no matter how long the run. Counters
 /// and gauges are always live; they are single relaxed atomic operations.
 /// Histograms add a few relaxed increments. bench_micro_telemetry
 /// measures all of these paths.
@@ -213,19 +212,12 @@ struct TraceEvent {
   std::vector<std::pair<std::string, std::string>> Args;
 };
 
-/// Geometry of the trace ring and the file sink's write buffer.
-struct TraceSinkConfig {
-  /// Total ring capacity in events across all shards (--trace-ring-events=).
-  /// 0 restores the default. Per-shard capacity is Total / NumTraceShards,
-  /// floored at 4.
-  size_t RingEvents = 65536;
-  /// File-sink buffer size in KiB (--trace-flush-kb=): serialized JSON
-  /// accumulates until this many KiB, then one fwrite+fflush runs.
-  size_t FlushKb = 64;
-};
-
 /// Number of mutex-sharded ring segments (threads hash onto shards).
 inline constexpr unsigned NumTraceShards = 16;
+
+/// Events one shard holds before it hands its chunk to the sink, so the
+/// ring never holds more than NumTraceShards * TraceShardEvents events.
+inline constexpr size_t TraceShardEvents = 4096;
 
 /// Receives completed event chunks from the trace ring. writeBatch() is
 /// always called under the process-wide sink lock, so implementations need
@@ -242,8 +234,7 @@ public:
   virtual Status close() { return Status(); }
 };
 
-/// Accumulates every batch in memory — the test sink, and the model for
-/// the pre-streaming whole-run buffer.
+/// Accumulates every batch in memory (the test sink).
 class InMemoryTraceSink : public TraceSink {
 public:
   void writeBatch(std::vector<TraceEvent> Batch) override;
@@ -258,8 +249,8 @@ private:
 
 /// Streams valid Chrome trace_event JSON to a file incrementally: the
 /// document header is written on open, each batch appends serialized
-/// events to an in-memory buffer that flushes to disk every FlushKb KiB,
-/// and close() (or destruction) writes the array/object tail — so the file
+/// events to an in-memory buffer that flushes to disk every 64 KiB, and
+/// close() (or destruction) writes the array/object tail — so the file
 /// parses as {"displayTimeUnit": "ms", "traceEvents": [...]} even for
 /// runs long past what an in-memory buffer could hold. Counters:
 /// telemetry.trace.file_flushes / telemetry.trace.file_bytes.
@@ -267,8 +258,7 @@ class FileTraceSink : public TraceSink {
 public:
   /// Opens \p Path for writing and emits the document header. IoError when
   /// the file cannot be created.
-  static Expected<std::unique_ptr<FileTraceSink>>
-  open(std::string Path, const TraceSinkConfig &Cfg = TraceSinkConfig());
+  static Expected<std::unique_ptr<FileTraceSink>> open(std::string Path);
 
   ~FileTraceSink() override;
   void writeBatch(std::vector<TraceEvent> Batch) override;
@@ -284,27 +274,21 @@ private:
   std::string Path;
   void *File = nullptr; ///< std::FILE*, kept opaque to spare the include.
   std::string Buf;
-  size_t FlushBytes = 64 * 1024;
   bool WroteEvent = false;
   bool Closed = false;
   Status CloseStatus;
 };
 
-/// Whether span/instant/counter-sample calls record. When false they
-/// degrade to one relaxed counter increment.
+/// Whether span/instant/counter-sample calls record: true exactly while a
+/// sink is installed. When false they degrade to one relaxed counter
+/// increment.
 bool traceEnabled();
 
-/// Legacy/test switch: enables recording into the bounded ring without a
-/// sink (takeTrace() reads the window back). Turning tracing off does not
-/// touch an installed sink.
-void setTraceEnabled(bool Enabled);
-
-/// Installs \p Sink and enables tracing; the ring geometry switches to
-/// \p Cfg. An already-installed sink is flushed and closed first (its
-/// close status is returned — the new sink is installed regardless).
-/// Passing nullptr closes the current sink and disables tracing.
-Status setTraceSink(std::unique_ptr<TraceSink> Sink,
-                    TraceSinkConfig Cfg = TraceSinkConfig());
+/// Installs \p Sink and turns tracing on. An already-installed sink is
+/// flushed and closed first (its close status is returned — the new sink
+/// is installed regardless). Passing nullptr closes the current sink and
+/// turns tracing off.
+Status setTraceSink(std::unique_ptr<TraceSink> Sink);
 
 /// The installed sink (nullptr when none). Only for tests/inspection;
 /// unsynchronized use while tracing is racy by nature.
@@ -314,13 +298,9 @@ TraceSink *traceSink();
 /// No-op when no sink is installed.
 void flushTraceRings();
 
-/// flushTraceRings() + sink close + uninstall. Tracing is left disabled.
+/// Turns tracing off, then flushTraceRings() + sink close + uninstall.
 /// Returns the sink's close status (ok when no sink was installed).
 Status closeTraceSink();
-
-/// Resizes the ring (0 = default). Events already buffered are preserved
-/// up to the new capacity; oldest are dropped first.
-void setTraceRingEvents(size_t TotalEvents);
 
 /// Microseconds since process start (monotonic).
 uint64_t nowUs();
@@ -339,22 +319,6 @@ void recordSpanAt(std::string Name, std::string Category, uint64_t StartUs,
 
 /// Records a counter sample (Chrome phase "C") when tracing is enabled.
 void counterSample(std::string Name, double Value);
-
-/// Drains every shard of the trace ring, sorted by timestamp. Does not
-/// touch an installed sink's already-flushed batches; with no sink this
-/// returns the bounded window of most-recent events.
-std::vector<TraceEvent> takeTrace();
-
-/// One event as a Chrome trace_event object (shared by the whole-document
-/// serializer and the streaming file sink).
-JsonValue traceEventToJson(const TraceEvent &E);
-
-/// Serializes events as a Chrome trace_event document:
-///   {"traceEvents": [...], "displayTimeUnit": "ms"}
-std::string traceToChromeJson(const std::vector<TraceEvent> &Events);
-
-/// takeTrace() + traceToChromeJson().
-std::string takeTraceAsChromeJson();
 
 /// RAII scope recording one complete event (Chrome phase "X") into the
 /// trace buffer. When tracing is disabled the constructor is a single

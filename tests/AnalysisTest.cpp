@@ -1,6 +1,5 @@
 //===- tests/AnalysisTest.cpp - dominators, CD, loops, induction ----------===//
 
-#include "analysis/ControlDependence.h"
 #include "instrument/Instrumenter.h"
 #include "analysis/Dominators.h"
 #include "analysis/Induction.h"
@@ -85,36 +84,11 @@ TEST(Dominators, UnreachableBlockHandled) {
 }
 
 TEST(ControlDependence, DiamondArmsDependOnBranch) {
+  // The branch's dependence is popped at its merge block, the join: both
+  // arms run under it, the join executes regardless.
   DiamondFixture D;
-  ControlDependenceInfo CDI = computeControlDependence(D.fn());
-  EXPECT_TRUE(CDI.isControlDependent(1, 0));
-  EXPECT_TRUE(CDI.isControlDependent(2, 0));
-  EXPECT_FALSE(CDI.isControlDependent(3, 0)); // Join executes regardless.
-  EXPECT_FALSE(CDI.isControlDependent(0, 0));
-  EXPECT_EQ(CDI.MergeBlock[0], 3u);
-}
-
-TEST(ControlDependence, LoopBodyDependsOnHeader) {
-  LowerResult R = compileMiniC(
-      "int main() { int s = 0; for (int i = 0; i < 3; i = i + 1)"
-      " { s = s + 1; } return s; }",
-      "t.c");
-  ASSERT_TRUE(R.succeeded());
-  const Function &F = R.M->Functions[0];
-  ControlDependenceInfo CDI = computeControlDependence(F);
-  // Find the header (block whose terminator is CondBr).
-  BlockId Header = NoBlock;
-  for (BlockId BB = 0; BB < F.Blocks.size(); ++BB)
-    if (F.Blocks[BB].terminator().Op == Opcode::CondBr)
-      Header = BB;
-  ASSERT_NE(Header, NoBlock);
-  // The body and latch (header's successors within the loop) are control
-  // dependent on the header, and so is the header itself (self-loop).
-  BlockId Body = F.Blocks[Header].terminator().Aux;
-  EXPECT_TRUE(CDI.isControlDependent(Body, Header));
-  EXPECT_TRUE(CDI.isControlDependent(Header, Header));
-  BlockId Exit = F.Blocks[Header].terminator().Aux2;
-  EXPECT_FALSE(CDI.isControlDependent(Exit, Header));
+  DomTree PDT = computePostDominators(D.fn());
+  EXPECT_EQ(immediatePostDominator(PDT, D.fn(), 0), 3u);
 }
 
 TEST(ControlDependence, FrontendMergeBlocksMatchAnalysis) {
@@ -133,13 +107,15 @@ TEST(ControlDependence, FrontendMergeBlocksMatchAnalysis) {
   )", "t.c");
   ASSERT_TRUE(R.succeeded());
   const Function &F = R.M->Functions[0];
-  ControlDependenceInfo CDI = computeControlDependence(F);
+  DomTree PDT = computePostDominators(F);
   for (BlockId BB = 0; BB < F.Blocks.size(); ++BB) {
     const Instruction &Term = F.Blocks[BB].terminator();
     if (Term.Op != Opcode::CondBr || Term.MergeBlock == NoBlock)
       continue;
-    if (CDI.MergeBlock[BB] != NoBlock)
-      EXPECT_EQ(Term.MergeBlock, CDI.MergeBlock[BB]) << "bb" << BB;
+    BlockId Merge = immediatePostDominator(PDT, F, BB);
+    if (Merge != NoBlock) {
+      EXPECT_EQ(Term.MergeBlock, Merge) << "bb" << BB;
+    }
   }
 }
 
@@ -186,26 +162,6 @@ TEST(Loops, NestingDepths) {
   EXPECT_EQ(DepthHist[1], 1u);
   EXPECT_EQ(DepthHist[2], 1u);
   EXPECT_EQ(DepthHist[3], 1u);
-}
-
-TEST(Loops, InnermostLoopQuery) {
-  LowerResult R = compileMiniC(R"(
-    int main() {
-      int s = 0;
-      for (int i = 0; i < 2; i = i + 1) {
-        for (int j = 0; j < 2; j = j + 1) { s = s + 1; }
-      }
-      return s;
-    }
-  )", "t.c");
-  ASSERT_TRUE(R.succeeded());
-  const Function &F = R.M->Functions[0];
-  LoopInfo LI = computeLoops(F, computeDominators(F));
-  ASSERT_EQ(LI.Loops.size(), 2u);
-  const Loop &Inner = LI.Loops[LI.Loops[0].Depth == 2 ? 0 : 1];
-  int Found = LI.innermostLoop(Inner.Header);
-  ASSERT_GE(Found, 0);
-  EXPECT_EQ(LI.Loops[Found].Header, Inner.Header);
 }
 
 // --- Induction / reduction marking ------------------------------------------
@@ -413,8 +369,7 @@ TEST(Dominators, SingleBlockSelfLoop) {
   // computation must still terminate without touching out-of-range ids.
   DomTree PDT = computePostDominators(Fn);
   EXPECT_FALSE(PDT.isReachable(B0));
-  ControlDependenceInfo CDI = computeControlDependence(Fn);
-  EXPECT_EQ(CDI.Deps.size(), 1u);
+  EXPECT_EQ(immediatePostDominator(PDT, Fn, B0), NoBlock);
 }
 
 TEST(Dominators, UnterminatedBlockTolerated) {
@@ -435,33 +390,8 @@ TEST(Dominators, UnterminatedBlockTolerated) {
   EXPECT_EQ(DT.idom(B1), B0);
   DomTree PDT = computePostDominators(Fn);
   EXPECT_FALSE(PDT.isReachable(B0));
-  ControlDependenceInfo CDI = computeControlDependence(Fn);
-  EXPECT_EQ(CDI.Deps.size(), 2u);
-}
-
-TEST(ControlDependence, UnreachableBranchAddsNoDeps) {
-  // A CondBr in a block unreachable from the entry must not make live
-  // blocks control dependent on dead code.
-  Module M;
-  Function F;
-  F.Name = "deadbr";
-  F.ReturnTy = Type::Void;
-  FuncId Id = M.addFunction(std::move(F));
-  IRBuilder B(M, M.Functions[Id]);
-  BlockId B0 = B.createBlock("entry");
-  BlockId Live = B.createBlock("live");
-  BlockId Dead = B.createBlock("dead");
-  B.setInsertPoint(B0);
-  B.emitBr(Live);
-  B.setInsertPoint(Live);
-  B.emitRet();
-  B.setInsertPoint(Dead);
-  ValueId C = B.emitConstInt(0);
-  B.emitCondBr(C, Live, B0);
-  const Function &Fn = M.Functions[Id];
-  ControlDependenceInfo CDI = computeControlDependence(Fn);
-  for (BlockId BB = 0; BB < Fn.Blocks.size(); ++BB)
-    EXPECT_FALSE(CDI.isControlDependent(BB, Dead)) << "bb" << BB;
+  EXPECT_EQ(immediatePostDominator(PDT, Fn, B0), NoBlock);
+  EXPECT_EQ(immediatePostDominator(PDT, Fn, B1), NoBlock);
 }
 
 TEST(ControlDependence, UnreachableEmptyBlockDoesNotCrash) {
@@ -472,13 +402,13 @@ TEST(ControlDependence, UnreachableEmptyBlockDoesNotCrash) {
   FuncId Id = M.addFunction(std::move(F));
   IRBuilder B(M, M.Functions[Id]);
   BlockId B0 = B.createBlock("entry");
-  B.createBlock("dead"); // Never gets any instructions.
+  BlockId Dead = B.createBlock("dead"); // Never gets any instructions.
   B.setInsertPoint(B0);
   B.emitRet();
   const Function &Fn = M.Functions[Id];
-  ControlDependenceInfo CDI = computeControlDependence(Fn);
-  EXPECT_EQ(CDI.Deps.size(), 2u);
-  EXPECT_EQ(CDI.MergeBlock[0], NoBlock);
+  DomTree PDT = computePostDominators(Fn);
+  EXPECT_EQ(immediatePostDominator(PDT, Fn, B0), NoBlock);
+  EXPECT_EQ(immediatePostDominator(PDT, Fn, Dead), NoBlock);
 }
 
 } // namespace

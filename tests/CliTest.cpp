@@ -704,9 +704,8 @@ TEST(Cli, HelpListsExactlyEachEntryPointsFlags) {
       "--bench", "--tracking", "--personality", "--exclude", "--min-sp",
       "--rows", "--max-shadow-mb", "--max-region-depth", "--profile",
       "--save-trace", "--load-trace", "--max-profile-mb", "--trace-out",
-      "--trace-ring-events", "--trace-flush-kb", "--metrics-out",
-      "--dump-ir", "--stats", "--verify-ir", "--no-verify-ir",
-      "--no-static-analysis"};
+      "--metrics-out", "--dump-ir", "--stats", "--verify-ir",
+      "--no-verify-ir", "--no-static-analysis"};
   auto With = [&Pipeline](const char *Extra) {
     std::vector<std::string> Flags = Pipeline;
     Flags.push_back(Extra);
@@ -715,8 +714,7 @@ TEST(Cli, HelpListsExactlyEachEntryPointsFlags) {
   const std::vector<std::string> Bench = {
       "--threads", "--benchmarks", "--personality", "--out", "--baseline",
       "--check-baseline", "--update-baseline", "--deadline-ms",
-      "--trace-out", "--trace-ring-events", "--trace-flush-kb",
-      "--metrics-out"};
+      "--trace-out", "--metrics-out"};
   const std::vector<std::pair<std::string, std::vector<std::string>>>
       EntryPoints = {
           {"", Pipeline},

@@ -51,9 +51,16 @@ TEST(HcpaOracle, MatchesRuntimeOnDeadFrameArrays) {
 }
 
 TEST(HcpaOracle, MatchesRuntimeOnPaperSuitePrograms) {
-  for (const char *Name : {"art", "cg", "is"}) {
+  // Every suite program, at the default depth window and at a narrow one
+  // that starts below the root, so levels fall outside it at both ends.
+  KremlinConfig Narrow;
+  Narrow.MinLevel = 1;
+  Narrow.NumLevels = 2;
+  for (const std::string &Name : paperBenchmarkNames()) {
     SCOPED_TRACE(Name);
-    expectProfileMatchesOracle(generatePaperBenchmark(Name).Source);
+    std::string Source = generatePaperBenchmark(Name).Source;
+    expectProfileMatchesOracle(Source);
+    expectProfileMatchesOracle(Source, Narrow);
   }
 }
 

@@ -109,10 +109,13 @@ TEST(Lower, CondBrMergeBlocksSet) {
       return x;
     }
   )");
-  for (const BasicBlock &BB : M->Functions[0].Blocks)
-    for (const Instruction &I : BB.Insts)
-      if (I.Op == Opcode::CondBr)
+  for (const BasicBlock &BB : M->Functions[0].Blocks) {
+    for (const Instruction &I : BB.Insts) {
+      if (I.Op == Opcode::CondBr) {
         EXPECT_NE(I.MergeBlock, NoBlock);
+      }
+    }
+  }
 }
 
 TEST(Lower, TypePromotionIntToFloat) {

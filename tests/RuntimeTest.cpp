@@ -266,7 +266,7 @@ TEST(Runtime, StatsCounters) {
   EXPECT_EQ(RT.stats().Stores, 2u);
   EXPECT_EQ(RT.stats().Loads, 2u);
   EXPECT_EQ(RT.stats().DynRegionEntries, 1u);
-  EXPECT_GT(RT.stats().DynInstructions, 4u);
+  EXPECT_GT(R.DynInstructions, 4u);
 }
 
 // --- Page pool and frame-row watermarks ----------------------------------

@@ -25,6 +25,7 @@
 
 using namespace kremlin;
 using namespace kremlin::aggregate;
+using kremlin::test::TraceCapture;
 namespace tel = kremlin::telemetry;
 
 namespace {
@@ -506,9 +507,7 @@ TEST(Serve, MetricsFormatDispatch) {
 TEST(Serve, RequestSpansCarryTheTraceIdEvenWhenShed) {
   std::unique_ptr<ProfileService> Svc = makeService();
   ASSERT_TRUE(Svc);
-  bool WasEnabled = tel::traceEnabled();
-  tel::setTraceEnabled(true);
-  tel::takeTrace(); // Start from an empty window.
+  TraceCapture Capture;
 
   tel::TraceContext Ctx = tel::mintTraceContext();
   http::Request Req = makeRequest("GET", "/profile");
@@ -519,8 +518,7 @@ TEST(Serve, RequestSpansCarryTheTraceIdEvenWhenShed) {
   fault::reset();
   EXPECT_EQ(R.Code, 503);
 
-  std::vector<tel::TraceEvent> Events = tel::takeTrace();
-  tel::setTraceEnabled(WasEnabled);
+  std::vector<tel::TraceEvent> Events = Capture.take();
   bool SawRequestSpan = false;
   for (const tel::TraceEvent &E : Events) {
     if (E.Name != "serve.request")

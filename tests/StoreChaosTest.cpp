@@ -46,6 +46,7 @@
 using namespace kremlin;
 using namespace kremlin::aggregate;
 using kremlin::test::expectNoSanitizerReport;
+using kremlin::test::TraceCapture;
 namespace fs = std::filesystem;
 namespace tel = kremlin::telemetry;
 
@@ -372,9 +373,7 @@ TEST(StoreChaos, PushWithFaultsConvergesToOneCleanIngest) {
   // Trace the whole drill: client attempt spans and server request spans
   // land in the same in-process ring, so one trace id must stitch every
   // retry of a push to its server-side handling.
-  bool WasTracing = tel::traceEnabled();
-  tel::setTraceEnabled(true);
-  tel::takeTrace();
+  TraceCapture Capture;
 
   std::vector<std::pair<std::string, unsigned>> PushTraces; // (id, attempts)
   for (const std::string &Path : Files) {
@@ -392,8 +391,7 @@ TEST(StoreChaos, PushWithFaultsConvergesToOneCleanIngest) {
   PushTraces.emplace_back(Replay->TraceId, Replay->Attempts);
   fault::reset();
 
-  std::vector<tel::TraceEvent> Events = tel::takeTrace();
-  tel::setTraceEnabled(WasTracing);
+  std::vector<tel::TraceEvent> Events = Capture.take();
   // Each push minted one 32-hex trace id, distinct from its siblings.
   for (unsigned I = 0; I < PushTraces.size(); ++I) {
     ASSERT_EQ(PushTraces[I].first.size(), 32u);

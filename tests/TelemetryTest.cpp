@@ -10,6 +10,7 @@
 
 #include "support/Telemetry.h"
 
+#include "TestUtil.h"
 #include "driver/BenchHarness.h"
 #include "support/Json.h"
 #include "support/ThreadPool.h"
@@ -24,6 +25,7 @@
 #include <vector>
 
 using namespace kremlin;
+using kremlin::test::TraceCapture;
 namespace tel = kremlin::telemetry;
 
 namespace {
@@ -34,17 +36,9 @@ class TelemetryTest : public ::testing::Test {
 protected:
   void SetUp() override {
     (void)tel::closeTraceSink();
-    tel::setTraceEnabled(false);
-    tel::setTraceRingEvents(0); // Back to the default capacity.
-    tel::takeTrace();
     tel::Registry::global().resetValues();
   }
-  void TearDown() override {
-    (void)tel::closeTraceSink();
-    tel::setTraceEnabled(false);
-    tel::setTraceRingEvents(0);
-    tel::takeTrace();
-  }
+  void TearDown() override { (void)tel::closeTraceSink(); }
 
   uint64_t counterValue(const char *Name) {
     return tel::Registry::global().counter(Name).value();
@@ -210,19 +204,21 @@ TEST_F(TelemetryTest, DisabledTracingRecordsNothing) {
   }
   tel::instantEvent("quiet.instant", "test");
   tel::counterSample("quiet.counter", 1.0);
-  EXPECT_TRUE(tel::takeTrace().empty());
+  EXPECT_EQ(counterValue("telemetry.trace.recorded"), 0u);
+  TraceCapture Capture;
+  EXPECT_TRUE(Capture.take().empty());
 }
 
 TEST_F(TelemetryTest, SpansInstantsAndSamplesRecordWhenEnabled) {
-  tel::setTraceEnabled(true);
+  TraceCapture Capture;
+  EXPECT_TRUE(tel::traceEnabled());
   {
     tel::Span S("outer");
     S.arg("detail", "abc");
     tel::instantEvent("ping", "test", {{"n", "1"}});
     tel::counterSample("gauge", 2.5);
   }
-  tel::setTraceEnabled(false);
-  std::vector<tel::TraceEvent> Events = tel::takeTrace();
+  std::vector<tel::TraceEvent> Events = Capture.take();
   ASSERT_EQ(Events.size(), 3u);
 
   const tel::TraceEvent *SpanEv = nullptr, *InstEv = nullptr,
@@ -244,19 +240,24 @@ TEST_F(TelemetryTest, SpansInstantsAndSamplesRecordWhenEnabled) {
   EXPECT_EQ(InstEv->Name, "ping");
   ASSERT_NE(SampleEv, nullptr);
   EXPECT_DOUBLE_EQ(SampleEv->Value, 2.5);
-  // The buffer was drained.
-  EXPECT_TRUE(tel::takeTrace().empty());
+  // The capture was drained.
+  EXPECT_TRUE(Capture.take().empty());
 }
 
 TEST_F(TelemetryTest, ChromeTraceJsonParsesAndHasExpectedPhases) {
-  tel::setTraceEnabled(true);
+  std::string Path = ::testing::TempDir() + "telemetry_phases.json";
+  Expected<std::unique_ptr<tel::FileTraceSink>> Sink =
+      tel::FileTraceSink::open(Path);
+  ASSERT_TRUE(Sink.ok()) << Sink.status().toString();
+  ASSERT_TRUE(tel::setTraceSink(std::move(*Sink)).ok());
   {
     tel::Span S("stage", "pipeline");
     tel::instantEvent("marker", "planner");
   }
   tel::counterSample("metric", 7.0);
-  tel::setTraceEnabled(false);
-  std::string Json = tel::takeTraceAsChromeJson();
+  ASSERT_TRUE(tel::closeTraceSink().ok());
+  std::string Json;
+  ASSERT_TRUE(readFileToString(Path, Json));
 
   JsonValue Doc;
   std::string Error;
@@ -293,14 +294,13 @@ TEST_F(TelemetryTest, ChromeTraceJsonParsesAndHasExpectedPhases) {
 }
 
 TEST_F(TelemetryTest, SpanEndIsIdempotent) {
-  tel::setTraceEnabled(true);
+  TraceCapture Capture;
   {
     tel::Span S("once");
     S.end();
     S.end(); // Second end (and the destructor) must not re-record.
   }
-  tel::setTraceEnabled(false);
-  EXPECT_EQ(tel::takeTrace().size(), 1u);
+  EXPECT_EQ(Capture.take().size(), 1u);
 }
 
 TEST_F(TelemetryTest, DisabledSpanBumpsEventCounter) {
@@ -311,58 +311,28 @@ TEST_F(TelemetryTest, DisabledSpanBumpsEventCounter) {
   EXPECT_EQ(Events.value(), Before + 2);
 }
 
-TEST_F(TelemetryTest, RingWrapsAndCountsDropsWithoutSink) {
-  // 4 events per shard; a single thread writes to exactly one shard.
-  tel::setTraceRingEvents(tel::NumTraceShards * 4);
-  tel::setTraceEnabled(true);
-  for (int I = 0; I < 10; ++I)
-    tel::instantEvent("wrap." + std::to_string(I), "test");
-  tel::setTraceEnabled(false);
-
-  EXPECT_EQ(counterValue("telemetry.trace.recorded"), 10u);
-  EXPECT_EQ(counterValue("telemetry.trace.dropped"), 6u);
-  std::vector<tel::TraceEvent> Events = tel::takeTrace();
-  ASSERT_EQ(Events.size(), 4u);
-  // The window keeps the newest events in chronological order.
-  for (int I = 0; I < 4; ++I)
-    EXPECT_EQ(Events[static_cast<size_t>(I)].Name,
-              "wrap." + std::to_string(6 + I));
-}
-
-TEST_F(TelemetryTest, ShrinkingRingTrimsOldestAndCountsDrops) {
-  tel::setTraceEnabled(true);
-  for (int I = 0; I < 6; ++I)
-    tel::instantEvent("trim." + std::to_string(I), "test");
-  tel::setTraceRingEvents(tel::NumTraceShards * 4);
-  tel::setTraceEnabled(false);
-
-  EXPECT_EQ(counterValue("telemetry.trace.dropped"), 2u);
-  std::vector<tel::TraceEvent> Events = tel::takeTrace();
-  ASSERT_EQ(Events.size(), 4u);
-  EXPECT_EQ(Events.front().Name, "trim.2");
-  EXPECT_EQ(Events.back().Name, "trim.5");
-}
-
 TEST_F(TelemetryTest, InMemorySinkReceivesChunksAndResidue) {
   auto Sink = std::make_unique<tel::InMemoryTraceSink>();
   tel::InMemoryTraceSink *Raw = Sink.get();
-  tel::TraceSinkConfig Cfg;
-  Cfg.RingEvents = tel::NumTraceShards * 4;
-  ASSERT_TRUE(tel::setTraceSink(std::move(Sink), Cfg).ok());
+  ASSERT_TRUE(tel::setTraceSink(std::move(Sink)).ok());
   EXPECT_TRUE(tel::traceEnabled());
   EXPECT_EQ(tel::traceSink(), Raw);
 
-  for (int I = 0; I < 10; ++I)
+  // One thread writes to one shard: one more event than it holds.
+  constexpr size_t N = tel::TraceShardEvents + 1;
+  for (size_t I = 0; I < N; ++I)
     tel::instantEvent("sink." + std::to_string(I), "test");
-  // Chunk flushes happened mid-run (full ring hands its chunk to the
-  // sink); nothing was dropped on the streaming path.
-  EXPECT_GE(counterValue("telemetry.trace.flushes"), 1u);
+  // The full shard handed its chunk to the sink mid-run; nothing was
+  // dropped.
+  EXPECT_EQ(counterValue("telemetry.trace.flushes"), 1u);
+  EXPECT_EQ(Raw->take().size(), tel::TraceShardEvents);
   EXPECT_EQ(counterValue("telemetry.trace.dropped"), 0u);
 
   tel::flushTraceRings();
   std::vector<tel::TraceEvent> Events = Raw->take();
-  ASSERT_EQ(Events.size(), 10u);
-  EXPECT_EQ(counterValue("telemetry.trace.flushed_events"), 10u);
+  ASSERT_EQ(Events.size(), 1u);
+  EXPECT_EQ(Events.front().Name, "sink." + std::to_string(N - 1));
+  EXPECT_EQ(counterValue("telemetry.trace.flushed_events"), N);
 
   ASSERT_TRUE(tel::closeTraceSink().ok());
   EXPECT_FALSE(tel::traceEnabled());
@@ -390,21 +360,22 @@ TEST_F(TelemetryTest, CloseWithoutSinkIsANoop) {
 
 TEST_F(TelemetryTest, FileSinkStreamsValidChromeJson) {
   std::string Path = ::testing::TempDir() + "telemetry_file_sink.json";
-  tel::TraceSinkConfig Cfg;
-  Cfg.RingEvents = tel::NumTraceShards * 4;
-  Cfg.FlushKb = 1; // Tiny buffer: force incremental fwrites.
   Expected<std::unique_ptr<tel::FileTraceSink>> Sink =
-      tel::FileTraceSink::open(Path, Cfg);
+      tel::FileTraceSink::open(Path);
   ASSERT_TRUE(Sink.ok()) << Sink.status().toString();
   EXPECT_EQ((*Sink)->path(), Path);
-  ASSERT_TRUE(tel::setTraceSink(std::move(*Sink), Cfg).ok());
+  ASSERT_TRUE(tel::setTraceSink(std::move(*Sink)).ok());
 
-  for (int I = 0; I < 25; ++I) {
+  // A full shard's chunk serializes past the 64 KiB write buffer, so the
+  // file is written incrementally before close() adds the tail.
+  constexpr size_t N = tel::TraceShardEvents + 25;
+  for (size_t I = 0; I < N; ++I) {
     tel::Span S("file.span." + std::to_string(I), "test");
     S.arg("i", std::to_string(I));
   }
-  ASSERT_TRUE(tel::closeTraceSink().ok());
   EXPECT_GE(counterValue("telemetry.trace.file_flushes"), 1u);
+  ASSERT_TRUE(tel::closeTraceSink().ok());
+  EXPECT_GE(counterValue("telemetry.trace.file_flushes"), 2u);
   EXPECT_GT(counterValue("telemetry.trace.file_bytes"), 0u);
 
   std::string Json;
@@ -415,7 +386,7 @@ TEST_F(TelemetryTest, FileSinkStreamsValidChromeJson) {
   const JsonValue *Events = Doc.get("traceEvents");
   ASSERT_NE(Events, nullptr);
   ASSERT_TRUE(Events->isArray());
-  EXPECT_EQ(Events->size(), 25u);
+  EXPECT_EQ(Events->size(), N);
   EXPECT_EQ(Doc.get("displayTimeUnit")->asString(), "ms");
 }
 
@@ -506,8 +477,9 @@ TEST_F(TelemetryTest, EmptyHistogramSnapshotReportsNaNNotSentinels) {
     // Before the fix min rendered as 0 and p50/p99 as the bucket-0 bound:
     // plausible-looking garbage. Empty must be visibly empty.
     if (Name == "test.empty_hist.min" || Name == "test.empty_hist.max" ||
-        Name == "test.empty_hist.p50" || Name == "test.empty_hist.p99")
+        Name == "test.empty_hist.p50" || Name == "test.empty_hist.p99") {
       EXPECT_TRUE(std::isnan(Value)) << Name << " = " << Value;
+    }
   }
   EXPECT_TRUE(SawCount);
 }
@@ -531,9 +503,11 @@ TEST_F(TelemetryTest, EmptyHistogramRendersAsNaInTableAndNullInJson) {
 TEST_F(TelemetryTest, NonEmptyHistogramQuantilesStayNumeric) {
   tel::Histogram &H = tel::Registry::global().histogram("test.filled");
   H.record(5);
-  for (const auto &[Name, Value] : tel::Registry::global().snapshot())
-    if (Name.rfind("test.filled.", 0) == 0)
+  for (const auto &[Name, Value] : tel::Registry::global().snapshot()) {
+    if (Name.rfind("test.filled.", 0) == 0) {
       EXPECT_FALSE(std::isnan(Value)) << Name;
+    }
+  }
 }
 
 // --- Prometheus text exposition ---------------------------------------------
@@ -668,7 +642,7 @@ TEST_F(TelemetryTest, ScopedTraceContextInstallsAndNests) {
 }
 
 TEST_F(TelemetryTest, SpansRecordTheCurrentTraceId) {
-  tel::setTraceEnabled(true);
+  TraceCapture Capture;
   tel::TraceContext Ctx = tel::mintTraceContext();
   {
     tel::ScopedTraceContext Scope(Ctx);
@@ -679,15 +653,16 @@ TEST_F(TelemetryTest, SpansRecordTheCurrentTraceId) {
   { tel::Span Outside("test.untraced", "test"); }
 
   unsigned Stamped = 0;
-  for (const tel::TraceEvent &E : tel::takeTrace()) {
+  for (const tel::TraceEvent &E : Capture.take()) {
     bool HasId = false;
     for (const auto &[K, V] : E.Args)
       if (K == "trace_id" && V == Ctx.TraceId)
         HasId = true;
     if (HasId)
       ++Stamped;
-    if (E.Name == "test.untraced")
+    if (E.Name == "test.untraced") {
       EXPECT_FALSE(HasId);
+    }
     if (E.Name == "test.timed") {
       EXPECT_EQ(E.TimeUs, 10u);
       EXPECT_EQ(E.DurUs, 5u);

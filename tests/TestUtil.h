@@ -20,6 +20,7 @@
 #include "parser/Lower.h"
 #include "profile/ParallelismProfile.h"
 #include "rt/KremlinRuntime.h"
+#include "support/Telemetry.h"
 
 #include "gtest/gtest.h"
 
@@ -128,6 +129,29 @@ inline RegionId candidateParent(const ParallelismProfile &P, RegionId R) {
     Up = P.parent(Up);
   return Up;
 }
+
+/// Captures this scope's trace: installs an InMemoryTraceSink, which turns
+/// tracing on, and closes it on destruction, which turns tracing off.
+class TraceCapture {
+public:
+  TraceCapture() {
+    auto Sink = std::make_unique<telemetry::InMemoryTraceSink>();
+    Raw = Sink.get();
+    (void)telemetry::setTraceSink(std::move(Sink));
+  }
+  ~TraceCapture() { (void)telemetry::closeTraceSink(); }
+  TraceCapture(const TraceCapture &) = delete;
+  TraceCapture &operator=(const TraceCapture &) = delete;
+
+  /// Every event recorded since the last take(), ring residue included.
+  std::vector<telemetry::TraceEvent> take() {
+    telemetry::flushTraceRings();
+    return Raw->take();
+  }
+
+private:
+  telemetry::InMemoryTraceSink *Raw = nullptr;
+};
 
 /// Sanitizer builds exit 1 on a report, the same code as a structured
 /// error, so a drill that runs the tools must check their output too.
