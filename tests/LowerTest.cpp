@@ -3,8 +3,18 @@
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 #include "parser/Lower.h"
+#include "suite/PaperSuite.h"
+#include "suite/SourceGenerator.h"
+#include "support/StringUtils.h"
 
 #include "gtest/gtest.h"
+
+#include <algorithm>
+#include <bit>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 using namespace kremlin;
 
@@ -249,6 +259,164 @@ TEST(Lower, PrinterSmoke) {
   EXPECT_NE(Text.find("global a[4]"), std::string::npos);
   EXPECT_NE(Text.find("region.enter"), std::string::npos);
   EXPECT_NE(Text.find("store"), std::string::npos);
+}
+
+// --- Lowered IR at scale ----------------------------------------------------
+
+/// fnv1a over every field lowering sets, fed field by field.
+class IrHash {
+public:
+  void add(uint64_t V) {
+    for (unsigned I = 0; I < 8; ++I, V >>= 8) {
+      Hash ^= V & 0xff;
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+  void add(const std::string &Text) {
+    add(Text.size());
+    for (unsigned char C : Text) {
+      Hash ^= C;
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+  uint64_t value() const { return Hash; }
+
+private:
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+};
+
+/// One line pinning the module lowerProgram builds for one program: every
+/// instruction field (opcode, type, operands, block targets, merge block,
+/// region stamp, immediates, call arguments, line, marks), every block
+/// name, each function's signature, register count and frame arrays, the
+/// globals, and the region table.
+std::string loweredIrFingerprint(const std::string &Name,
+                                 const std::string &Source) {
+  LowerResult R = compileMiniC(Source, Name);
+  EXPECT_TRUE(R.succeeded()) << Name << ": "
+                             << (R.Errors.empty() ? "" : R.Errors[0]);
+  if (!R.succeeded())
+    return Name + " lowering failed";
+  const Module &M = *R.M;
+  IrHash H;
+  H.add(M.SourceName);
+  size_t Blocks = 0, Insts = 0;
+  for (const Function &F : M.Functions) {
+    H.add(F.Id);
+    H.add(F.Name);
+    H.add(static_cast<uint64_t>(F.ReturnTy));
+    H.add(F.NumParams);
+    H.add(F.ParamTypes.size());
+    for (Type T : F.ParamTypes)
+      H.add(static_cast<uint64_t>(T));
+    H.add(F.NumValues);
+    H.add(F.FuncRegion);
+    H.add(F.FrameArrays.size());
+    for (const FrameArray &FA : F.FrameArrays) {
+      H.add(FA.Name);
+      H.add(FA.SizeWords);
+      H.add(static_cast<uint64_t>(FA.ElemTy));
+    }
+    H.add(F.Blocks.size());
+    Blocks += F.Blocks.size();
+    for (const BasicBlock &BB : F.Blocks) {
+      H.add(BB.Name);
+      H.add(BB.Insts.size());
+      Insts += BB.Insts.size();
+      for (const Instruction &I : BB.Insts) {
+        H.add(static_cast<uint64_t>(I.Op));
+        H.add(static_cast<uint64_t>(I.Ty));
+        H.add(I.Result);
+        H.add(I.A);
+        H.add(I.B);
+        H.add(I.Aux);
+        H.add(I.Aux2);
+        H.add(I.MergeBlock);
+        H.add(I.EnclosingRegion);
+        H.add(static_cast<uint64_t>(I.IntImm));
+        H.add(std::bit_cast<uint64_t>(I.FloatImm));
+        H.add(I.CallArgs.size());
+        for (ValueId Arg : I.CallArgs)
+          H.add(Arg);
+        H.add(I.Line);
+        H.add(I.IsInductionUpdate);
+        H.add(I.IsReductionUpdate);
+      }
+    }
+  }
+  H.add(M.Globals.size());
+  for (const GlobalArray &G : M.Globals) {
+    H.add(G.Id);
+    H.add(G.Name);
+    H.add(G.SizeWords);
+    H.add(static_cast<uint64_t>(G.ElemTy));
+  }
+  H.add(M.Regions.size());
+  for (const StaticRegion &Reg : M.Regions) {
+    H.add(Reg.Id);
+    H.add(static_cast<uint64_t>(Reg.Kind));
+    H.add(Reg.Func);
+    H.add(Reg.Parent);
+    H.add(Reg.Children.size());
+    for (RegionId C : Reg.Children)
+      H.add(C);
+    H.add(Reg.Name);
+    H.add(Reg.File);
+    H.add(Reg.StartLine);
+    H.add(Reg.EndLine);
+    H.add(Reg.HasReduction);
+  }
+  return formatString("%s funcs=%zu blocks=%zu insts=%zu globals=%zu "
+                      "regions=%zu hash=%016llx",
+                      Name.c_str(), M.Functions.size(), Blocks, Insts,
+                      M.Globals.size(), M.Regions.size(),
+                      static_cast<unsigned long long>(H.value()));
+}
+
+TEST(Lower, LoweredIrFingerprintsMatchGolden) {
+  // The module lowerProgram builds for the 11 suite programs, two 300-site
+  // programs, one 100-site kernel and every example must not move when the
+  // front end is rewritten for speed.
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const std::string &Name : paperBenchmarkNames())
+    Programs.push_back({Name, generatePaperBenchmark(Name).Source});
+  for (unsigned Salt = 0; Salt < 2; ++Salt)
+    Programs.push_back({"sites300_" + std::to_string(Salt),
+                        generateBenchmark(cyclingSiteSpec(300, 4, Salt))
+                            .Source});
+  Programs.push_back(
+      {"kernel100", generateBenchmark(cyclingSiteSpec(100, 100)).Source});
+  std::vector<std::filesystem::path> Examples;
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           std::string(KREMLIN_EXAMPLES_DIR) + "/minic"))
+    if (Entry.path().extension() == ".c")
+      Examples.push_back(Entry.path());
+  std::sort(Examples.begin(), Examples.end());
+  ASSERT_FALSE(Examples.empty());
+  for (const std::filesystem::path &Path : Examples) {
+    std::ifstream File(Path);
+    std::stringstream Text;
+    Text << File.rdbuf();
+    Programs.push_back({Path.filename().string(), Text.str()});
+  }
+
+  std::ifstream In(std::string(KREMLIN_GOLDEN_DIR) +
+                   "/lowered_ir_fingerprint.txt");
+  ASSERT_TRUE(In.good()) << "missing tests/golden/lowered_ir_fingerprint.txt";
+  std::map<std::string, std::string> Golden;
+  for (std::string Line; std::getline(In, Line);)
+    if (!Line.empty())
+      Golden[Line.substr(0, Line.find(' '))] = Line;
+  EXPECT_EQ(Golden.size(), Programs.size());
+  for (const auto &[Name, Source] : Programs) {
+    std::string Line = loweredIrFingerprint(Name, Source);
+    auto It = Golden.find(Name);
+    EXPECT_TRUE(It != Golden.end() && It->second == Line)
+        << "lowered IR of " << Name
+        << " differs; if the change is intended, its line in "
+           "tests/golden/lowered_ir_fingerprint.txt becomes:\n"
+        << Line;
+  }
 }
 
 } // namespace
