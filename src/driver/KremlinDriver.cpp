@@ -79,8 +79,13 @@ void flushExecutionTelemetry(const ExecResult &Exec, const KremlinRuntime &RT,
   static telemetry::Counter &ShadowWrites = Reg.counter("shadow.writes");
   static telemetry::Counter &DictInterns = Reg.counter("dict.interns");
   static telemetry::Counter &DictHits = Reg.counter("dict.hits");
+  static telemetry::Counter &ConsumerWait = Reg.counter("rt.consumer_wait_us");
+  static telemetry::Counter &ProducerSleeps =
+      Reg.counter("rt.producer_sleeps");
 
   DynInsns.add(Exec.DynInstructions);
+  ConsumerWait.add(Exec.ConsumerWaitUs);
+  ProducerSleeps.add(Exec.ProducerSleeps);
   const RuntimeStats &Stats = RT.stats();
   Events.add(Stats.Events);
   DynRegions.add(Stats.DynRegionEntries);

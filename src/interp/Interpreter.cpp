@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -104,15 +105,20 @@ public:
   const Batch *next() {
     const uint64_t H = Head.load(std::memory_order_relaxed);
     auto Ready = [&] { return H < Tail.load() || Closed.load(); };
-    for (unsigned Poll = 0; !Ready(); ++Poll) {
-      if (Poll < ConsumerPolls) {
-        std::this_thread::yield();
-        continue;
+    if (!Ready()) {
+      // Only a missed first poll reads the clock.
+      auto Start = std::chrono::steady_clock::now();
+      for (unsigned Poll = 0; !Ready(); ++Poll) {
+        if (Poll < ConsumerPolls) {
+          std::this_thread::yield();
+          continue;
+        }
+        std::unique_lock<std::mutex> Lock(M);
+        ConsumerAsleep.store(true);
+        ConsumerWake.wait(Lock, Ready);
+        ConsumerAsleep.store(false);
       }
-      std::unique_lock<std::mutex> Lock(M);
-      ConsumerAsleep.store(true);
-      ConsumerWake.wait(Lock, Ready);
-      ConsumerAsleep.store(false);
+      ConsumerWait += std::chrono::steady_clock::now() - Start;
     }
     // close() stores Tail before Closed, so this second look at Tail sees
     // the last batch.
@@ -139,6 +145,15 @@ public:
     ProducerWake.notify_one();
   }
 
+  // --- Stall tallies, read once the producer has been joined -------------
+
+  /// Time the consumer spent in next() waiting for a batch.
+  std::chrono::steady_clock::duration consumerWait() const {
+    return ConsumerWait;
+  }
+  /// Times the producer went to sleep on a full ring.
+  uint64_t producerSleeps() const { return ProducerSleeps; }
+
 private:
   std::unique_ptr<Batch[]> Slots;
   /// Batches consumed / published since the start of the run; slot
@@ -154,6 +169,9 @@ private:
   std::mutex M;
   std::condition_variable ProducerWake;
   std::condition_variable ConsumerWake;
+  /// Each written by one side only.
+  std::chrono::steady_clock::duration ConsumerWait{};
+  uint64_t ProducerSleeps = 0;
 
   Batch &filling() {
     return Slots[Tail.load(std::memory_order_relaxed) % Depth];
@@ -174,6 +192,7 @@ private:
         return;
     }
     std::unique_lock<std::mutex> Lock(M);
+    ++ProducerSleeps;
     ProducerAsleep.store(true);
     ProducerWake.wait(Lock, [&] {
       return T - Head.load() <= ResumeAt || Abandoned.load();
@@ -327,6 +346,13 @@ public:
                       : callFunction<false>(TMain, nullptr, nullptr, 0,
                                             NoValue);
     Result.DynInstructions = Steps;
+    if (Ring) {
+      Result.ConsumerWaitUs = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              Ring->consumerWait())
+              .count());
+      Result.ProducerSleeps = Ring->producerSleeps();
+    }
     if (!Error.empty()) {
       Result.Error = Error;
       Result.Err = St.ok() ? Status::error(ErrorCode::ExecutionError, Error)

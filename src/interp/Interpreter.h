@@ -56,6 +56,11 @@ struct ExecResult {
   int64_t ExitValue = 0;
   /// Dynamically executed instructions (markers included).
   uint64_t DynInstructions = 0;
+  /// Profiled runs only: microseconds the HCPA consumer waited for the
+  /// interpreter's next event batch, and the times the interpreter slept
+  /// on a full event ring.
+  uint64_t ConsumerWaitUs = 0;
+  uint64_t ProducerSleeps = 0;
 };
 
 /// Interprets one module. Reusable across runs; each run() uses fresh

@@ -9,14 +9,14 @@ using namespace kremlin;
 
 namespace {
 
-/// Recursive-descent parser over the token stream.
+/// Recursive-descent parser pulling tokens from a Lexer. Nodes go into the
+/// program's arena; a list is gathered on one of the scratch stacks (nested
+/// lists stack above it) and copied into the arena once complete.
 class ParserImpl {
 public:
-  ParserImpl(std::vector<Token> Toks, std::string SourceName,
-             std::vector<std::string> LexErrors)
-      : Toks(std::move(Toks)) {
+  ParserImpl(std::string_view Source, std::string SourceName)
+      : Lex(Source, Result.Errors), Cur(Lex.next()) {
     Result.Program.SourceName = std::move(SourceName);
-    Result.Errors = std::move(LexErrors);
   }
 
   ParseResult run() {
@@ -24,21 +24,31 @@ public:
       if (!parseTopLevel() && !at(TokKind::Eof))
         synchronizeTopLevel();
     }
+    // Lexical errors come first, then the parser's.
+    Result.Errors.insert(Result.Errors.end(),
+                         std::make_move_iterator(ParseErrors.begin()),
+                         std::make_move_iterator(ParseErrors.end()));
     return std::move(Result);
   }
 
 private:
-  std::vector<Token> Toks;
-  size_t Pos = 0;
   ParseResult Result;
+  Lexer Lex;
+  Token Cur;
+  std::vector<std::string> ParseErrors;
+  std::vector<const Expr *> ExprStack;
+  std::vector<const Stmt *> StmtStack;
+  std::vector<uint64_t> DimStack;
+  std::vector<ParamDecl> ParamStack;
 
-  const Token &cur() const { return Toks[Pos]; }
-  bool at(TokKind Kind) const { return cur().Kind == Kind; }
+  ProgramAst &program() { return Result.Program; }
 
-  const Token &advance() {
-    const Token &T = Toks[Pos];
+  bool at(TokKind Kind) const { return Cur.Kind == Kind; }
+
+  Token advance() {
+    Token T = Cur;
     if (!at(TokKind::Eof))
-      ++Pos;
+      Cur = Lex.next();
     return T;
   }
 
@@ -49,24 +59,34 @@ private:
     return true;
   }
 
+  SymbolId name() { return program().Names.intern(advance().Text); }
+
+  /// Moves the scratch entries above \p Mark into the arena.
+  template <typename T>
+  std::span<const T> take(std::vector<T> &Stack, size_t Mark) {
+    std::span<const T> Items = program().Arena.copy(
+        std::span<const T>(Stack.data() + Mark, Stack.size() - Mark));
+    Stack.resize(Mark);
+    return Items;
+  }
+
   void error(const std::string &Msg) {
-    Result.Errors.push_back(
-        formatString("%s:%u:%u: %s", Result.Program.SourceName.c_str(),
-                     cur().Line, cur().Col, Msg.c_str()));
+    ParseErrors.push_back(formatString("%s:%u:%u: %s",
+                                       program().SourceName.c_str(),
+                                       Cur.Line, Cur.Col, Msg.c_str()));
   }
 
   bool expect(TokKind Kind) {
     if (accept(Kind))
       return true;
     error(formatString("expected %s, found %s", tokKindName(Kind),
-                       tokKindName(cur().Kind)));
+                       tokKindName(Cur.Kind)));
     return false;
   }
 
   /// Skips ahead to a plausible top-level start after an error.
   void synchronizeTopLevel() {
-    while (!at(TokKind::Eof) && !at(TokKind::KwInt) && !at(TokKind::KwFloat) &&
-           !at(TokKind::KwVoid))
+    while (!at(TokKind::Eof) && !atType())
       advance();
   }
 
@@ -86,110 +106,129 @@ private:
     return Type::Int;
   }
 
+  /// Parses `[d0][d1]...`; \p Required dimensions must be integer literals
+  /// (a missing one is reported, or else recorded as 0: T a[]).
+  std::span<const uint64_t> parseDims(bool Required) {
+    size_t Mark = DimStack.size();
+    while (accept(TokKind::LBracket)) {
+      if (at(TokKind::IntLit))
+        DimStack.push_back(static_cast<uint64_t>(advance().IntValue));
+      else if (Required)
+        error("array dimension must be an integer literal");
+      else
+        DimStack.push_back(0); // Unknown leading dimension: T a[].
+      expect(TokKind::RBracket);
+    }
+    return take(DimStack, Mark);
+  }
+
   /// Parses either a global array declaration or a function definition.
   bool parseTopLevel() {
     if (!atType()) {
       error(formatString("expected a declaration, found %s",
-                         tokKindName(cur().Kind)));
+                         tokKindName(Cur.Kind)));
       return false;
     }
-    unsigned Line = cur().Line;
+    unsigned Line = Cur.Line;
     Type Ty = parseType();
     if (!at(TokKind::Ident)) {
       error("expected an identifier");
       return false;
     }
-    std::string Name = advance().Text;
+    SymbolId Name = name();
 
     if (at(TokKind::LParen))
-      return parseFunction(Ty, std::move(Name), Line);
-    return parseGlobal(Ty, std::move(Name), Line);
+      return parseFunction(Ty, Name, Line);
+    return parseGlobal(Ty, Name, Line);
   }
 
-  bool parseGlobal(Type Ty, std::string Name, unsigned Line) {
+  bool parseGlobal(Type Ty, SymbolId Name, unsigned Line) {
     if (Ty == Type::Void) {
       error("global arrays cannot be void");
       Ty = Type::Int;
     }
     GlobalDecl G;
     G.Ty = Ty;
-    G.Name = std::move(Name);
+    G.Name = Name;
     G.Line = Line;
     if (!at(TokKind::LBracket)) {
       error("global variables must be arrays in MiniC (scalars are locals)");
       accept(TokKind::Semi);
       return false;
     }
+    size_t Mark = DimStack.size();
     while (accept(TokKind::LBracket)) {
       if (!at(TokKind::IntLit)) {
         error("array dimension must be an integer literal");
+        DimStack.resize(Mark);
         return false;
       }
-      G.Dims.push_back(static_cast<uint64_t>(advance().IntValue));
+      DimStack.push_back(static_cast<uint64_t>(advance().IntValue));
       expect(TokKind::RBracket);
     }
+    G.Dims = take(DimStack, Mark);
     expect(TokKind::Semi);
-    Result.Program.Globals.push_back(std::move(G));
+    program().Globals.push_back(G);
     return true;
   }
 
-  bool parseFunction(Type RetTy, std::string Name, unsigned Line) {
+  bool parseFunction(Type RetTy, SymbolId Name, unsigned Line) {
     FuncDecl F;
     F.ReturnTy = RetTy;
-    F.Name = std::move(Name);
+    F.Name = Name;
     F.Line = Line;
     expect(TokKind::LParen);
+    size_t Mark = ParamStack.size();
     if (!at(TokKind::RParen)) {
       do {
         ParamDecl P;
-        P.Line = cur().Line;
+        P.Line = Cur.Line;
         P.Ty = parseType();
         if (P.Ty == Type::Void) {
           error("parameters cannot be void");
           P.Ty = Type::Int;
         }
         if (at(TokKind::Ident))
-          P.Name = advance().Text;
+          P.Name = name();
         else
           error("expected a parameter name");
-        while (accept(TokKind::LBracket)) {
-          P.IsArray = true;
-          if (at(TokKind::IntLit))
-            P.Dims.push_back(static_cast<uint64_t>(advance().IntValue));
-          else
-            P.Dims.push_back(0); // Unknown leading dimension: T a[].
-          expect(TokKind::RBracket);
-        }
-        F.Params.push_back(std::move(P));
+        P.IsArray = at(TokKind::LBracket);
+        P.Dims = parseDims(/*Required=*/false);
+        ParamStack.push_back(P);
       } while (accept(TokKind::Comma));
     }
+    F.Params = take(ParamStack, Mark);
     expect(TokKind::RParen);
     if (!at(TokKind::LBrace)) {
       error("expected a function body");
       return false;
     }
     F.Body = parseBlock();
-    F.EndLine = F.Body ? F.Body->EndLine : F.Line;
-    Result.Program.Functions.push_back(std::move(F));
+    F.EndLine = F.Body->EndLine;
+    program().Functions.push_back(F);
     return true;
   }
 
-  StmtPtr parseBlock() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::Block;
-    S->Line = cur().Line;
+  Stmt *newStmt(Stmt::Kind K) {
+    Stmt *S = program().Arena.make<Stmt>();
+    S->K = K;
+    S->Line = Cur.Line;
+    return S;
+  }
+
+  const Stmt *parseBlock() {
+    Stmt *S = newStmt(Stmt::Kind::Block);
     expect(TokKind::LBrace);
-    while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
-      StmtPtr Inner = parseStatement();
-      if (Inner)
-        S->Body.push_back(std::move(Inner));
-    }
-    S->EndLine = cur().Line;
+    size_t Mark = StmtStack.size();
+    while (!at(TokKind::RBrace) && !at(TokKind::Eof))
+      StmtStack.push_back(parseStatement());
+    S->Body = take(StmtStack, Mark);
+    S->EndLine = Cur.Line;
     expect(TokKind::RBrace);
     return S;
   }
 
-  StmtPtr parseStatement() {
+  const Stmt *parseStatement() {
     if (at(TokKind::LBrace))
       return parseBlock();
     if (atType())
@@ -205,41 +244,30 @@ private:
     return parseAssignOrExpr(/*RequireSemi=*/true);
   }
 
-  StmtPtr parseDecl() {
-    auto S = std::make_unique<Stmt>();
-    S->Line = cur().Line;
+  const Stmt *parseDecl() {
+    Stmt *S = newStmt(Stmt::Kind::DeclScalar);
     S->Ty = parseType();
     if (S->Ty == Type::Void) {
       error("local declarations cannot be void");
       S->Ty = Type::Int;
     }
     if (at(TokKind::Ident))
-      S->Name = advance().Text;
+      S->Name = name();
     else
       error("expected a variable name");
     if (at(TokKind::LBracket)) {
       S->K = Stmt::Kind::DeclArray;
-      while (accept(TokKind::LBracket)) {
-        if (at(TokKind::IntLit))
-          S->Dims.push_back(static_cast<uint64_t>(advance().IntValue));
-        else
-          error("array dimension must be an integer literal");
-        expect(TokKind::RBracket);
-      }
-    } else {
-      S->K = Stmt::Kind::DeclScalar;
-      if (accept(TokKind::Assign))
-        S->Value = parseExpr();
+      S->Dims = parseDims(/*Required=*/true);
+    } else if (accept(TokKind::Assign)) {
+      S->Value = parseExpr();
     }
-    S->EndLine = cur().Line;
+    S->EndLine = Cur.Line;
     expect(TokKind::Semi);
     return S;
   }
 
-  StmtPtr parseIf() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::If;
-    S->Line = cur().Line;
+  const Stmt *parseIf() {
+    Stmt *S = newStmt(Stmt::Kind::If);
     advance(); // if
     expect(TokKind::LParen);
     S->Cond = parseExpr();
@@ -247,16 +275,12 @@ private:
     S->Then = parseStatement();
     if (accept(TokKind::KwElse))
       S->Else = parseStatement();
-    S->EndLine = S->Else    ? S->Else->EndLine
-                 : S->Then ? S->Then->EndLine
-                           : S->Line;
+    S->EndLine = (S->Else ? S->Else : S->Then)->EndLine;
     return S;
   }
 
-  StmtPtr parseFor() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::For;
-    S->Line = cur().Line;
+  const Stmt *parseFor() {
+    Stmt *S = newStmt(Stmt::Kind::For);
     advance(); // for
     expect(TokKind::LParen);
     if (!at(TokKind::Semi)) {
@@ -274,54 +298,48 @@ private:
       S->Step = parseAssignOrExpr(/*RequireSemi=*/false);
     expect(TokKind::RParen);
     S->Then = parseStatement();
-    S->EndLine = S->Then ? S->Then->EndLine : S->Line;
+    S->EndLine = S->Then->EndLine;
     return S;
   }
 
-  StmtPtr parseWhile() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::While;
-    S->Line = cur().Line;
+  const Stmt *parseWhile() {
+    Stmt *S = newStmt(Stmt::Kind::While);
     advance(); // while
     expect(TokKind::LParen);
     S->Cond = parseExpr();
     expect(TokKind::RParen);
     S->Then = parseStatement();
-    S->EndLine = S->Then ? S->Then->EndLine : S->Line;
+    S->EndLine = S->Then->EndLine;
     return S;
   }
 
-  StmtPtr parseReturn() {
-    auto S = std::make_unique<Stmt>();
-    S->K = Stmt::Kind::Return;
-    S->Line = cur().Line;
+  const Stmt *parseReturn() {
+    Stmt *S = newStmt(Stmt::Kind::Return);
     advance(); // return
     if (!at(TokKind::Semi))
       S->Value = parseExpr();
-    S->EndLine = cur().Line;
+    S->EndLine = Cur.Line;
     expect(TokKind::Semi);
     return S;
   }
 
   /// Parses `lvalue = expr` or a bare expression statement (a call).
-  StmtPtr parseAssignOrExpr(bool RequireSemi) {
-    auto S = std::make_unique<Stmt>();
-    S->Line = cur().Line;
-    ExprPtr E = parseExpr();
+  const Stmt *parseAssignOrExpr(bool RequireSemi) {
+    Stmt *S = newStmt(Stmt::Kind::ExprStmt);
+    const Expr *E = parseExpr();
     if (at(TokKind::Assign)) {
-      if (!E || (E->K != Expr::Kind::Var && E->K != Expr::Kind::Index))
+      if (E->K != Expr::Kind::Var && E->K != Expr::Kind::Index)
         error("left side of '=' must be a variable or array element");
       advance();
       S->K = Stmt::Kind::Assign;
-      S->Target = std::move(E);
+      S->Target = E;
       S->Value = parseExpr();
     } else {
-      if (E && E->K != Expr::Kind::Call)
+      if (E->K != Expr::Kind::Call)
         error("expression statement must be a call");
-      S->K = Stmt::Kind::ExprStmt;
-      S->Value = std::move(E);
+      S->Value = E;
     }
-    S->EndLine = cur().Line;
+    S->EndLine = Cur.Line;
     if (RequireSemi)
       expect(TokKind::Semi);
     return S;
@@ -329,41 +347,46 @@ private:
 
   // --- Expressions (precedence climbing) --------------------------------
 
-  ExprPtr parseExpr() { return parseOr(); }
+  const Expr *parseExpr() { return parseOr(); }
 
-  ExprPtr makeBinary(Expr::BinOpKind Op, ExprPtr L, ExprPtr R,
-                     unsigned Line) {
-    auto E = std::make_unique<Expr>();
-    E->K = Expr::Kind::Binary;
-    E->BinOp = Op;
+  Expr *newExpr(Expr::Kind K, unsigned Line) {
+    Expr *E = program().Arena.make<Expr>();
+    E->K = K;
     E->Line = Line;
-    E->Args.push_back(std::move(L));
-    E->Args.push_back(std::move(R));
     return E;
   }
 
-  ExprPtr parseOr() {
-    ExprPtr L = parseAnd();
+  const Expr *makeBinary(Expr::BinOpKind Op, const Expr *L, const Expr *R,
+                         unsigned Line) {
+    Expr *E = newExpr(Expr::Kind::Binary, Line);
+    E->BinOp = Op;
+    const Expr *Args[] = {L, R};
+    E->Args = program().Arena.copy(std::span<const Expr *const>(Args));
+    return E;
+  }
+
+  const Expr *parseOr() {
+    const Expr *L = parseAnd();
     while (at(TokKind::OrOr)) {
       unsigned Line = advance().Line;
-      L = makeBinary(Expr::BinOpKind::Or, std::move(L), parseAnd(), Line);
+      L = makeBinary(Expr::BinOpKind::Or, L, parseAnd(), Line);
     }
     return L;
   }
 
-  ExprPtr parseAnd() {
-    ExprPtr L = parseCmp();
+  const Expr *parseAnd() {
+    const Expr *L = parseCmp();
     while (at(TokKind::AndAnd)) {
       unsigned Line = advance().Line;
-      L = makeBinary(Expr::BinOpKind::And, std::move(L), parseCmp(), Line);
+      L = makeBinary(Expr::BinOpKind::And, L, parseCmp(), Line);
     }
     return L;
   }
 
-  ExprPtr parseCmp() {
-    ExprPtr L = parseAddSub();
+  const Expr *parseCmp() {
+    const Expr *L = parseAddSub();
     Expr::BinOpKind Op;
-    switch (cur().Kind) {
+    switch (Cur.Kind) {
     case TokKind::EqEq:
       Op = Expr::BinOpKind::Eq;
       break;
@@ -386,49 +409,52 @@ private:
       return L;
     }
     unsigned Line = advance().Line;
-    return makeBinary(Op, std::move(L), parseAddSub(), Line);
+    return makeBinary(Op, L, parseAddSub(), Line);
   }
 
-  ExprPtr parseAddSub() {
-    ExprPtr L = parseMulDiv();
+  const Expr *parseAddSub() {
+    const Expr *L = parseMulDiv();
     while (at(TokKind::Plus) || at(TokKind::Minus)) {
       Expr::BinOpKind Op = at(TokKind::Plus) ? Expr::BinOpKind::Add
                                              : Expr::BinOpKind::Sub;
       unsigned Line = advance().Line;
-      L = makeBinary(Op, std::move(L), parseMulDiv(), Line);
+      L = makeBinary(Op, L, parseMulDiv(), Line);
     }
     return L;
   }
 
-  ExprPtr parseMulDiv() {
-    ExprPtr L = parseUnary();
+  const Expr *parseMulDiv() {
+    const Expr *L = parseUnary();
     while (at(TokKind::Star) || at(TokKind::Slash) || at(TokKind::Percent)) {
       Expr::BinOpKind Op = at(TokKind::Star)    ? Expr::BinOpKind::Mul
                            : at(TokKind::Slash) ? Expr::BinOpKind::Div
                                                 : Expr::BinOpKind::Rem;
       unsigned Line = advance().Line;
-      L = makeBinary(Op, std::move(L), parseUnary(), Line);
+      L = makeBinary(Op, L, parseUnary(), Line);
     }
     return L;
   }
 
-  ExprPtr parseUnary() {
+  const Expr *parseUnary() {
     if (at(TokKind::Minus) || at(TokKind::Not)) {
-      auto E = std::make_unique<Expr>();
-      E->K = Expr::Kind::Unary;
+      Expr *E = newExpr(Expr::Kind::Unary, Cur.Line);
       E->UnOp = at(TokKind::Minus) ? Expr::UnOpKind::Neg : Expr::UnOpKind::Not;
-      E->Line = advance().Line;
-      E->Args.push_back(parseUnary());
+      advance();
+      const Expr *Operand[] = {parseUnary()};
+      E->Args = program().Arena.copy(std::span<const Expr *const>(Operand));
       return E;
     }
     return parsePrimary();
   }
 
-  ExprPtr parsePrimary() {
-    auto E = std::make_unique<Expr>();
-    E->Line = cur().Line;
+  const Expr *parsePrimary() {
+    if (accept(TokKind::LParen)) {
+      const Expr *Inner = parseExpr();
+      expect(TokKind::RParen);
+      return Inner;
+    }
+    Expr *E = newExpr(Expr::Kind::IntLit, Cur.Line);
     if (at(TokKind::IntLit)) {
-      E->K = Expr::Kind::IntLit;
       E->IntValue = advance().IntValue;
       return E;
     }
@@ -437,42 +463,36 @@ private:
       E->FloatValue = advance().FloatValue;
       return E;
     }
-    if (accept(TokKind::LParen)) {
-      ExprPtr Inner = parseExpr();
-      expect(TokKind::RParen);
-      return Inner;
-    }
     if (!at(TokKind::Ident)) {
       error(formatString("expected an expression, found %s",
-                         tokKindName(cur().Kind)));
+                         tokKindName(Cur.Kind)));
       // Do not consume structural tokens: they let the enclosing
       // block/statement resynchronize.
       if (!at(TokKind::RBrace) && !at(TokKind::RParen) &&
           !at(TokKind::Semi) && !at(TokKind::Eof))
         advance();
-      E->K = Expr::Kind::IntLit;
       return E;
     }
-    E->Name = advance().Text;
+    E->Name = name();
+    size_t Mark = ExprStack.size();
     if (accept(TokKind::LParen)) {
       E->K = Expr::Kind::Call;
       if (!at(TokKind::RParen)) {
         do {
-          E->Args.push_back(parseExpr());
+          ExprStack.push_back(parseExpr());
         } while (accept(TokKind::Comma));
       }
       expect(TokKind::RParen);
-      return E;
-    }
-    if (at(TokKind::LBracket)) {
+    } else if (at(TokKind::LBracket)) {
       E->K = Expr::Kind::Index;
       while (accept(TokKind::LBracket)) {
-        E->Args.push_back(parseExpr());
+        ExprStack.push_back(parseExpr());
         expect(TokKind::RBracket);
       }
-      return E;
+    } else {
+      E->K = Expr::Kind::Var;
     }
-    E->K = Expr::Kind::Var;
+    E->Args = take(ExprStack, Mark);
     return E;
   }
 };
@@ -481,9 +501,5 @@ private:
 
 ParseResult kremlin::parseMiniC(std::string_view Source,
                                 std::string SourceName) {
-  std::vector<std::string> LexErrors;
-  std::vector<Token> Toks = lexSource(Source, LexErrors);
-  return ParserImpl(std::move(Toks), std::move(SourceName),
-                    std::move(LexErrors))
-      .run();
+  return ParserImpl(Source, std::move(SourceName)).run();
 }

@@ -447,6 +447,9 @@ TEST(Cli, StatsSubcommand) {
   EXPECT_NE(Out.find("rt.dyn_instructions"), std::string::npos);
   EXPECT_NE(Out.find("shadow.reads"), std::string::npos);
   EXPECT_NE(Out.find("dict.hits"), std::string::npos);
+  // The execute pipeline's stall tallies.
+  EXPECT_NE(Out.find("rt.consumer_wait_us"), std::string::npos);
+  EXPECT_NE(Out.find("rt.producer_sleeps"), std::string::npos);
   EXPECT_EQ(Out.find("Parallelism plan"), std::string::npos);
 }
 

@@ -3,6 +3,7 @@
 #include "TestUtil.h"
 
 #include "driver/KremlinDriver.h"
+#include "suite/PaperSuite.h"
 #include "support/Telemetry.h"
 
 using namespace kremlin;
@@ -159,6 +160,29 @@ TEST(Driver, PublishesObservedRegionDepthAndShadowPeak) {
   EXPECT_EQ(Reg.gauge("rt.region_depth_cap").value(), 5.0);
   EXPECT_GT(Reg.gauge("shadow.peak_bytes").value(),
             Reg.gauge("shadow.bytes").value());
+}
+
+TEST(Driver, PublishesExecutePipelineStalls) {
+  // A profiled run reports how long the HCPA consumer waited on an empty
+  // event ring and how often the interpreter slept on a full one, on
+  // ExecResult and summed into the registry. The wait happens inside the
+  // execute stage, so it cannot exceed that stage's time.
+  telemetry::Registry &Reg = telemetry::Registry::global();
+  telemetry::Counter &Wait = Reg.counter("rt.consumer_wait_us");
+  telemetry::Counter &Sleeps = Reg.counter("rt.producer_sleeps");
+  uint64_t WaitBefore = Wait.value(), SleepsBefore = Sleeps.value();
+  KremlinDriver Driver;
+  DriverResult R =
+      Driver.runOnSource(generatePaperBenchmark("is").Source, "is.c");
+  ASSERT_TRUE(R.succeeded()) << R.Err.toString();
+  double ExecuteMs = -1.0;
+  for (const auto &[Stage, Ms] : R.StageMs)
+    if (Stage == "execute")
+      ExecuteMs = Ms;
+  ASSERT_GE(ExecuteMs, 0.0);
+  EXPECT_LE(static_cast<double>(R.Exec.ConsumerWaitUs) / 1000.0, ExecuteMs);
+  EXPECT_EQ(Wait.value() - WaitBefore, R.Exec.ConsumerWaitUs);
+  EXPECT_EQ(Sleeps.value() - SleepsBefore, R.Exec.ProducerSleeps);
 }
 
 } // namespace

@@ -3,7 +3,7 @@
 // Fixed programs on which the interpreter plus KremlinRuntime must agree
 // bit for bit with the HCPA oracle (HcpaOracle.h): the shipped MiniC
 // examples without recursion, the Figure 2-3 tracking program, the
-// dead-frame-array regression, three paper-suite programs, and hand-built
+// dead-frame-array regression, every paper-suite program, and hand-built
 // IR at each boundary where the tape decoder must stop growing an
 // expression tree. PropertyTest sweeps the same comparison over random
 // programs.
@@ -50,19 +50,27 @@ TEST(HcpaOracle, MatchesRuntimeOnDeadFrameArrays) {
   expectProfileMatchesOracle(DeadFrameArraySource);
 }
 
-TEST(HcpaOracle, MatchesRuntimeOnPaperSuitePrograms) {
-  // Every suite program, at the default depth window and at a narrow one
-  // that starts below the root, so levels fall outside it at both ends.
+/// One suite program per case (each is its own ctest case), checked at the
+/// default depth window and at a narrow one that starts below the root, so
+/// levels fall outside it at both ends.
+class HcpaOracleSuiteProgram : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(HcpaOracleSuiteProgram, MatchesRuntimeAtBothWindows) {
   KremlinConfig Narrow;
   Narrow.MinLevel = 1;
   Narrow.NumLevels = 2;
-  for (const std::string &Name : paperBenchmarkNames()) {
-    SCOPED_TRACE(Name);
-    std::string Source = generatePaperBenchmark(Name).Source;
-    expectProfileMatchesOracle(Source);
-    expectProfileMatchesOracle(Source, Narrow);
-  }
+  std::string Source = generatePaperBenchmark(GetParam()).Source;
+  expectProfileMatchesOracle(Source);
+  expectProfileMatchesOracle(Source, Narrow);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperSuite, HcpaOracleSuiteProgram,
+    ::testing::ValuesIn(paperBenchmarkNames()),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      return Info.param;
+    });
 
 // --- Hand-built expression trees -----------------------------------------
 //
