@@ -271,7 +271,7 @@ kremlin::findLoopCarriedScalarDeps(const Function &F,
     const std::vector<Instruction> &Insts = F.Blocks[B].Insts;
     for (unsigned Idx = 0; Idx < Insts.size(); ++Idx) {
       const Instruction &I = Insts[Idx];
-      forEachUse(I, [&](ValueId V) {
+      forEachUse(F, I, [&](ValueId V) {
         if (V >= F.NumValues || Local[V] == LoopScratch::NoSlot ||
             !testBit(TokenAlive.data(), Local[V]))
           return;

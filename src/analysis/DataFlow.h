@@ -35,11 +35,12 @@ struct UseSite {
   ValueId Value = NoValue;
 };
 
-/// Calls \p Visit on each register operand \p I reads, in operand order
-/// (the Result is excluded). Covers every opcode: binary/unary operands,
-/// Load/Store addresses and values, call arguments, branch conditions, and
-/// return values.
-template <typename Fn> void forEachUse(const Instruction &I, Fn &&Visit) {
+/// Calls \p Visit on each register operand \p I (an instruction of \p F)
+/// reads, in operand order (the Result is excluded). Covers every opcode:
+/// binary/unary operands, Load/Store addresses and values, call arguments
+/// (from \p F's argument pool), branch conditions, and return values.
+template <typename Fn>
+void forEachUse(const Function &F, const Instruction &I, Fn &&Visit) {
   auto Use = [&Visit](ValueId V) {
     if (V != NoValue)
       Visit(V);
@@ -62,7 +63,7 @@ template <typename Fn> void forEachUse(const Instruction &I, Fn &&Visit) {
     Use(I.B);
     break;
   case Opcode::Call:
-    for (ValueId Arg : I.CallArgs)
+    for (ValueId Arg : F.callArgs(I))
       Use(Arg);
     break;
   case Opcode::Ret:

@@ -97,7 +97,7 @@ private:
         };
         if (Visit(I.A) || Visit(I.B))
           return true;
-        for (ValueId Arg : I.CallArgs)
+        for (ValueId Arg : F.callArgs(I))
           if (Visit(Arg))
             return true;
       }

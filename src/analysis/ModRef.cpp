@@ -120,6 +120,7 @@ ModRefSummary computeOne(const Function &F, const DefIndex &D,
         addSorted(S.GlobalWrites, G);
       // Param effects of the callee land on whatever array the caller
       // passed in that position.
+      std::span<const ValueId> Args = F.callArgs(I);
       unsigned NumK = static_cast<unsigned>(
           std::max(CS.ParamReads.size(), CS.ParamWrites.size()));
       for (unsigned K = 0; K < NumK; ++K) {
@@ -128,8 +129,8 @@ ModRefSummary computeOne(const Function &F, const DefIndex &D,
         if (!Reads && !Writes)
           continue;
         AddrRoot ArgRoot;
-        if (K < I.CallArgs.size())
-          ArgRoot = resolveRoot(F, D, I.CallArgs[K]);
+        if (K < Args.size())
+          ArgRoot = resolveRoot(F, D, Args[K]);
         if (Reads)
           recordEffect(S, ArgRoot, /*IsWrite=*/false);
         if (Writes)

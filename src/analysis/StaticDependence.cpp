@@ -5,9 +5,11 @@
 #include "analysis/DataFlow.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <optional>
 #include <set>
 
@@ -403,7 +405,7 @@ public:
     if (I.Op == Opcode::Call || I.Op == Opcode::Store)
       return true;
     bool Depends = false;
-    forEachUse(I, [&](ValueId U) {
+    forEachUse(F, I, [&](ValueId U) {
       Depends = Depends || chainDependsOnImpl(U, Target, Visited);
     });
     return Depends;
@@ -513,7 +515,7 @@ public:
         unsigned Node = CM.numNodes();
         CM.NodeOf.push_back(Node);
         CM.BlockOf.push_back(B);
-        forEachUse(I, [&](ValueId V) {
+        forEachUse(F, I, [&](ValueId V) {
           if (V < F.NumValues && LastDef[V] != LoopScratch::NoSlot)
             CM.PredList.push_back(LastDef[V]);
         });
@@ -812,7 +814,7 @@ const char *minMaxIdiom(const LoopAnalyzer &LA, const Function &F,
       if (&I == Cmp || &I == &MoveI || &I == VCopy)
         continue;
       bool ReadsV = false;
-      forEachUse(I, [&](ValueId U) { ReadsV |= U == V; });
+      forEachUse(F, I, [&](ValueId U) { ReadsV |= U == V; });
       if (ReadsV)
         return nullptr;
     }
@@ -884,6 +886,7 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
       for (GlobalId G : S->GlobalWrites)
         Local.push_back({MemAccess::Base::Global, G, false, true, I.Line,
                          I.Aux});
+      std::span<const ValueId> Args = F.callArgs(I);
       unsigned NumK = static_cast<unsigned>(
           std::max(S->ParamReads.size(), S->ParamWrites.size()));
       for (unsigned K = 0; K < NumK; ++K) {
@@ -892,8 +895,8 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
         if (!Rd && !Wr)
           continue;
         MemAccess Root;
-        if (K < I.CallArgs.size())
-          LA.resolveAddress(I.CallArgs[K], Root);
+        if (K < Args.size())
+          LA.resolveAddress(Args[K], Root);
         if (Root.Kind == MemAccess::Base::Unknown) {
           Usable = false;
           break;
@@ -1310,17 +1313,23 @@ kremlin::analyzeFunctionDependence(const Module &M, const Function &F,
 
 StaticAnalysisResult kremlin::analyzeModuleDependence(const Module &M) {
   StaticAnalysisResult Result;
-  std::vector<FunctionAnalysis> FA;
-  FA.reserve(M.Functions.size());
-  for (const Function &F : M.Functions)
-    FA.push_back(buildFunctionAnalysis(F));
+  // The per-function work runs on every available CPU, each task writing
+  // only its own slot; the call graph and mod/ref stay module-wide.
+  const size_t N = M.Functions.size();
+  std::vector<FunctionAnalysis> FA(N);
+  parallelFor(N, [&](size_t I) {
+    FA[I] = buildFunctionAnalysis(M.Functions[I]);
+  });
   CallGraph CG(M);
   Result.ModRef = computeModRef(M, CG, FA);
-  for (size_t I = 0; I < M.Functions.size(); ++I) {
-    std::vector<StaticLoopResult> FR =
+  std::vector<std::vector<StaticLoopResult>> PerFunction(N);
+  parallelFor(N, [&](size_t I) {
+    PerFunction[I] =
         analyzeFunctionDependence(M, M.Functions[I], FA[I], &Result.ModRef);
-    Result.Loops.insert(Result.Loops.end(), FR.begin(), FR.end());
-  }
+    FA[I] = FunctionAnalysis(); // Dead from here; do not let it pile up.
+  });
+  for (std::vector<StaticLoopResult> &FR : PerFunction)
+    std::move(FR.begin(), FR.end(), std::back_inserter(Result.Loops));
   for (const StaticLoopResult &L : Result.Loops) {
     switch (L.Verdict) {
     case LoopVerdict::ProvablyDoall:

@@ -119,14 +119,6 @@ struct StaticAnalysisResult {
   /// verdicts; exported so lint can report callee side effects.
   ModRefResult ModRef;
 
-  /// The result for region \p R, or nullptr if \p R was not analyzed.
-  const StaticLoopResult *forRegion(RegionId R) const {
-    for (const StaticLoopResult &L : Loops)
-      if (L.Region == R && R != NoRegion)
-        return &L;
-    return nullptr;
-  }
-
   /// Region -> verdict map in the shape PlannerOptions consumes.
   std::map<RegionId, LoopVerdict> verdictMap() const {
     std::map<RegionId, LoopVerdict> Map;

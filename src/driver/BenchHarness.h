@@ -36,7 +36,7 @@ using MetricMap = std::map<std::string, double>;
 
 /// Configuration for one suite run.
 struct BenchSuiteOptions {
-  /// Worker threads; 0 = hardware concurrency.
+  /// Worker threads; 0 = the CPUs this process may run on.
   unsigned Threads = 0;
   /// Planner personality used for every benchmark.
   std::string PersonalityName = "openmp";

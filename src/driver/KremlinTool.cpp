@@ -457,7 +457,7 @@ int benchMain(const Args &A) {
   bool CheckBaseline = false, UpdateBaseline = false;
   Command C{
       "usage: kremlin-bench [options]   (or: kremlin bench [options])",
-      {{"--threads", "<n>", "worker threads (default: hardware)",
+      {{"--threads", "<n>", "worker threads (default: CPUs available)",
         &Opts.Threads},
        {"--benchmarks", "<a,b,...>", "subset of the paper suite",
         &Opts.Benchmarks},

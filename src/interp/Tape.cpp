@@ -129,7 +129,7 @@ public:
         }
         Read(I.A);
         Read(I.B);
-        for (ValueId V : I.CallArgs)
+        for (ValueId V : F.callArgs(I))
           Read(V);
       }
 
@@ -442,14 +442,15 @@ private:
     case Opcode::RegionExit:
       T.Imm = I.Aux;
       break;
-    case Opcode::Call:
+    case Opcode::Call: {
+      std::span<const ValueId> Args = F.callArgs(I);
       T.Dst = I.Result;
       T.Imm = I.Aux;
       T.X = static_cast<uint32_t>(TF.ArgPool.size());
-      T.Y = static_cast<uint32_t>(I.CallArgs.size());
-      TF.ArgPool.insert(TF.ArgPool.end(), I.CallArgs.begin(),
-                        I.CallArgs.end());
+      T.Y = static_cast<uint32_t>(Args.size());
+      TF.ArgPool.insert(TF.ArgPool.end(), Args.begin(), Args.end());
       break;
+    }
     case Opcode::Ret:
       T.A = I.A;
       break;

@@ -20,6 +20,7 @@
 #include "ir/Type.h"
 
 #include <cassert>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,10 @@ struct Function {
   /// Fixed-size local arrays.
   std::vector<FrameArray> FrameArrays;
 
+  /// The argument pool: at each call's Instruction::CallArgsAt sits its
+  /// argument count, followed by that many argument registers.
+  std::vector<ValueId> CallArgs;
+
   /// The static Function region covering this function's body.
   RegionId FuncRegion = NoRegion;
 
@@ -85,6 +90,16 @@ struct Function {
     default:
       return {};
     }
+  }
+
+  /// The registers \p Call passes, in parameter order. Empty when it
+  /// passes none or its CallArgsAt lies outside the pool (the verifier's
+  /// argument-count check reports the latter).
+  std::span<const ValueId> callArgs(const Instruction &Call) const {
+    size_t At = Call.CallArgsAt;
+    if (At >= CallArgs.size() || CallArgs[At] >= CallArgs.size() - At)
+      return {};
+    return {CallArgs.data() + At + 1, CallArgs[At]};
   }
 
   /// Total frame array storage in words.

@@ -4,6 +4,13 @@
 
 using namespace kremlin;
 
+/// Unused instruction slots (56 bytes each) a completed block must hold
+/// before it is trimmed. Most blocks of the generated programs hold 2-40
+/// instructions; under doubling growth only blocks of more than 32 reach
+/// this bound, so trimming copies about 40% of the instructions once and
+/// returns about a quarter of the module's instruction memory.
+static constexpr size_t MinSlackToTrim = 16;
+
 BlockId IRBuilder::createBlock(std::string Name) {
   BasicBlock BB;
   BB.Name = std::move(Name);
@@ -27,8 +34,14 @@ Instruction &IRBuilder::emit(Instruction I) {
   I.Line = I.Line ? I.Line : CurLine;
   if (I.EnclosingRegion == UINT32_MAX)
     I.EnclosingRegion = CurRegion;
-  F.Blocks[CurBlock].Insts.push_back(std::move(I));
-  return F.Blocks[CurBlock].Insts.back();
+  std::vector<Instruction> &Insts = F.Blocks[CurBlock].Insts;
+  Insts.push_back(I);
+  // A terminator completes the block. Growth by doubling leaves up to half
+  // of a large block's capacity unused for the module's lifetime; give a
+  // block back the slack once it is worth a copy.
+  if (isTerminator(I.Op) && Insts.capacity() - Insts.size() >= MinSlackToTrim)
+    Insts.shrink_to_fit();
+  return Insts.back();
 }
 
 ValueId IRBuilder::emitConstInt(int64_t V) {
@@ -37,7 +50,7 @@ ValueId IRBuilder::emitConstInt(int64_t V) {
   I.Ty = Type::Int;
   I.Result = newValue(Type::Int);
   I.IntImm = V;
-  return emit(std::move(I)).Result;
+  return emit(I).Result;
 }
 
 ValueId IRBuilder::emitConstFloat(double V) {
@@ -46,7 +59,7 @@ ValueId IRBuilder::emitConstFloat(double V) {
   I.Ty = Type::Float;
   I.Result = newValue(Type::Float);
   I.FloatImm = V;
-  return emit(std::move(I)).Result;
+  return emit(I).Result;
 }
 
 ValueId IRBuilder::emitBinary(Opcode Op, Type Ty, ValueId A, ValueId B) {
@@ -57,7 +70,7 @@ ValueId IRBuilder::emitBinary(Opcode Op, Type Ty, ValueId A, ValueId B) {
   I.Result = newValue(Ty);
   I.A = A;
   I.B = B;
-  return emit(std::move(I)).Result;
+  return emit(I).Result;
 }
 
 ValueId IRBuilder::emitUnary(Opcode Op, Type Ty, ValueId A) {
@@ -67,7 +80,7 @@ ValueId IRBuilder::emitUnary(Opcode Op, Type Ty, ValueId A) {
   I.Ty = Ty;
   I.Result = newValue(Ty);
   I.A = A;
-  return emit(std::move(I)).Result;
+  return emit(I).Result;
 }
 
 ValueId IRBuilder::emitMove(Type Ty, ValueId A, ValueId Dest) {
@@ -76,7 +89,7 @@ ValueId IRBuilder::emitMove(Type Ty, ValueId A, ValueId Dest) {
   I.Ty = Ty;
   I.Result = Dest == NoValue ? newValue(Ty) : Dest;
   I.A = A;
-  return emit(std::move(I)).Result;
+  return emit(I).Result;
 }
 
 ValueId IRBuilder::emitGlobalAddr(GlobalId G) {
@@ -85,7 +98,7 @@ ValueId IRBuilder::emitGlobalAddr(GlobalId G) {
   I.Ty = Type::Int;
   I.Result = newValue(Type::Int);
   I.Aux = G;
-  return emit(std::move(I)).Result;
+  return emit(I).Result;
 }
 
 ValueId IRBuilder::emitFrameAddr(uint32_t FrameArrayIdx) {
@@ -94,7 +107,7 @@ ValueId IRBuilder::emitFrameAddr(uint32_t FrameArrayIdx) {
   I.Ty = Type::Int;
   I.Result = newValue(Type::Int);
   I.Aux = FrameArrayIdx;
-  return emit(std::move(I)).Result;
+  return emit(I).Result;
 }
 
 ValueId IRBuilder::emitPtrAdd(ValueId Base, ValueId Index) {
@@ -107,7 +120,7 @@ ValueId IRBuilder::emitLoad(Type Ty, ValueId Addr) {
   I.Ty = Ty;
   I.Result = newValue(Ty);
   I.A = Addr;
-  return emit(std::move(I)).Result;
+  return emit(I).Result;
 }
 
 void IRBuilder::emitStore(ValueId Addr, ValueId Value) {
@@ -115,32 +128,34 @@ void IRBuilder::emitStore(ValueId Addr, ValueId Value) {
   I.Op = Opcode::Store;
   I.A = Addr;
   I.B = Value;
-  emit(std::move(I));
+  emit(I);
 }
 
 ValueId IRBuilder::emitCall(FuncId Callee, Type RetTy,
-                            std::vector<ValueId> Args) {
+                            std::span<const ValueId> Args) {
   Instruction I;
   I.Op = Opcode::Call;
   I.Ty = RetTy;
   I.Result = RetTy == Type::Void ? NoValue : newValue(RetTy);
   I.Aux = Callee;
-  I.CallArgs = std::move(Args);
-  return emit(std::move(I)).Result;
+  I.CallArgsAt = static_cast<uint32_t>(F.CallArgs.size());
+  F.CallArgs.push_back(static_cast<ValueId>(Args.size()));
+  F.CallArgs.insert(F.CallArgs.end(), Args.begin(), Args.end());
+  return emit(I).Result;
 }
 
 void IRBuilder::emitRet(ValueId Value) {
   Instruction I;
   I.Op = Opcode::Ret;
   I.A = Value;
-  emit(std::move(I));
+  emit(I);
 }
 
 void IRBuilder::emitBr(BlockId Target) {
   Instruction I;
   I.Op = Opcode::Br;
   I.Aux = Target;
-  emit(std::move(I));
+  emit(I);
 }
 
 void IRBuilder::emitCondBr(ValueId Cond, BlockId TrueBB, BlockId FalseBB) {
@@ -149,19 +164,19 @@ void IRBuilder::emitCondBr(ValueId Cond, BlockId TrueBB, BlockId FalseBB) {
   I.A = Cond;
   I.Aux = TrueBB;
   I.Aux2 = FalseBB;
-  emit(std::move(I));
+  emit(I);
 }
 
 void IRBuilder::emitRegionEnter(RegionId R) {
   Instruction I;
   I.Op = Opcode::RegionEnter;
   I.Aux = R;
-  emit(std::move(I));
+  emit(I);
 }
 
 void IRBuilder::emitRegionExit(RegionId R) {
   Instruction I;
   I.Op = Opcode::RegionExit;
   I.Aux = R;
-  emit(std::move(I));
+  emit(I);
 }

@@ -20,6 +20,7 @@
 #include "ir/Module.h"
 
 #include <cassert>
+#include <span>
 #include <string>
 
 namespace kremlin {
@@ -66,7 +67,8 @@ public:
   ValueId emitPtrAdd(ValueId Base, ValueId Index);
   ValueId emitLoad(Type Ty, ValueId Addr);
   void emitStore(ValueId Addr, ValueId Value);
-  ValueId emitCall(FuncId Callee, Type RetTy, std::vector<ValueId> Args);
+  /// Appends \p Args to the function's argument pool.
+  ValueId emitCall(FuncId Callee, Type RetTy, std::span<const ValueId> Args);
   void emitRet(ValueId Value = NoValue);
   void emitBr(BlockId Target);
   void emitCondBr(ValueId Cond, BlockId TrueBB, BlockId FalseBB);

@@ -12,7 +12,8 @@ static std::string valueName(ValueId V) {
   return formatString("%%%u", V);
 }
 
-std::string kremlin::printInstruction(const Module &M, const Instruction &I) {
+std::string kremlin::printInstruction(const Module &M, const Function &F,
+                                      const Instruction &I) {
   std::string Out;
   if (producesValue(I.Op) && I.Result != NoValue)
     Out += valueName(I.Result) + " = ";
@@ -36,10 +37,11 @@ std::string kremlin::printInstruction(const Module &M, const Instruction &I) {
                                    ? M.Functions[I.Aux].Name
                                    : formatString("f%u", I.Aux);
     Out += " @" + Callee + "(";
-    for (size_t K = 0; K < I.CallArgs.size(); ++K) {
+    std::span<const ValueId> Args = F.callArgs(I);
+    for (size_t K = 0; K < Args.size(); ++K) {
       if (K)
         Out += ", ";
-      Out += valueName(I.CallArgs[K]);
+      Out += valueName(Args[K]);
     }
     Out += ")";
     break;
@@ -101,7 +103,7 @@ std::string kremlin::printFunction(const Module &M, const Function &F) {
       Out += "  ; " + F.Blocks[BB].Name;
     Out += '\n';
     for (const Instruction &I : F.Blocks[BB].Insts)
-      Out += "  " + printInstruction(M, I) + "\n";
+      Out += "  " + printInstruction(M, F, I) + "\n";
   }
   Out += "}\n";
   return Out;

@@ -20,8 +20,9 @@
 
 namespace kremlin {
 
-/// Renders one instruction ("  %3 = add %1, %2").
-std::string printInstruction(const Module &M, const Instruction &I);
+/// Renders one instruction of \p F ("  %3 = add %1, %2").
+std::string printInstruction(const Module &M, const Function &F,
+                             const Instruction &I);
 
 /// Renders one function with block labels.
 std::string printFunction(const Module &M, const Function &F);

@@ -6,9 +6,11 @@
 ///
 /// \file
 /// The Kremlin IR instruction: a flat three-address record. Kept as one
-/// POD-ish struct (rather than a class hierarchy) because the interpreter
-/// dispatches over millions of these per profile run and the HCPA runtime
-/// wants cheap, uniform access to operands.
+/// trivially copyable 56-byte struct (rather than a class hierarchy)
+/// because the interpreter dispatches over millions of these per profile
+/// run, the HCPA runtime wants cheap, uniform access to operands, and a
+/// block's instruction vector grows by plain copies. A call's arguments
+/// live in its function's argument pool (Function::CallArgs), not here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +21,7 @@
 #include "ir/Type.h"
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 namespace kremlin {
 
@@ -36,12 +38,16 @@ inline constexpr BlockId NoBlock = UINT32_MAX;
 using FuncId = uint32_t;
 inline constexpr FuncId NoFunc = UINT32_MAX;
 
+/// Sentinel Instruction::CallArgsAt of a call that passes no arguments
+/// without a pool entry (hand-built IR).
+inline constexpr uint32_t NoCallArgs = UINT32_MAX;
+
 /// One IR instruction. Field use by opcode:
 ///   ConstInt: Result, IntImm            ConstFloat: Result, FloatImm
 ///   binary ops: Result, A, B            unary ops: Result, A
 ///   GlobalAddr/FrameAddr: Result, Aux   PtrAdd: Result, A, B
 ///   Load: Result, A                     Store: A (addr), B (value)
-///   Call: Result (or NoValue), Aux (callee), CallArgs
+///   Call: Result (or NoValue), Aux (callee), CallArgsAt (arguments)
 ///   Ret: A (or NoValue)                 Br: Aux (target)
 ///   CondBr: A, Aux (true), Aux2 (false), MergeBlock (immediate post-dom)
 ///   RegionEnter/RegionExit: Aux (region id)
@@ -80,12 +86,17 @@ struct Instruction {
   int64_t IntImm = 0;
   double FloatImm = 0.0;
 
-  /// Call argument registers (empty for non-calls).
-  std::vector<ValueId> CallArgs;
+  /// Call only: where this call's argument count sits in its function's
+  /// argument pool; the registers follow it (Function::callArgs).
+  uint32_t CallArgsAt = NoCallArgs;
 
   /// 1-based source line, 0 if synthetic.
   unsigned Line = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<Instruction> &&
+                  sizeof(Instruction) <= 56,
+              "blocks grow by copying instructions; keep them small PODs");
 
 } // namespace kremlin
 

@@ -159,11 +159,12 @@ private:
         break;
       }
       const Function &Callee = M.Functions[I.Aux];
-      if (I.CallArgs.size() != Callee.NumParams)
+      std::span<const ValueId> Args = F.callArgs(I);
+      if (Args.size() != Callee.NumParams)
         problem(L, formatString(": call to @%s with %zu args, expected %u",
-                                Callee.Name.c_str(), I.CallArgs.size(),
+                                Callee.Name.c_str(), Args.size(),
                                 Callee.NumParams));
-      for (ValueId Arg : I.CallArgs)
+      for (ValueId Arg : Args)
         checkValue(L, Arg, "argument");
       if (Callee.ReturnTy == Type::Void && I.Result != NoValue)
         problem(L, ": void call with a result register");

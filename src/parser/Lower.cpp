@@ -391,7 +391,7 @@ private:
     CondBr.Aux = ThenBB;
     CondBr.Aux2 = ElseBB;
     CondBr.MergeBlock = JoinBB;
-    B->emit(std::move(CondBr));
+    B->emit(CondBr);
 
     B->setInsertPoint(ThenBB);
     lowerStmt(*S.Then);
@@ -443,7 +443,7 @@ private:
     CondBr.Aux = BodyBB;
     CondBr.Aux2 = Exit;
     CondBr.MergeBlock = Exit;
-    B->emit(std::move(CondBr));
+    B->emit(CondBr);
 
     B->setInsertPoint(BodyBB);
     RegionStack.push_back(BodyRegion);

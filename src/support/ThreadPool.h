@@ -13,12 +13,17 @@
 /// accepts new submissions. With one worker the pool executes tasks in
 /// strict submission order, which the tests rely on.
 ///
+/// parallelFor spreads the iterations of one loop over the calling thread
+/// and a process-wide pool of helpers; the front end uses it to analyze
+/// the functions of a module at once.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KREMLIN_SUPPORT_THREADPOOL_H
 #define KREMLIN_SUPPORT_THREADPOOL_H
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -30,11 +35,14 @@
 
 namespace kremlin {
 
+/// Number of CPUs this process may run on: the size of its
+/// sched_getaffinity mask, so taskset and cpusets count (at least one).
+unsigned availableCpus();
+
 /// Fixed pool of worker threads consuming a shared FIFO queue.
 class ThreadPool {
 public:
-  /// Spawns \p NumThreads workers; 0 means hardware concurrency (at least
-  /// one).
+  /// Spawns \p NumThreads workers; 0 means availableCpus().
   explicit ThreadPool(unsigned NumThreads = 0);
 
   /// Drains the queue, waits for running tasks, and joins the workers.
@@ -77,6 +85,18 @@ private:
   unsigned ActiveTasks = 0;
   bool ShuttingDown = false;
 };
+
+/// Calls \p Fn(I) once for every I in [0, N) and returns when all calls
+/// have returned. The calls run on the calling thread and on one
+/// process-wide pool of helpers, created on first use with one helper per
+/// available CPU beyond the caller's; every participant claims indices
+/// from one shared counter, so the caller never waits on a helper that
+/// has not started. With no helpers (one CPU) or N < 2 this is a plain
+/// loop on the caller. Calls may run in any order and at once, so each
+/// must write only state of its own index. If calls throw, the first
+/// exception is rethrown once every claimed call has returned. Safe to
+/// call from several threads at once and from inside pool tasks.
+void parallelFor(size_t N, const std::function<void(size_t)> &Fn);
 
 } // namespace kremlin
 

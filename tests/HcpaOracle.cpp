@@ -321,10 +321,11 @@ private:
           // Parameters and return values carry their times across the
           // call; the callee's Ret delivers the result's.
           uint64_t CalleeCall = ++NextCall;
+          std::span<const ValueId> Args = F.callArgs(I);
           std::vector<uint64_t> CallArgs;
-          for (size_t K = 0; K < I.CallArgs.size(); ++K) {
-            CallArgs.push_back(Regs[I.CallArgs[K]]);
-            copyTimes(regKey(Call, I.CallArgs[K]),
+          for (size_t K = 0; K < Args.size(); ++K) {
+            CallArgs.push_back(Regs[Args[K]]);
+            copyTimes(regKey(Call, Args[K]),
                       regKey(CalleeCall, static_cast<ValueId>(K)));
           }
           uint64_t Ret = execute(M.Functions[I.Aux], CalleeCall, CallArgs,

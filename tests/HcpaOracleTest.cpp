@@ -132,7 +132,7 @@ public:
     I.A = A;
     I.B = Bv;
     I.Result = Dst == NoValue ? B->newValue(Type::Int) : Dst;
-    return B->emit(std::move(I));
+    return B->emit(I);
   }
 
   ValueId callF() { return B->emitCall(FId, Type::Int, {}); }

@@ -357,7 +357,7 @@ TEST(Tape, InnerTemporariesHaveOneWriterAndOneReader) {
         for (ValueId V : {I.A, I.B})
           if (V != NoValue)
             ++Reads[V];
-        for (ValueId V : I.CallArgs)
+        for (ValueId V : Fn.callArgs(I))
           ++Reads[V];
         if (I.Result != NoValue)
           ++Writes[I.Result];

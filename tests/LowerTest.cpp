@@ -335,8 +335,9 @@ std::string loweredIrFingerprint(const std::string &Name,
         H.add(I.EnclosingRegion);
         H.add(static_cast<uint64_t>(I.IntImm));
         H.add(std::bit_cast<uint64_t>(I.FloatImm));
-        H.add(I.CallArgs.size());
-        for (ValueId Arg : I.CallArgs)
+        std::span<const ValueId> Args = F.callArgs(I);
+        H.add(Args.size());
+        for (ValueId Arg : Args)
           H.add(Arg);
         H.add(I.Line);
         H.add(I.IsInductionUpdate);

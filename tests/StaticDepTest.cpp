@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <thread>
 
 using namespace kremlin;
 using namespace kremlin::test;
@@ -563,11 +564,12 @@ TEST(StaticDependence, VerdictCountsAndRegionMap) {
             R.Loops.size());
   // Every loop lowered from source carries its Loop region, and the
   // planner-facing map covers exactly those.
-  EXPECT_EQ(R.verdictMap().size(), 2u);
+  std::map<RegionId, LoopVerdict> Verdicts = R.verdictMap();
+  EXPECT_EQ(Verdicts.size(), 2u);
   for (const StaticLoopResult &L : R.Loops) {
     ASSERT_NE(L.Region, NoRegion);
-    ASSERT_NE(R.forRegion(L.Region), nullptr);
-    EXPECT_EQ(R.forRegion(L.Region)->Verdict, L.Verdict);
+    ASSERT_EQ(Verdicts.count(L.Region), 1u);
+    EXPECT_EQ(Verdicts.at(L.Region), L.Verdict);
   }
 }
 
@@ -741,6 +743,18 @@ std::string frontEndFingerprint(const std::string &Name,
                       Reductions, static_cast<unsigned long long>(Hash));
 }
 
+/// tests/golden/frontend_fingerprint.txt, keyed by program name.
+std::map<std::string, std::string> frontEndGolden() {
+  std::ifstream In(std::string(KREMLIN_GOLDEN_DIR) +
+                   "/frontend_fingerprint.txt");
+  EXPECT_TRUE(In.good()) << "missing tests/golden/frontend_fingerprint.txt";
+  std::map<std::string, std::string> Golden;
+  for (std::string Line; std::getline(In, Line);)
+    if (!Line.empty())
+      Golden[Line.substr(0, Line.find(' '))] = Line;
+  return Golden;
+}
+
 TEST(StaticDependence, FrontEndFingerprintsMatchGolden) {
   // Verdicts, reasons, marks, operand order and merge blocks of the 11
   // suite programs, two 300-site programs and one 100-site kernel must not
@@ -755,13 +769,7 @@ TEST(StaticDependence, FrontEndFingerprintsMatchGolden) {
   Programs.push_back(
       {"kernel100", generateBenchmark(cyclingSiteSpec(100, 100)).Source});
 
-  std::ifstream In(std::string(KREMLIN_GOLDEN_DIR) +
-                   "/frontend_fingerprint.txt");
-  ASSERT_TRUE(In.good()) << "missing tests/golden/frontend_fingerprint.txt";
-  std::map<std::string, std::string> Golden;
-  for (std::string Line; std::getline(In, Line);)
-    if (!Line.empty())
-      Golden[Line.substr(0, Line.find(' '))] = Line;
+  std::map<std::string, std::string> Golden = frontEndGolden();
   EXPECT_EQ(Golden.size(), Programs.size());
   for (const auto &[Name, Source] : Programs) {
     std::string Line = frontEndFingerprint(Name, Source);
@@ -772,6 +780,27 @@ TEST(StaticDependence, FrontEndFingerprintsMatchGolden) {
            "tests/golden/frontend_fingerprint.txt becomes:\n"
         << Line;
   }
+}
+
+TEST(StaticDependence, ConcurrentLintsMatchGoldenFingerprints) {
+  // Four lints at once share the one front-end helper pool, as
+  // kremlin-bench's workers do; each must decide exactly what the golden
+  // pins.
+  const std::pair<std::string, std::string> Programs[] = {
+      {"sites300_0", generateBenchmark(cyclingSiteSpec(300, 4, 0)).Source},
+      {"sp", generatePaperBenchmark("sp").Source}};
+  std::vector<std::string> Lines(4);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < Lines.size(); ++T)
+    Threads.emplace_back([&Programs, &Lines, T]() {
+      const auto &[Name, Source] = Programs[T % 2];
+      Lines[T] = frontEndFingerprint(Name, Source);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  std::map<std::string, std::string> Golden = frontEndGolden();
+  for (size_t T = 0; T < Lines.size(); ++T)
+    EXPECT_EQ(Lines[T], Golden[Programs[T % 2].first]) << "thread " << T;
 }
 
 // --- Paper-suite cross-check ------------------------------------------------

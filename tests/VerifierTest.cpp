@@ -118,8 +118,7 @@ TEST(Verifier, CallArgumentCountMismatch) {
   Instruction Call;
   Call.Op = Opcode::Call;
   Call.Result = NoValue;
-  Call.Aux = GId;
-  Call.CallArgs = {}; // g expects 2.
+  Call.Aux = GId; // No arguments; g expects 2.
   F.fn().Blocks[0].Insts.insert(F.fn().Blocks[0].Insts.begin(), Call);
   EXPECT_TRUE(hasProblem(F.M, "expected 2"));
 }
