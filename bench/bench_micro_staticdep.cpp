@@ -2,15 +2,14 @@
 //
 // Microbenchmarks for the parts of the static loop-dependence layer that
 // perfbench's static-lint workload times only as one analyze stage
-// (analysis.analyze_ms): the reaching-definitions fixpoint and the
-// per-loop scalar dependence scan on a synthetic many-loop program, and
-// call-graph construction, mod/ref summaries and their share of analyze
-// on a call-heavy one. The *OneKernel cases time instrument and analyze
-// on one generated kernel of 50-400 loop sites: their cost per doubling
-// of the argument shows whether the front end stays linear in function
-// size. BM_LexSource, BM_ParseMiniC and BM_LowerProgram time the parser
-// layer on the five lint-size programs in the front end's own units:
-// bytes/s, tokens/s and IR instructions/s.
+// (analysis.analyze_ms): the per-loop scalar dependence scan on a
+// synthetic many-loop program, and call-graph construction, mod/ref
+// summaries and their share of analyze on a call-heavy one. The *OneKernel
+// cases time instrument and analyze on one generated kernel of 50-400 loop
+// sites: their cost per doubling of the argument shows whether the front
+// end stays linear in function size. BM_LexSource, BM_ParseMiniC and
+// BM_LowerProgram time the parser layer on the five lint-size programs in
+// the front end's own units: bytes/s, tokens/s and IR instructions/s.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,29 +74,17 @@ const Function &mainFunction() {
   return M.Functions[Main];
 }
 
-/// The gen/kill bitvector fixpoint over the 32-loop main function.
-void BM_ReachingDefs(benchmark::State &State) {
-  const Function &F = mainFunction();
-  FunctionAnalysis FA = buildFunctionAnalysis(F);
-  for (auto _ : State) {
-    ReachingDefs RD(F, FA);
-    benchmark::DoNotOptimize(&RD);
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_ReachingDefs);
-
-/// One back-edge scalar dependence scan per natural loop, reusing a
-/// single reaching-defs result and loop arena the way the analyzer does.
+/// One back-edge scalar dependence scan per natural loop of the 32-loop
+/// main function, each over its own loop view on one shared arena, the
+/// way the analyzer runs it.
 void BM_LoopCarriedScalarDeps(benchmark::State &State) {
   const Function &F = mainFunction();
   FunctionAnalysis FA = buildFunctionAnalysis(F);
-  ReachingDefs RD(F, FA);
   LoopScratch Scratch(F);
   size_t Deps = 0;
   for (auto _ : State)
     for (const Loop &L : FA.LI.Loops)
-      Deps += findLoopCarriedScalarDeps(F, FA, L, RD, Scratch).size();
+      Deps += findLoopCarriedScalarDeps(LoopView(F, FA, L, Scratch)).size();
   benchmark::DoNotOptimize(Deps);
   State.SetItemsProcessed(State.iterations() * FA.LI.Loops.size());
 }

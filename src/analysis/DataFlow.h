@@ -1,14 +1,13 @@
-//===- analysis/DataFlow.h - Reaching defs, carried scalar deps -*- C++ -*-===//
+//===- analysis/DataFlow.h - Register uses, carried scalar deps -*- C++ -*-===//
 //
 // Part of the Kremlin reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small dataflow framework over the register IR: reaching definitions
-/// (classic gen/kill bitvector analysis, over the definitions of registers
-/// defined in more than one block) and loop-carried scalar dependence
-/// detection for natural loops.
+/// Register dataflow over one natural loop: the registers each instruction
+/// reads, and loop-carried scalar dependence detection, which runs bitvector
+/// fixpoints over the loop's own blocks only.
 ///
 /// These feed the static loop-dependence analyzer (StaticDependence.h),
 /// which cross-checks the dynamic self-parallelism numbers HCPA measures:
@@ -23,7 +22,6 @@
 #include "analysis/FunctionAnalysis.h"
 #include "ir/Function.h"
 
-#include <cstdint>
 #include <vector>
 
 namespace kremlin {
@@ -75,38 +73,6 @@ void forEachUse(const Function &F, const Instruction &I, Fn &&Visit) {
   }
 }
 
-/// Reaching definitions for one function, over the definitions of
-/// registers defined in two or more blocks. A register defined in one block
-/// is killed nowhere else, so the last of its definitions there reaches
-/// every block the CFG lets it reach and the others reach none: it needs
-/// no bit. The per-block OUT sets are one flat blocks x words bitvector
-/// array, and each block's GEN/KILL comes from its own def range.
-class ReachingDefs {
-public:
-  /// \p FA must be \p F's analysis.
-  ReachingDefs(const Function &F, const FunctionAnalysis &FA);
-
-  /// True when definition \p DefIdx (an index into DefIndex::Defs) has a
-  /// bit: its register is defined in two or more blocks.
-  bool tracks(unsigned DefIdx) const {
-    return DefIdx < BitOf.size() && BitOf[DefIdx] != Untracked;
-  }
-
-  /// True when tracked definition \p DefIdx is in the OUT set of \p BB.
-  /// Asking about an untracked definition is a programming error.
-  bool defReachesOut(unsigned DefIdx, BlockId BB) const;
-
-private:
-  static constexpr unsigned Untracked = UINT32_MAX;
-
-  /// Bit of each definition in the OUT rows, or Untracked.
-  std::vector<unsigned> BitOf;
-  size_t NumBlocks = 0;
-  unsigned Words = 0;
-  /// OUT[B] is Out[B * Words .. (B + 1) * Words).
-  std::vector<uint64_t> Out;
-};
-
 /// A scalar dependence carried by a loop's back edge: a use that may read
 /// the value an in-loop definition produced in a *previous* iteration.
 struct ScalarCarriedDep {
@@ -125,14 +91,21 @@ struct ScalarCarriedDep {
   bool Breakable = false;
 };
 
-/// Detects scalar dependences carried by \p L's back edges. \p FA and
-/// \p RD must be \p F's analysis and reaching definitions; \p Scratch is
-/// \p F's per-loop arena (this marks \p L in it). Costs the size of the
-/// loop, not of the function.
-std::vector<ScalarCarriedDep>
-findLoopCarriedScalarDeps(const Function &F, const FunctionAnalysis &FA,
-                          const Loop &L, const ReachingDefs &RD,
-                          LoopScratch &Scratch);
+/// Detects scalar dependences carried by the back edges of \p View's loop.
+/// Costs the size of the loop, not of the function.
+///
+/// The carried sources, the definitions the back edge hands to the next
+/// iteration, are found inside the loop: an in-loop definition is one when
+/// it is its register's last in its block and a path over in-loop edges,
+/// back edges excluded, leads from its block to the end of a latch without
+/// passing another definition of the register. That is exactly whether the
+/// definition reaches a latch's exit under whole-function reaching
+/// definitions, provided the loop is left only from its header (a Ret has
+/// no successor and does not count). Otherwise a path that leaves the body
+/// and re-enters through the header could reach a latch no in-loop path
+/// reaches. MiniC loops meet the condition: MiniC has no break, continue
+/// or goto.
+std::vector<ScalarCarriedDep> findLoopCarriedScalarDeps(const LoopView &View);
 
 } // namespace kremlin
 

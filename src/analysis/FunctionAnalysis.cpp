@@ -50,3 +50,30 @@ FunctionAnalysis kremlin::buildFunctionAnalysis(const Function &F) {
   FA.Defs = buildDefIndex(F);
   return FA;
 }
+
+const DefSite *LoopView::singleDef(ValueId V) const {
+  const DefSite *Found = nullptr;
+  for (unsigned D : FA.Defs.defsOf(V)) {
+    const DefSite &Def = FA.Defs.Defs[D];
+    if (!inLoop(Def.BB))
+      continue;
+    if (Found)
+      return nullptr;
+    Found = &Def;
+  }
+  return Found;
+}
+
+bool LoopView::defines(ValueId V) const {
+  for (unsigned D : FA.Defs.defsOf(V))
+    if (inLoop(FA.Defs.Defs[D].BB))
+      return true;
+  return false;
+}
+
+bool LoopView::dominatesAllLatches(BlockId B) const {
+  for (BlockId Latch : L.Latches)
+    if (!FA.DT.dominates(B, Latch))
+      return false;
+  return true;
+}

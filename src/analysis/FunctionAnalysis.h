@@ -8,12 +8,14 @@
 /// What every static pass over one function needs, built once per function
 /// by each stage that runs passes: the dominator tree, the natural loops
 /// built from that tree, and one index of the function's register
-/// definitions. Induction marking (instrument), reaching definitions,
-/// mod/ref and the loop dependence analyzer (analyze) all read it.
+/// definitions. Induction marking (instrument), mod/ref and the loop
+/// dependence analyzer (analyze) all read it.
 ///
 /// LoopScratch is the per-function arena for per-loop work: its arrays are
 /// sized by the function once, and each loop touches only its own entries,
 /// so the work per loop follows the loop's size, not the function's.
+/// LoopView is one loop as the per-loop passes read it: it marks the loop
+/// in the arena and answers the per-loop definition queries they share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,6 +111,46 @@ private:
   /// The current loop's stamp. Blocks start at 0 and this starts above it,
   /// so no block is in a loop before the first mark().
   uint32_t Stamp = 1;
+};
+
+/// One loop of a function, as induction marking, the carried-scalar scan
+/// and the loop analyzer read it. Constructing a view marks the loop in
+/// the function's LoopScratch; the view answers for that loop until the
+/// scratch marks another. Each query costs the size of the loop or of one
+/// register's definition list, never the function.
+class LoopView {
+public:
+  /// \p FA is \p F's analysis, \p L one of its loops and \p Scratch its
+  /// per-loop arena; all must outlive the view.
+  LoopView(const Function &F, const FunctionAnalysis &FA, const Loop &L,
+           LoopScratch &Scratch)
+      : F(F), FA(FA), L(L), Scratch(Scratch) {
+    Scratch.mark(L);
+  }
+
+  const Function &F;
+  const FunctionAnalysis &FA;
+  const Loop &L;
+  LoopScratch &Scratch;
+
+  /// The instruction at definition site \p D.
+  const Instruction &inst(const DefSite &D) const {
+    return F.Blocks[D.BB].Insts[D.Idx];
+  }
+
+  /// True when \p B belongs to the loop.
+  bool inLoop(BlockId B) const { return Scratch.inLoop(B); }
+
+  /// The loop's only definition of \p V; nullptr when it has none or
+  /// several.
+  const DefSite *singleDef(ValueId V) const;
+
+  /// True when the loop defines \p V.
+  bool defines(ValueId V) const;
+
+  /// True when \p B dominates every latch of the loop: it runs on every
+  /// iteration that completes.
+  bool dominatesAllLatches(BlockId B) const;
 };
 
 } // namespace kremlin

@@ -9,61 +9,40 @@ using namespace kremlin;
 
 namespace {
 
-/// Helper with the per-loop def queries the patterns need. Every query
-/// walks the def index's list for one register and keeps the definitions
-/// inside the current loop (the one Scratch marks).
+/// The patterns over one loop. Every definition query goes through the
+/// loop's view; the marks and operand swaps are written into F, the
+/// non-const function the view reads.
 class Marker {
 public:
-  Marker(Function &F, const FunctionAnalysis &FA)
-      : F(F), FA(FA), Scratch(F) {}
+  Marker(Function &F, const LoopView &View, InductionMarkResult &Result)
+      : F(F), View(View), Result(Result) {}
 
-  InductionMarkResult run() {
-    for (const Loop &L : FA.LI.Loops) {
-      Scratch.mark(L);
-      markScalarUpdates(L);
-      markMemoryReductions(L);
-    }
-    return Result;
+  void run() {
+    markScalarUpdates();
+    markMemoryReductions();
   }
 
 private:
   Function &F;
-  const FunctionAnalysis &FA;
-  LoopScratch Scratch;
-  InductionMarkResult Result;
+  const LoopView &View;
+  InductionMarkResult &Result;
 
-  Instruction &inst(const DefSite &D) { return F.Blocks[D.BB].Insts[D.Idx]; }
-
-  /// The only definition of \p V inside the current loop; nullptr when it
-  /// has none there or several.
-  const DefSite *singleDefInLoop(ValueId V) const {
-    const DefSite *Found = nullptr;
-    for (unsigned D : FA.Defs.defsOf(V)) {
-      const DefSite &Def = FA.Defs.Defs[D];
-      if (!Scratch.inLoop(Def.BB))
-        continue;
-      if (Found)
-        return nullptr;
-      Found = &Def;
-    }
-    return Found;
+  /// The instruction at \p D, to write a mark or swap into. The view hands
+  /// it out read-only, but it lives in F, which is not const, so writing
+  /// through the cast is defined.
+  Instruction &writable(const DefSite &D) {
+    return const_cast<Instruction &>(View.inst(D));
   }
 
-  /// True when \p V is invariant with respect to the current loop: all its
-  /// defs are outside the loop, or its single in-loop def is a constant.
-  bool isInvariant(ValueId V) {
-    unsigned InLoop = 0;
-    const DefSite *Only = nullptr;
-    for (unsigned D : FA.Defs.defsOf(V))
-      if (Scratch.inLoop(FA.Defs.Defs[D].BB)) {
-        ++InLoop;
-        Only = &FA.Defs.Defs[D];
-      }
-    if (InLoop == 0)
+  /// True when \p V is invariant with respect to the loop: all its defs
+  /// are outside the loop, or its single in-loop def is a constant.
+  bool isInvariant(ValueId V) const {
+    if (!View.defines(V))
       return true;
-    if (InLoop > 1)
+    const DefSite *Only = View.singleDef(V);
+    if (!Only)
       return false;
-    Opcode Op = inst(*Only).Op;
+    Opcode Op = View.inst(*Only).Op;
     return Op == Opcode::ConstInt || Op == Opcode::ConstFloat;
   }
 
@@ -81,11 +60,11 @@ private:
         return true; // Give up conservatively on huge chains.
       ValueId Cur = Work.back();
       Work.pop_back();
-      for (unsigned D : FA.Defs.defsOf(Cur)) {
-        const DefSite &Def = FA.Defs.Defs[D];
-        if (!Scratch.inLoop(Def.BB))
+      for (unsigned D : View.FA.Defs.defsOf(Cur)) {
+        const DefSite &Def = View.FA.Defs.Defs[D];
+        if (!View.inLoop(Def.BB))
           continue;
-        const Instruction &I = inst(Def);
+        const Instruction &I = View.inst(Def);
         auto Visit = [&](ValueId Next) {
           if (Next == NoValue)
             return false;
@@ -143,10 +122,10 @@ private:
                                  std::vector<ValueId> &Siblings) {
     if (Depth == 0)
       return nullptr;
-    const DefSite *CurDef = singleDefInLoop(Cur);
+    const DefSite *CurDef = View.singleDef(Cur);
     if (!CurDef)
       return nullptr;
-    Instruction &I = inst(*CurDef);
+    Instruction &I = writable(*CurDef);
     if (!isReductionOpcode(I.Op) ||
         (Additive ? !isAdditive(I.Op) : !isMultiplicative(I.Op)))
       return nullptr;
@@ -180,31 +159,31 @@ private:
 
   /// Scalar patterns: the single in-loop def of v is Move(v <- t) where t's
   /// def chain accumulates v through associative ops.
-  void markScalarUpdates(const Loop &L) {
+  void markScalarUpdates() {
     // Candidates: the destinations of the loop's own Moves, in register
     // order. Swaps below only touch arithmetic ops, never a Move, so the
     // set cannot change during the walk.
+    const DefIndex &DI = View.FA.Defs;
     std::vector<ValueId> Candidates;
-    for (BlockId B : L.Blocks)
-      for (unsigned D = FA.Defs.BlockBegin[B]; D < FA.Defs.BlockBegin[B + 1];
-           ++D)
-        if (inst(FA.Defs.Defs[D]).Op == Opcode::Move)
-          Candidates.push_back(FA.Defs.Defs[D].Value);
+    for (BlockId B : View.L.Blocks)
+      for (unsigned D = DI.BlockBegin[B]; D < DI.BlockBegin[B + 1]; ++D)
+        if (View.inst(DI.Defs[D]).Op == Opcode::Move)
+          Candidates.push_back(DI.Defs[D].Value);
     std::sort(Candidates.begin(), Candidates.end());
     Candidates.erase(std::unique(Candidates.begin(), Candidates.end()),
                      Candidates.end());
     for (ValueId V : Candidates) {
-      const DefSite *MoveDef = singleDefInLoop(V);
+      const DefSite *MoveDef = View.singleDef(V);
       if (!MoveDef)
         continue;
-      Instruction &MoveInst = inst(*MoveDef);
+      Instruction &MoveInst = writable(*MoveDef);
       if (MoveInst.Op != Opcode::Move)
         continue;
       ValueId T = MoveInst.A;
-      const DefSite *TDef = singleDefInLoop(T);
+      const DefSite *TDef = View.singleDef(T);
       if (!TDef)
         continue;
-      bool Additive = isAdditive(inst(*TDef).Op);
+      bool Additive = isAdditive(View.inst(*TDef).Op);
       std::vector<ValueId> Siblings;
       Instruction *Acc =
           findAccumulatorOp(T, V, Additive, /*Depth=*/8, Siblings);
@@ -258,11 +237,12 @@ private:
       return true;
     if (Depth == 0 || A == NoValue || B == NoValue)
       return false;
-    std::span<const unsigned> DA = FA.Defs.defsOf(A), DB = FA.Defs.defsOf(B);
+    const DefIndex &DI = View.FA.Defs;
+    std::span<const unsigned> DA = DI.defsOf(A), DB = DI.defsOf(B);
     if (DA.size() != 1 || DB.size() != 1)
       return false;
-    const Instruction &IA = inst(FA.Defs.Defs[DA[0]]);
-    const Instruction &IB = inst(FA.Defs.Defs[DB[0]]);
+    const Instruction &IA = View.inst(DI.Defs[DA[0]]);
+    const Instruction &IB = View.inst(DI.Defs[DB[0]]);
     if (IA.Op != IB.Op)
       return false;
     switch (IA.Op) {
@@ -287,24 +267,24 @@ private:
 
   /// Memory reduction: Store(addr, t) where t = Op(load(addr'), e) and
   /// addr' computes the same address as addr.
-  void markMemoryReductions(const Loop &L) {
-    for (BlockId BB : L.Blocks) {
-      for (Instruction &Store : F.Blocks[BB].Insts) {
+  void markMemoryReductions() {
+    for (BlockId BB : View.L.Blocks) {
+      for (const Instruction &Store : F.Blocks[BB].Insts) {
         if (Store.Op != Opcode::Store)
           continue;
-        const DefSite *ValDef = singleDefInLoop(Store.B);
+        const DefSite *ValDef = View.singleDef(Store.B);
         if (!ValDef)
           continue;
-        Instruction &OpInst = inst(*ValDef);
+        Instruction &OpInst = writable(*ValDef);
         if (!isReductionOpcode(OpInst.Op) || OpInst.IsReductionUpdate ||
             OpInst.IsInductionUpdate)
           continue;
 
         auto LoadMatches = [&](ValueId Operand) {
-          const DefSite *LDef = singleDefInLoop(Operand);
+          const DefSite *LDef = View.singleDef(Operand);
           if (!LDef)
             return false;
-          const Instruction &LoadInst = inst(*LDef);
+          const Instruction &LoadInst = View.inst(*LDef);
           if (LoadInst.Op != Opcode::Load)
             return false;
           return sameValueChain(LoadInst.A, Store.A, /*Depth=*/16);
@@ -327,5 +307,11 @@ private:
 
 InductionMarkResult
 kremlin::markInductionAndReductions(Function &F, const FunctionAnalysis &FA) {
-  return Marker(F, FA).run();
+  InductionMarkResult Result;
+  LoopScratch Scratch(F);
+  for (const Loop &L : FA.LI.Loops) {
+    LoopView View(F, FA, L, Scratch);
+    Marker(F, View, Result).run();
+  }
+  return Result;
 }

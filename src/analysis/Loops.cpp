@@ -6,10 +6,6 @@
 
 using namespace kremlin;
 
-bool Loop::contains(BlockId B) const {
-  return std::binary_search(Blocks.begin(), Blocks.end(), B);
-}
-
 LoopInfo kremlin::computeLoops(const Function &F, const DomTree &DT) {
   LoopInfo LI;
   size_t N = F.Blocks.size();
@@ -80,15 +76,5 @@ LoopInfo kremlin::computeLoops(const Function &F, const DomTree &DT) {
       ParentSize[I] = LI.Loops[J].Blocks.size();
       LI.Loops[I].Parent = static_cast<int>(J);
     }
-  // Depths via parent chains.
-  for (Loop &L : LI.Loops) {
-    unsigned Depth = 1;
-    int P = L.Parent;
-    while (P >= 0) {
-      ++Depth;
-      P = LI.Loops[static_cast<size_t>(P)].Parent;
-    }
-    L.Depth = Depth;
-  }
   return LI;
 }

@@ -36,10 +36,6 @@ struct Loop {
   std::vector<BlockId> Blocks;
   /// Index of the innermost enclosing loop in LoopInfo::Loops, or -1.
   int Parent = -1;
-  /// Nesting depth (outermost loops have depth 1).
-  unsigned Depth = 1;
-
-  bool contains(BlockId B) const;
 };
 
 /// All loops of a function, outermost-first within each nest.

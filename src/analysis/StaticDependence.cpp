@@ -124,41 +124,13 @@ bool basesMayAlias(MemAccess::Base K1, uint32_t Id1, MemAccess::Base K2,
 }
 
 /// Per-loop evaluation context: affine forms for registers, address
-/// resolution, and iteration-cost estimation. Loop membership comes from
-/// the function's LoopScratch, which this marks with \p L.
+/// resolution, and iteration-cost estimation, all read through the loop's
+/// view.
 class LoopAnalyzer {
 public:
-  LoopAnalyzer(const Function &F, const Loop &L, const FunctionAnalysis &FA,
-               LoopScratch &Scratch)
-      : F(F), L(L), DI(FA.Defs), DT(FA.DT), Scratch(Scratch) {
-    Scratch.mark(L);
+  explicit LoopAnalyzer(const LoopView &View)
+      : View(View), F(View.F), L(View.L), DI(View.FA.Defs) {
     findInductionVars();
-  }
-
-  /// The instruction at a definition site.
-  const Instruction &inst(const DefSite &D) const {
-    return F.Blocks[D.BB].Insts[D.Idx];
-  }
-
-  /// The single in-loop definition of \p V, or nullopt (zero or many).
-  std::optional<DefSite> singleInLoopDef(ValueId V) const {
-    std::optional<DefSite> Found;
-    for (unsigned D : DI.defsOf(V)) {
-      const DefSite &Def = DI.Defs[D];
-      if (!Scratch.inLoop(Def.BB))
-        continue;
-      if (Found)
-        return std::nullopt;
-      Found = Def;
-    }
-    return Found;
-  }
-
-  bool hasInLoopDef(ValueId V) const {
-    for (unsigned D : DI.defsOf(V))
-      if (Scratch.inLoop(DI.Defs[D].BB))
-        return true;
-    return false;
   }
 
   /// Whole-function constant folding through single-definition chains.
@@ -168,32 +140,7 @@ public:
     std::span<const unsigned> Ds = DI.defsOf(V);
     if (Ds.size() != 1)
       return std::nullopt;
-    const Instruction &I = inst(DI.Defs[Ds[0]]);
-    switch (I.Op) {
-    case Opcode::ConstInt:
-      return I.IntImm;
-    case Opcode::Move:
-      return constEval(I.A, Depth + 1);
-    case Opcode::Neg: {
-      std::optional<int64_t> A = constEval(I.A, Depth + 1);
-      return A ? std::optional<int64_t>(-*A) : std::nullopt;
-    }
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul: {
-      std::optional<int64_t> A = constEval(I.A, Depth + 1);
-      std::optional<int64_t> B = constEval(I.B, Depth + 1);
-      if (!A || !B)
-        return std::nullopt;
-      if (I.Op == Opcode::Add)
-        return *A + *B;
-      if (I.Op == Opcode::Sub)
-        return *A - *B;
-      return *A * *B;
-    }
-    default:
-      return std::nullopt;
-    }
+    return fold(View.inst(DI.Defs[Ds[0]]), Depth + 1);
   }
 
   /// Affine form of register \p V at a body use point, or nullopt.
@@ -212,16 +159,16 @@ public:
       A.IterCoeff = IndIt->second;
       return A;
     }
-    if (!hasInLoopDef(V)) {
+    if (!View.defines(V)) {
       // Loop-invariant: a compile-time constant or an opaque symbol.
       if (std::optional<int64_t> C = constEval(V))
         return affineConst(*C);
       return affineSym(static_cast<uint64_t>(V) * 2);
     }
-    std::optional<DefSite> Def = singleInLoopDef(V);
+    const DefSite *Def = View.singleDef(V);
     if (!Def)
       return std::nullopt;
-    const Instruction &I = inst(*Def);
+    const Instruction &I = View.inst(*Def);
     switch (I.Op) {
     case Opcode::ConstInt:
       return affineConst(I.IntImm);
@@ -259,11 +206,11 @@ public:
   void resolveAddress(ValueId V, MemAccess &Out, unsigned Depth = 0) const {
     if (Depth > MaxEvalDepth || V == NoValue)
       return;
-    std::optional<DefSite> Def;
-    if (hasInLoopDef(V)) {
-      Def = singleInLoopDef(V);
+    const DefSite *Def = nullptr;
+    if (View.defines(V)) {
+      Def = View.singleDef(V);
     } else if (DI.defsOf(V).size() == 1) {
-      Def = DI.Defs[DI.defsOf(V)[0]];
+      Def = &DI.Defs[DI.defsOf(V)[0]];
     } else if (DI.defsOf(V).empty() && V < F.NumParams) {
       // Array parameter: a definite base address with offset 0.
       Out.Kind = MemAccess::Base::Param;
@@ -273,7 +220,7 @@ public:
     }
     if (!Def)
       return;
-    const Instruction &I = inst(*Def);
+    const Instruction &I = View.inst(*Def);
     switch (I.Op) {
     case Opcode::GlobalAddr:
       Out.Kind = MemAccess::Base::Global;
@@ -306,13 +253,6 @@ public:
     }
   }
 
-  bool dominatesAllLatches(BlockId B) const {
-    for (BlockId Latch : L.Latches)
-      if (!DT.dominates(B, Latch))
-        return false;
-    return true;
-  }
-
   /// Exact iteration count of the loop when the header exit test compares
   /// an affine function of one induction variable against a compile-time
   /// constant; nullopt otherwise. Feeds the Banerjee bounds.
@@ -323,14 +263,14 @@ public:
     const Instruction &T = H.terminator();
     if (T.Op != Opcode::CondBr)
       return std::nullopt;
-    bool TrueIn = Scratch.inLoop(T.Aux);
-    bool FalseIn = Scratch.inLoop(T.Aux2);
+    bool TrueIn = View.inLoop(T.Aux);
+    bool FalseIn = View.inLoop(T.Aux2);
     if (TrueIn == FalseIn)
       return std::nullopt;
-    std::optional<DefSite> CDef = singleInLoopDef(T.A);
+    const DefSite *CDef = View.singleDef(T.A);
     if (!CDef)
       return std::nullopt;
-    const Instruction &C = inst(*CDef);
+    const Instruction &C = View.inst(*CDef);
     std::optional<Affine> A = evaluate(C.A);
     std::optional<Affine> B = evaluate(C.B);
     if (!A || !B)
@@ -396,12 +336,12 @@ public:
     if (!Visited.insert(V).second)
       return false; // Cycle (e.g. an induction recurrence): the first visit
                     // already explored every register this one can read.
-    if (!hasInLoopDef(V))
+    if (!View.defines(V))
       return false; // Loop-invariant: cannot carry Target's running value.
-    std::optional<DefSite> Def = singleInLoopDef(V);
+    const DefSite *Def = View.singleDef(V);
     if (!Def)
       return true;
-    const Instruction &I = inst(*Def);
+    const Instruction &I = View.inst(*Def);
     if (I.Op == Opcode::Call || I.Op == Opcode::Store)
       return true;
     bool Depends = false;
@@ -461,12 +401,12 @@ public:
   const Instruction *singleDefInst(ValueId V) const {
     if (V == NoValue)
       return nullptr;
-    if (hasInLoopDef(V)) {
-      std::optional<DefSite> Def = singleInLoopDef(V);
-      return Def ? &inst(*Def) : nullptr;
+    if (View.defines(V)) {
+      const DefSite *Def = View.singleDef(V);
+      return Def ? &View.inst(*Def) : nullptr;
     }
     std::span<const unsigned> Ds = DI.defsOf(V);
-    return Ds.size() == 1 ? &inst(DI.Defs[Ds[0]]) : nullptr;
+    return Ds.size() == 1 ? &View.inst(DI.Defs[Ds[0]]) : nullptr;
   }
 
   // --- Iteration-cost model -------------------------------------------------
@@ -501,7 +441,7 @@ public:
     CostModel CM;
     // The last node defining each register, kept in the scratch's
     // per-register slots and restored before returning.
-    std::vector<unsigned> &LastDef = Scratch.slots();
+    std::vector<unsigned> &LastDef = View.Scratch.slots();
     std::vector<ValueId> Touched;
     for (BlockId B : L.Blocks) { // Already sorted ascending.
       CM.InstBase.push_back(static_cast<unsigned>(CM.NodeOf.size()));
@@ -535,9 +475,9 @@ public:
   /// The cost-model node of instruction \p Idx of loop block \p B, or
   /// NoNode when the model excludes it.
   unsigned nodeAt(const CostModel &CM, BlockId B, unsigned Idx) const {
-    if (!Scratch.inLoop(B) || Idx >= F.Blocks[B].Insts.size())
+    if (!View.inLoop(B) || Idx >= F.Blocks[B].Insts.size())
       return CostModel::NoNode;
-    return CM.NodeOf[CM.InstBase[Scratch.pos(B)] + Idx];
+    return CM.NodeOf[CM.InstBase[View.Scratch.pos(B)] + Idx];
   }
 
   /// Longest unit-cost dependence path through one iteration.
@@ -562,7 +502,7 @@ public:
     std::vector<unsigned> Dist(CM.numNodes(), 0);
     Dist[Src] = 1;
     for (unsigned N = Src + 1; N <= Dst; ++N) {
-      if (!dominatesAllLatches(CM.BlockOf[N]))
+      if (!View.dominatesAllLatches(CM.BlockOf[N]))
         continue;
       for (unsigned P : CM.preds(N))
         if (Dist[P] > 0)
@@ -578,7 +518,7 @@ private:
   void findInductionVars() {
     for (BlockId B : L.Blocks)
       for (unsigned D = DI.BlockBegin[B]; D < DI.BlockBegin[B + 1]; ++D)
-        addInductionVar(inst(DI.Defs[D]));
+        addInductionVar(View.inst(DI.Defs[D]));
   }
 
   void addInductionVar(const Instruction &MoveI) {
@@ -587,12 +527,12 @@ private:
     ValueId V = MoveI.Result;
     // The update must be V's only in-loop definition: otherwise the
     // affine form init + step*i does not hold.
-    if (!singleInLoopDef(V))
+    if (!View.singleDef(V))
       return;
-    std::optional<DefSite> OpDef = singleInLoopDef(MoveI.A);
+    const DefSite *OpDef = View.singleDef(MoveI.A);
     if (!OpDef)
       return;
-    const Instruction &OpI = inst(*OpDef);
+    const Instruction &OpI = View.inst(*OpDef);
     if (!OpI.IsInductionUpdate ||
         (OpI.Op != Opcode::Add && OpI.Op != Opcode::Sub))
       return;
@@ -611,7 +551,7 @@ private:
     const DefSite *OutDef = nullptr;
     for (unsigned D : DI.defsOf(V)) {
       const DefSite &Def = DI.Defs[D];
-      if (Scratch.inLoop(Def.BB))
+      if (View.inLoop(Def.BB))
         continue;
       if (OutDef)
         return std::nullopt;
@@ -619,22 +559,27 @@ private:
     }
     if (!OutDef)
       return std::nullopt;
-    const Instruction &I = inst(*OutDef);
+    return fold(View.inst(*OutDef), /*OperandDepth=*/0);
+  }
+
+  /// Folds \p I when it is a constant or a Move, Neg, Add, Sub or Mul of
+  /// constants, evaluating its operands with constEval at \p OperandDepth.
+  std::optional<int64_t> fold(const Instruction &I,
+                              unsigned OperandDepth) const {
     switch (I.Op) {
     case Opcode::ConstInt:
       return I.IntImm;
     case Opcode::Move:
+      return constEval(I.A, OperandDepth);
     case Opcode::Neg: {
-      std::optional<int64_t> A = constEval(I.A);
-      if (!A)
-        return std::nullopt;
-      return I.Op == Opcode::Neg ? -*A : *A;
+      std::optional<int64_t> A = constEval(I.A, OperandDepth);
+      return A ? std::optional<int64_t>(-*A) : std::nullopt;
     }
     case Opcode::Add:
     case Opcode::Sub:
     case Opcode::Mul: {
-      std::optional<int64_t> A = constEval(I.A);
-      std::optional<int64_t> B = constEval(I.B);
+      std::optional<int64_t> A = constEval(I.A, OperandDepth);
+      std::optional<int64_t> B = constEval(I.B, OperandDepth);
       if (!A || !B)
         return std::nullopt;
       if (I.Op == Opcode::Add)
@@ -648,26 +593,20 @@ private:
     }
   }
 
+  const LoopView &View;
   const Function &F;
   const Loop &L;
   const DefIndex &DI;
-  const DomTree &DT;
-  LoopScratch &Scratch;
   std::map<ValueId, int64_t> InductionStep;
   std::map<ValueId, int64_t> InductionInit;
 };
 
-/// Climbs region parents from the loop's header instructions to the
-/// innermost enclosing Loop region.
+/// The innermost Loop region enclosing the first of the loop's header
+/// instructions that has one.
 RegionId loopRegion(const Module &M, const Function &F, const Loop &L) {
-  for (const Instruction &I : F.Blocks[L.Header].Insts) {
-    RegionId R = I.EnclosingRegion;
-    while (R != NoRegion && R < M.Regions.size() &&
-           M.Regions[R].Kind != RegionKind::Loop)
-      R = M.Regions[R].Parent;
-    if (R != NoRegion && R < M.Regions.size())
+  for (const Instruction &I : F.Blocks[L.Header].Insts)
+    if (RegionId R = M.enclosingLoopRegion(I.EnclosingRegion); R != NoRegion)
       return R;
-  }
   return NoRegion;
 }
 
@@ -714,17 +653,18 @@ std::string baseDisplayName(const Module &M, const Function &F,
 /// associative, commutative reduction -- even though HCPA's runtime rule
 /// (which only breaks +/* accumulators) will measure the loop as serial.
 /// Returns "min", "max", or nullptr.
-const char *minMaxIdiom(const LoopAnalyzer &LA, const Function &F,
-                        const Loop &L, ValueId V) {
-  std::optional<DefSite> Def = LA.singleInLoopDef(V);
+const char *minMaxIdiom(const LoopView &View, const LoopAnalyzer &LA,
+                        ValueId V) {
+  const Function &F = View.F;
+  const DefSite *Def = View.singleDef(V);
   if (!Def)
     return nullptr;
-  const Instruction &MoveI = LA.inst(*Def);
+  const Instruction &MoveI = View.inst(*Def);
   if (MoveI.Op != Opcode::Move || MoveI.IsInductionUpdate ||
       MoveI.IsReductionUpdate)
     return nullptr;
   BlockId MB = Def->BB;
-  if (LA.dominatesAllLatches(MB))
+  if (View.dominatesAllLatches(MB))
     return nullptr; // Unconditional replacement is not a fold.
   ValueId T = MoveI.A;
   if (LA.chainDependsOn(T, V))
@@ -732,7 +672,7 @@ const char *minMaxIdiom(const LoopAnalyzer &LA, const Function &F,
 
   // The update block must hang off a single in-loop branch...
   BlockId Pred = NoBlock;
-  for (BlockId B : L.Blocks) {
+  for (BlockId B : View.L.Blocks) {
     if (B == MB || !F.Blocks[B].hasTerminator())
       continue;
     for (BlockId Succ : F.successors(B))
@@ -809,7 +749,7 @@ const char *minMaxIdiom(const LoopAnalyzer &LA, const Function &F,
       return nullptr;
 
   // Nothing else in the loop may observe the running value.
-  for (BlockId B : L.Blocks)
+  for (BlockId B : View.L.Blocks)
     for (const Instruction &I : F.Blocks[B].Insts) {
       if (&I == Cmp || &I == &MoveI || &I == VCopy)
         continue;
@@ -830,8 +770,7 @@ const char *minMaxIdiom(const LoopAnalyzer &LA, const Function &F,
 StaticLoopResult classifyLoop(const Module &M, const Function &F,
                               const Loop &L, bool HasNestedLoop,
                               const FunctionAnalysis &FA,
-                              const ReachingDefs &RD, LoopScratch &Scratch,
-                              const ModRefResult *MR) {
+                              LoopScratch &Scratch, const ModRefResult *MR) {
   StaticLoopResult Result;
   Result.Func = F.Id;
   Result.Header = L.Header;
@@ -845,7 +784,8 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
     return Result;
   }
 
-  LoopAnalyzer LA(F, L, FA, Scratch);
+  LoopView View(F, FA, L, Scratch);
+  LoopAnalyzer LA(View);
 
   // --- Calls: map callee mod/ref summaries to caller-side effects ----------
   //
@@ -927,7 +867,7 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
 
   // --- Scalar dependences + reduction recognition ---------------------------
   std::vector<ScalarCarriedDep> ScalarDeps =
-      findLoopCarriedScalarDeps(F, FA, L, RD, Scratch);
+      findLoopCarriedScalarDeps(View);
   const ScalarCarriedDep *BlockingScalar = nullptr;
   const ScalarCarriedDep *CertainScalar = nullptr;
   std::set<ValueId> ReductionValues;
@@ -937,14 +877,14 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   auto MinMaxOf = [&](ValueId V) {
     auto It = MinMaxMemo.find(V);
     if (It == MinMaxMemo.end())
-      It = MinMaxMemo.emplace(V, minMaxIdiom(LA, F, L, V)).first;
+      It = MinMaxMemo.emplace(V, minMaxIdiom(View, LA, V)).first;
     return It->second;
   };
   for (const ScalarCarriedDep &Dep : ScalarDeps) {
     if (Dep.Breakable) {
       // Separate reduction accumulators (which need a reduction clause)
       // from induction bookkeeping (which vanishes under privatization).
-      const Instruction &DefI = F.Blocks[Dep.Def.BB].Insts[Dep.Def.Idx];
+      const Instruction &DefI = View.inst(Dep.Def);
       const Instruction *OpI = &DefI;
       if (DefI.Op == Opcode::Move && !DefI.IsReductionUpdate)
         if (const Instruction *Src = LA.singleDefInst(DefI.A))
@@ -985,8 +925,8 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
       if (A.IsStore) {
         ++NumStores;
         // Memory reductions mark the op producing the stored value.
-        if (std::optional<DefSite> ValDef = LA.singleInLoopDef(I.B)) {
-          const Instruction &ValI = LA.inst(*ValDef);
+        if (const DefSite *ValDef = View.singleDef(I.B)) {
+          const Instruction &ValI = View.inst(*ValDef);
           A.ReductionStore = ValI.IsReductionUpdate;
           A.ReductionOpc = ValI.Op;
         }
@@ -1227,8 +1167,7 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
         Def != LoopAnalyzer::CostModel::NoNode)
       C = LA.chainCost(CM, Use, Def);
     if (CycleDominates(C)) {
-      const Instruction &DefI = F.Blocks[CertainScalar->Def.BB]
-                                    .Insts[CertainScalar->Def.Idx];
+      const Instruction &DefI = View.inst(CertainScalar->Def);
       const Instruction &UseI = F.Blocks[CertainScalar->Use.BB]
                                     .Insts[CertainScalar->Use.Idx];
       Result.Verdict = LoopVerdict::ProvablySerial;
@@ -1247,8 +1186,8 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
     // iteration i wrote, every iteration.
     if (Dep.Distance != 1)
       continue;
-    if (!LA.dominatesAllLatches(Dep.Store->BB) ||
-        !LA.dominatesAllLatches(Dep.Load->BB))
+    if (!View.dominatesAllLatches(Dep.Store->BB) ||
+        !View.dominatesAllLatches(Dep.Load->BB))
       continue;
     unsigned Ld = LA.nodeAt(CM, Dep.Load->BB, Dep.Load->Idx);
     unsigned St = LA.nodeAt(CM, Dep.Store->BB, Dep.Store->Idx);
@@ -1303,11 +1242,10 @@ kremlin::analyzeFunctionDependence(const Module &M, const Function &F,
   for (const Loop &L : Loops)
     if (L.Parent >= 0)
       HasNestedLoop[static_cast<size_t>(L.Parent)] = 1;
-  ReachingDefs RD(F, FA);
   LoopScratch Scratch(F);
   for (size_t Idx = 0; Idx < Loops.size(); ++Idx)
     Results.push_back(classifyLoop(M, F, Loops[Idx], HasNestedLoop[Idx], FA,
-                                   RD, Scratch, MR));
+                                   Scratch, MR));
   return Results;
 }
 

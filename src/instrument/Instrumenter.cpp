@@ -69,9 +69,7 @@ void runInductionMarkingPass(const Module &M, Function &F,
     for (const Instruction &I : BB.Insts) {
       if (!I.IsReductionUpdate)
         continue;
-      RegionId R = I.EnclosingRegion;
-      while (R != NoRegion && M.Regions[R].Kind != RegionKind::Loop)
-        R = M.Regions[R].Parent;
+      RegionId R = M.enclosingLoopRegion(I.EnclosingRegion);
       if (R != NoRegion)
         Report.ReductionLoops.push_back(R);
     }

@@ -783,7 +783,7 @@ uint64_t TapeEngine::callFunction(const TapeFunction &TF,
     const TapeFunction &Callee = ModTape.Funcs[I->Imm];
     ensureRegCapacity(RegTop + Callee.NumValues);
     Regs = RegArena.data() + MyBase; // The arena may have moved.
-    const uint32_t *Args = TF.ArgPool.data() + I->X;
+    const uint32_t *Args = TF.Src->CallArgs.data() + I->X;
     if (Profiled) {
       emitPushFrame(Callee.NumValues);
       for (uint32_t K = 0; K < I->Y; ++K)

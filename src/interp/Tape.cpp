@@ -446,9 +446,10 @@ private:
       std::span<const ValueId> Args = F.callArgs(I);
       T.Dst = I.Result;
       T.Imm = I.Aux;
-      T.X = static_cast<uint32_t>(TF.ArgPool.size());
+      T.X = Args.empty()
+                ? 0
+                : static_cast<uint32_t>(Args.data() - F.CallArgs.data());
       T.Y = static_cast<uint32_t>(Args.size());
-      TF.ArgPool.insert(TF.ArgPool.end(), Args.begin(), Args.end());
       break;
     }
     case Opcode::Ret:

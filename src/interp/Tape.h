@@ -9,11 +9,11 @@
 /// Lowering the IR once per module buys the hot loop three things:
 ///
 ///  * dense 32-byte instructions in one flat array per function (the IR's
-///    Instruction is 100+ bytes with an embedded vector, scattered across
-///    per-block vectors);
+///    Instruction is 56 bytes, scattered across per-block vectors);
 ///  * operands resolved at decode time — global addresses become absolute
 ///    immediates, frame-array bases become frame offsets, branch targets
-///    become tape indices, call arguments live in a shared pool;
+///    become tape indices, a call's arguments become an offset and a
+///    count in its function's argument pool;
 ///  * superinstruction fusion for the two idioms that dominate the paper
 ///    suite: compare-branch (loop exits and if tests) and load-op-store
 ///    (read-modify-write of an array cell). Fused instructions execute and
@@ -81,7 +81,8 @@ struct CondBrInfo {
 ///     Imm (shape index) with TreeRootFlag
 ///   Load: Dst, A (addr reg), X (line)     Store: A (addr), B (val), X (line)
 ///   RegionEnter/Exit: Imm (region id)
-///   Call: Dst (or NoValue), Imm (callee), X (arg-pool offset), Y (#args)
+///   Call: Dst (or NoValue), Imm (callee), X (offset of the first argument
+///     in Function::CallArgs), Y (#args)
 ///   Ret: A (value or NoValue)
 ///   Br: X (target tape index), Y (target block id)
 ///   CondBr: A (cond), X/Y (true/false tape index), Imm (CondBrInfo index)
@@ -118,8 +119,8 @@ static_assert(sizeof(TapeInst) == 32, "keep tape instructions dense");
 struct TapeFunction {
   std::vector<TapeInst> Code;
   std::vector<CondBrInfo> Branches;
-  std::vector<uint32_t> ArgPool; ///< Call argument registers, by (X, Y).
-  const Function *Src = nullptr; ///< For names/lines in error messages.
+  /// For names in error messages, and the argument pool Call reads.
+  const Function *Src = nullptr;
   uint32_t NumValues = 0;
   uint64_t FrameWords = 0;
   /// Expression-tree shapes; each one's leaves are the next NumLeaves

@@ -58,7 +58,6 @@ public:
   /// Adds a global array and returns its id.
   GlobalId addGlobal(GlobalArray G) {
     G.Id = static_cast<GlobalId>(Globals.size());
-    GlobalNames[G.Name] = G.Id;
     Globals.push_back(std::move(G));
     return Globals.back().Id;
   }
@@ -77,14 +76,17 @@ public:
     return It == FuncNames.end() ? NoFunc : It->second;
   }
 
-  /// Looks up a global id by name; returns UINT32_MAX if absent.
-  GlobalId findGlobal(const std::string &Name) const {
-    auto It = GlobalNames.find(Name);
-    return It == GlobalNames.end() ? UINT32_MAX : It->second;
-  }
-
   /// The entry function ("main"); NoFunc if the module has none.
   FuncId mainFunction() const { return findFunction("main"); }
+
+  /// The innermost Loop region enclosing region \p R (\p R itself when it
+  /// is one); NoRegion when there is none or a parent link leaves the
+  /// region table.
+  RegionId enclosingLoopRegion(RegionId R) const {
+    while (R < Regions.size() && Regions[R].Kind != RegionKind::Loop)
+      R = Regions[R].Parent;
+    return R < Regions.size() ? R : NoRegion;
+  }
 
   /// Total global array storage in words.
   uint64_t globalWords() const {
@@ -106,7 +108,6 @@ public:
 
 private:
   std::unordered_map<std::string, FuncId> FuncNames;
-  std::unordered_map<std::string, GlobalId> GlobalNames;
 };
 
 } // namespace kremlin

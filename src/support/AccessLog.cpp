@@ -6,6 +6,7 @@
 
 #include "support/AccessLog.h"
 
+#include "support/Json.h"
 #include "support/Telemetry.h"
 
 #include <cstdio>
@@ -18,47 +19,12 @@ namespace {
 
 FILE *asFile(void *P) { return static_cast<FILE *>(P); }
 
-// Minimal JSON string quoting; access-log fields are ASCII (methods, paths,
-// hex ids) but a hostile request target can still carry anything.
-std::string jsonQuote(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-  return Out;
-}
+/// The buffer flushes to disk once it holds this many bytes.
+constexpr size_t FlushBytes = 32 * 1024;
 
 } // namespace
 
-Expected<std::unique_ptr<AccessLog>> AccessLog::open(std::string Path,
-                                                     size_t FlushBytes) {
+Expected<std::unique_ptr<AccessLog>> AccessLog::open(std::string Path) {
   FILE *F = std::fopen(Path.c_str(), "w");
   if (!F)
     return Status::error(ErrorCode::IoError,
@@ -66,8 +32,7 @@ Expected<std::unique_ptr<AccessLog>> AccessLog::open(std::string Path,
   auto Log = std::unique_ptr<AccessLog>(new AccessLog());
   Log->Path = std::move(Path);
   Log->File = F;
-  Log->FlushBytes = FlushBytes == 0 ? 1 : FlushBytes;
-  Log->Buf.reserve(Log->FlushBytes + 512);
+  Log->Buf.reserve(FlushBytes + 512);
   return Log;
 }
 
@@ -79,11 +44,11 @@ void AccessLog::append(const AccessLogEntry &E) {
   Line += "{\"ts_us\": ";
   Line += std::to_string(tel::nowUs());
   Line += ", \"trace_id\": ";
-  Line += jsonQuote(E.TraceId);
+  appendJsonString(Line, E.TraceId);
   Line += ", \"method\": ";
-  Line += jsonQuote(E.Method);
+  appendJsonString(Line, E.Method);
   Line += ", \"path\": ";
-  Line += jsonQuote(E.Path);
+  appendJsonString(Line, E.Path);
   Line += ", \"status\": ";
   Line += std::to_string(E.Status);
   Line += ", \"bytes_in\": ";
@@ -98,7 +63,7 @@ void AccessLog::append(const AccessLogEntry &E) {
                 static_cast<double>(E.HandlerUs) / 1000.0);
   Line += MsBuf;
   Line += ", \"dedup\": ";
-  Line += jsonQuote(E.Dedup);
+  appendJsonString(Line, E.Dedup);
   Line += "}\n";
 
   std::lock_guard<std::mutex> Lock(Mutex);

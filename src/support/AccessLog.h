@@ -10,7 +10,7 @@
 /// the telemetry FileTraceSink so a slow disk never blocks a handler for
 /// more than one amortized fwrite. append() serializes the entry into an
 /// in-memory buffer under a short mutex; the buffer flushes to disk every
-/// FlushBytes, and close() (or destruction) flushes the tail. Write
+/// 32 KiB, and close() (or destruction) flushes the tail. Write
 /// failures are counted (serve.access_log.write_errors) and reported by
 /// close(), never surfaced to the request path — losing a log line must
 /// not fail an upload.
@@ -54,8 +54,7 @@ class AccessLog {
 public:
   /// Opens \p Path for writing (truncating). IoError when it cannot be
   /// created.
-  static Expected<std::unique_ptr<AccessLog>>
-  open(std::string Path, size_t FlushBytes = 32 * 1024);
+  static Expected<std::unique_ptr<AccessLog>> open(std::string Path);
 
   ~AccessLog();
   AccessLog(const AccessLog &) = delete;
@@ -82,7 +81,6 @@ private:
   std::string Path;
   void *File = nullptr; ///< std::FILE*, opaque to spare the include.
   std::string Buf;
-  size_t FlushBytes = 32 * 1024;
   bool Closed = false;
   Status CloseStatus;
 };

@@ -24,6 +24,13 @@ namespace tel = kremlin::telemetry;
 
 namespace {
 
+/// listen(2) backlog.
+constexpr int ListenBacklog = 128;
+
+/// Per-connection write deadline in seconds: a client that accepts the
+/// request but never drains the response releases its worker too.
+constexpr unsigned SendTimeoutSec = 10;
+
 /// Shared case-insensitive lookup over lowercased-name header lists.
 const std::string *
 findHeader(const std::vector<std::pair<std::string, std::string>> &Headers,
@@ -243,7 +250,7 @@ Expected<std::unique_ptr<Server>> Server::start(ServerOptions Opts,
     ::close(Fd);
     return St;
   }
-  if (::listen(Fd, Opts.Backlog) != 0) {
+  if (::listen(Fd, ListenBacklog) != 0) {
     Status St = Fail("listen");
     ::close(Fd);
     return St;
@@ -358,7 +365,7 @@ void Server::handleConnection(int Fd, uint64_t AcceptUs) {
   Timeout.tv_sec = Opts.RecvTimeoutSec;
   ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
   timeval SendTimeout{};
-  SendTimeout.tv_sec = Opts.SendTimeoutSec;
+  SendTimeout.tv_sec = SendTimeoutSec;
   ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout, sizeof(SendTimeout));
 
   // A recv that fails with EAGAIN/EWOULDBLOCK hit the read deadline: the

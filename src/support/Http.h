@@ -143,15 +143,10 @@ struct ServerOptions {
   size_t MaxBodyBytes = 64ull << 20;
   /// Reject request heads larger than this with 431.
   size_t MaxHeaderBytes = 16384;
-  /// listen(2) backlog.
-  int Backlog = 128;
   /// Per-connection read deadline in seconds: a client that stalls
   /// mid-request (slowloris) is answered 408 and dropped instead of
   /// wedging a worker indefinitely.
   unsigned RecvTimeoutSec = 10;
-  /// Per-connection write deadline in seconds: a client that accepts the
-  /// request but never drains the response releases its worker too.
-  unsigned SendTimeoutSec = 10;
   /// Admission control, called on the accept thread before a connection
   /// is queued for a worker. Return false to shed: the server answers
   /// RejectResponse and closes without reading the request (the cheapest

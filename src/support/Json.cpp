@@ -49,7 +49,7 @@ std::string kremlin::formatJsonNumber(double V) {
   return formatString("%.17g", V);
 }
 
-static void appendEscaped(std::string &Out, const std::string &S) {
+void kremlin::appendJsonString(std::string &Out, std::string_view S) {
   Out += '"';
   for (char C : S) {
     switch (C) {
@@ -99,7 +99,7 @@ static void serializeInto(const JsonValue &V, std::string &Out,
     Out += formatJsonNumber(V.asNumber());
     break;
   case JsonValue::Kind::String:
-    appendEscaped(Out, V.asString());
+    appendJsonString(Out, V.asString());
     break;
   case JsonValue::Kind::Array: {
     if (V.size() == 0) {
@@ -126,7 +126,7 @@ static void serializeInto(const JsonValue &V, std::string &Out,
     size_t I = 0;
     for (const auto &M : V.members()) {
       Out += Pad;
-      appendEscaped(Out, M.first);
+      appendJsonString(Out, M.first);
       Out += ": ";
       serializeInto(M.second, Out, Depth + 1);
       if (++I < V.members().size())

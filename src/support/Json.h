@@ -109,6 +109,10 @@ private:
 /// Formats \p V the way the serializer does (shortest round-trip form).
 std::string formatJsonNumber(double V);
 
+/// Appends \p S to \p Out as a quoted JSON string, escaping quotes,
+/// backslashes and control characters.
+void appendJsonString(std::string &Out, std::string_view S);
+
 /// Reads an entire file into \p Out; false on I/O failure.
 bool readFileToString(const std::string &Path, std::string &Out);
 

@@ -9,6 +9,8 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+
 using namespace kremlin;
 
 namespace {
@@ -133,10 +135,9 @@ TEST(Loops, DetectsForAndWhile) {
   LoopInfo LI = computeLoops(F, computeDominators(F));
   EXPECT_EQ(LI.Loops.size(), 2u);
   for (const Loop &L : LI.Loops) {
-    EXPECT_EQ(L.Depth, 1u);
     EXPECT_EQ(L.Parent, -1);
     EXPECT_FALSE(L.Latches.empty());
-    EXPECT_TRUE(L.contains(L.Header));
+    EXPECT_TRUE(std::binary_search(L.Blocks.begin(), L.Blocks.end(), L.Header));
   }
 }
 
@@ -156,9 +157,14 @@ TEST(Loops, NestingDepths) {
   const Function &F = R.M->Functions[0];
   LoopInfo LI = computeLoops(F, computeDominators(F));
   ASSERT_EQ(LI.Loops.size(), 3u);
+  // A loop's depth is the length of its Parent chain (outermost: 1).
   unsigned DepthHist[4] = {0, 0, 0, 0};
-  for (const Loop &L : LI.Loops)
-    ++DepthHist[std::min(L.Depth, 3u)];
+  for (const Loop &L : LI.Loops) {
+    unsigned Depth = 1;
+    for (int P = L.Parent; P >= 0; P = LI.Loops[static_cast<size_t>(P)].Parent)
+      ++Depth;
+    ++DepthHist[std::min(Depth, 3u)];
+  }
   EXPECT_EQ(DepthHist[1], 1u);
   EXPECT_EQ(DepthHist[2], 1u);
   EXPECT_EQ(DepthHist[3], 1u);

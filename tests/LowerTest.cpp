@@ -84,6 +84,15 @@ TEST(Lower, NestedLoopRegionNesting) {
   EXPECT_EQ(While.Name, "while");
   // The while nests inside the for's body region.
   EXPECT_EQ(M->Regions[While.Parent].Kind, RegionKind::Body);
+  // The innermost enclosing Loop region, from each region of the nest.
+  EXPECT_EQ(M->enclosingLoopRegion(4), 3u);
+  EXPECT_EQ(M->enclosingLoopRegion(3), 3u);
+  EXPECT_EQ(M->enclosingLoopRegion(2), 1u);
+  EXPECT_EQ(M->enclosingLoopRegion(0), NoRegion);
+  // A parent link that leaves the region table ends the walk.
+  M->Regions[2].Parent = 99;
+  EXPECT_EQ(M->enclosingLoopRegion(2), NoRegion);
+  EXPECT_EQ(M->enclosingLoopRegion(4), 3u);
 }
 
 TEST(Lower, ReturnInsideLoopClosesAllRegions) {

@@ -1,10 +1,9 @@
 //===- tests/StaticDepTest.cpp - dataflow + static loop dependence --------===//
 //
-// Covers the static-analysis subsystem: reaching definitions, loop-carried
-// scalar dependences, the ZIV/SIV loop classifier, the --verify-ir
-// instrumentation gate, the lint pipeline, the front end's output pinned
-// at scale, and the soundness cross-check against the dynamic profile on
-// the paper suite.
+// Covers the static-analysis subsystem: loop-carried scalar dependences,
+// the ZIV/SIV loop classifier, the --verify-ir instrumentation gate, the
+// lint pipeline, the front end's output pinned at scale, and the soundness
+// cross-check against the dynamic profile on the paper suite.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,107 +49,206 @@ StaticLoopResult analyzeSingleLoop(const std::string &Source) {
   return R.Loops.empty() ? StaticLoopResult() : R.Loops.front();
 }
 
-// --- Reaching definitions ---------------------------------------------------
+// --- Loop-carried scalar dependences ----------------------------------------
 
-/// Diamond with the same register defined in the entry and both arms.
-struct RedefDiamond {
+/// The carried scalar dependences of loop \p LoopIdx of \p F, computed the
+/// way the analyzer does.
+std::vector<ScalarCarriedDep> carriedDeps(const Function &F, size_t LoopIdx) {
+  FunctionAnalysis FA = buildFunctionAnalysis(F);
+  if (LoopIdx >= FA.LI.Loops.size()) {
+    ADD_FAILURE() << "no loop #" << LoopIdx;
+    return {};
+  }
+  LoopScratch Scratch(F);
+  return findLoopCarriedScalarDeps(
+      LoopView(F, FA, FA.LI.Loops[LoopIdx], Scratch));
+}
+
+/// The carried scalar dependences of the only loop of \p M's first
+/// function.
+std::vector<ScalarCarriedDep> firstLoopCarriedDeps(const Module &M) {
+  EXPECT_EQ(buildFunctionAnalysis(M.Functions[0]).LI.Loops.size(), 1u);
+  return carriedDeps(M.Functions[0], 0);
+}
+
+/// Emits `X = Move C` at the end of \p BB and returns its definition site.
+DefSite emitRedef(IRBuilder &B, BlockId BB, ValueId X, int64_t C) {
+  B.setInsertPoint(BB);
+  B.emitMove(Type::Int, B.emitConstInt(C), X);
+  return {BB, static_cast<unsigned>(B.function().Blocks[BB].Insts.size() - 1),
+          X};
+}
+
+/// Marks the definitions in \p Marked as reduction updates, unmarks the
+/// rest of \p All, and returns the single carried dependence of loop
+/// \p LoopIdx of \p F. A dependence is breakable exactly when each of its
+/// carried sources is marked, so the marks probe which definitions are
+/// sources.
+ScalarCarriedDep onlyCarriedDep(Function &F, size_t LoopIdx,
+                                std::initializer_list<DefSite> All,
+                                std::initializer_list<DefSite> Marked) {
+  for (const DefSite &D : All)
+    F.Blocks[D.BB].Insts[D.Idx].IsReductionUpdate = false;
+  for (const DefSite &D : Marked)
+    F.Blocks[D.BB].Insts[D.Idx].IsReductionUpdate = true;
+  std::vector<ScalarCarriedDep> Deps = carriedDeps(F, LoopIdx);
+  EXPECT_EQ(Deps.size(), 1u);
+  return Deps.empty() ? ScalarCarriedDep() : Deps.front();
+}
+
+bool sameSite(const DefSite &A, const DefSite &B) {
+  return A.BB == B.BB && A.Idx == B.Idx;
+}
+
+/// A loop whose body is a diamond. The header reads x; x is defined
+/// before the loop, at the top of the body (redefined by both arms), twice
+/// in the then-arm and once in the else-arm:
+///
+///   entry:  x = 5                  -> header
+///   header: y = x + c              -> body, exit
+///   body:   x = 9                  -> then, else
+///   then:   x = 1; x = 3           -> latch
+///   else:   x = 2                  -> latch
+///   latch:                         -> header
+///   exit:   ret x
+struct LoopDiamond {
   Module M;
-  FuncId Id;
-  ValueId X = NoValue;
-  BlockId Join = NoBlock;
+  FuncId Id = NoFunc;
+  BlockId Header = NoBlock;
+  DefSite Top, ThenFirst, ThenLast, Else;
 
-  RedefDiamond() {
-    Function F;
-    F.Name = "rd";
-    F.ReturnTy = Type::Int;
-    Id = M.addFunction(std::move(F));
+  LoopDiamond() {
+    Function Fn;
+    Fn.Name = "diamond";
+    Fn.ReturnTy = Type::Int;
+    Id = M.addFunction(std::move(Fn));
     IRBuilder B(M, M.Functions[Id]);
-    BlockId B0 = B.createBlock("entry");
-    BlockId B1 = B.createBlock("then");
-    BlockId B2 = B.createBlock("else");
-    Join = B.createBlock("join");
-    B.setInsertPoint(B0);
+    BlockId Entry = B.createBlock("entry");
+    Header = B.createBlock("header");
+    BlockId Body = B.createBlock("body");
+    BlockId Then = B.createBlock("then");
+    BlockId ElseBB = B.createBlock("else");
+    BlockId Latch = B.createBlock("latch");
+    BlockId Exit = B.createBlock("exit");
+    B.setInsertPoint(Entry);
     ValueId C = B.emitConstInt(1);
-    X = B.emitConstInt(5);
-    B.emitCondBr(C, B1, B2);
-    B.setInsertPoint(B1);
-    B.emitMove(Type::Int, B.emitConstInt(1), X);
-    B.emitBr(Join);
-    B.setInsertPoint(B2);
-    B.emitMove(Type::Int, B.emitConstInt(2), X);
-    B.emitBr(Join);
-    B.setInsertPoint(Join);
+    ValueId X = B.emitConstInt(5);
+    B.emitBr(Header);
+    B.setInsertPoint(Header);
+    B.emitBinary(Opcode::Add, Type::Int, X, C);
+    B.emitCondBr(C, Body, Exit);
+    Top = emitRedef(B, Body, X, 9);
+    B.emitCondBr(C, Then, ElseBB);
+    ThenFirst = emitRedef(B, Then, X, 1);
+    ThenLast = emitRedef(B, Then, X, 3);
+    B.emitBr(Latch);
+    Else = emitRedef(B, ElseBB, X, 2);
+    B.emitBr(Latch);
+    B.setInsertPoint(Latch);
+    B.emitBr(Header);
+    B.setInsertPoint(Exit);
     B.emitRet(X);
   }
-  const Function &fn() const { return M.Functions[Id]; }
+
+  /// x's dependence into the header, with exactly \p Marked marked.
+  ScalarCarriedDep carriedX(std::initializer_list<DefSite> Marked) {
+    ScalarCarriedDep Dep = onlyCarriedDep(
+        M.Functions[Id], 0, {Top, ThenFirst, ThenLast, Else}, Marked);
+    EXPECT_EQ(Dep.Use.BB, Header);
+    return Dep;
+  }
 };
 
-/// The definitions of \p X in \p DI, keyed by their block.
-std::map<BlockId, unsigned> defsByBlock(const DefIndex &DI, ValueId X) {
-  std::map<BlockId, unsigned> ByBlock;
-  for (unsigned D : DI.defsOf(X))
-    ByBlock[DI.Defs[D].BB] = D;
-  return ByBlock;
+TEST(ScalarCarriedDeps, BothArmDefsAreCarriedSources) {
+  // Each arm's last definition reaches the latch through its own arm:
+  // leaving either one unmarked leaves the dependence unbreakable.
+  LoopDiamond D;
+  EXPECT_FALSE(D.carriedX({D.ThenLast}).Breakable);
+  EXPECT_FALSE(D.carriedX({D.Else}).Breakable);
+  ScalarCarriedDep Dep = D.carriedX({D.ThenLast, D.Else});
+  EXPECT_TRUE(Dep.Breakable);
+  EXPECT_FALSE(Dep.Certain); // Two sources.
 }
 
-TEST(ReachingDefs, ArmDefsKillEntryDefAtJoin) {
-  RedefDiamond D;
-  FunctionAnalysis FA = buildFunctionAnalysis(D.fn());
-  ReachingDefs RD(D.fn(), FA);
-  std::map<BlockId, unsigned> DefOfX = defsByBlock(FA.Defs, D.X);
-  // One definition each in the entry (bb0) and both arms (bb1, bb2).
-  ASSERT_EQ(DefOfX.size(), 3u);
-  ASSERT_EQ(DefOfX.count(0), 1u);
-  // Both arm redefinitions reach through the join, which defines nothing;
-  // the entry definition is killed on every path.
-  EXPECT_TRUE(RD.defReachesOut(DefOfX[1], D.Join));
-  EXPECT_TRUE(RD.defReachesOut(DefOfX[2], D.Join));
-  EXPECT_FALSE(RD.defReachesOut(DefOfX[0], D.Join));
-  EXPECT_TRUE(RD.defReachesOut(DefOfX[0], 0));
+TEST(ScalarCarriedDeps, ArmDefsKillTheBodyEntryDef) {
+  // Both arms redefine x, so the body's first definition is killed on
+  // every path to the latch: it is no source, marked or not.
+  LoopDiamond D;
+  ScalarCarriedDep Dep = D.carriedX({D.ThenFirst, D.ThenLast, D.Else});
+  EXPECT_TRUE(Dep.Breakable);
+  EXPECT_FALSE(sameSite(Dep.Def, D.Top));
 }
 
-TEST(ReachingDefs, LocalDefSupersedesIncoming) {
-  RedefDiamond D;
-  FunctionAnalysis FA = buildFunctionAnalysis(D.fn());
-  ReachingDefs RD(D.fn(), FA);
-  std::map<BlockId, unsigned> DefOfX = defsByBlock(FA.Defs, D.X);
-  ASSERT_EQ(DefOfX.size(), 3u);
-  // Past the then-arm's Move (bb1), only the local redefinition of X is
-  // live: it kills the incoming entry definition.
-  EXPECT_TRUE(RD.defReachesOut(DefOfX[1], 1));
-  EXPECT_FALSE(RD.defReachesOut(DefOfX[0], 1));
-  EXPECT_FALSE(RD.defReachesOut(DefOfX[2], 1));
+TEST(ScalarCarriedDeps, LaterDefSupersedesEarlierInBlock) {
+  // The then-arm's second definition kills its first within the block:
+  // the first is no source, and the second is the representative one.
+  LoopDiamond D;
+  ScalarCarriedDep Dep = D.carriedX({D.Top, D.ThenLast, D.Else});
+  EXPECT_TRUE(Dep.Breakable);
+  EXPECT_TRUE(sameSite(Dep.Def, D.ThenLast));
 }
 
-TEST(DefUseChains, RetUseMapsToBothArmDefs) {
-  RedefDiamond D;
-  FunctionAnalysis FA = buildFunctionAnalysis(D.fn());
-  ReachingDefs RD(D.fn(), FA);
-  std::map<BlockId, unsigned> DefOfX = defsByBlock(FA.Defs, D.X);
-  ASSERT_EQ(DefOfX.size(), 3u);
-  // The ret reads X in the join, which defines nothing before it: what
-  // reaches the join's exit is what the use sees. Each arm definition
-  // gets there only through its own arm.
-  for (BlockId Arm : {BlockId(1), BlockId(2)}) {
-    BlockId Other = Arm == 1 ? 2 : 1;
-    EXPECT_TRUE(RD.defReachesOut(DefOfX[Arm], D.Join)) << "bb" << Arm;
-    EXPECT_TRUE(RD.defReachesOut(DefOfX[Arm], Arm)) << "bb" << Arm;
-    EXPECT_FALSE(RD.defReachesOut(DefOfX[Arm], Other)) << "bb" << Arm;
-    EXPECT_FALSE(RD.defReachesOut(DefOfX[Arm], 0)) << "bb" << Arm;
-  }
-}
+TEST(ScalarCarriedDeps, SideExitPathIsNotCarriedByInnerLoop) {
+  // A shape MiniC cannot produce: the inner loop's body has a second exit,
+  // to the outer latch. x's definition in `ib` reaches the inner latch
+  // without a kill only by leaving the inner loop and re-entering through
+  // the outer one, which is no path of the inner loop's iterations:
+  //
+  //   entry: x = 0                 -> oh
+  //   oh:                          -> ih, exit     (outer header)
+  //   ih:    y = x + c             -> is, ol       (inner header)
+  //   is:                          -> ib, ic
+  //   ib:    x = 7                 -> ik, ol       (the side exit)
+  //   ik:    x = 8                 -> il
+  //   ic:                          -> il
+  //   il:                          -> ih           (inner latch)
+  //   ol:                          -> oh           (outer latch)
+  //   exit:  ret x
+  Module M;
+  Function Fn;
+  Fn.Name = "side_exit";
+  Fn.ReturnTy = Type::Int;
+  FuncId Id = M.addFunction(std::move(Fn));
+  IRBuilder B(M, M.Functions[Id]);
+  BlockId Entry = B.createBlock("entry"), OH = B.createBlock("oh"),
+          IH = B.createBlock("ih"), IS = B.createBlock("is"),
+          IB = B.createBlock("ib"), IK = B.createBlock("ik"),
+          IC = B.createBlock("ic"), IL = B.createBlock("il"),
+          OL = B.createBlock("ol"), Exit = B.createBlock("exit");
+  B.setInsertPoint(Entry);
+  ValueId C = B.emitConstInt(1);
+  ValueId X = B.emitConstInt(0);
+  B.emitBr(OH);
+  B.setInsertPoint(OH);
+  B.emitCondBr(C, IH, Exit);
+  B.setInsertPoint(IH);
+  B.emitBinary(Opcode::Add, Type::Int, X, C);
+  B.emitCondBr(C, IS, OL);
+  B.setInsertPoint(IS);
+  B.emitCondBr(C, IB, IC);
+  DefSite SideExitDef = emitRedef(B, IB, X, 7);
+  B.emitCondBr(C, IK, OL);
+  DefSite KillDef = emitRedef(B, IK, X, 8);
+  B.emitBr(IL);
+  B.setInsertPoint(IC);
+  B.emitBr(IL);
+  B.setInsertPoint(IL);
+  B.emitBr(IH);
+  B.setInsertPoint(OL);
+  B.emitBr(OH);
+  B.setInsertPoint(Exit);
+  B.emitRet(X);
 
-/// The carried scalar dependences of the first loop of \p M's first
-/// function, computed the way the analyzer does.
-std::vector<ScalarCarriedDep> firstLoopCarriedDeps(const Module &M) {
-  const Function &F = M.Functions[0];
+  Function &F = M.Functions[Id];
   FunctionAnalysis FA = buildFunctionAnalysis(F);
-  EXPECT_EQ(FA.LI.Loops.size(), 1u);
-  if (FA.LI.Loops.empty())
-    return {};
-  ReachingDefs RD(F, FA);
-  LoopScratch Scratch(F);
-  return findLoopCarriedScalarDeps(F, FA, FA.LI.Loops[0], RD, Scratch);
+  ASSERT_EQ(FA.LI.Loops.size(), 2u);
+  ASSERT_EQ(FA.LI.Loops[1].Header, IH);
+  ASSERT_EQ(FA.LI.Loops[1].Latches, std::vector<BlockId>{IL});
+  ScalarCarriedDep Dep =
+      onlyCarriedDep(F, 1, {SideExitDef, KillDef}, {KillDef});
+  EXPECT_EQ(Dep.Use.BB, IH);
+  EXPECT_TRUE(sameSite(Dep.Def, KillDef));
+  EXPECT_TRUE(Dep.Breakable);
 }
 
 TEST(ScalarCarriedDeps, AccumulatorIsCarriedAndBreakable) {
