@@ -90,36 +90,19 @@ uint64_t aggregate::programWork(const DictionaryCompressor &Dict) {
   return Work;
 }
 
-std::vector<RegionRow> aggregate::regionRows(const DictionaryCompressor &Dict) {
-  Module M = syntheticModule(Dict);
-  ParallelismProfile P(M, Dict);
-  std::vector<RegionRow> Rows;
-  for (const RegionProfileEntry &E : P.entries()) {
-    if (!E.Executed)
-      continue;
-    RegionRow Row;
-    Row.Id = E.Id;
-    Row.Instances = E.Instances;
-    Row.TotalWork = E.TotalWork;
-    Row.TotalCp = E.TotalCp;
-    Row.TotalChildren = E.TotalChildren;
-    Row.SelfParallelism = E.SelfParallelism;
-    Row.CoveragePct = E.CoveragePct;
-    Rows.push_back(Row);
-  }
-  return Rows;
-}
-
 std::string
 aggregate::renderProfileDiff(const DictionaryCompressor &Before,
                              const DictionaryCompressor &After) {
-  std::map<RegionId, std::pair<const RegionRow *, const RegionRow *>> ById;
-  std::vector<RegionRow> A = regionRows(Before);
-  std::vector<RegionRow> B = regionRows(After);
-  for (const RegionRow &R : A)
-    ById[R.Id].first = &R;
-  for (const RegionRow &R : B)
-    ById[R.Id].second = &R;
+  Module MA = syntheticModule(Before), MB = syntheticModule(After);
+  ParallelismProfile A(MA, Before), B(MB, After);
+  using Entry = RegionProfileEntry;
+  std::map<RegionId, std::pair<const Entry *, const Entry *>> ById;
+  for (const Entry &E : A.entries())
+    if (E.Executed)
+      ById[E.Id].first = &E;
+  for (const Entry &E : B.entries())
+    if (E.Executed)
+      ById[E.Id].second = &E;
 
   // The `kremlin stats --diff` conventions: "a"/"b" columns, a delta
   // column that reads "added"/"removed" when one side lacks the row.
@@ -127,17 +110,16 @@ aggregate::renderProfileDiff(const DictionaryCompressor &Before,
   T.setHeader({"region", "work a", "work b", "d-work", "sp a", "sp b",
                "d-sp", "cov a", "cov b"});
   for (const auto &[Id, Rows] : ById) {
-    const RegionRow *RA = Rows.first;
-    const RegionRow *RB = Rows.second;
-    auto Work = [](const RegionRow *R) {
+    const auto [RA, RB] = Rows;
+    auto Work = [](const Entry *R) {
       return R ? formatString("%llu",
                               static_cast<unsigned long long>(R->TotalWork))
                : std::string("-");
     };
-    auto Sp = [](const RegionRow *R) {
+    auto Sp = [](const Entry *R) {
       return R ? formatFixed(R->SelfParallelism, 2) : std::string("-");
     };
-    auto Cov = [](const RegionRow *R) {
+    auto Cov = [](const Entry *R) {
       return R ? formatPercent(R->CoveragePct, 1) : std::string("-");
     };
     std::string Marker = !RA ? "added" : (!RB ? "removed" : "");

@@ -18,9 +18,10 @@
 /// is associative and commutative up to alphabet numbering.
 ///
 /// Also here: the synthetic module (fleet profiles arrive without source,
-/// so views need placeholder static regions) and flat per-region rows used
-/// by `kremlin diff` and the merge property tests (row aggregates are
-/// alphabet-order independent, unlike the dictionaries themselves).
+/// so views need placeholder static regions) and the `kremlin diff` table,
+/// which reads the region entries of both profiles over their synthetic
+/// modules (entry aggregates are alphabet-order independent, unlike the
+/// dictionaries themselves).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,30 +55,14 @@ DictionaryCompressor mergeProfiles(
 /// would with the real module.
 Module syntheticModule(const DictionaryCompressor &Dict);
 
-/// One flat per-region row (the diff/property-test view of a profile).
-struct RegionRow {
-  RegionId Id = NoRegion;
-  uint64_t Instances = 0;
-  uint64_t TotalWork = 0;
-  uint64_t TotalCp = 0;
-  uint64_t TotalChildren = 0;
-  double SelfParallelism = 1.0;
-  double CoveragePct = 0.0;
-};
-
 /// Whole-program work of \p Dict: Σ over root characters of work × count.
 /// Merge preserves this additively: programWork(merge(a,b)) ==
 /// programWork(a) + programWork(b).
 uint64_t programWork(const DictionaryCompressor &Dict);
 
-/// Executed regions of \p Dict as rows sorted by id. Row aggregates are
-/// independent of alphabet numbering, so two dictionaries describing the
-/// same runs (e.g. merges in different orders) produce identical rows up
-/// to floating-point roundoff in SP.
-std::vector<RegionRow> regionRows(const DictionaryCompressor &Dict);
-
 /// Renders the per-region work/SP/coverage deltas between \p Before and
-/// \p After as an aligned table (TablePrinter; the `stats --diff`
+/// \p After, each read as ParallelismProfile(syntheticModule(D), D), as an
+/// aligned table (TablePrinter; the `stats --diff`
 /// conventions: one row per region present in either side, "n/a" for a
 /// side that never executed the region).
 std::string renderProfileDiff(const DictionaryCompressor &Before,

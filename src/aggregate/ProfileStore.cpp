@@ -8,7 +8,6 @@
 #include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
-#include "support/TablePrinter.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -328,16 +327,4 @@ ProfileStore::mergeAll(const TraceReadLimits &Limits) const {
     mergeInto(Out, In.value());
   }
   return Out;
-}
-
-std::string ProfileStore::renderIndex() const {
-  TablePrinter T;
-  T.setHeader({"name", "file", "source", "bytes", "dynregions", "crc32"});
-  for (const StoreEntry &E : Entries)
-    T.addRow({E.Name, E.File, E.Source.empty() ? "-" : E.Source,
-              formatString("%llu", static_cast<unsigned long long>(E.Bytes)),
-              formatString("%llu",
-                           static_cast<unsigned long long>(E.DynRegions)),
-              E.HasCrc ? formatString("%08x", E.Crc) : "-"});
-  return T.render();
 }

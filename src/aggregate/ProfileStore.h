@@ -117,10 +117,6 @@ public:
   /// What the recovery pass found/fixed when this store was opened.
   const StoreRecovery &recovery() const { return Recovery; }
 
-  /// Renders the index as an aligned table (`kremlin serve` startup log,
-  /// tests).
-  std::string renderIndex() const;
-
 private:
   /// Crash-safe write of \p Contents to \p Path. The fault::Site::StoreWrite
   /// drill fires here: a "failed" write leaves a half-written `.tmp` behind

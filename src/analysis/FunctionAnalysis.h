@@ -16,6 +16,8 @@
 /// so the work per loop follows the loop's size, not the function's.
 /// LoopView is one loop as the per-loop passes read it: it marks the loop
 /// in the arena and answers the per-loop definition queries they share.
+/// ArrayBase and basesMayAlias are the one array alias rule that
+/// reduction marking and the loop analyzer share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,6 +61,26 @@ struct DefIndex {
             ValueBegin[V + 1] - ValueBegin[V]};
   }
 };
+
+/// What an address register points into, as the static passes resolve
+/// it: a global or frame array (the id is its array id), an array
+/// parameter (the id is its register), or Unknown.
+enum class ArrayBase : unsigned char { Global, Frame, Param, Unknown };
+
+/// May bases (\p K1, \p Id1) and (\p K2, \p Id2) overlap? Identical
+/// bases always do. Distinct globals never do, and a frame array meets no
+/// other base (an activation cannot be its own caller). An array
+/// parameter may alias any global or other parameter, and an Unknown base
+/// anything.
+inline bool basesMayAlias(ArrayBase K1, uint32_t Id1, ArrayBase K2,
+                          uint32_t Id2) {
+  if (K1 == ArrayBase::Unknown || K2 == ArrayBase::Unknown ||
+      (K1 == K2 && Id1 == Id2))
+    return true;
+  if (K1 == ArrayBase::Frame || K2 == ArrayBase::Frame)
+    return false;
+  return K1 == ArrayBase::Param || K2 == ArrayBase::Param;
+}
 
 /// The per-function analyses a stage shares between its passes.
 struct FunctionAnalysis {

@@ -2,8 +2,11 @@
 
 #include "analysis/Induction.h"
 
+#include "analysis/DataFlow.h"
+
 #include <algorithm>
 #include <set>
+#include <utility>
 
 using namespace kremlin;
 
@@ -172,6 +175,25 @@ private:
     std::sort(Candidates.begin(), Candidates.end());
     Candidates.erase(std::unique(Candidates.begin(), Candidates.end()),
                      Candidates.end());
+    // A reduction's accumulator op must be its register's only in-loop
+    // reader. Reads are counted once per loop, in the scratch's
+    // per-register slots, when the first reduction needs them.
+    std::vector<unsigned> &Reads = View.Scratch.slots();
+    bool Counted = false;
+    auto OnlyReader = [&](ValueId V) {
+      if (!Counted) {
+        for (ValueId C : Candidates)
+          Reads[C] = 0;
+        for (BlockId B : View.L.Blocks)
+          for (const Instruction &I : F.Blocks[B].Insts)
+            forEachUse(F, I, [&Reads](ValueId U) {
+              if (U < Reads.size() && Reads[U] != LoopScratch::NoSlot)
+                ++Reads[U];
+            });
+        Counted = true;
+      }
+      return Reads[V] == 1;
+    };
     for (ValueId V : Candidates) {
       const DefSite *MoveDef = View.singleDef(V);
       if (!MoveDef)
@@ -220,11 +242,14 @@ private:
         // kept its control dependence, the loop test would re-serialize
         // through it. Break it as well.
         MoveInst.IsInductionUpdate = true;
-      } else if (!OpInst.IsReductionUpdate) {
+      } else if (!OpInst.IsReductionUpdate && OnlyReader(V)) {
         OpInst.IsReductionUpdate = true;
         ++Result.NumReductionUpdates;
       }
     }
+    if (Counted)
+      for (ValueId C : Candidates)
+        Reads[C] = LoopScratch::NoSlot;
   }
 
   /// Structural equality of two address-computation chains. Leaves compare
@@ -265,8 +290,53 @@ private:
     }
   }
 
-  /// Memory reduction: Store(addr, t) where t = Op(load(addr'), e) and
-  /// addr' computes the same address as addr.
+  /// The array an address register points into, following Move and
+  /// PtrAdd bases the way the loop analyzer resolves addresses.
+  std::pair<ArrayBase, uint32_t> baseOf(ValueId V) const {
+    const DefIndex &DI = View.FA.Defs;
+    for (unsigned Depth = 0; Depth < 16 && V != NoValue; ++Depth) {
+      const DefSite *Def = nullptr;
+      if (View.defines(V))
+        Def = View.singleDef(V);
+      else if (DI.defsOf(V).size() == 1)
+        Def = &DI.Defs[DI.defsOf(V)[0]];
+      else if (DI.defsOf(V).empty() && V < F.NumParams)
+        return {ArrayBase::Param, V};
+      if (!Def)
+        break;
+      const Instruction &I = View.inst(*Def);
+      if (I.Op == Opcode::GlobalAddr)
+        return {ArrayBase::Global, I.Aux};
+      if (I.Op == Opcode::FrameAddr)
+        return {ArrayBase::Frame, I.Aux};
+      if (I.Op != Opcode::Move && I.Op != Opcode::PtrAdd)
+        break;
+      V = I.A;
+    }
+    return {ArrayBase::Unknown, 0};
+  }
+
+  /// True when nothing in the loop but \p Own, the update's own load, may
+  /// read the cell at \p Addr: no other load that may reach its array, and
+  /// no call.
+  bool onlyLoadOfCell(ValueId Addr, const Instruction &Own) const {
+    auto [Kind, Id] = baseOf(Addr);
+    for (BlockId B : View.L.Blocks)
+      for (const Instruction &I : F.Blocks[B].Insts) {
+        if (I.Op == Opcode::Call)
+          return false;
+        if (I.Op != Opcode::Load || &I == &Own)
+          continue;
+        auto [LoadKind, LoadId] = baseOf(I.A);
+        if (basesMayAlias(Kind, Id, LoadKind, LoadId))
+          return false;
+      }
+    return true;
+  }
+
+  /// Memory reduction: Store(addr, t) where t = Op(load(addr'), e), addr'
+  /// computes the same address as addr, and that load is the loop's only
+  /// read of the cell.
   void markMemoryReductions() {
     for (BlockId BB : View.L.Blocks) {
       for (const Instruction &Store : F.Blocks[BB].Insts) {
@@ -287,7 +357,8 @@ private:
           const Instruction &LoadInst = View.inst(*LDef);
           if (LoadInst.Op != Opcode::Load)
             return false;
-          return sameValueChain(LoadInst.A, Store.A, /*Depth=*/16);
+          return sameValueChain(LoadInst.A, Store.A, /*Depth=*/16) &&
+                 onlyLoadOfCell(Store.A, LoadInst);
         };
 
         if (LoadMatches(OpInst.A)) {

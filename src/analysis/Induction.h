@@ -15,9 +15,14 @@
 /// Detected patterns, per natural loop:
 ///  - scalar induction:  v = v ⊕ c   with c loop-invariant (⊕ ∈ +,-);
 ///  - scalar reduction:  v = v ⊕ e   with e loop-variant but independent of
-///    v (⊕ ∈ +,-,*; float or int);
+///    v (⊕ ∈ +,-,*; float or int), and no other in-loop read of v;
 ///  - memory reduction:  a[idx] = a[idx] ⊕ e  recognized by structural
-///    equality of the load/store address expressions.
+///    equality of the load/store address expressions, with no other
+///    in-loop load that may reach a's array and no call in the loop.
+///
+/// A reduction's running value may be read inside its loop only by the
+/// next instance of its own update; otherwise breaking the dependence
+/// would make a prefix sum or an exit on the running sum look parallel.
 ///
 /// The pass mutates the IR: it sets Instruction::IsInductionUpdate /
 /// IsReductionUpdate and normalizes commutative operands so the broken

@@ -99,8 +99,8 @@ struct MemAccess {
   unsigned Idx = 0;
   unsigned Line = 0;
   /// Address resolution state.
-  enum class Base : unsigned char { Global, Frame, Param, Unknown } Kind =
-      Base::Unknown;
+  using Base = ArrayBase;
+  Base Kind = Base::Unknown;
   uint32_t BaseId = 0;
   bool OffsetKnown = false;
   Affine Offset;
@@ -110,18 +110,6 @@ struct MemAccess {
   /// Stores only: the reduction operator when ReductionStore is set.
   Opcode ReductionOpc = Opcode::Add;
 };
-
-/// May two resolved bases overlap? Identical (Kind, Id) tuples always do;
-/// distinct globals and distinct frame arrays never do; an array parameter
-/// may alias any global or any other parameter.
-bool basesMayAlias(MemAccess::Base K1, uint32_t Id1, MemAccess::Base K2,
-                   uint32_t Id2) {
-  if (K1 == K2 && Id1 == Id2)
-    return true;
-  if (K1 == MemAccess::Base::Frame || K2 == MemAccess::Base::Frame)
-    return false;
-  return K1 == MemAccess::Base::Param || K2 == MemAccess::Base::Param;
-}
 
 /// Per-loop evaluation context: affine forms for registers, address
 /// resolution, and iteration-cost estimation, all read through the loop's

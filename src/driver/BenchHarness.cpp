@@ -58,38 +58,16 @@ double elapsedMs(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Writes a Chrome trace of one benchmark to \p Path, synthesized from its
-/// own stage timings. The process-wide trace ring is shared by every
-/// concurrent worker, so per-benchmark traces are rebuilt from the run's
-/// private StageMs copy instead of the interleaved global stream.
-Status writeStageTrace(const DriverResult &R, std::string Path) {
-  std::vector<telemetry::TraceEvent> Events;
-  uint64_t CursorUs = 0;
-  for (const auto &[StageName, Ms] : R.StageMs) {
-    telemetry::TraceEvent E;
-    E.K = telemetry::TraceEvent::Kind::Span;
-    E.Name = "pipeline." + StageName;
-    E.Category = "bench";
-    E.Tid = 1;
-    E.TimeUs = CursorUs;
-    E.DurUs = static_cast<uint64_t>(Ms * 1000.0);
-    CursorUs += E.DurUs;
-    Events.push_back(std::move(E));
-  }
-  Expected<std::unique_ptr<telemetry::FileTraceSink>> Sink =
-      telemetry::FileTraceSink::open(std::move(Path));
-  if (!Sink.ok())
-    return Sink.status();
-  (*Sink)->writeBatch(std::move(Events));
-  return (*Sink)->close();
-}
-
 /// Profiles one program through a private pipeline instance and reads
 /// its figures off the run. Each call constructs its own KremlinDriver, and
 /// through it its own Interpreter, ShadowMemory, and KremlinRuntime — no
-/// state is shared between concurrent calls.
+/// state is shared between concurrent calls. One bench.program span
+/// encloses the run's stage spans, which all sit on the calling thread;
+/// its label tells a benchmark's train and ref-input runs apart.
 BenchTaskResult runOneProgram(const FigureProgram &P,
                               const BenchSuiteOptions &Opts) {
+  telemetry::Span ProgramSpan("bench.program", "bench");
+  ProgramSpan.arg("program", runLabel(P));
   BenchTaskResult Out;
   Out.Outcome.Name = P.Name;
   auto Start = std::chrono::steady_clock::now();
@@ -121,17 +99,14 @@ BenchTaskResult runOneProgram(const FigureProgram &P,
     for (const auto &[StageName, Ms] : R->StageMs)
       Out.RunStats[Name + "." + StageName + "_wall_ms"] = Ms;
 
-    if (!Opts.TraceDir.empty()) {
-      const std::string Base = Opts.TraceDir + "/" + Name;
-      if (!writeStageTrace(*R, Base + ".json").ok() ||
-          !writeStringToFile(Base + ".speedscope.json",
-                             report::renderView(*R->Profile, *R->Dict,
-                                                "speedscope", Name)
-                                 .takeValue()))
-        telemetry::logf(telemetry::LogLevel::Warn, "bench",
-                        "cannot write per-benchmark trace under '%s'",
-                        Opts.TraceDir.c_str());
-    }
+    if (!Opts.TraceDir.empty() &&
+        !writeStringToFile(Opts.TraceDir + "/" + Name + ".speedscope.json",
+                           report::renderView(*R->Profile, *R->Dict,
+                                              "speedscope", Name)
+                               .takeValue()))
+      telemetry::logf(telemetry::LogLevel::Warn, "bench",
+                      "cannot write a speedscope profile under '%s'",
+                      Opts.TraceDir.c_str());
     Out.RunStats[Name + ".wall_ms"] = elapsedMs(Start);
   }
   if (P.K == FigureProgram::Kind::Benchmark ||
@@ -140,53 +115,31 @@ BenchTaskResult runOneProgram(const FigureProgram &P,
   return Out;
 }
 
-/// The harness worker boundary. Everything a run can do wrong stops here:
-/// C++ exceptions are caught and recorded (a throwing worker must not
-/// surface through the ThreadPool future as a top-level crash killing the
-/// sibling runs), and a post-hoc wall-clock deadline overrun earns one
-/// retry before the run is marked failed.
+/// The harness worker boundary: a C++ exception from one run is caught
+/// and recorded as that run's failure, so it never reaches parallelFor and
+/// the sibling runs complete.
 BenchTaskResult runGuarded(const FigureProgram &P,
                            const BenchSuiteOptions &Opts) {
-  for (unsigned Attempt = 1;; ++Attempt) {
-    BenchTaskResult Out;
-    auto Start = std::chrono::steady_clock::now();
-    try {
-      if (fault::enabled() && fault::shouldFail(fault::Site::BenchThrow))
-        throw std::runtime_error("injected bench worker exception "
-                                 "(KREMLIN_FAULT=" +
-                                 fault::activeSpec() + ")");
-      Out = runOneProgram(P, Opts);
-    } catch (const std::exception &E) {
-      Out.Outcome.Name = P.Name;
-      Out.fail(runLabel(P),
-               Status::error(ErrorCode::ExecutionError, E.what())
-                   .withInput(P.Name)
-                   .toString());
-    } catch (...) {
-      Out.Outcome.Name = P.Name;
-      Out.fail(runLabel(P),
-               Status::error(ErrorCode::ExecutionError,
-                             "non-standard exception from bench worker")
-                   .withInput(P.Name)
-                   .toString());
-    }
-    Out.Outcome.Attempts = Attempt;
-    double Ms = elapsedMs(Start);
-    if (Opts.DeadlineMs <= 0.0 || Ms <= Opts.DeadlineMs ||
-        Out.Outcome.failed())
-      return Out;
-    if (Attempt >= 2) {
-      Out.fail(runLabel(P),
-               Status::error(
-                   ErrorCode::DeadlineExceeded,
-                   formatString("wall-clock deadline (%.0f ms) exceeded "
-                                "(%.0f ms on attempt %u)",
-                                Opts.DeadlineMs, Ms, Attempt))
-                   .withInput(P.Name)
-                   .toString());
-      return Out;
-    }
+  BenchTaskResult Out;
+  try {
+    if (fault::enabled() && fault::shouldFail(fault::Site::BenchThrow))
+      throw std::runtime_error("injected bench worker exception "
+                               "(KREMLIN_FAULT=" +
+                               fault::activeSpec() + ")");
+    return runOneProgram(P, Opts);
+  } catch (const std::exception &E) {
+    Out.fail(runLabel(P), Status::error(ErrorCode::ExecutionError, E.what())
+                              .withInput(P.Name)
+                              .toString());
+  } catch (...) {
+    Out.fail(runLabel(P),
+             Status::error(ErrorCode::ExecutionError,
+                           "non-standard exception from bench worker")
+                 .withInput(P.Name)
+                 .toString());
   }
+  Out.Outcome.Name = P.Name;
+  return Out;
 }
 
 } // namespace
@@ -217,14 +170,13 @@ BenchSuiteResult kremlin::runBenchSuite(const BenchSuiteOptions &Opts) {
 
   std::vector<FigureProgram> Programs =
       figurePrograms(Names, Opts.Benchmarks.empty());
-  ThreadPool Pool(Opts.Threads);
-  Result.ThreadsUsed = Pool.size();
-
-  std::vector<std::future<BenchTaskResult>> Futures;
-  Futures.reserve(Programs.size());
-  for (const FigureProgram &P : Programs)
-    Futures.push_back(
-        Pool.submit([&P, &Opts]() { return runGuarded(P, Opts); }));
+  std::vector<BenchTaskResult> Tasks(Programs.size());
+  parallelFor(Programs.size(), [&](size_t I) {
+    Tasks[I] = runGuarded(Programs[I], Opts);
+  });
+  // parallelFor runs on the caller and one helper per further CPU.
+  Result.ThreadsUsed = static_cast<unsigned>(
+      std::clamp<size_t>(Programs.size(), 1, availableCpus()));
 
   // A benchmark's two runs share one outcome: it fails when either does,
   // and then contributes no numbers at all.
@@ -235,16 +187,8 @@ BenchSuiteResult kremlin::runBenchSuite(const BenchSuiteOptions &Opts) {
     std::unique_ptr<DriverResult> Train, Ref;
   };
   std::map<std::string, Pending> ByName;
-  for (size_t I = 0; I < Futures.size(); ++I) {
-    BenchTaskResult Task;
-    try {
-      Task = Futures[I].get();
-    } catch (const std::exception &E) {
-      // Belt and braces: runGuarded already catches, but nothing
-      // propagated through the future may take down the suite.
-      Task.Outcome.Name = Programs[I].Name;
-      Task.fail(runLabel(Programs[I]), E.what());
-    }
+  for (size_t I = 0; I < Tasks.size(); ++I) {
+    BenchTaskResult &Task = Tasks[I];
     auto [It, New] = ByName.try_emplace(Programs[I].Name);
     Pending &P = It->second;
     if (New) {
@@ -252,7 +196,6 @@ BenchSuiteResult kremlin::runBenchSuite(const BenchSuiteOptions &Opts) {
       Result.Outcomes.push_back(Task.Outcome);
     }
     BenchmarkOutcome &O = Result.Outcomes[P.Outcome];
-    O.Attempts = std::max(O.Attempts, Task.Outcome.Attempts);
     if (Task.Outcome.failed() && !O.failed()) {
       O.Status = Task.Outcome.Status;
       O.Error = Task.Outcome.Error;
@@ -309,7 +252,6 @@ std::string kremlin::suiteResultToJson(const BenchSuiteResult &Result) {
   for (const BenchmarkOutcome &O : Result.Outcomes) {
     JsonValue Entry = JsonValue::makeObject();
     Entry.set("status", JsonValue(O.Status));
-    Entry.set("attempts", JsonValue(static_cast<double>(O.Attempts)));
     if (O.failed())
       Entry.set("error", JsonValue(O.Error));
     Benchmarks.set(O.Name, std::move(Entry));

@@ -5,15 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The `kremlin-bench` harness: runs the paper benchmark suite through the
-/// full pipeline — each profiled program on its own ThreadPool worker with
-/// its own Interpreter + ShadowMemory + KremlinRuntime instance, so runs
-/// are embarrassingly parallel — and collects every number of the paper's
-/// figures and tables (PaperFigures.h) as a flat metric map. That map is
-/// what a checked-in `bench/baseline.json` is written from and compared
-/// against, every entry exactly (relative error at most 1e-9). Wall times
-/// and the run's shape (threads, failures) live in a second map that only
-/// `BENCH_results.json` receives, so no timing can reach the gate.
+/// The `kremlin-bench` harness: runs the paper benchmark suite through the full
+/// pipeline — the profiled programs fan out through parallelFor, each with its
+/// own Interpreter + ShadowMemory + KremlinRuntime instance, so runs are
+/// embarrassingly parallel — and collects every number of the paper's figures
+/// and tables (PaperFigures.h) as a flat metric map. That map is what a
+/// checked-in `bench/baseline.json` is written from and compared against, every
+/// entry exactly (relative error at most 1e-9). Wall times and the run's shape
+/// (threads, failures) live in a second map that only `BENCH_results.json`
+/// receives, so no timing can reach the gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,21 +36,12 @@ using MetricMap = std::map<std::string, double>;
 
 /// Configuration for one suite run.
 struct BenchSuiteOptions {
-  /// Worker threads; 0 = the CPUs this process may run on.
-  unsigned Threads = 0;
   /// Planner personality used for every benchmark.
   std::string PersonalityName = "openmp";
   /// Subset of paper benchmark names; empty = the full suite, which also
   /// profiles the programs only Figs. 2–3 and 5 and §4.4's cg sweep use.
   std::vector<std::string> Benchmarks;
-  /// Per-run wall-clock deadline in ms (0 = off). The check is post-hoc
-  /// (runs are in-process and cannot be preempted): a run that finishes
-  /// over the deadline gets one retry; a second overrun records its
-  /// program as failed with DeadlineExceeded.
-  double DeadlineMs = 0.0;
-  /// When set, each benchmark writes a per-run Chrome trace (synthesized
-  /// from its own stage timings, so concurrent workers never interleave)
-  /// to "<TraceDir>/<name>.json" and its speedscope profile to
+  /// When set, each benchmark writes its speedscope profile to
   /// "<TraceDir>/<name>.speedscope.json". The directory is created.
   std::string TraceDir;
 };
@@ -63,8 +54,6 @@ struct BenchmarkOutcome {
   std::string Status = "ok";
   /// The error line when failed ("" otherwise).
   std::string Error;
-  /// 1 normally; 2 after a deadline-triggered retry.
-  unsigned Attempts = 1;
 
   bool failed() const { return Status != "ok"; }
 };
@@ -85,6 +74,8 @@ struct BenchSuiteResult {
   /// One entry per requested benchmark, in request order, then one per
   /// figure-only program (full-suite runs).
   std::vector<BenchmarkOutcome> Outcomes;
+  /// The fan-out's width: the CPUs this process may run on, at most one
+  /// per program.
   unsigned ThreadsUsed = 1;
   /// Pipeline failures ("<bench>: <error>"); empty on success.
   std::vector<std::string> Errors;
@@ -96,7 +87,8 @@ struct BenchSuiteResult {
   std::vector<std::string> failedBenchmarks() const;
 };
 
-/// Runs the suite across a thread pool.
+/// Runs the suite, one program per parallelFor index; the results fold in
+/// program order, so every number is independent of the fan-out's width.
 BenchSuiteResult runBenchSuite(const BenchSuiteOptions &Opts);
 
 /// Serializes a metric map as a results document:
@@ -107,7 +99,7 @@ std::string metricsToJson(const MetricMap &Metrics,
 /// Serializes a full suite result: the metricsToJson document of Metrics
 /// and RunStats together plus a "benchmarks" object recording each
 /// benchmark's completion status:
-///   "benchmarks": {"cg": {"status": "ok", "attempts": 1}, ...}
+///   "benchmarks": {"cg": {"status": "ok"}, ...}
 /// (failed entries additionally carry "error"). parseMetricsJson reads the
 /// document unchanged — the extra object is ignored by metric consumers.
 std::string suiteResultToJson(const BenchSuiteResult &Result);

@@ -457,9 +457,7 @@ int benchMain(const Args &A) {
   bool CheckBaseline = false, UpdateBaseline = false;
   Command C{
       "usage: kremlin-bench [options]   (or: kremlin bench [options])",
-      {{"--threads", "<n>", "worker threads (default: CPUs available)",
-        &Opts.Threads},
-       {"--benchmarks", "<a,b,...>", "subset of the paper suite",
+      {{"--benchmarks", "<a,b,...>", "subset of the paper suite",
         &Opts.Benchmarks},
        {"--personality", "<name>", "planner personality (default openmp)",
         &Opts.PersonalityName},
@@ -471,22 +469,18 @@ int benchMain(const Args &A) {
         "compare against baseline; nonzero on regression", &CheckBaseline},
        {"--update-baseline", "", "rewrite the baseline from this run",
         &UpdateBaseline},
-       {"--deadline-ms", "<n>",
-        "per-benchmark wall-clock deadline; one retry, then the benchmark "
-        "is marked failed",
-        &Opts.DeadlineMs},
        Tel.traceOut(),
        Tel.metricsOut()},
-      "--trace-out also writes per-benchmark traces and speedscope\n"
-      "profiles to bench_traces/ next to the trace file.\n"};
+      "Programs run on every CPU the process may use (taskset limits\n"
+      "them). --trace-out also writes per-benchmark speedscope profiles\n"
+      "to bench_traces/ next to the trace file.\n"};
   if (std::optional<int> Exit = parse(C, A, "bench"))
     return *Exit;
 
   if (!Tel.TracePath.empty()) {
-    // Suite-level spans stream to --trace-out; per-benchmark traces go to a
-    // bench_traces/ directory beside it (workers share one process-wide
-    // ring, so each benchmark's trace is rebuilt from its own stage
-    // timings — see writeStageTrace in BenchHarness.cpp).
+    // Every run's stage spans stream to --trace-out, each run's under its
+    // own bench.program span; speedscope profiles go to a bench_traces/
+    // directory beside it.
     if (!Tel.start("bench"))
       return 1;
     size_t Slash = Tel.TracePath.find_last_of('/');

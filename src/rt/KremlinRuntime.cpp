@@ -17,7 +17,8 @@ const Time ZeroTimes[MaxTrackedLevels] = {};
 KremlinRuntime::KremlinRuntime(const KremlinConfig &Cfg,
                                RegionSummarySink &Sink)
     : Cfg(Cfg), Sink(Sink),
-      Memory(Cfg.NumLevels, Cfg.SegmentWords, Cfg.MaxShadowBytes) {
+      Memory(Cfg.NumLevels, ShadowMemory::DefaultSegmentWords,
+             Cfg.MaxShadowBytes) {
   assert(Cfg.NumLevels >= 1 && Cfg.NumLevels <= MaxTrackedLevels &&
          "NumLevels outside the supported window");
   CurInstance.assign(Cfg.NumLevels, 0);
@@ -324,8 +325,8 @@ void KremlinRuntime::onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr) {
     return;
   const unsigned NL = Cfg.NumLevels;
   Time *FC = FrameCells;
-  // One page-table lookup shadows the word for every level; the per-slot
-  // tally matches the per-slot read() calls of the pre-paging runtime.
+  // One page-table lookup shadows the word for every level; the tally
+  // counts one timestamp read per active level.
   Memory.noteReads(Slots);
   const ShadowCell *MC = Memory.wordCells(Addr);
   const Time *Cd = CdNow;
@@ -360,7 +361,7 @@ void KremlinRuntime::onStore(ValueId ValReg, ValueId AddrReg, uint64_t Addr) {
   Time *FC = FrameCells;
   Memory.noteWrites(Slots);
   // Allocate the page once for all slots; nullptr (budget trip / injected
-  // fault) drops the shadow writes exactly like per-slot write() did.
+  // fault) drops the shadow writes.
   ShadowCell *MC = Memory.wordCellsForWrite(Addr);
   const Time *Cd = CdNow;
   const uint64_t *RW = FrameRowW;

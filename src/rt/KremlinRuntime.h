@@ -52,8 +52,6 @@ struct KremlinConfig {
   unsigned MinLevel = 0;
   /// Number of tracked levels (width of the shadow level arrays).
   unsigned NumLevels = 16;
-  /// Shadow-memory page size in words.
-  uint64_t SegmentWords = 4096;
   /// Shadow-memory byte budget; 0 = unlimited. Tripping it stops the
   /// profiled execution with a ResourceExhausted error instead of OOM.
   uint64_t MaxShadowBytes = 0;

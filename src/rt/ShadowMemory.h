@@ -21,10 +21,11 @@
 /// pages are zeroed before reuse: tag 0 never matches a live region
 /// instance, so a zero page is indistinguishable from fresh memory.
 ///
-/// The per-word hot path for the HCPA runtime is wordCells() /
-/// wordCellsForWrite(): one page lookup returns the whole NumLevels cell
-/// array for a word, so a load/store touches the table once instead of once
-/// per nesting level.
+/// The one access path is wordCells() / wordCellsForWrite(): one page
+/// lookup returns the whole NumLevels cell array for a word, so a load or
+/// store touches the table once instead of once per nesting level. The
+/// caller tallies its per-level timestamp reads and writes with
+/// noteReads() / noteWrites().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +57,12 @@ public:
   /// \p ByteBudget caps total shadow bytes (0 = unlimited): the first
   /// allocation that would exceed it records a ResourceExhausted status and
   /// later writes to unallocated pages become no-ops.
-  explicit ShadowMemory(unsigned NumLevels, uint64_t SegmentWords = 4096,
+  explicit ShadowMemory(unsigned NumLevels,
+                        uint64_t SegmentWords = DefaultSegmentWords,
                         uint64_t ByteBudget = 0);
+
+  /// The page size the runtime uses, in words.
+  static constexpr uint64_t DefaultSegmentWords = 4096;
 
   ShadowMemory(const ShadowMemory &) = delete;
   ShadowMemory &operator=(const ShadowMemory &) = delete;
@@ -93,31 +98,8 @@ public:
     return P + (Addr & PageMask) * NumLevels;
   }
 
-  /// Reads the time for \p Addr at level slot \p Slot, tag-checked against
-  /// \p Tag: a missing page or stale tag reads as 0.
-  Time read(uint64_t Addr, unsigned Slot, uint64_t Tag) const {
-    ++Reads;
-    const ShadowCell *Cells = wordCells(Addr);
-    if (!Cells)
-      return 0;
-    return Cells[Slot].Tag == Tag ? Cells[Slot].T : 0;
-  }
-
-  /// Writes time \p T for \p Addr at level slot \p Slot with tag \p Tag,
-  /// allocating the page on first touch. Once the byte budget trips the
-  /// write is dropped (status() reports the error; the caller polls it at a
-  /// coarse boundary rather than per write).
-  void write(uint64_t Addr, unsigned Slot, uint64_t Tag, Time T) {
-    ++Writes;
-    ShadowCell *Cells = wordCellsForWrite(Addr);
-    if (!Cells)
-      return;
-    Cells[Slot].Tag = Tag;
-    Cells[Slot].T = T;
-  }
-
-  /// Batch-counting entry points for the runtime, which tallies one logical
-  /// timestamp read/write per active level but touches the page table once.
+  /// Tallies \p N timestamp reads or writes: the runtime counts one per
+  /// active level of a load or store, which looks its page up once.
   void noteReads(uint64_t N) const { Reads += N; }
   void noteWrites(uint64_t N) { Writes += N; }
 
@@ -192,7 +174,7 @@ private:
 
   uint64_t AllocatedPages = 0;
   uint64_t PeakPages = 0;
-  mutable uint64_t Reads = 0; ///< read() is logically const; the tally isn't.
+  mutable uint64_t Reads = 0; ///< noteReads() is const; the tally isn't.
   uint64_t Writes = 0;
   uint64_t ReleasedPages = 0;
 };

@@ -343,7 +343,7 @@ void Server::acceptLoop() {
       continue;
     }
     uint64_t AcceptUs = tel::nowUs();
-    Pool->submit([this, Fd, AcceptUs] { handleConnection(Fd, AcceptUs); });
+    Pool->post([this, Fd, AcceptUs] { handleConnection(Fd, AcceptUs); });
   }
 }
 

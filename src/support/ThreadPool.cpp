@@ -2,9 +2,13 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/Telemetry.h"
+
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <exception>
+#include <memory>
 #include <sched.h>
 
 using namespace kremlin;
@@ -20,8 +24,7 @@ unsigned kremlin::availableCpus() {
 }
 
 ThreadPool::ThreadPool(unsigned NumThreads) {
-  if (NumThreads == 0)
-    NumThreads = availableCpus();
+  assert(NumThreads > 0 && "a pool without workers never runs a task");
   Workers.reserve(NumThreads);
   for (unsigned I = 0; I < NumThreads; ++I)
     Workers.emplace_back([this]() { workerLoop(); });
@@ -37,10 +40,10 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> Job) {
+void ThreadPool::post(std::function<void()> Task) {
   {
     std::unique_lock<std::mutex> Lock(Mutex);
-    Queue.push_back(std::move(Job));
+    Queue.push_back(std::move(Task));
   }
   WorkAvailable.notify_one();
 }
@@ -51,11 +54,6 @@ void ThreadPool::wait() {
                [this]() { return Queue.empty() && ActiveTasks == 0; });
 }
 
-size_t ThreadPool::queuedTasks() const {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  return Queue.size();
-}
-
 void ThreadPool::workerLoop() {
   while (true) {
     std::function<void()> Job;
@@ -63,15 +61,21 @@ void ThreadPool::workerLoop() {
       std::unique_lock<std::mutex> Lock(Mutex);
       WorkAvailable.wait(
           Lock, [this]() { return ShuttingDown || !Queue.empty(); });
-      // Drain the queue even when shutting down: submitted futures must
-      // complete.
+      // Drain the queue even when shutting down: every posted task runs.
       if (Queue.empty())
         return;
       Job = std::move(Queue.front());
       Queue.pop_front();
       ++ActiveTasks;
     }
-    Job(); // packaged_task captures any exception into the future.
+    try {
+      Job();
+    } catch (const std::exception &E) {
+      telemetry::logf(telemetry::LogLevel::Error, "pool",
+                      "task threw: %s", E.what());
+    } catch (...) {
+      telemetry::logError("pool", "task threw a non-standard exception");
+    }
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       --ActiveTasks;
@@ -151,7 +155,7 @@ void kremlin::parallelFor(size_t N, const std::function<void(size_t)> &Fn) {
   size_t Helpers = std::min<size_t>(Pool->size(), N - 1);
   for (size_t H = 0; H < Helpers; ++H) {
     try {
-      Pool->submit([Loop]() { Loop->work(); });
+      Pool->post([Loop]() { Loop->work(); });
     } catch (...) {
       // Out of memory while enqueueing leaves fewer helpers, and the
       // caller claims what they would have. Unwinding instead would leave

@@ -5,17 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size thread pool with a single FIFO queue (no work stealing —
-/// our workloads are coarse-grained pipeline runs, so a shared queue is
-/// both simpler and fair). Tasks are submitted as callables and return
-/// std::futures; exceptions thrown by a task propagate through its future.
-/// The pool is reusable: wait() drains outstanding work and the pool then
-/// accepts new submissions. With one worker the pool executes tasks in
-/// strict submission order, which the tests rely on.
+/// A fixed-size thread pool with a single FIFO queue: fixed workers run
+/// posted tasks. It has two users, the helpers behind parallelFor and the
+/// HTTP server's connection handlers. A task that throws is caught and
+/// logged on its worker. The pool is reusable: wait() drains outstanding
+/// work and the pool then accepts new tasks. With one worker the pool runs
+/// tasks in strict posting order.
 ///
 /// parallelFor spreads the iterations of one loop over the calling thread
-/// and a process-wide pool of helpers; the front end uses it to analyze
-/// the functions of a module at once.
+/// and a process-wide pool of helpers. It is the process's one fan-out
+/// rule: the front end analyzes the functions of a module with it, and
+/// kremlin-bench profiles the suite's programs with it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,11 +26,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace kremlin {
@@ -42,8 +39,8 @@ unsigned availableCpus();
 /// Fixed pool of worker threads consuming a shared FIFO queue.
 class ThreadPool {
 public:
-  /// Spawns \p NumThreads workers; 0 means availableCpus().
-  explicit ThreadPool(unsigned NumThreads = 0);
+  /// Spawns \p NumThreads workers (at least one).
+  explicit ThreadPool(unsigned NumThreads);
 
   /// Drains the queue, waits for running tasks, and joins the workers.
   ~ThreadPool();
@@ -54,30 +51,18 @@ public:
   /// Number of worker threads.
   unsigned size() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// Enqueues \p Fn; the returned future yields its result (or rethrows
-  /// its exception).
-  template <typename F>
-  auto submit(F &&Fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto Task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(Fn));
-    std::future<R> Result = Task->get_future();
-    enqueue([Task]() { (*Task)(); });
-    return Result;
-  }
+  /// Enqueues \p Task. An exception it throws is logged as an error on
+  /// its worker and goes no further; the pool keeps running.
+  void post(std::function<void()> Task);
 
   /// Blocks until every queued and running task has finished. The pool
   /// stays usable afterwards.
   void wait();
 
-  /// Tasks waiting in the queue (racy; for tests and reporting).
-  size_t queuedTasks() const;
-
 private:
-  void enqueue(std::function<void()> Job);
   void workerLoop();
 
-  mutable std::mutex Mutex;
+  std::mutex Mutex;
   std::condition_variable WorkAvailable;
   std::condition_variable AllIdle;
   std::deque<std::function<void()>> Queue;

@@ -1,7 +1,7 @@
 //===- tests/BenchHarnessTest.cpp - kremlin-bench harness tests -----------===//
 //
 // Covers the regression-baseline machinery end-to-end: run a (subset)
-// suite across the thread pool, round-trip the metrics through JSON, and
+// suite through parallelFor, round-trip the metrics through JSON, and
 // exercise the exact baseline comparison — including a deliberately
 // regressed metric, which must fail the check.
 //
@@ -9,14 +9,20 @@
 
 #include "driver/BenchHarness.h"
 
+#include "TestUtil.h"
 #include "support/FaultInjection.h"
 #include "support/Json.h"
+#include "support/ThreadPool.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <filesystem>
 #include <limits>
+#include <set>
+
+#include <unistd.h>
 
 using namespace kremlin;
 
@@ -32,7 +38,6 @@ struct FaultGuard {
 const BenchSuiteResult &sharedRun() {
   static BenchSuiteResult Result = [] {
     BenchSuiteOptions Opts;
-    Opts.Threads = 2;
     Opts.Benchmarks = {"ep", "cg"};
     return runBenchSuite(Opts);
   }();
@@ -42,7 +47,8 @@ const BenchSuiteResult &sharedRun() {
 TEST(BenchHarness, SuiteRunProducesMetrics) {
   const BenchSuiteResult &R = sharedRun();
   ASSERT_TRUE(R.succeeded());
-  EXPECT_EQ(R.ThreadsUsed, 2u);
+  // Four runs (ep and cg, each also at its ref input), one per CPU.
+  EXPECT_EQ(R.ThreadsUsed, std::min(availableCpus(), 4u));
   // Every benchmark contributes its full metric family, one key per paper
   // figure family included: Figs. 6(b), 7, 8 and 9, §4.4, §5.1, §6.1,
   // §6.2 and the planner ablation.
@@ -71,24 +77,8 @@ TEST(BenchHarness, SuiteRunProducesMetrics) {
   EXPECT_GE(R.Metrics.at("ep.max_self_parallelism"), 1.0);
 }
 
-TEST(BenchHarness, ParallelRunsMatchSerialRuns) {
-  BenchSuiteOptions Serial;
-  Serial.Threads = 1;
-  Serial.Benchmarks = {"ep", "cg"};
-  BenchSuiteResult SerialRun = runBenchSuite(Serial);
-  ASSERT_TRUE(SerialRun.succeeded());
-
-  ASSERT_EQ(SerialRun.Metrics.size(), sharedRun().Metrics.size());
-  for (const auto &M : sharedRun().Metrics) {
-    ASSERT_TRUE(SerialRun.Metrics.count(M.first)) << M.first;
-    EXPECT_DOUBLE_EQ(SerialRun.Metrics.at(M.first), M.second)
-        << M.first << " differs between 1-thread and 2-thread runs";
-  }
-}
-
 TEST(BenchHarness, UnknownBenchmarkReportsError) {
   BenchSuiteOptions Opts;
-  Opts.Threads = 1;
   Opts.Benchmarks = {"no-such-benchmark"};
   BenchSuiteResult R = runBenchSuite(Opts);
   EXPECT_FALSE(R.succeeded());
@@ -103,7 +93,6 @@ TEST(BenchHarness, FailedBenchmarkDoesNotAbortTheSuite) {
   // One benchmark's pipeline fails (unknown name); the others must still
   // complete and contribute their full metric families.
   BenchSuiteOptions Opts;
-  Opts.Threads = 2;
   Opts.Benchmarks = {"ep", "no-such-benchmark", "cg"};
   BenchSuiteResult R = runBenchSuite(Opts);
   EXPECT_FALSE(R.succeeded());
@@ -121,11 +110,10 @@ TEST(BenchHarness, FailedBenchmarkDoesNotAbortTheSuite) {
 TEST(BenchHarness, WorkerExceptionIsCaughtAtTheHarnessBoundary) {
   // KREMLIN_FAULT=bench_throw makes every worker throw; the harness must
   // record per-benchmark failures instead of letting the exception escape
-  // a ThreadPool future and crash the process.
+  // parallelFor and abort the suite.
   FaultGuard Guard;
   ASSERT_TRUE(fault::configure("bench_throw"));
   BenchSuiteOptions Opts;
-  Opts.Threads = 2;
   Opts.Benchmarks = {"ep", "cg"};
   BenchSuiteResult R = runBenchSuite(Opts);
   fault::reset();
@@ -146,7 +134,6 @@ TEST(BenchHarness, StageFaultMarksBenchmarkFailed) {
   FaultGuard Guard;
   ASSERT_TRUE(fault::configure("stage:execute"));
   BenchSuiteOptions Opts;
-  Opts.Threads = 1;
   Opts.Benchmarks = {"ep"};
   BenchSuiteResult R = runBenchSuite(Opts);
   fault::reset();
@@ -176,30 +163,6 @@ TEST(BenchHarness, SuiteResultJsonRecordsOutcomes) {
   EXPECT_NE(Json.find("\"status\": \"ok\""), std::string::npos) << Json;
 }
 
-TEST(BenchHarness, DeadlineOverrunFailsAfterOneRetry) {
-  BenchSuiteOptions Opts;
-  Opts.Threads = 1;
-  Opts.Benchmarks = {"ep"};
-  Opts.DeadlineMs = 1e-6; // Unmeetable: any real run overshoots.
-  BenchSuiteResult R = runBenchSuite(Opts);
-  ASSERT_EQ(R.Outcomes.size(), 1u);
-  EXPECT_TRUE(R.Outcomes[0].failed());
-  EXPECT_EQ(R.Outcomes[0].Attempts, 2u);
-  EXPECT_NE(R.Outcomes[0].Error.find("deadline"), std::string::npos)
-      << R.Outcomes[0].Error;
-}
-
-TEST(BenchHarness, GenerousDeadlinePasses) {
-  BenchSuiteOptions Opts;
-  Opts.Threads = 1;
-  Opts.Benchmarks = {"ep"};
-  Opts.DeadlineMs = 600000.0;
-  BenchSuiteResult R = runBenchSuite(Opts);
-  ASSERT_EQ(R.Outcomes.size(), 1u);
-  EXPECT_FALSE(R.Outcomes[0].failed());
-  EXPECT_EQ(R.Outcomes[0].Attempts, 1u);
-}
-
 TEST(BenchHarness, ExcludedBenchmarksAreInformationalInBaseline) {
   const BenchSuiteResult &R = sharedRun();
   std::string Baseline = makeBaselineJson(R.Metrics);
@@ -226,7 +189,6 @@ TEST(BenchHarness, ExcludedBenchmarksAreInformationalInBaseline) {
   // The suite.* aggregates of a run without cg cover ep alone: none may
   // read as a regression, nor as missing when every benchmark failed.
   BenchSuiteOptions EpOnly;
-  EpOnly.Threads = 1;
   EpOnly.Benchmarks = {"ep"};
   MetricMap Aggregated = runBenchSuite(EpOnly).Metrics;
   EXPECT_NE(Aggregated.at("suite.plan_size"), R.Metrics.at("suite.plan_size"));
@@ -284,33 +246,73 @@ TEST(BenchHarness, TimingsStayOutOfTheGatedMetrics) {
                        R.RunStats.at("cg.execute_wall_ms"));
 }
 
-TEST(BenchHarness, TraceDirWritesPerBenchmarkTraces) {
+TEST(BenchHarness, ProgramSpansEncloseTheirStageSpans) {
+  // Every run records one bench.program span, and its pipeline's stage
+  // spans sit inside it on the same thread, whichever thread parallelFor
+  // gave the run. The trace directory receives speedscope profiles only.
+  namespace tel = kremlin::telemetry;
   BenchSuiteOptions Opts;
-  Opts.Threads = 2;
   Opts.Benchmarks = {"ep", "cg"};
-  Opts.TraceDir = ::testing::TempDir() + "/kremlin_bench_traces";
-  BenchSuiteResult R = runBenchSuite(Opts);
-  ASSERT_TRUE(R.succeeded());
-
-  for (const char *Bench : {"ep", "cg"}) {
-    // Each benchmark streams a Chrome trace of its pipeline stages...
-    std::string Json;
-    ASSERT_TRUE(readFileToString(
-        Opts.TraceDir + "/" + Bench + ".json", Json));
-    JsonValue Doc;
-    std::string Error;
-    ASSERT_TRUE(JsonValue::parse(Json, Doc, &Error)) << Error;
-    const JsonValue *Events = Doc.get("traceEvents");
-    ASSERT_NE(Events, nullptr);
-    EXPECT_GT(Events->size(), 0u);
-    // ...and a speedscope profile of its region tree.
-    ASSERT_TRUE(readFileToString(
-        Opts.TraceDir + "/" + Bench + ".speedscope.json", Json));
-    ASSERT_TRUE(JsonValue::parse(Json, Doc, &Error)) << Error;
-    EXPECT_GT(Doc.get("shared")->get("frames")->size(), 0u);
-    std::remove((Opts.TraceDir + "/" + Bench + ".json").c_str());
-    std::remove((Opts.TraceDir + "/" + Bench + ".speedscope.json").c_str());
+  Opts.TraceDir = ::testing::TempDir() + "/kremlin_bench_traces_" +
+                  std::to_string(::getpid());
+  std::filesystem::remove_all(Opts.TraceDir);
+  std::vector<tel::TraceEvent> Events;
+  {
+    test::TraceCapture Capture;
+    ASSERT_TRUE(runBenchSuite(Opts).succeeded());
+    Events = Capture.take();
   }
+
+  std::vector<const tel::TraceEvent *> Runs, Stages;
+  for (const tel::TraceEvent &E : Events) {
+    if (E.K != tel::TraceEvent::Kind::Span)
+      continue;
+    if (E.Name == "bench.program")
+      Runs.push_back(&E);
+    else if (E.Category == "pipeline")
+      Stages.push_back(&E);
+  }
+  std::multiset<std::string> Labels;
+  const std::vector<std::string> StageOrder = {
+      "parse",   "lower",   "verify",   "instrument",
+      "analyze", "execute", "compress", "plan"};
+  for (const tel::TraceEvent *Run : Runs) {
+    auto Arg = std::find_if(Run->Args.begin(), Run->Args.end(),
+                            [](const auto &A) { return A.first == "program"; });
+    ASSERT_NE(Arg, Run->Args.end());
+    Labels.insert(Arg->second);
+    std::vector<std::pair<uint64_t, std::string>> Inside;
+    for (const tel::TraceEvent *S : Stages)
+      if (S->Tid == Run->Tid && S->TimeUs >= Run->TimeUs &&
+          S->TimeUs + S->DurUs <= Run->TimeUs + Run->DurUs)
+        Inside.emplace_back(S->TimeUs, S->Name);
+    std::stable_sort(Inside.begin(), Inside.end(),
+                     [](const auto &X, const auto &Y) {
+                       return X.first < Y.first;
+                     });
+    std::vector<std::string> Names;
+    for (const auto &[TimeUs, Name] : Inside)
+      Names.push_back(Name);
+    EXPECT_EQ(Names, StageOrder) << Arg->second;
+  }
+  EXPECT_EQ(Labels,
+            (std::multiset<std::string>{"ep", "cg", "ep (4x ref input)",
+                                        "cg (4x ref input)"}));
+  EXPECT_EQ(Stages.size(), Runs.size() * StageOrder.size());
+
+  std::set<std::string> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(Opts.TraceDir))
+    Files.insert(Entry.path().filename().string());
+  EXPECT_EQ(Files, (std::set<std::string>{"cg.speedscope.json",
+                                          "ep.speedscope.json"}));
+  for (const std::string &File : Files) {
+    std::string Json, Error;
+    ASSERT_TRUE(readFileToString(Opts.TraceDir + "/" + File, Json));
+    JsonValue Doc;
+    ASSERT_TRUE(JsonValue::parse(Json, Doc, &Error)) << Error;
+    EXPECT_GT(Doc.get("shared")->get("frames")->size(), 0u) << File;
+  }
+  std::filesystem::remove_all(Opts.TraceDir);
 }
 
 TEST(BenchHarness, ParseReadsNullMetricsAsNaN) {

@@ -286,8 +286,8 @@ TEST(Cli, ErrorPathsExitNonZero) {
 TEST(Cli, BenchHarnessEndToEnd) {
   std::string ResultsPath = scratchPath("cli_results.json");
   std::string BaselinePath = scratchPath("cli_baseline.json");
-  std::string Flags = " --threads=2 --benchmarks=ep,cg"
-                      " --out=" + ResultsPath + " --baseline=" + BaselinePath;
+  std::string Flags = " --benchmarks=ep,cg --out=" + ResultsPath +
+                      " --baseline=" + BaselinePath;
 
   // Seed a baseline, then a check against it must pass — through both the
   // dedicated kremlin-bench binary and the `kremlin bench` subcommand.
@@ -335,8 +335,8 @@ TEST(Cli, BenchHarnessEndToEnd) {
 TEST(Cli, UpdateBaselineRetiresMetricsTheRunNoLongerProduces) {
   std::string ResultsPath = scratchPath("retire_results.json");
   std::string BaselinePath = scratchPath("retire_baseline.json");
-  std::string Flags = " --threads=2 --benchmarks=ep --out=" + ResultsPath +
-                      " --baseline=" + BaselinePath;
+  std::string Flags =
+      " --benchmarks=ep --out=" + ResultsPath + " --baseline=" + BaselinePath;
   int Code = 0;
   std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH,
                               "--update-baseline" + Flags, Code);
@@ -384,7 +384,7 @@ TEST(Cli, SubsetUpdateLeavesAFullSuiteBaselineUntouched) {
   ASSERT_TRUE(kremlin::writeStringToFile(BaselinePath, Committed));
   int Code = 0;
   std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH,
-                              "--update-baseline --threads=2 --benchmarks=ep"
+                              "--update-baseline --benchmarks=ep"
                               " --out=" + ResultsPath +
                                   " --baseline=" + BaselinePath,
                               Code);
@@ -402,8 +402,7 @@ TEST(Cli, FailedBenchmarkExitsNonzeroWhileTheGatePasses) {
   // gate itself passes; the failure still sets the exit code.
   std::string ResultsPath = scratchPath("partial_results.json");
   std::string BaselinePath = scratchPath("partial_baseline.json");
-  std::string Common = " --threads=2 --out=" + ResultsPath +
-                       " --baseline=" + BaselinePath;
+  std::string Common = " --out=" + ResultsPath + " --baseline=" + BaselinePath;
   int Code = 0;
   std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH,
                               "--update-baseline --benchmarks=ep" + Common,
@@ -715,9 +714,8 @@ TEST(Cli, HelpListsExactlyEachEntryPointsFlags) {
     return Flags;
   };
   const std::vector<std::string> Bench = {
-      "--threads", "--benchmarks", "--personality", "--out", "--baseline",
-      "--check-baseline", "--update-baseline", "--deadline-ms",
-      "--trace-out", "--metrics-out"};
+      "--benchmarks", "--personality", "--out", "--baseline",
+      "--check-baseline", "--update-baseline", "--trace-out", "--metrics-out"};
   const std::vector<std::pair<std::string, std::vector<std::string>>>
       EntryPoints = {
           {"", Pipeline},
@@ -764,10 +762,14 @@ TEST(Cli, HelpListsExactlyEachEntryPointsFlags) {
   std::string Out = runBinary(KREMLIN_BENCH_TOOL_PATH, "--help", Code);
   EXPECT_EQ(Code, 0) << Out;
   EXPECT_EQ(Listed(Out), std::set<std::string>(Bench.begin(), Bench.end()));
-  // The baseline gate has one rule and no knob.
-  Out = runBinary(KREMLIN_BENCH_TOOL_PATH, "--tolerance=0.5", Code);
-  EXPECT_NE(Code, 0) << Out;
-  EXPECT_NE(Out.find("unknown option"), std::string::npos) << Out;
+  // The baseline gate has one rule and no knob; the suite's width follows
+  // the affinity mask, and a run has no deadline.
+  for (const char *Retired : {"--tolerance=0.5", "--threads=2",
+                              "--deadline-ms=1"}) {
+    Out = runBinary(KREMLIN_BENCH_TOOL_PATH, Retired, Code);
+    EXPECT_NE(Code, 0) << Retired << ":\n" << Out;
+    EXPECT_NE(Out.find("unknown option"), std::string::npos) << Out;
+  }
   // The top-level help keeps its environment notes.
   Out = runTool("--help", Code);
   EXPECT_NE(Out.find("KREMLIN_LOG="), std::string::npos) << Out;

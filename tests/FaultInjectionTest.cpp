@@ -108,12 +108,14 @@ TEST(FaultInjection, AllocFaultSurfacesThroughShadowMemory) {
   FaultGuard Guard;
   ASSERT_TRUE(fault::configure("alloc"));
   ShadowMemory SM(/*NumLevels=*/4, /*SegmentWords=*/64);
-  SM.write(0, 0, 1, 10); // First touch allocates — and the fault refuses it.
+  // A store's first touch allocates the page, and the fault refuses it.
+  EXPECT_EQ(SM.wordCellsForWrite(0), nullptr);
   EXPECT_FALSE(SM.status().ok());
   EXPECT_EQ(SM.status().code(), ErrorCode::FaultInjected);
   EXPECT_EQ(SM.allocatedSegments(), 0u);
-  // Dropped writes read back as time 0; no crash, no partial state.
-  EXPECT_EQ(SM.read(0, 0, 1), 0u);
+  // The dropped write leaves no page, so the word reads as time 0 at every
+  // level; no crash, no partial state.
+  EXPECT_EQ(SM.wordCells(0), nullptr);
 }
 
 TEST(FaultInjection, TraceCorruptFaultSurfacesThroughDecode) {

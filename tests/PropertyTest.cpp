@@ -387,28 +387,37 @@ TEST_P(PipelineProperty, StaticVerdictsConsistentWithMeasurement) {
 
 /// A program whose loops each live in their own function with a verdict
 /// known by construction: scalar +/* reductions, min/max folds, doall
-/// loops calling a pure recursive helper, and plain doall loops —
-/// randomly parameterized (op, relation, trip count, constants).
+/// loops calling a pure recursive helper, plain doall loops, and
+/// accumulators the loop also reads outside their update (a prefix sum, an
+/// early exit on the running sum, a prefix sum through a memory cell, and
+/// a running sum passed to a call), which are no reductions — randomly
+/// parameterized (op, relation, trip count, constants).
 class KnownVerdictProgram {
 public:
   struct ExpectedLoop {
     std::string Func;
     LoopVerdict Verdict;
     bool MinMax = false;
+    /// The loop reads its running value outside the update. It must not
+    /// come out as a reduction, whatever else it is (Verdict is unused),
+    /// and no instruction of Func may carry a reduction mark.
+    bool ReadsRunningValue = false;
   };
 
   explicit KnownVerdictProgram(uint64_t Seed) {
     Prng Rng(Seed);
     Src += "int data[48];\n";
     Src += "int out[16];\n";
+    Src += "int cell[1];\n";
     Src += "int pure3(int x) {"
            " if (x < 1) { return 1; }"
            " return pure3(x - 2) + 1; }\n";
+    Src += "int keep(int v) { return v; }\n";
     unsigned NumLoops = 4 + Rng.nextBelow(4);
     std::string MainBody;
     for (unsigned K = 0; K < NumLoops; ++K) {
       std::string Name = formatString("loop%u", K);
-      unsigned Kind = Rng.nextBelow(5);
+      unsigned Kind = Rng.nextBelow(9);
       unsigned Iters = 4 + Rng.nextBelow(12); // <= 15: in bounds of out.
       unsigned long long C = Rng.nextInRange(1, 9);
       Src += "int " + Name + "() {\n";
@@ -447,12 +456,45 @@ public:
                             Iters, C);
         Expected.push_back({Name, LoopVerdict::ProvablyDoall, false});
         break;
-      default: // plain doall
+      case 4: // plain doall
         Src += formatString("  for (int i = 0; i < %u; i = i + 1) {"
                             " out[i] = i * 2 + %llu; }\n"
                             "  return out[0];\n",
                             Iters, C);
         Expected.push_back({Name, LoopVerdict::ProvablyDoall, false});
+        break;
+      case 5: // prefix sum: each iteration stores the running sum
+        Src += formatString("  int s = %llu;\n"
+                            "  for (int i = 0; i < %u; i = i + 1) {"
+                            " s = s + data[i]; out[i] = s; }\n"
+                            "  return s;\n",
+                            C, Iters);
+        Expected.push_back({Name, LoopVerdict::Unknown, false, true});
+        break;
+      case 6: // early exit on the running sum
+        Src += formatString("  int x = 0;\n"
+                            "  for (int j = 0; j < %u; j = j + 1) {"
+                            " x = x + data[j]; if (x > %llu) { return x; } }\n"
+                            "  return x;\n",
+                            Iters, C * 40);
+        Expected.push_back({Name, LoopVerdict::Unknown, false, true});
+        break;
+      case 7: // prefix sum through a memory cell
+        Src += formatString("  cell[0] = %llu;\n"
+                            "  for (int i = 0; i < %u; i = i + 1) {"
+                            " cell[0] = cell[0] + data[i];"
+                            " out[i] = cell[0]; }\n"
+                            "  return cell[0];\n",
+                            C, Iters);
+        Expected.push_back({Name, LoopVerdict::Unknown, false, true});
+        break;
+      default: // the running sum passed to a call
+        Src += formatString("  int s = %llu;\n"
+                            "  for (int i = 0; i < %u; i = i + 1) {"
+                            " s = s + data[i]; out[i] = keep(s); }\n"
+                            "  return s;\n",
+                            C, Iters);
+        Expected.push_back({Name, LoopVerdict::Unknown, false, true});
         break;
       }
       Src += "}\n";
@@ -484,6 +526,19 @@ TEST_P(PipelineProperty, KnownVerdictLoopsClassifyAndMeasureConsistently) {
       if (L.Func != NoFunc && Run.M->Functions[L.Func].Name == X.Func)
         Found = &L;
     ASSERT_NE(Found, nullptr) << X.Func;
+    if (X.ReadsRunningValue) {
+      EXPECT_NE(Found->Verdict, LoopVerdict::ProvablyReduction)
+          << X.Func << ": " << Found->Reason;
+      for (const Function &F : Run.M->Functions) {
+        if (F.Name != X.Func)
+          continue;
+        for (const BasicBlock &B : F.Blocks)
+          for (const Instruction &I : B.Insts) {
+            EXPECT_FALSE(I.IsReductionUpdate) << X.Func << " line " << I.Line;
+          }
+      }
+      continue;
+    }
     EXPECT_EQ(Found->Verdict, X.Verdict)
         << X.Func << ": " << Found->Reason;
     EXPECT_EQ(Found->MinMaxReduction, X.MinMax) << X.Func;

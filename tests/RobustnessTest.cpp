@@ -332,7 +332,7 @@ TEST(Robustness, StageFaultMarksBenchmarksFailed) {
   // completes and records each failure, and the exit code reports it.
   std::string Results = scratchPath("bench_fault.json");
   RunResult R = runBinary(KREMLIN_BENCH_TOOL_PATH,
-                          "--benchmarks=ep,cg --threads=2 --out=" + Results,
+                          "--benchmarks=ep,cg --out=" + Results,
                           "KREMLIN_FAULT=stage:execute");
   EXPECT_TRUE(R.ExitedCleanly) << R.Output;
   EXPECT_EQ(R.ExitCode, 1) << R.Output;

@@ -13,42 +13,62 @@ namespace {
 
 // --- ShadowMemory unit tests -------------------------------------------------
 
+/// The time word \p Addr holds at level \p Slot for region instance
+/// \p Tag, read as the runtime's loads read it: one page lookup, then the
+/// tag check (a missing page or a stale tag reads as 0).
+Time cellTime(const ShadowMemory &Mem, uint64_t Addr, unsigned Slot,
+              uint64_t Tag) {
+  const ShadowCell *Cells = Mem.wordCells(Addr);
+  return Cells && Cells[Slot].Tag == Tag ? Cells[Slot].T : 0;
+}
+
+/// Stores time \p T for instance \p Tag at level \p Slot of word \p Addr,
+/// as the runtime's stores do: the page is allocated on first touch, and
+/// the write is dropped when the allocation is refused.
+void storeCell(ShadowMemory &Mem, uint64_t Addr, unsigned Slot, uint64_t Tag,
+               Time T) {
+  if (ShadowCell *Cells = Mem.wordCellsForWrite(Addr)) {
+    Cells[Slot].Tag = Tag;
+    Cells[Slot].T = T;
+  }
+}
+
 TEST(ShadowMemory, ReadsZeroWhenUntouched) {
   ShadowMemory Mem(8);
-  EXPECT_EQ(Mem.read(0, 0, 1), 0u);
-  EXPECT_EQ(Mem.read(123456, 7, 99), 0u);
+  EXPECT_EQ(cellTime(Mem, 0, 0, 1), 0u);
+  EXPECT_EQ(cellTime(Mem, 123456, 7, 99), 0u);
   EXPECT_EQ(Mem.allocatedSegments(), 0u);
 }
 
 TEST(ShadowMemory, WriteThenReadSameTag) {
   ShadowMemory Mem(8);
-  Mem.write(100, 3, /*Tag=*/42, /*T=*/777);
-  EXPECT_EQ(Mem.read(100, 3, 42), 777u);
+  storeCell(Mem, 100, 3, /*Tag=*/42, /*T=*/777);
+  EXPECT_EQ(cellTime(Mem, 100, 3, 42), 777u);
   // Different slot or address: still zero.
-  EXPECT_EQ(Mem.read(100, 2, 42), 0u);
-  EXPECT_EQ(Mem.read(101, 3, 42), 0u);
+  EXPECT_EQ(cellTime(Mem, 100, 2, 42), 0u);
+  EXPECT_EQ(cellTime(Mem, 101, 3, 42), 0u);
 }
 
 TEST(ShadowMemory, StaleTagReadsZero) {
   ShadowMemory Mem(8);
-  Mem.write(100, 3, /*Tag=*/42, /*T=*/777);
-  EXPECT_EQ(Mem.read(100, 3, /*Tag=*/43), 0u);
+  storeCell(Mem, 100, 3, /*Tag=*/42, /*T=*/777);
+  EXPECT_EQ(cellTime(Mem, 100, 3, /*Tag=*/43), 0u);
   // Rewriting with the new tag replaces the cell.
-  Mem.write(100, 3, 43, 5);
-  EXPECT_EQ(Mem.read(100, 3, 43), 5u);
-  EXPECT_EQ(Mem.read(100, 3, 42), 0u);
+  storeCell(Mem, 100, 3, 43, 5);
+  EXPECT_EQ(cellTime(Mem, 100, 3, 43), 5u);
+  EXPECT_EQ(cellTime(Mem, 100, 3, 42), 0u);
 }
 
 TEST(ShadowMemory, LazySegmentAllocation) {
   ShadowMemory Mem(4, /*SegmentWords=*/256);
   EXPECT_EQ(Mem.allocatedSegments(), 0u);
-  Mem.write(0, 0, 1, 1);
+  storeCell(Mem, 0, 0, 1, 1);
   EXPECT_EQ(Mem.allocatedSegments(), 1u);
-  Mem.write(255, 0, 1, 1); // Same segment.
+  storeCell(Mem, 255, 0, 1, 1); // Same segment.
   EXPECT_EQ(Mem.allocatedSegments(), 1u);
-  Mem.write(256, 0, 1, 1); // Next segment.
+  storeCell(Mem, 256, 0, 1, 1); // Next segment.
   EXPECT_EQ(Mem.allocatedSegments(), 2u);
-  Mem.write(256 * 50, 0, 1, 1); // Far segment; the gap stays unallocated.
+  storeCell(Mem, 256 * 50, 0, 1, 1); // Far segment; the gap stays unallocated.
   EXPECT_EQ(Mem.allocatedSegments(), 3u);
   EXPECT_GT(Mem.allocatedBytes(), 0u);
 }
@@ -56,16 +76,16 @@ TEST(ShadowMemory, LazySegmentAllocation) {
 TEST(ShadowMemory, ReleaseRangeFreesWholeSegments) {
   ShadowMemory Mem(4, /*SegmentWords=*/256);
   for (uint64_t A = 0; A < 1024; A += 64)
-    Mem.write(A, 0, 1, A + 1);
+    storeCell(Mem, A, 0, 1, A + 1);
   EXPECT_EQ(Mem.allocatedSegments(), 4u);
   // Release the middle two segments exactly.
   Mem.releaseRange(256, 512);
   EXPECT_EQ(Mem.allocatedSegments(), 2u);
-  EXPECT_EQ(Mem.read(256, 0, 1), 0u);
-  EXPECT_EQ(Mem.read(0, 0, 1), 1u);
+  EXPECT_EQ(cellTime(Mem, 256, 0, 1), 0u);
+  EXPECT_EQ(cellTime(Mem, 0, 0, 1), 1u);
   // Partially covered segments must survive.
   Mem.releaseRange(3, 100);
-  EXPECT_EQ(Mem.read(0, 0, 1), 1u);
+  EXPECT_EQ(cellTime(Mem, 0, 0, 1), 1u);
 }
 
 // --- Runtime behaviour through profiled execution ----------------------------
@@ -274,7 +294,7 @@ TEST(Runtime, StatsCounters) {
 TEST(ShadowMemory, PoolRecyclesReleasedPagesZeroed) {
   ShadowMemory Mem(4, /*SegmentWords=*/256);
   for (uint64_t A = 0; A < 1024; A += 64)
-    Mem.write(A, 0, /*Tag=*/1, /*T=*/A + 1);
+    storeCell(Mem, A, 0, /*Tag=*/1, /*T=*/A + 1);
   EXPECT_EQ(Mem.allocatedSegments(), 4u);
   Mem.releaseRange(0, 1024);
   EXPECT_EQ(Mem.allocatedSegments(), 0u);
@@ -282,20 +302,20 @@ TEST(ShadowMemory, PoolRecyclesReleasedPagesZeroed) {
   // A write to a far page must be served from the pool (no new slab page)
   // and the recycled page must come back zeroed: the old tags would
   // otherwise alias a later region instance.
-  Mem.write(/*Addr=*/1 << 20, 0, /*Tag=*/1, /*T=*/9);
+  storeCell(Mem, /*Addr=*/1 << 20, 0, /*Tag=*/1, /*T=*/9);
   EXPECT_EQ(Mem.allocatedSegments(), 1u);
-  EXPECT_EQ(Mem.read(1 << 20, 0, 1), 9u);
-  EXPECT_EQ(Mem.read((1 << 20) + 1, 0, 1), 0u);
-  EXPECT_EQ(Mem.read(0, 0, 1), 0u); // Released page is detached.
+  EXPECT_EQ(cellTime(Mem, 1 << 20, 0, 1), 9u);
+  EXPECT_EQ(cellTime(Mem, (1 << 20) + 1, 0, 1), 0u);
+  EXPECT_EQ(cellTime(Mem, 0, 0, 1), 0u); // Released page is detached.
 }
 
 TEST(ShadowMemory, PeakBytesIsHighWaterMark) {
   ShadowMemory Mem(4, /*SegmentWords=*/256);
   uint64_t PageBytes = 256 * 4 * sizeof(ShadowCell);
   for (uint64_t A = 0; A < 1024; A += 256)
-    Mem.write(A, 0, 1, 1);
+    storeCell(Mem, A, 0, 1, 1);
   Mem.releaseRange(0, 512);
-  Mem.write(4096, 0, 1, 1); // Served from the pool: no new high.
+  storeCell(Mem, 4096, 0, 1, 1); // Served from the pool: no new high.
   EXPECT_EQ(Mem.allocatedBytes(), 3 * PageBytes);
   EXPECT_EQ(Mem.peakBytes(), 4 * PageBytes);
 }
@@ -304,16 +324,16 @@ TEST(ShadowMemory, ByteBudgetTripsWithStatusAndDropsWrites) {
   // Budget for exactly one page of 4-level cells.
   uint64_t PageBytes = 256 * 4 * sizeof(ShadowCell);
   ShadowMemory Mem(4, /*SegmentWords=*/256, /*ByteBudget=*/PageBytes);
-  Mem.write(0, 0, 1, 7);
+  storeCell(Mem, 0, 0, 1, 7);
   EXPECT_TRUE(Mem.status().ok());
-  EXPECT_EQ(Mem.read(0, 0, 1), 7u);
+  EXPECT_EQ(cellTime(Mem, 0, 0, 1), 7u);
   // Second page exceeds the budget: the write is dropped, the status
   // records ResourceExhausted, and existing pages stay readable.
-  Mem.write(4096, 0, 1, 9);
+  storeCell(Mem, 4096, 0, 1, 9);
   EXPECT_FALSE(Mem.status().ok());
   EXPECT_EQ(Mem.status().code(), ErrorCode::ResourceExhausted);
-  EXPECT_EQ(Mem.read(4096, 0, 1), 0u);
-  EXPECT_EQ(Mem.read(0, 0, 1), 7u);
+  EXPECT_EQ(cellTime(Mem, 4096, 0, 1), 0u);
+  EXPECT_EQ(cellTime(Mem, 0, 0, 1), 7u);
   EXPECT_EQ(Mem.allocatedSegments(), 1u);
 }
 
@@ -333,7 +353,7 @@ TEST(Runtime, ShadowBudgetTripSurfacesOnShortRuns) {
   DictionaryCompressor Dict;
   KremlinConfig Cfg;
   Cfg.MaxShadowBytes = // Exactly one shadow page fits.
-      Cfg.SegmentWords * Cfg.NumLevels * sizeof(ShadowCell);
+      ShadowMemory::DefaultSegmentWords * Cfg.NumLevels * sizeof(ShadowCell);
   KremlinRuntime RT(Cfg, Dict);
   Interpreter I(*M);
   ExecResult R = I.run(&RT);
@@ -366,7 +386,7 @@ TEST(Runtime, ShadowBudgetTripStopsALongRunEarly) {
 
   DictionaryCompressor Dict;
   Cfg.MaxShadowBytes = // Exactly one shadow page fits.
-      Cfg.SegmentWords * Cfg.NumLevels * sizeof(ShadowCell);
+      ShadowMemory::DefaultSegmentWords * Cfg.NumLevels * sizeof(ShadowCell);
   KremlinRuntime RT(Cfg, Dict);
   ExecResult R = I.run(&RT);
   EXPECT_FALSE(R.Ok);

@@ -13,7 +13,6 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
-#include <future>
 
 using namespace kremlin;
 using namespace kremlin::test;
@@ -175,14 +174,12 @@ TEST(Stress, ConcurrentTraceWritersStreamLosslesslyThroughSink) {
   constexpr unsigned Workers = 8;
   constexpr uint64_t PerWorker = 10000;
   ThreadPool Pool(Workers);
-  std::vector<std::future<void>> Futures;
   for (unsigned W = 0; W < Workers; ++W)
-    Futures.push_back(Pool.submit([W]() {
+    Pool.post([W]() {
       for (uint64_t I = 0; I < PerWorker; ++I)
         tel::instantEvent("stream." + std::to_string(W), "test");
-    }));
-  for (auto &F : Futures)
-    F.get();
+    });
+  Pool.wait();
 
   tel::Registry &Reg = tel::Registry::global();
   uint64_t Recorded = Reg.counter("telemetry.trace.recorded").value();

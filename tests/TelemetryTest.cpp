@@ -20,7 +20,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -114,14 +113,12 @@ TEST_F(TelemetryTest, ConcurrentCounterUpdatesAreLossless) {
   constexpr unsigned Workers = 8;
   constexpr uint64_t PerWorker = 20000;
   ThreadPool Pool(Workers);
-  std::vector<std::future<void>> Futures;
   for (unsigned W = 0; W < Workers; ++W)
-    Futures.push_back(Pool.submit([&C]() {
+    Pool.post([&C]() {
       for (uint64_t I = 0; I < PerWorker; ++I)
         C.add();
-    }));
-  for (auto &F : Futures)
-    F.get();
+    });
+  Pool.wait();
   EXPECT_EQ(C.value(), Workers * PerWorker);
 }
 
@@ -130,14 +127,12 @@ TEST_F(TelemetryTest, ConcurrentHistogramUpdatesAreLossless) {
   constexpr unsigned Workers = 8;
   constexpr uint64_t PerWorker = 20000;
   ThreadPool Pool(Workers);
-  std::vector<std::future<void>> Futures;
   for (unsigned W = 0; W < Workers; ++W)
-    Futures.push_back(Pool.submit([&H, W]() {
+    Pool.post([&H, W]() {
       for (uint64_t I = 0; I < PerWorker; ++I)
         H.record(W * PerWorker + I);
-    }));
-  for (auto &F : Futures)
-    F.get();
+    });
+  Pool.wait();
   EXPECT_EQ(H.count(), Workers * PerWorker);
   EXPECT_EQ(H.min(), 0u);
   EXPECT_EQ(H.max(), Workers * PerWorker - 1);
