@@ -3,30 +3,21 @@
 #include "ir/Verifier.h"
 
 #include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <iterator>
 
 using namespace kremlin;
 
 namespace {
 
-/// Collects violations while walking one module.
+/// Collects the violations of one part of a module: its region table or
+/// one function.
 class VerifierImpl {
 public:
-  explicit VerifierImpl(const Module &M) : M(M) {}
-
-  std::vector<std::string> run() {
-    checkRegions();
-    for (const Function &F : M.Functions)
-      checkFunction(F);
-    return std::move(Problems);
-  }
-
-private:
-  const Module &M;
-  std::vector<std::string> Problems;
-
-  void problem(std::string Msg) { Problems.push_back(std::move(Msg)); }
+  VerifierImpl(const Module &M, std::vector<std::string> &Problems)
+      : M(M), Problems(Problems) {}
 
   void checkRegions() {
     for (const StaticRegion &R : M.Regions) {
@@ -65,19 +56,6 @@ private:
     }
   }
 
-  /// Position of one instruction. It is formatted into the message only
-  /// when a check fails, so a clean module builds no location strings.
-  struct InstLoc {
-    const Function &F;
-    size_t BB;
-    size_t Idx;
-  };
-
-  void problem(const InstLoc &L, const std::string &What) {
-    problem(formatString("@%s bb%zu[%zu]", L.F.Name.c_str(), L.BB, L.Idx) +
-            What);
-  }
-
   void checkFunction(const Function &F) {
     const std::string &FN = F.Name;
     if (F.Blocks.empty()) {
@@ -105,6 +83,25 @@ private:
         checkInstruction(L, I);
       }
     }
+  }
+
+private:
+  const Module &M;
+  std::vector<std::string> &Problems;
+
+  void problem(std::string Msg) { Problems.push_back(std::move(Msg)); }
+
+  /// Position of one instruction. It is formatted into the message only
+  /// when a check fails, so a clean module builds no location strings.
+  struct InstLoc {
+    const Function &F;
+    size_t BB;
+    size_t Idx;
+  };
+
+  void problem(const InstLoc &L, const std::string &What) {
+    problem(formatString("@%s bb%zu[%zu]", L.F.Name.c_str(), L.BB, L.Idx) +
+            What);
   }
 
   void checkValue(const InstLoc &L, ValueId V, const char *Role) {
@@ -207,7 +204,17 @@ private:
 } // namespace
 
 std::vector<std::string> kremlin::verifyModule(const Module &M) {
-  return VerifierImpl(M).run();
+  // The region table on the caller, then each function on its own task;
+  // problems list in that order.
+  std::vector<std::string> Problems;
+  VerifierImpl(M, Problems).checkRegions();
+  std::vector<std::vector<std::string>> PerFunction(M.Functions.size());
+  parallelFor(M.Functions.size(), [&](size_t I) {
+    VerifierImpl(M, PerFunction[I]).checkFunction(M.Functions[I]);
+  });
+  for (std::vector<std::string> &FP : PerFunction)
+    std::move(FP.begin(), FP.end(), std::back_inserter(Problems));
+  return Problems;
 }
 
 bool kremlin::moduleVerifies(const Module &M) {

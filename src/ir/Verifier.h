@@ -28,7 +28,9 @@ namespace kremlin {
 ///    only under Loop regions, Function regions rooted);
 ///  - call argument counts match callee parameter counts.
 ///
-/// Returns all violations found (empty means the module verified).
+/// Returns all violations found (empty means the module verified): the
+/// region table's first, then each function's in function order. The
+/// functions are checked on every available CPU (parallelFor).
 std::vector<std::string> verifyModule(const Module &M);
 
 /// Convenience: true if verifyModule(M) found no problems.

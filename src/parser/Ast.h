@@ -100,10 +100,10 @@ struct Expr {
     IntLit,   ///< IntValue
     FloatLit, ///< FloatValue
     Var,      ///< Name
-    Index,    ///< Name[Args[0]][Args[1]]...
-    Call,     ///< Name(Args...)
-    Unary,    ///< UnOp applied to Args[0]
-    Binary    ///< Args[0] BinOp Args[1]
+    Index,    ///< Name[args()[0]][args()[1]]...
+    Call,     ///< Name(args()...)
+    Unary,    ///< UnOp applied to args()[0]
+    Binary    ///< args()[0] BinOp args()[1]
   };
   enum class UnOpKind : unsigned char { Neg, Not };
   /// Add to Ge are in the order of lowering's opcode tables.
@@ -116,10 +116,18 @@ struct Expr {
   BinOpKind BinOp = BinOpKind::Add;
   unsigned Line = 0;
   SymbolId Name = EmptyName;
-  int64_t IntValue = 0;
-  double FloatValue = 0.0;
-  std::span<const Expr *const> Args;
+  /// Length of the operand list at ArgData (it fills the padding).
+  uint32_t NumArgs = 0;
+  /// A literal's value: one slot, read as the literal's kind says.
+  union {
+    int64_t IntValue = 0;
+    double FloatValue;
+  };
+  const Expr *const *ArgData = nullptr;
+
+  std::span<const Expr *const> args() const { return {ArgData, NumArgs}; }
 };
+static_assert(sizeof(Expr) <= 32, "keep expression nodes dense");
 
 /// Statement node.
 struct Stmt {

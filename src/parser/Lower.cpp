@@ -5,9 +5,11 @@
 #include "ir/IRBuilder.h"
 #include "parser/Parser.h"
 #include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <iterator>
+#include <mutex>
 
 using namespace kremlin;
 
@@ -36,108 +38,24 @@ struct Binding {
   uint32_t Shadowed = 0;
 };
 
-/// "No binding" in Lowering::Innermost.
+/// "No binding" in ScopeState::Innermost.
 constexpr uint32_t Unbound = UINT32_MAX;
 
-/// A typed expression value: the register plus its scalar type.
-struct TypedValue {
-  ValueId Reg = NoValue;
-  Type Ty = Type::Int;
-};
+/// Every declaration in force while one function body lowers: the globals
+/// at the bottom, then the body's open scopes. A body pops what it pushed,
+/// so the state is back to the globals when it is done.
+struct ScopeState {
+  explicit ScopeState(size_t NumNames) : Innermost(NumNames, Unbound) {}
 
-/// Lowers one ProgramAst into a Module.
-class Lowering {
-public:
-  explicit Lowering(const ProgramAst &Program)
-      : Program(Program), Innermost(Program.Names.size(), Unbound),
-        FuncOf(Program.Names.size(), NoFunc) {
-    Result.M = std::make_unique<Module>();
-  }
-
-  LowerResult run() {
-    Module &M = *Result.M;
-    M.SourceName = Program.SourceName;
-
-    std::vector<bool> IsFuncName(Program.Names.size());
-    for (const FuncDecl &FD : Program.Functions)
-      IsFuncName[FD.Name] = true;
-    // Globals are the bottom scope, in force in every function.
-    pushScope();
-    for (const GlobalDecl &G : Program.Globals) {
-      if (Innermost[G.Name] != Unbound || IsFuncName[G.Name]) {
-        error(G.Line, "duplicate global " + quoted(G.Name));
-        continue;
-      }
-      GlobalArray GA;
-      GA.Name = Program.name(G.Name);
-      GA.ElemTy = G.Ty;
-      GA.SizeWords = 1;
-      for (uint64_t D : G.Dims)
-        GA.SizeWords *= D;
-      Symbol Sym;
-      Sym.K = Symbol::Kind::GlobalArray;
-      Sym.Ty = G.Ty;
-      Sym.ArrayId = M.addGlobal(std::move(GA));
-      Sym.Dims = G.Dims;
-      declare(G.Line, G.Name, Sym);
-    }
-
-    // Pass 1: register signatures so forward calls resolve.
-    for (const FuncDecl &FD : Program.Functions) {
-      if (FuncOf[FD.Name] != NoFunc) {
-        error(FD.Line, "duplicate function " + quoted(FD.Name));
-        continue;
-      }
-      Function F;
-      F.Name = Program.name(FD.Name);
-      F.ReturnTy = FD.ReturnTy;
-      F.NumParams = static_cast<unsigned>(FD.Params.size());
-      for (const ParamDecl &P : FD.Params)
-        F.ParamTypes.push_back(P.IsArray ? Type::Int : P.Ty);
-      F.NumValues = F.NumParams;
-      FuncOf[FD.Name] = M.addFunction(std::move(F));
-    }
-
-    // Pass 2: lower bodies (a duplicate's body into the first definition,
-    // whose errors it reports).
-    for (const FuncDecl &FD : Program.Functions)
-      lowerFunction(FD, M.Functions[FuncOf[FD.Name]]);
-    return std::move(Result);
-  }
-
-private:
-  const ProgramAst &Program;
-  LowerResult Result;
-
-  // Per-function state.
-  IRBuilder *B = nullptr;
-  Function *CurFunc = nullptr;
   /// Every declaration in force, innermost last; ScopeStarts[K] is the
   /// first binding of open scope K.
   std::vector<Binding> Bindings;
   std::vector<size_t> ScopeStarts;
   /// Per SymbolId: its innermost binding, or Unbound.
   std::vector<uint32_t> Innermost;
-  /// Per SymbolId: the function of that name, or NoFunc.
-  std::vector<FuncId> FuncOf;
-  /// Open static regions, innermost last (Function region first).
-  std::vector<RegionId> RegionStack;
 
-  void error(unsigned Line, const std::string &Msg) {
-    Result.Errors.push_back(formatString(
-        "%s:%u: %s", Program.SourceName.c_str(), Line, Msg.c_str()));
-  }
-
-  std::string quoted(SymbolId Name) const {
-    std::string Quoted(1, '\'');
-    Quoted.append(Program.name(Name)).push_back('\'');
-    return Quoted;
-  }
-
-  // --- Scope handling ----------------------------------------------------
-
-  void pushScope() { ScopeStarts.push_back(Bindings.size()); }
-  void popScope() {
+  void push() { ScopeStarts.push_back(Bindings.size()); }
+  void pop() {
     while (Bindings.size() > ScopeStarts.back()) {
       Innermost[Bindings.back().Name] = Bindings.back().Shadowed;
       Bindings.pop_back();
@@ -151,23 +69,140 @@ private:
     return I == Unbound ? nullptr : &Bindings[I].Sym;
   }
 
-  bool declare(unsigned Line, SymbolId Name, const Symbol &Sym) {
+  /// False, declaring nothing, when the innermost scope already has
+  /// \p Name.
+  bool declare(SymbolId Name, const Symbol &Sym) {
     uint32_t Shadowed = Innermost[Name];
-    if (Shadowed != Unbound && Shadowed >= ScopeStarts.back()) {
-      error(Line, "redeclaration of " + quoted(Name));
+    if (Shadowed != Unbound && Shadowed >= ScopeStarts.back())
       return false;
-    }
     Innermost[Name] = static_cast<uint32_t>(Bindings.size());
     Bindings.push_back({Sym, Name, Shadowed});
     return true;
   }
+};
+
+/// The scope states of one lowering, lent to one body task at a time. Each
+/// starts as a copy of the globals' scope. Its Innermost table is sized by
+/// the name table, so it is built only when every state is out: at most
+/// one per thread that lowers, never one per function.
+class ScopePool {
+public:
+  explicit ScopePool(ScopeState Globals) : Globals(std::move(Globals)) {}
+
+  std::unique_ptr<ScopeState> take() {
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      if (!Free.empty()) {
+        std::unique_ptr<ScopeState> S = std::move(Free.back());
+        Free.pop_back();
+        return S;
+      }
+    }
+    return std::make_unique<ScopeState>(Globals);
+  }
+
+  void give(std::unique_ptr<ScopeState> S) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Free.push_back(std::move(S));
+  }
+
+private:
+  const ScopeState Globals;
+  std::mutex Mutex;
+  std::vector<std::unique_ptr<ScopeState>> Free;
+};
+
+/// A typed expression value: the register plus its scalar type.
+struct TypedValue {
+  ValueId Reg = NoValue;
+  Type Ty = Type::Int;
+};
+
+std::string diagnostic(const ProgramAst &Program, unsigned Line,
+                       const std::string &Msg) {
+  return formatString("%s:%u: %s", Program.SourceName.c_str(), Line,
+                      Msg.c_str());
+}
+
+std::string quotedName(const ProgramAst &Program, SymbolId Name) {
+  std::string Quoted(1, '\'');
+  Quoted.append(Program.name(Name)).push_back('\'');
+  return Quoted;
+}
+
+/// Region ids lowering takes below \p S: a loop and a body region per
+/// for/while, in the statements lowerStmt visits.
+uint32_t countRegions(const Stmt &S) {
+  uint32_t N = S.K == Stmt::Kind::For || S.K == Stmt::Kind::While ? 2 : 0;
+  for (const Stmt *Child : {S.Init, S.Step, S.Then, S.Else})
+    if (Child)
+      N += countRegions(*Child);
+  for (const Stmt *Inner : S.Body)
+    N += countRegions(*Inner);
+  return N;
+}
+
+/// Lowers function bodies into a module whose globals, signatures and
+/// region table are in place. One instance per task: it writes only its
+/// target function, the regions it is given and its error lists, and
+/// reads the other functions' signatures.
+class BodyLowering {
+public:
+  BodyLowering(const ProgramAst &Program, Module &M,
+               const std::vector<FuncId> &FuncOf, ScopeState &Scope)
+      : Program(Program), M(M), FuncOf(FuncOf), Scope(Scope) {}
+
+  /// Lowers \p FD's body into \p F, numbering its regions from
+  /// \p FirstRegion and appending its errors to \p Out.
+  void lower(const FuncDecl &FD, Function &F, RegionId FirstRegion,
+             std::vector<std::string> &Out) {
+    NextRegion = FirstRegion;
+    Errors = &Out;
+    lowerFunction(FD, F);
+    assert(NextRegion == FirstRegion + 1 + countRegions(*FD.Body) &&
+           "region count disagrees with lowering");
+  }
+
+private:
+  const ProgramAst &Program;
+  Module &M;
+  /// Per SymbolId: the function of that name, or NoFunc.
+  const std::vector<FuncId> &FuncOf;
+  ScopeState &Scope;
+  std::vector<std::string> *Errors = nullptr;
+  RegionId NextRegion = 0;
+
+  // Per-function state.
+  IRBuilder *B = nullptr;
+  Function *CurFunc = nullptr;
+  /// Open static regions, innermost last (Function region first).
+  std::vector<RegionId> RegionStack;
+
+  void error(unsigned Line, const std::string &Msg) {
+    Errors->push_back(diagnostic(Program, Line, Msg));
+  }
+
+  std::string quoted(SymbolId Name) const {
+    return quotedName(Program, Name);
+  }
+
+  // --- Scope handling ----------------------------------------------------
+
+  bool declare(unsigned Line, SymbolId Name, const Symbol &Sym) {
+    if (Scope.declare(Name, Sym))
+      return true;
+    error(Line, "redeclaration of " + quoted(Name));
+    return false;
+  }
 
   // --- Region bookkeeping -------------------------------------------------
 
+  /// Fills in the next of this body's region ids.
   RegionId makeRegion(RegionKind Kind, std::string Name, unsigned StartLine,
                       unsigned EndLine) {
-    Module &M = *Result.M;
-    StaticRegion R;
+    RegionId Id = NextRegion++;
+    StaticRegion &R = M.Regions[Id];
+    R.Id = Id;
     R.Kind = Kind;
     R.Func = CurFunc->Id;
     R.Parent = Kind == RegionKind::Function ? NoRegion : RegionStack.back();
@@ -175,7 +210,6 @@ private:
     R.File = M.SourceName;
     R.StartLine = StartLine;
     R.EndLine = EndLine;
-    RegionId Id = M.addRegion(std::move(R));
     if (Kind != RegionKind::Function)
       M.Regions[RegionStack.back()].Children.push_back(Id);
     return Id;
@@ -184,7 +218,7 @@ private:
   // --- Function lowering ---------------------------------------------------
 
   void lowerFunction(const FuncDecl &FD, Function &F) {
-    IRBuilder Builder(*Result.M, F);
+    IRBuilder Builder(M, F);
     B = &Builder;
     CurFunc = &F;
     RegionStack.clear();
@@ -200,7 +234,7 @@ private:
     B->setRegion(F.FuncRegion);
     B->emitRegionEnter(F.FuncRegion);
 
-    pushScope();
+    Scope.push();
     for (unsigned PIdx = 0; PIdx < FD.Params.size(); ++PIdx) {
       const ParamDecl &P = FD.Params[PIdx];
       Symbol Sym;
@@ -223,7 +257,7 @@ private:
     if (!B->blockTerminated())
       emitReturn(FD.EndLine, nullptr);
 
-    popScope();
+    Scope.pop();
     RegionStack.clear();
     B = nullptr;
     CurFunc = nullptr;
@@ -262,10 +296,10 @@ private:
     B->setLine(S.Line);
     switch (S.K) {
     case Stmt::Kind::Block:
-      pushScope();
+      Scope.push();
       for (const Stmt *Inner : S.Body)
         lowerStmt(*Inner);
-      popScope();
+      Scope.pop();
       return;
     case Stmt::Kind::DeclScalar: {
       Symbol Sym;
@@ -320,7 +354,7 @@ private:
   void lowerAssign(const Stmt &S) {
     const Expr &Target = *S.Target;
     if (Target.K == Expr::Kind::Var) {
-      const Symbol *Sym = lookup(Target.Name);
+      const Symbol *Sym = Scope.lookup(Target.Name);
       if (!Sym) {
         error(S.Line, "use of undeclared variable " + quoted(Target.Name));
         return;
@@ -334,7 +368,7 @@ private:
       return;
     }
     assert(Target.K == Expr::Kind::Index && "assign target must be lvalue");
-    const Symbol *Sym = lookup(Target.Name);
+    const Symbol *Sym = Scope.lookup(Target.Name);
     if (!Sym) {
       error(S.Line, "use of undeclared array " + quoted(Target.Name));
       return;
@@ -347,9 +381,9 @@ private:
     // the load/op/store-on-one-address shape the tape decoder fuses into a
     // TapeLoadOpStore superinstruction.
     if (S.Value->K == Expr::Kind::Binary &&
-        S.Value->Args[0]->K == Expr::Kind::Index &&
-        S.Value->Args[0]->Name == Target.Name &&
-        sameSimpleIndices(Target, *S.Value->Args[0])) {
+        S.Value->args()[0]->K == Expr::Kind::Index &&
+        S.Value->args()[0]->Name == Target.Name &&
+        sameSimpleIndices(Target, *S.Value->args()[0])) {
       TypedValue Loaded{B->emitLoad(Sym->Ty, Addr.Reg), Sym->Ty};
       TypedValue V = convert(lowerBinaryFrom(*S.Value, Loaded), Sym->Ty);
       B->emitStore(Addr.Reg, V.Reg);
@@ -363,11 +397,11 @@ private:
   /// subscript is the same literal or the same variable. Conservative by
   /// design: anything with computation (or side effects) says no.
   static bool sameSimpleIndices(const Expr &A, const Expr &B) {
-    if (A.Args.size() != B.Args.size())
+    if (A.args().size() != B.args().size())
       return false;
-    for (size_t K = 0; K < A.Args.size(); ++K) {
-      const Expr &X = *A.Args[K];
-      const Expr &Y = *B.Args[K];
+    for (size_t K = 0; K < A.args().size(); ++K) {
+      const Expr &X = *A.args()[K];
+      const Expr &Y = *B.args()[K];
       if (X.K == Expr::Kind::IntLit && Y.K == Expr::Kind::IntLit &&
           X.IntValue == Y.IntValue)
         continue;
@@ -409,7 +443,7 @@ private:
 
   /// Lowers both `for` and `while`; For carries Init/Step.
   void lowerLoop(const Stmt &S) {
-    pushScope(); // Holds a for-init declaration if present.
+    Scope.push(); // Holds a for-init declaration if present.
     if (S.Init)
       lowerStmt(*S.Init);
 
@@ -467,7 +501,7 @@ private:
     RegionStack.pop_back();
     B->setRegion(RegionStack.back());
     B->emitRegionExit(LoopRegion);
-    popScope();
+    Scope.pop();
   }
 
   // --- Expressions ----------------------------------------------------------
@@ -500,16 +534,16 @@ private:
   /// Computes the word address of `Sym[indices]`, flattening by the
   /// declared dimensions.
   TypedValue lowerElementAddr(const Symbol &Sym, const Expr &IndexExpr) {
-    if (IndexExpr.Args.size() != Sym.Dims.size())
+    if (IndexExpr.args().size() != Sym.Dims.size())
       error(IndexExpr.Line,
             quoted(IndexExpr.Name) +
                 formatString(" has %zu dimensions but %zu indices given",
-                             Sym.Dims.size(), IndexExpr.Args.size()));
+                             Sym.Dims.size(), IndexExpr.args().size()));
 
     // flat = ((i0 * d1 + i1) * d2 + i2) ...
     ValueId Flat = NoValue;
-    for (size_t K = 0; K < IndexExpr.Args.size(); ++K) {
-      TypedValue Idx = convert(lowerExpr(*IndexExpr.Args[K]), Type::Int);
+    for (size_t K = 0; K < IndexExpr.args().size(); ++K) {
+      TypedValue Idx = convert(lowerExpr(*IndexExpr.args()[K]), Type::Int);
       if (Flat == NoValue) {
         Flat = Idx.Reg;
         continue;
@@ -549,7 +583,7 @@ private:
     case Expr::Kind::FloatLit:
       return {B->emitConstFloat(E.FloatValue), Type::Float};
     case Expr::Kind::Var: {
-      const Symbol *Sym = lookup(E.Name);
+      const Symbol *Sym = Scope.lookup(E.Name);
       if (!Sym) {
         error(E.Line, "use of undeclared variable " + quoted(E.Name));
         return {B->emitConstInt(0), Type::Int};
@@ -568,7 +602,7 @@ private:
       return {Sym->Reg, Sym->Ty};
     }
     case Expr::Kind::Index: {
-      const Symbol *Sym = lookup(E.Name);
+      const Symbol *Sym = Scope.lookup(E.Name);
       if (!Sym) {
         error(E.Line, "use of undeclared array " + quoted(E.Name));
         return {B->emitConstInt(0), Type::Int};
@@ -580,10 +614,10 @@ private:
       return lowerCall(E);
     case Expr::Kind::Unary: {
       if (E.UnOp == Expr::UnOpKind::Not) {
-        TypedValue IV = lowerCondition(*E.Args[0]);
+        TypedValue IV = lowerCondition(*E.args()[0]);
         return {B->emitUnary(Opcode::Not, Type::Int, IV.Reg), Type::Int};
       }
-      TypedValue V = lowerExpr(*E.Args[0]);
+      TypedValue V = lowerExpr(*E.args()[0]);
       if (V.Ty == Type::Float)
         return {B->emitUnary(Opcode::FNeg, Type::Float, V.Reg), Type::Float};
       return {B->emitUnary(Opcode::Neg, Type::Int, V.Reg), Type::Int};
@@ -595,20 +629,19 @@ private:
   }
 
   TypedValue lowerCall(const Expr &E) {
-    Module &M = *Result.M;
     FuncId Callee = FuncOf[E.Name];
     if (Callee == NoFunc) {
       error(E.Line, "call to undeclared function " + quoted(E.Name));
       return {B->emitConstInt(0), Type::Int};
     }
     const Function &F = M.Functions[Callee];
-    if (E.Args.size() != F.NumParams)
+    if (E.args().size() != F.NumParams)
       error(E.Line, quoted(E.Name) +
                         formatString(" expects %u arguments, got %zu",
-                                     F.NumParams, E.Args.size()));
+                                     F.NumParams, E.args().size()));
     std::vector<ValueId> Args;
-    for (size_t K = 0; K < E.Args.size(); ++K) {
-      TypedValue V = lowerExpr(*E.Args[K]);
+    for (size_t K = 0; K < E.args().size(); ++K) {
+      TypedValue V = lowerExpr(*E.args()[K]);
       Type Want = K < F.ParamTypes.size() ? F.ParamTypes[K] : V.Ty;
       Args.push_back(convert(V, Want).Reg);
     }
@@ -617,13 +650,13 @@ private:
   }
 
   TypedValue lowerBinary(const Expr &E) {
-    return lowerBinaryFrom(E, lowerExpr(*E.Args[0]));
+    return lowerBinaryFrom(E, lowerExpr(*E.args()[0]));
   }
 
   /// Lowers \p E with its left operand already evaluated to \p L — lets
   /// lowerAssign feed a load through a shared address register.
   TypedValue lowerBinaryFrom(const Expr &E, TypedValue L) {
-    TypedValue R = lowerExpr(*E.Args[1]);
+    TypedValue R = lowerExpr(*E.args()[1]);
     bool IsFloat = L.Ty == Type::Float || R.Ty == Type::Float;
 
     using BK = Expr::BinOpKind;
@@ -663,7 +696,84 @@ private:
 } // namespace
 
 LowerResult kremlin::lowerProgram(const ProgramAst &Program) {
-  return Lowering(Program).run();
+  LowerResult Result;
+  Result.M = std::make_unique<Module>();
+  Module &M = *Result.M;
+  M.SourceName = Program.SourceName;
+  auto Error = [&](unsigned Line, const std::string &Msg) {
+    Result.Errors.push_back(diagnostic(Program, Line, Msg));
+  };
+
+  std::vector<bool> IsFuncName(Program.Names.size());
+  for (const FuncDecl &FD : Program.Functions)
+    IsFuncName[FD.Name] = true;
+  // Globals are the bottom scope, in force in every function.
+  ScopeState Globals(Program.Names.size());
+  Globals.push();
+  for (const GlobalDecl &G : Program.Globals) {
+    if (Globals.lookup(G.Name) || IsFuncName[G.Name]) {
+      Error(G.Line, "duplicate global " + quotedName(Program, G.Name));
+      continue;
+    }
+    GlobalArray GA;
+    GA.Name = Program.name(G.Name);
+    GA.ElemTy = G.Ty;
+    GA.SizeWords = 1;
+    for (uint64_t D : G.Dims)
+      GA.SizeWords *= D;
+    Symbol Sym;
+    Sym.K = Symbol::Kind::GlobalArray;
+    Sym.Ty = G.Ty;
+    Sym.ArrayId = M.addGlobal(std::move(GA));
+    Sym.Dims = G.Dims;
+    Globals.declare(G.Name, Sym);
+  }
+
+  // Pass 1: register signatures so forward calls resolve, and fix each
+  // declaration's region ids: module-wide, in source order.
+  const size_t NumDecls = Program.Functions.size();
+  std::vector<FuncId> FuncOf(Program.Names.size(), NoFunc);
+  std::vector<RegionId> FirstRegion(NumDecls);
+  RegionId NumRegions = 0;
+  for (size_t D = 0; D < NumDecls; ++D) {
+    const FuncDecl &FD = Program.Functions[D];
+    FirstRegion[D] = NumRegions;
+    NumRegions += 1 + countRegions(*FD.Body);
+    if (FuncOf[FD.Name] != NoFunc) {
+      Error(FD.Line, "duplicate function " + quotedName(Program, FD.Name));
+      continue;
+    }
+    Function F;
+    F.Name = Program.name(FD.Name);
+    F.ReturnTy = FD.ReturnTy;
+    F.NumParams = static_cast<unsigned>(FD.Params.size());
+    for (const ParamDecl &P : FD.Params)
+      F.ParamTypes.push_back(P.IsArray ? Type::Int : P.Ty);
+    F.NumValues = F.NumParams;
+    FuncOf[FD.Name] = M.addFunction(std::move(F));
+  }
+  M.Regions.resize(NumRegions);
+
+  // Pass 2: lower bodies, one task per function. A duplicate definition's
+  // body lowers into the first one, on its task and after it. Errors are
+  // kept per declaration and listed in declaration order.
+  std::vector<std::vector<uint32_t>> DeclsOf(M.Functions.size());
+  for (size_t D = 0; D < NumDecls; ++D)
+    DeclsOf[FuncOf[Program.Functions[D].Name]].push_back(
+        static_cast<uint32_t>(D));
+  std::vector<std::vector<std::string>> BodyErrors(NumDecls);
+  ScopePool Scopes(std::move(Globals));
+  parallelFor(M.Functions.size(), [&](size_t F) {
+    std::unique_ptr<ScopeState> Scope = Scopes.take();
+    BodyLowering Body(Program, M, FuncOf, *Scope);
+    for (uint32_t D : DeclsOf[F])
+      Body.lower(Program.Functions[D], M.Functions[F], FirstRegion[D],
+                 BodyErrors[D]);
+    Scopes.give(std::move(Scope));
+  });
+  for (std::vector<std::string> &Errs : BodyErrors)
+    std::move(Errs.begin(), Errs.end(), std::back_inserter(Result.Errors));
+  return Result;
 }
 
 LowerResult kremlin::compileMiniC(std::string_view Source,

@@ -70,6 +70,18 @@ private:
     return Items;
   }
 
+  /// Copies \p Args into the arena as \p E's operands. A list longer than
+  /// NumArgs can count is cut short, with an error.
+  void setArgs(Expr *E, std::span<const Expr *const> Args) {
+    if (Args.size() > UINT32_MAX) {
+      error("too many operands");
+      Args = Args.first(UINT32_MAX);
+    }
+    Args = program().Arena.copy(Args);
+    E->ArgData = Args.data();
+    E->NumArgs = static_cast<uint32_t>(Args.size());
+  }
+
   void error(const std::string &Msg) {
     ParseErrors.push_back(formatString("%s:%u:%u: %s",
                                        program().SourceName.c_str(),
@@ -361,7 +373,7 @@ private:
     Expr *E = newExpr(Expr::Kind::Binary, Line);
     E->BinOp = Op;
     const Expr *Args[] = {L, R};
-    E->Args = program().Arena.copy(std::span<const Expr *const>(Args));
+    setArgs(E, Args);
     return E;
   }
 
@@ -441,7 +453,7 @@ private:
       E->UnOp = at(TokKind::Minus) ? Expr::UnOpKind::Neg : Expr::UnOpKind::Not;
       advance();
       const Expr *Operand[] = {parseUnary()};
-      E->Args = program().Arena.copy(std::span<const Expr *const>(Operand));
+      setArgs(E, Operand);
       return E;
     }
     return parsePrimary();
@@ -492,7 +504,8 @@ private:
     } else {
       E->K = Expr::Kind::Var;
     }
-    E->Args = take(ExprStack, Mark);
+    setArgs(E, std::span<const Expr *const>(ExprStack).subspan(Mark));
+    ExprStack.resize(Mark);
     return E;
   }
 };

@@ -6,6 +6,8 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 
 using namespace kremlin;
 
@@ -83,9 +85,14 @@ ShadowCell *ShadowMemory::allocatePage(uint64_t Page) {
         if (SlabPages > BudgetPages)
           SlabPages = BudgetPages;
       }
-      // make_unique value-initializes: slab pages start zeroed.
-      Slabs.push_back(
-          std::make_unique<ShadowCell[]>(SlabPages * pageCells()));
+      // calloc'd slab pages start zeroed. Memory fresh from the OS is not
+      // written again, so a slab page costs memory only once a shadow
+      // write reaches it.
+      std::unique_ptr<ShadowCell[], FreeSlab> Slab(static_cast<ShadowCell *>(
+          std::calloc(SlabPages * pageCells(), sizeof(ShadowCell))));
+      if (!Slab)
+        throw std::bad_alloc();
+      Slabs.push_back(std::move(Slab));
       SlabCur = Slabs.back().get();
       SlabPagesLeft = SlabPages;
     }

@@ -36,6 +36,7 @@
 #include "support/Status.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -165,8 +166,12 @@ private:
 
   /// First level: page index >> DirBits, grown lazily.
   std::vector<std::unique_ptr<DirNode>> Dir;
+  /// Releases a calloc'd slab.
+  struct FreeSlab {
+    void operator()(ShadowCell *Slab) const { std::free(Slab); }
+  };
   /// Slabs owning the page storage; pages are carved off SlabCur.
-  std::vector<std::unique_ptr<ShadowCell[]>> Slabs;
+  std::vector<std::unique_ptr<ShadowCell[], FreeSlab>> Slabs;
   ShadowCell *SlabCur = nullptr;
   uint64_t SlabPagesLeft = 0;
   /// Recycled pages, zeroed on reuse.

@@ -86,7 +86,7 @@ TEST(Parser, ExpressionPrecedence) {
   const Expr &E = *P.Functions[0].Body->Body[0]->Value;
   ASSERT_EQ(E.K, Expr::Kind::Binary);
   EXPECT_EQ(E.BinOp, Expr::BinOpKind::Add);
-  EXPECT_EQ(E.Args[1]->BinOp, Expr::BinOpKind::Mul);
+  EXPECT_EQ(E.args()[1]->BinOp, Expr::BinOpKind::Mul);
 }
 
 TEST(Parser, ComparisonBindsLooserThanArith) {
@@ -100,22 +100,22 @@ TEST(Parser, LogicalOperators) {
       parseOk("int f(int a, int b) { return a < 1 && b > 2 || !a; }");
   const Expr &E = *P.Functions[0].Body->Body[0]->Value;
   EXPECT_EQ(E.BinOp, Expr::BinOpKind::Or);
-  EXPECT_EQ(E.Args[0]->BinOp, Expr::BinOpKind::And);
-  EXPECT_EQ(E.Args[1]->K, Expr::Kind::Unary);
+  EXPECT_EQ(E.args()[0]->BinOp, Expr::BinOpKind::And);
+  EXPECT_EQ(E.args()[1]->K, Expr::Kind::Unary);
 }
 
 TEST(Parser, ParenthesesOverridePrecedence) {
   ProgramAst P = parseOk("int f(int a, int b) { return (a + b) * 2; }");
   const Expr &E = *P.Functions[0].Body->Body[0]->Value;
   EXPECT_EQ(E.BinOp, Expr::BinOpKind::Mul);
-  EXPECT_EQ(E.Args[0]->BinOp, Expr::BinOpKind::Add);
+  EXPECT_EQ(E.args()[0]->BinOp, Expr::BinOpKind::Add);
 }
 
 TEST(Parser, MultiDimIndexing) {
   ProgramAst P = parseOk("int m[4][4];\nint f(int i) { return m[i][i+1]; }");
   const Expr &E = *P.Functions[0].Body->Body[0]->Value;
   ASSERT_EQ(E.K, Expr::Kind::Index);
-  EXPECT_EQ(E.Args.size(), 2u);
+  EXPECT_EQ(E.args().size(), 2u);
 }
 
 TEST(Parser, CallArguments) {
@@ -124,8 +124,8 @@ TEST(Parser, CallArguments) {
       "int f() { return g(1, g(2, 3)); }");
   const Expr &E = *P.Functions[1].Body->Body[0]->Value;
   ASSERT_EQ(E.K, Expr::Kind::Call);
-  EXPECT_EQ(E.Args.size(), 2u);
-  EXPECT_EQ(E.Args[1]->K, Expr::Kind::Call);
+  EXPECT_EQ(E.args().size(), 2u);
+  EXPECT_EQ(E.args()[1]->K, Expr::Kind::Call);
 }
 
 TEST(Parser, ForWithoutInitOrStep) {
@@ -253,6 +253,22 @@ TEST(Parser, MalformedInputsPinTheirFullErrorLists) {
        {"1:3: unexpected character '@'", "1:7: unexpected character '#'",
         "t.c:1:1: expected a declaration, found identifier"}},
       {"t.c", "/* never closed", {"1:1: unterminated block comment"}},
+      // Lowering errors in three functions and in both bodies of a
+      // duplicate definition: signature errors first, then each body's
+      // errors in declaration order, although the duplicate's body lowers
+      // into the first definition of 'f'.
+      {"t.c",
+       "int f(int a) { return nope1; }\n"
+       "int g(int b) { int x = 1; int x = 2; return x + b; }\n"
+       "int f(int c) { return nope2 + h(c); }\n"
+       "int main() { int m[4]; m = 1; return g(1, 2); }",
+       {"t.c:3: duplicate function 'f'",
+        "t.c:1: use of undeclared variable 'nope1'",
+        "t.c:2: redeclaration of 'x'",
+        "t.c:3: use of undeclared variable 'nope2'",
+        "t.c:3: call to undeclared function 'h'",
+        "t.c:4: cannot assign to array 'm'",
+        "t.c:4: 'g' expects 1 arguments, got 2"}},
   };
   for (const Case &C : Cases)
     EXPECT_EQ(compileMiniC(C.Source, C.File).Errors, C.Errors) << C.Source;

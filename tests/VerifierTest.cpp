@@ -182,6 +182,42 @@ TEST(Verifier, BadFrameArrayReference) {
   EXPECT_TRUE(hasProblem(F.M, "bad frame array"));
 }
 
+TEST(Verifier, ProblemsListInFunctionOrderAfterTheRegionTable) {
+  // Three more functions, each with its own problem, and one bad region:
+  // the region table's problems come first, then each function's in
+  // function order, whichever order they are checked in.
+  ModuleFixture F;
+  for (const char *Name : {"g", "h", "k"}) {
+    Function Fn;
+    Fn.Name = Name;
+    Fn.ReturnTy = Type::Void;
+    FuncId Id = F.M.addFunction(std::move(Fn));
+    StaticRegion R;
+    R.Kind = RegionKind::Function;
+    R.Func = Id;
+    R.Name = Name;
+    F.M.Functions[Id].FuncRegion = F.M.addRegion(std::move(R));
+    IRBuilder B(F.M, F.M.Functions[Id]);
+    B.setInsertPoint(B.createBlock("entry"));
+    B.emitRegionEnter(F.M.Functions[Id].FuncRegion);
+    B.emitRet();
+  }
+  F.M.Functions[1].Blocks[0].Insts.pop_back(); // g: drop the ret.
+  F.M.Functions[2].Blocks.push_back(BasicBlock()); // h: an empty block.
+  F.M.Functions[3].Blocks[0].Insts[0].Aux = 12345; // k: a bad region id.
+  StaticRegion Loop;
+  Loop.Kind = RegionKind::Loop;
+  Loop.Func = F.Id;
+  Loop.Parent = F.fn().FuncRegion; // Not among its parent's children.
+  F.M.addRegion(std::move(Loop));
+  EXPECT_EQ(verifyModule(F.M),
+            (std::vector<std::string>{"region r4 missing from parent r0 "
+                                      "children",
+                                      "@g bb0: missing terminator",
+                                      "@h bb1: empty block",
+                                      "@k bb0[0]: bad region id"}));
+}
+
 TEST(Verifier, CondBrBadMergeBlock) {
   ModuleFixture F;
   Instruction &Term = F.fn().Blocks[0].Insts.back();
