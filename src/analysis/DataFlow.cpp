@@ -177,7 +177,7 @@ kremlin::findLoopCarriedScalarDeps(const LoopView &View) {
     BlockId B = L.Blocks[P];
     std::copy_n(Row(TokenIn, P), Words, TokenAlive.begin());
     std::copy_n(Row(SameIn, P), Words, SameAlive.begin());
-    const std::vector<Instruction> &Insts = F.Blocks[B].Insts;
+    const InstList &Insts = F.Blocks[B].Insts;
     for (unsigned Idx = 0; Idx < Insts.size(); ++Idx) {
       const Instruction &I = Insts[Idx];
       forEachUse(F, I, [&](ValueId V) {

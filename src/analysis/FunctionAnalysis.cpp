@@ -22,7 +22,7 @@ DefIndex buildDefIndex(const Function &F) {
                                             F.Blocks[BB].Insts.end(), IsDef));
   DI.Defs.reserve(DI.BlockBegin.back());
   for (BlockId BB = 0; BB < F.Blocks.size(); ++BB) {
-    const std::vector<Instruction> &Insts = F.Blocks[BB].Insts;
+    const InstList &Insts = F.Blocks[BB].Insts;
     for (unsigned Idx = 0; Idx < Insts.size(); ++Idx)
       if (IsDef(Insts[Idx]))
         DI.Defs.push_back({BB, Idx, Insts[Idx].Result});

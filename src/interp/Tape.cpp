@@ -157,7 +157,7 @@ private:
   uint32_t LastBarrier = 0;
 
   void lowerBlock(uint32_t BlockId) {
-    const std::vector<Instruction> &Insts = F.Blocks[BlockId].Insts;
+    const InstList &Insts = F.Blocks[BlockId].Insts;
     for (size_t I = 0; I < Insts.size(); ++I) {
       if (tryFuseLoadOpStore(Insts, I, BlockId) ||
           tryFuseCmpBr(Insts, I, BlockId))
@@ -184,7 +184,7 @@ private:
   /// of the fused instruction, which is legal because they are pure,
   /// read nothing, and are barred from defining a register the pattern
   /// consumes out of order.
-  bool tryFuseLoadOpStore(const std::vector<Instruction> &Insts, size_t &I,
+  bool tryFuseLoadOpStore(const InstList &Insts, size_t &I,
                           uint32_t BlockId) {
     const Instruction &Ld = Insts[I];
     if (Ld.Op != Opcode::Load)
@@ -239,7 +239,7 @@ private:
   }
 
   /// rc = a cmp b; condbr rc  =>  one superinstruction.
-  bool tryFuseCmpBr(const std::vector<Instruction> &Insts, size_t &I,
+  bool tryFuseCmpBr(const InstList &Insts, size_t &I,
                     uint32_t BlockId) {
     if (I + 1 >= Insts.size())
       return false;

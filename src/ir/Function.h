@@ -20,16 +20,21 @@
 #include "ir/Type.h"
 
 #include <cassert>
+#include <memory_resource>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace kremlin {
 
+/// A block's instructions. Lowering allocates them from an InstArena; a
+/// default-constructed list uses the default resource (new/delete).
+using InstList = std::pmr::vector<Instruction>;
+
 /// A straight-line sequence of instructions ending in a terminator.
 struct BasicBlock {
   std::string Name;
-  std::vector<Instruction> Insts;
+  InstList Insts;
 
   /// True when the block ends in Br/CondBr/Ret. Analyses that must stay
   /// robust on pre-verifier IR (empty or unterminated blocks) check this

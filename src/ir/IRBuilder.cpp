@@ -12,9 +12,7 @@ using namespace kremlin;
 static constexpr size_t MinSlackToTrim = 16;
 
 BlockId IRBuilder::createBlock(std::string Name) {
-  BasicBlock BB;
-  BB.Name = std::move(Name);
-  F.Blocks.push_back(std::move(BB));
+  F.Blocks.push_back(BasicBlock{std::move(Name), InstList(InstMemory)});
   return static_cast<BlockId>(F.Blocks.size() - 1);
 }
 
@@ -34,7 +32,7 @@ Instruction &IRBuilder::emit(Instruction I) {
   I.Line = I.Line ? I.Line : CurLine;
   if (I.EnclosingRegion == UINT32_MAX)
     I.EnclosingRegion = CurRegion;
-  std::vector<Instruction> &Insts = F.Blocks[CurBlock].Insts;
+  InstList &Insts = F.Blocks[CurBlock].Insts;
   Insts.push_back(I);
   // A terminator completes the block. Growth by doubling leaves up to half
   // of a large block's capacity unused for the module's lifetime; give a

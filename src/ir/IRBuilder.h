@@ -20,6 +20,7 @@
 #include "ir/Module.h"
 
 #include <cassert>
+#include <memory_resource>
 #include <span>
 #include <string>
 
@@ -28,7 +29,11 @@ namespace kremlin {
 /// Builds one function's CFG instruction by instruction.
 class IRBuilder {
 public:
-  IRBuilder(Module &M, Function &F) : M(M), F(F) {}
+  /// Blocks it creates take their instruction lists from \p InstMemory.
+  IRBuilder(Module &M, Function &F,
+            std::pmr::memory_resource *InstMemory =
+                std::pmr::get_default_resource())
+      : M(M), F(F), InstMemory(InstMemory) {}
 
   Module &module() { return M; }
   Function &function() { return F; }
@@ -81,6 +86,7 @@ public:
 private:
   Module &M;
   Function &F;
+  std::pmr::memory_resource *InstMemory;
   BlockId CurBlock = 0;
   unsigned CurLine = 0;
   RegionId CurRegion = NoRegion;

@@ -16,10 +16,13 @@
 #define KREMLIN_IR_MODULE_H
 
 #include "ir/Function.h"
+#include "ir/InstArena.h"
 #include "ir/Region.h"
 
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace kremlin {
@@ -46,6 +49,27 @@ public:
   std::vector<GlobalArray> Globals;
   /// All static regions, indexed by RegionId.
   std::vector<StaticRegion> Regions;
+
+  /// The arenas lowering allocated the functions' instruction lists from.
+  /// Declared after Functions, so a move assignment replaces the lists
+  /// before the arenas they live in.
+  std::vector<std::unique_ptr<InstArena>> InstArenas;
+
+  Module() = default;
+  /// The copy's instruction lists take the default resource, so it shares
+  /// no arena with \p Other.
+  Module(const Module &Other)
+      : SourceName(Other.SourceName), Functions(Other.Functions),
+        Globals(Other.Globals), Regions(Other.Regions),
+        FuncNames(Other.FuncNames) {}
+  Module(Module &&) = default;
+  Module &operator=(const Module &Other) {
+    Module Copy(Other);
+    return *this = std::move(Copy);
+  }
+  Module &operator=(Module &&) = default;
+  /// Destroys the instruction lists before the arenas they live in.
+  ~Module() { Functions.clear(); }
 
   /// Adds a function and returns its id.
   FuncId addFunction(Function F) {

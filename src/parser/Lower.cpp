@@ -7,9 +7,9 @@
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <iterator>
-#include <mutex>
 
 using namespace kremlin;
 
@@ -81,37 +81,6 @@ struct ScopeState {
   }
 };
 
-/// The scope states of one lowering, lent to one body task at a time. Each
-/// starts as a copy of the globals' scope. Its Innermost table is sized by
-/// the name table, so it is built only when every state is out: at most
-/// one per thread that lowers, never one per function.
-class ScopePool {
-public:
-  explicit ScopePool(ScopeState Globals) : Globals(std::move(Globals)) {}
-
-  std::unique_ptr<ScopeState> take() {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (!Free.empty()) {
-        std::unique_ptr<ScopeState> S = std::move(Free.back());
-        Free.pop_back();
-        return S;
-      }
-    }
-    return std::make_unique<ScopeState>(Globals);
-  }
-
-  void give(std::unique_ptr<ScopeState> S) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Free.push_back(std::move(S));
-  }
-
-private:
-  const ScopeState Globals;
-  std::mutex Mutex;
-  std::vector<std::unique_ptr<ScopeState>> Free;
-};
-
 /// A typed expression value: the register plus its scalar type.
 struct TypedValue {
   ValueId Reg = NoValue;
@@ -149,8 +118,9 @@ uint32_t countRegions(const Stmt &S) {
 class BodyLowering {
 public:
   BodyLowering(const ProgramAst &Program, Module &M,
-               const std::vector<FuncId> &FuncOf, ScopeState &Scope)
-      : Program(Program), M(M), FuncOf(FuncOf), Scope(Scope) {}
+               const std::vector<FuncId> &FuncOf, ScopeState &Scope,
+               InstArena &Arena)
+      : Program(Program), M(M), FuncOf(FuncOf), Scope(Scope), Arena(Arena) {}
 
   /// Lowers \p FD's body into \p F, numbering its regions from
   /// \p FirstRegion and appending its errors to \p Out.
@@ -169,6 +139,7 @@ private:
   /// Per SymbolId: the function of that name, or NoFunc.
   const std::vector<FuncId> &FuncOf;
   ScopeState &Scope;
+  InstArena &Arena;
   std::vector<std::string> *Errors = nullptr;
   RegionId NextRegion = 0;
 
@@ -218,7 +189,7 @@ private:
   // --- Function lowering ---------------------------------------------------
 
   void lowerFunction(const FuncDecl &FD, Function &F) {
-    IRBuilder Builder(M, F);
+    IRBuilder Builder(M, F, &Arena);
     B = &Builder;
     CurFunc = &F;
     RegionStack.clear();
@@ -754,22 +725,43 @@ LowerResult kremlin::lowerProgram(const ProgramAst &Program) {
   }
   M.Regions.resize(NumRegions);
 
-  // Pass 2: lower bodies, one task per function. A duplicate definition's
-  // body lowers into the first one, on its task and after it. Errors are
-  // kept per declaration and listed in declaration order.
-  std::vector<std::vector<uint32_t>> DeclsOf(M.Functions.size());
-  for (size_t D = 0; D < NumDecls; ++D)
-    DeclsOf[FuncOf[Program.Functions[D].Name]].push_back(
-        static_cast<uint32_t>(D));
+  // Pass 2: lower bodies in contiguous shares of the functions, one per
+  // CPU and of about equal line span, each with its own copy of the
+  // globals' scope and its own InstArena, so the memory a module's
+  // instructions take does not depend on which thread lowered them. A
+  // duplicate definition's body lowers into the first one, after it.
+  // Errors are kept per declaration and listed in declaration order.
+  const size_t NumFuncs = M.Functions.size();
+  std::vector<std::vector<uint32_t>> DeclsOf(NumFuncs);
+  std::vector<size_t> LinesOf(NumFuncs);
+  size_t Lines = 0;
+  for (size_t D = 0; D < NumDecls; ++D) {
+    const FuncDecl &FD = Program.Functions[D];
+    FuncId F = FuncOf[FD.Name];
+    DeclsOf[F].push_back(static_cast<uint32_t>(D));
+    size_t Span = 1 + (FD.EndLine > FD.Line ? FD.EndLine - FD.Line : 0);
+    LinesOf[F] += Span;
+    Lines += Span;
+  }
+  // Share S lowers functions [ShareStart[S], ShareStart[S + 1]).
+  const size_t NumShares = std::min<size_t>(availableCpus(), NumFuncs);
+  std::vector<size_t> ShareStart(NumShares + 1, NumFuncs);
+  ShareStart[0] = 0;
+  for (size_t F = 0, S = 1, Seen = 0; F < NumFuncs && S < NumShares; ++F) {
+    Seen += LinesOf[F];
+    if (Seen * NumShares >= Lines * S)
+      ShareStart[S++] = F + 1;
+  }
+  for (size_t S = 0; S < NumShares; ++S)
+    M.InstArenas.push_back(std::make_unique<InstArena>());
   std::vector<std::vector<std::string>> BodyErrors(NumDecls);
-  ScopePool Scopes(std::move(Globals));
-  parallelFor(M.Functions.size(), [&](size_t F) {
-    std::unique_ptr<ScopeState> Scope = Scopes.take();
-    BodyLowering Body(Program, M, FuncOf, *Scope);
-    for (uint32_t D : DeclsOf[F])
-      Body.lower(Program.Functions[D], M.Functions[F], FirstRegion[D],
-                 BodyErrors[D]);
-    Scopes.give(std::move(Scope));
+  parallelFor(NumShares, [&](size_t S) {
+    ScopeState Scope = Globals;
+    BodyLowering Body(Program, M, FuncOf, Scope, *M.InstArenas[S]);
+    for (size_t F = ShareStart[S]; F < ShareStart[S + 1]; ++F)
+      for (uint32_t D : DeclsOf[F])
+        Body.lower(Program.Functions[D], M.Functions[F], FirstRegion[D],
+                   BodyErrors[D]);
   });
   for (std::vector<std::string> &Errs : BodyErrors)
     std::move(Errs.begin(), Errs.end(), std::back_inserter(Result.Errors));

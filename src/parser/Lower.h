@@ -37,9 +37,9 @@ struct LowerResult {
 };
 
 /// Lowers \p Program to IR. Always returns a module; it is only meaningful
-/// when Errors is empty. Function bodies lower on every available CPU
-/// (parallelFor); region ids, errors and their order are those of a
-/// serial run.
+/// when Errors is empty. Function bodies lower on every available CPU, in
+/// one contiguous share of the functions per CPU (parallelFor); region
+/// ids, errors and their order are those of a serial run.
 LowerResult lowerProgram(const ProgramAst &Program);
 
 /// Convenience: parse + lower in one step. Parse errors are folded into the

@@ -6,6 +6,7 @@
 #include "suite/PaperSuite.h"
 #include "suite/SourceGenerator.h"
 #include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 
 #include "gtest/gtest.h"
 
@@ -381,6 +382,64 @@ std::string loweredIrFingerprint(const std::string &Name,
                       Name.c_str(), M.Functions.size(), Blocks, Insts,
                       M.Globals.size(), M.Regions.size(),
                       static_cast<unsigned long long>(H.value()));
+}
+
+TEST(Lower, InstructionListsLiveInTheModulesArenas) {
+  // One arena per share of the functions; a copy of the module takes its
+  // lists from the default resource and outlives the original's arenas.
+  std::unique_ptr<Module> M =
+      lowerOk(generateBenchmark(cyclingSiteSpec(40, 4)).Source);
+  EXPECT_EQ(M->InstArenas.size(),
+            std::min<size_t>(availableCpus(), M->Functions.size()));
+  auto InArena = [&](const std::pmr::memory_resource *R) {
+    return std::any_of(M->InstArenas.begin(), M->InstArenas.end(),
+                       [&](const auto &A) { return A.get() == R; });
+  };
+  for (const Function &F : M->Functions)
+    for (const BasicBlock &BB : F.Blocks)
+      EXPECT_TRUE(InArena(BB.Insts.get_allocator().resource()));
+
+  Module Copy = *M;
+  const std::string Before = printModule(*M);
+  M.reset();
+  EXPECT_TRUE(Copy.InstArenas.empty());
+  for (const Function &F : Copy.Functions)
+    for (const BasicBlock &BB : F.Blocks)
+      EXPECT_EQ(BB.Insts.get_allocator().resource(),
+                std::pmr::get_default_resource());
+  EXPECT_EQ(printModule(Copy), Before);
+}
+
+TEST(InstArena, ReusesAFreedBlockForTheNextListOfItsClass) {
+  InstArena A;
+  void *P = A.allocate(100); // The 128-byte class.
+  A.deallocate(P, 100);
+  EXPECT_EQ(A.allocate(120), P);
+  EXPECT_NE(A.allocate(60), P);
+}
+
+TEST(InstArena, ReturnsItsChunksToTheCacheForTheNextArena) {
+  void *First = nullptr;
+  {
+    InstArena A;
+    First = A.allocate(64);
+  }
+  InstArena B;
+  EXPECT_EQ(B.allocate(64), First);
+}
+
+TEST(InstArena, ListsBeyondTheLargestClassGetTheirOwnMapping) {
+  InstArena A;
+  InstList L(&A);
+  for (uint32_t I = 0; I < 2000; ++I) {
+    Instruction In;
+    In.Aux = I;
+    L.push_back(In);
+  }
+  L.shrink_to_fit();
+  ASSERT_EQ(L.size(), 2000u);
+  for (uint32_t I = 0; I < 2000; I += 199)
+    EXPECT_EQ(L[I].Aux, I);
 }
 
 TEST(Lower, LoweredIrFingerprintsMatchGolden) {
