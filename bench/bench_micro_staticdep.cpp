@@ -148,11 +148,11 @@ BENCHMARK(BM_CallGraphBuild);
 void BM_ModRefSummaries(benchmark::State &State) {
   const Module &M = interprocModule();
   CallGraph CG(M);
-  std::vector<FunctionAnalysis> FA;
+  std::vector<ModRefBody> Bodies;
   for (const Function &F : M.Functions)
-    FA.push_back(buildFunctionAnalysis(F));
+    Bodies.push_back(modRefBody(F, buildDefIndex(F)));
   for (auto _ : State) {
-    ModRefResult MR = computeModRef(M, CG, FA);
+    ModRefResult MR = computeModRef(M, CG, Bodies);
     benchmark::DoNotOptimize(MR.Summaries.size());
   }
   State.SetItemsProcessed(State.iterations());

@@ -6,9 +6,7 @@
 
 using namespace kremlin;
 
-namespace {
-
-DefIndex buildDefIndex(const Function &F) {
+DefIndex kremlin::buildDefIndex(const Function &F) {
   // NoValue lies above every register, so the range test excludes it.
   auto IsDef = [&F](const Instruction &I) {
     return producesValue(I.Op) && I.Result < F.NumValues;
@@ -40,8 +38,6 @@ DefIndex buildDefIndex(const Function &F) {
     DI.ByValue[Fill[DI.Defs[D].Value]++] = D;
   return DI;
 }
-
-} // namespace
 
 FunctionAnalysis kremlin::buildFunctionAnalysis(const Function &F) {
   FunctionAnalysis FA;

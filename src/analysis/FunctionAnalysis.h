@@ -90,6 +90,9 @@ struct FunctionAnalysis {
   DefIndex Defs;
 };
 
+/// Indexes \p F's definitions by block and by register.
+DefIndex buildDefIndex(const Function &F);
+
 /// Computes \p F's dominator tree, its loops from that tree, and its def
 /// index.
 FunctionAnalysis buildFunctionAnalysis(const Function &F);

@@ -10,12 +10,7 @@ namespace {
 
 constexpr unsigned MaxChainDepth = 32;
 
-/// Where an address chain bottoms out inside one function.
-struct AddrRoot {
-  enum class Kind : unsigned char { Global, Frame, Param, Unknown } K =
-      Kind::Unknown;
-  uint32_t Id = 0;
-};
+using AddrRoot = ModRefBody::Root;
 
 /// Resolves \p V to its root through single-definition chains. Parameters
 /// have no defining instruction; a register with exactly one def has an
@@ -86,64 +81,73 @@ void recordEffect(ModRefSummary &S, const AddrRoot &Root, bool IsWrite) {
   }
 }
 
-/// Recomputes \p F's summary from its body plus the current summaries of
-/// its callees. Monotone in the callee summaries, so iterating this to a
-/// fixpoint over an SCC converges.
-ModRefSummary computeOne(const Function &F, const DefIndex &D,
+/// Recomputes a function's summary from its \p Body plus the current
+/// summaries of its callees. Monotone in the callee summaries, so iterating
+/// this to a fixpoint over an SCC converges.
+ModRefSummary computeOne(const ModRefBody &Body,
                          const std::vector<ModRefSummary> &Current) {
-  ModRefSummary S;
-  S.ParamReads.assign(F.NumParams, 0);
-  S.ParamWrites.assign(F.NumParams, 0);
-
-  for (const BasicBlock &B : F.Blocks)
-    for (const Instruction &I : B.Insts) {
-      if (I.Op == Opcode::Load) {
-        recordEffect(S, resolveRoot(F, D, I.A), /*IsWrite=*/false);
-        continue;
-      }
-      if (I.Op == Opcode::Store) {
-        recordEffect(S, resolveRoot(F, D, I.A), /*IsWrite=*/true);
-        continue;
-      }
-      if (I.Op != Opcode::Call)
-        continue;
-      if (I.Aux >= Current.size()) {
-        S.Opaque = true;
-        continue;
-      }
-      const ModRefSummary &CS = Current[I.Aux];
-      if (CS.Opaque)
-        S.Opaque = true;
-      for (GlobalId G : CS.GlobalReads)
-        addSorted(S.GlobalReads, G);
-      for (GlobalId G : CS.GlobalWrites)
-        addSorted(S.GlobalWrites, G);
-      // Param effects of the callee land on whatever array the caller
-      // passed in that position.
-      std::span<const ValueId> Args = F.callArgs(I);
-      unsigned NumK = static_cast<unsigned>(
-          std::max(CS.ParamReads.size(), CS.ParamWrites.size()));
-      for (unsigned K = 0; K < NumK; ++K) {
-        bool Reads = CS.readsParam(K);
-        bool Writes = CS.writesParam(K);
-        if (!Reads && !Writes)
-          continue;
-        AddrRoot ArgRoot;
-        if (K < Args.size())
-          ArgRoot = resolveRoot(F, D, Args[K]);
-        if (Reads)
-          recordEffect(S, ArgRoot, /*IsWrite=*/false);
-        if (Writes)
-          recordEffect(S, ArgRoot, /*IsWrite=*/true);
-      }
+  ModRefSummary S = Body.Own;
+  for (const ModRefBody::Call &C : Body.Calls) {
+    if (C.Callee >= Current.size()) {
+      S.Opaque = true;
+      continue;
     }
+    const ModRefSummary &CS = Current[C.Callee];
+    if (CS.Opaque)
+      S.Opaque = true;
+    for (GlobalId G : CS.GlobalReads)
+      addSorted(S.GlobalReads, G);
+    for (GlobalId G : CS.GlobalWrites)
+      addSorted(S.GlobalWrites, G);
+    // Param effects of the callee land on whatever array the caller
+    // passed in that position.
+    unsigned NumK = static_cast<unsigned>(
+        std::max(CS.ParamReads.size(), CS.ParamWrites.size()));
+    for (unsigned K = 0; K < NumK; ++K) {
+      bool Reads = CS.readsParam(K);
+      bool Writes = CS.writesParam(K);
+      if (!Reads && !Writes)
+        continue;
+      AddrRoot ArgRoot;
+      if (K < C.Args.size())
+        ArgRoot = C.Args[K];
+      if (Reads)
+        recordEffect(S, ArgRoot, /*IsWrite=*/false);
+      if (Writes)
+        recordEffect(S, ArgRoot, /*IsWrite=*/true);
+    }
+  }
   return S;
 }
 
 } // namespace
 
+ModRefBody kremlin::modRefBody(const Function &F, const DefIndex &D) {
+  ModRefBody B;
+  B.Own.ParamReads.assign(F.NumParams, 0);
+  B.Own.ParamWrites.assign(F.NumParams, 0);
+  for (const BasicBlock &BB : F.Blocks)
+    for (const Instruction &I : BB.Insts) {
+      if (I.Op == Opcode::Load) {
+        recordEffect(B.Own, resolveRoot(F, D, I.A), /*IsWrite=*/false);
+        continue;
+      }
+      if (I.Op == Opcode::Store) {
+        recordEffect(B.Own, resolveRoot(F, D, I.A), /*IsWrite=*/true);
+        continue;
+      }
+      if (I.Op != Opcode::Call)
+        continue;
+      ModRefBody::Call &C = B.Calls.emplace_back();
+      C.Callee = I.Aux;
+      for (ValueId A : F.callArgs(I))
+        C.Args.push_back(resolveRoot(F, D, A));
+    }
+  return B;
+}
+
 ModRefResult kremlin::computeModRef(const Module &M, const CallGraph &CG,
-                                    const std::vector<FunctionAnalysis> &FA) {
+                                    const std::vector<ModRefBody> &Bodies) {
   ModRefResult Result;
   Result.Summaries.resize(M.Functions.size());
 
@@ -154,8 +158,7 @@ ModRefResult kremlin::computeModRef(const Module &M, const CallGraph &CG,
     while (Changed) {
       Changed = false;
       for (FuncId F : Component) {
-        ModRefSummary S =
-            computeOne(M.Functions[F], FA[F].Defs, Result.Summaries);
+        ModRefSummary S = computeOne(Bodies[F], Result.Summaries);
         S.Recursive = CG.isRecursive(F);
         if (!summariesEqual(S, Result.Summaries[F])) {
           Result.Summaries[F] = std::move(S);

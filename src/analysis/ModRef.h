@@ -77,11 +77,37 @@ struct ModRefResult {
   }
 };
 
+/// What one function's body contributes to its summary, read once from
+/// its def index: the effects of its own loads and stores, and each call
+/// with the roots its arguments resolve to. The fixpoint works from these,
+/// so no def index has to stay alive while the module's summaries form.
+struct ModRefBody {
+  /// Where an address chain bottoms out inside the function.
+  struct Root {
+    enum class Kind : unsigned char { Global, Frame, Param, Unknown };
+    Kind K = Kind::Unknown;
+    uint32_t Id = 0;
+  };
+  struct Call {
+    /// The call's Aux; out of range for an unknown callee.
+    uint32_t Callee = 0;
+    std::vector<Root> Args;
+  };
+  /// Effects of the body's own loads and stores.
+  ModRefSummary Own;
+  /// The body's calls, in instruction order.
+  std::vector<Call> Calls;
+};
+
+/// Reads \p F's body for mod/ref; \p D is \p F's def index, which
+/// resolves address chains.
+ModRefBody modRefBody(const Function &F, const DefIndex &D);
+
 /// Computes bottom-up mod/ref summaries for every function of \p M using
-/// the SCC order of \p CG; \p FA holds each function's analysis, indexed
-/// by FuncId, whose def index resolves address chains.
+/// the SCC order of \p CG; \p Bodies holds each function's body summary,
+/// indexed by FuncId.
 ModRefResult computeModRef(const Module &M, const CallGraph &CG,
-                           const std::vector<FunctionAnalysis> &FA);
+                           const std::vector<ModRefBody> &Bodies);
 
 } // namespace kremlin
 

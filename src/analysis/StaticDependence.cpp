@@ -1240,19 +1240,24 @@ kremlin::analyzeFunctionDependence(const Module &M, const Function &F,
 StaticAnalysisResult kremlin::analyzeModuleDependence(const Module &M) {
   StaticAnalysisResult Result;
   // The per-function work runs on every available CPU, each task writing
-  // only its own slot; the call graph and mod/ref stay module-wide.
+  // only its own slot; the call graph and mod/ref stay module-wide. Only
+  // the small mod/ref body summaries outlive the first fan-out: each
+  // thread mallocs from its own arena and keeps what is freed there, so
+  // every function's analysis held from one fan-out to the next would
+  // leave each arena as large as the share the schedule gave its thread.
+  // A task builds its function's analysis, uses it and frees it.
   const size_t N = M.Functions.size();
-  std::vector<FunctionAnalysis> FA(N);
+  std::vector<ModRefBody> Bodies(N);
   parallelFor(N, [&](size_t I) {
-    FA[I] = buildFunctionAnalysis(M.Functions[I]);
+    Bodies[I] = modRefBody(M.Functions[I], buildDefIndex(M.Functions[I]));
   });
   CallGraph CG(M);
-  Result.ModRef = computeModRef(M, CG, FA);
+  Result.ModRef = computeModRef(M, CG, Bodies);
   std::vector<std::vector<StaticLoopResult>> PerFunction(N);
   parallelFor(N, [&](size_t I) {
-    PerFunction[I] =
-        analyzeFunctionDependence(M, M.Functions[I], FA[I], &Result.ModRef);
-    FA[I] = FunctionAnalysis(); // Dead from here; do not let it pile up.
+    PerFunction[I] = analyzeFunctionDependence(
+        M, M.Functions[I], buildFunctionAnalysis(M.Functions[I]),
+        &Result.ModRef);
   });
   for (std::vector<StaticLoopResult> &FR : PerFunction)
     std::move(FR.begin(), FR.end(), std::back_inserter(Result.Loops));
