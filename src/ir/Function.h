@@ -27,8 +27,10 @@
 
 namespace kremlin {
 
-/// A block's instructions. Lowering allocates them from an InstArena; a
-/// default-constructed list uses the default resource (new/delete).
+/// A block's instructions. IRBuilder grows an open block's list in the
+/// default resource (new/delete) and, with its terminator, places it at its
+/// final size in the builder's resource, an InstArena when lowering. A
+/// copied list uses the default resource.
 using InstList = std::pmr::vector<Instruction>;
 
 /// A straight-line sequence of instructions ending in a terminator.

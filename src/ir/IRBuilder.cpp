@@ -2,17 +2,12 @@
 
 #include "ir/IRBuilder.h"
 
+#include <memory>
+
 using namespace kremlin;
 
-/// Unused instruction slots (56 bytes each) a completed block must hold
-/// before it is trimmed. Most blocks of the generated programs hold 2-40
-/// instructions; under doubling growth only blocks of more than 32 reach
-/// this bound, so trimming copies about 40% of the instructions once and
-/// returns about a quarter of the module's instruction memory.
-static constexpr size_t MinSlackToTrim = 16;
-
 BlockId IRBuilder::createBlock(std::string Name) {
-  F.Blocks.push_back(BasicBlock{std::move(Name), InstList(InstMemory)});
+  F.Blocks.push_back(BasicBlock{std::move(Name), InstList()});
   return static_cast<BlockId>(F.Blocks.size() - 1);
 }
 
@@ -34,11 +29,15 @@ Instruction &IRBuilder::emit(Instruction I) {
     I.EnclosingRegion = CurRegion;
   InstList &Insts = F.Blocks[CurBlock].Insts;
   Insts.push_back(I);
-  // A terminator completes the block. Growth by doubling leaves up to half
-  // of a large block's capacity unused for the module's lifetime; give a
-  // block back the slack once it is worth a copy.
-  if (isTerminator(I.Op) && Insts.capacity() - Insts.size() >= MinSlackToTrim)
-    Insts.shrink_to_fit();
+  // A terminator completes the block: copy its list once into InstMemory at
+  // exactly its size. A pmr list keeps the resource it was built with, so
+  // assigning the copy would copy it back into the old one; replace the
+  // list object instead.
+  if (isTerminator(I.Op)) {
+    InstList Placed(Insts.begin(), Insts.end(), InstMemory);
+    std::destroy_at(&Insts);
+    std::construct_at(&Insts, std::move(Placed));
+  }
   return Insts.back();
 }
 

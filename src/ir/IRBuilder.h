@@ -29,7 +29,8 @@ namespace kremlin {
 /// Builds one function's CFG instruction by instruction.
 class IRBuilder {
 public:
-  /// Blocks it creates take their instruction lists from \p InstMemory.
+  /// A block's list grows in the default resource while the block is open
+  /// and moves to \p InstMemory, at exactly its size, with its terminator.
   IRBuilder(Module &M, Function &F,
             std::pmr::memory_resource *InstMemory =
                 std::pmr::get_default_resource())

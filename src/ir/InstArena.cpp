@@ -2,9 +2,7 @@
 
 #include "ir/InstArena.h"
 
-#include <algorithm>
-#include <bit>
-#include <cassert>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <sys/mman.h>
@@ -12,9 +10,6 @@
 using namespace kremlin;
 
 namespace {
-
-/// Chunk size: whole pages, four blocks of the largest class.
-constexpr size_t ChunkBytes = size_t{64} << 10;
 
 /// Maps \p Bytes of memory outside every malloc arena.
 void *mapBytes(size_t Bytes) {
@@ -38,7 +33,7 @@ public:
         return C;
       }
     }
-    return mapBytes(ChunkBytes);
+    return mapBytes(InstArena::ChunkBytes);
   }
 
   void give(const std::vector<void *> &Chunks) noexcept {
@@ -48,7 +43,7 @@ public:
     } catch (const std::bad_alloc &) {
       // No room to keep them: they go back to the OS instead.
       for (void *C : Chunks)
-        munmap(C, ChunkBytes);
+        munmap(C, InstArena::ChunkBytes);
     }
   }
 
@@ -64,54 +59,28 @@ ChunkCache &chunkCache() {
   return *Cache;
 }
 
-/// The smallest class whose blocks hold \p Bytes.
-unsigned classOf(size_t Bytes) {
-  constexpr size_t Unit = InstArena::MinBlock;
-  size_t Units = (std::max(Bytes, Unit) + Unit - 1) / Unit;
-  return static_cast<unsigned>(std::bit_width(Units - 1));
-}
-
 } // namespace
 
 InstArena::~InstArena() { chunkCache().give(Chunks); }
 
 void *InstArena::do_allocate(size_t Bytes, size_t Align) {
-  assert(Align <= MinBlock && "blocks are MinBlock-aligned");
-  (void)Align;
-  unsigned K = classOf(Bytes);
-  if (K >= NumClasses)
+  if (Bytes > ChunkBytes)
     return mapBytes(Bytes);
-  if (void *P = Free[K]) {
-    Free[K] = *static_cast<void **>(P);
-    return P;
-  }
-  const size_t Size = MinBlock << K;
-  if (Left < Size) {
-    // File the old chunk's tail under the classes it fits, largest first.
-    while (Left >= MinBlock) {
-      unsigned T = static_cast<unsigned>(std::bit_width(Left / MinBlock)) - 1;
-      *reinterpret_cast<void **>(Cur) = Free[T];
-      Free[T] = Cur;
-      Cur += MinBlock << T;
-      Left -= MinBlock << T;
-    }
+  if (!std::align(Align, Bytes, Cur, Left)) {
+    // The old chunk's tail stays unused.
     Chunks.reserve(Chunks.size() + 1);
-    Cur = static_cast<char *>(chunkCache().take());
+    Cur = chunkCache().take();
     Chunks.push_back(Cur);
     Left = ChunkBytes;
   }
   void *P = Cur;
-  Cur += Size;
-  Left -= Size;
+  Cur = static_cast<char *>(Cur) + Bytes;
+  Left -= Bytes;
   return P;
 }
 
 void InstArena::do_deallocate(void *P, size_t Bytes, size_t) {
-  unsigned K = classOf(Bytes);
-  if (K >= NumClasses) {
+  // A block inside a chunk stays until the arena dies.
+  if (Bytes > ChunkBytes)
     munmap(P, Bytes);
-    return;
-  }
-  *static_cast<void **>(P) = Free[K];
-  Free[K] = P;
 }

@@ -23,24 +23,23 @@
 #ifndef KREMLIN_IR_INSTARENA_H
 #define KREMLIN_IR_INSTARENA_H
 
-#include <array>
 #include <cstddef>
 #include <memory_resource>
 #include <vector>
 
 namespace kremlin {
 
-/// A memory resource for one share of a module's instruction lists. Blocks
-/// come in power-of-two size classes; a freed block goes on its class's
-/// free list for the next list of that class, and the chunks go back to the
-/// cache when the arena is destroyed. Requests too large for a class get
-/// their own mapping. Not synchronized: one thread allocates from or frees
-/// into an arena at a time.
+/// A memory resource for one share of a module's instruction lists. It only
+/// hands memory out: a bump pointer over chunks from the cache, with a list
+/// larger than a chunk in its own mapping. IRBuilder places each list here
+/// once, at its final size, when its block is terminated. Only tests regrow
+/// a placed list, because they edit lowered IR; the list's old block then
+/// stays unused until the module dies and the arena returns its chunks to
+/// the cache. Not synchronized: one thread allocates from an arena at a time.
 class InstArena final : public std::pmr::memory_resource {
 public:
-  /// Smallest block: class K holds blocks of MinBlock << K bytes.
-  static constexpr size_t MinBlock = 64;
-  static constexpr unsigned NumClasses = 9; // Up to 16 KiB.
+  /// Chunk size: whole pages, room for 1,170 instructions.
+  static constexpr size_t ChunkBytes = size_t{64} << 10;
 
   InstArena() = default;
   ~InstArena() override;
@@ -56,13 +55,10 @@ private:
     return this == &Other;
   }
 
-  /// Heads of the per-class free lists, linked through the blocks' first
-  /// word.
-  std::array<void *, NumClasses> Free{};
   /// Chunks taken from the cache, returned on destruction.
   std::vector<void *> Chunks;
   /// Unused tail of the newest chunk.
-  char *Cur = nullptr;
+  void *Cur = nullptr;
   size_t Left = 0;
 };
 

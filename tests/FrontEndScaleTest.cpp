@@ -53,14 +53,19 @@ void expectLinear(const char *Stage, const char *Unit, const double *Ms) {
 }
 
 TEST(FrontEndScale, InstrumentAndAnalyzeGrowLinearlyWithKernelSize) {
+  // Each repetition times every size, so load that lasts a while slows
+  // every size alike; each size keeps its fastest repetition.
+  std::unique_ptr<Module> Lowered[NumSizes];
   double InstrumentMs[NumSizes], AnalyzeMs[NumSizes];
   for (size_t S = 0; S < NumSizes; ++S) {
-    std::unique_ptr<Module> Lowered = compileOrDie(
+    Lowered[S] = compileOrDie(
         generateBenchmark(cyclingSiteSpec(Sizes[S], Sizes[S])).Source,
         "kernel.c");
     InstrumentMs[S] = AnalyzeMs[S] = std::numeric_limits<double>::infinity();
-    for (unsigned Rep = 0; Rep < 3; ++Rep) {
-      Module M = *Lowered;
+  }
+  for (unsigned Rep = 0; Rep < 5; ++Rep)
+    for (size_t S = 0; S < NumSizes; ++S) {
+      Module M = *Lowered[S];
       Clock::time_point T0 = Clock::now();
       instrumentModule(M);
       InstrumentMs[S] = std::min(InstrumentMs[S], msSince(T0));
@@ -69,7 +74,6 @@ TEST(FrontEndScale, InstrumentAndAnalyzeGrowLinearlyWithKernelSize) {
       AnalyzeMs[S] = std::min(AnalyzeMs[S], msSince(T0));
       ASSERT_FALSE(R.Loops.empty());
     }
-  }
   expectLinear("instrument", "kernel size", InstrumentMs);
   expectLinear("analyze", "kernel size", AnalyzeMs);
 }

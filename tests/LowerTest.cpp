@@ -384,21 +384,22 @@ std::string loweredIrFingerprint(const std::string &Name,
                       static_cast<unsigned long long>(H.value()));
 }
 
-TEST(Lower, InstructionListsLiveInTheModulesArenas) {
-  // One arena per share of the functions; a copy of the module takes its
-  // lists from the default resource and outlives the original's arenas.
-  std::unique_ptr<Module> M =
-      lowerOk(generateBenchmark(cyclingSiteSpec(40, 4)).Source);
-  EXPECT_EQ(M->InstArenas.size(),
-            std::min<size_t>(availableCpus(), M->Functions.size()));
+/// Every block's list was placed at its final size in one of \p M's arenas.
+void expectListsPlacedInArenas(const Module &M) {
   auto InArena = [&](const std::pmr::memory_resource *R) {
-    return std::any_of(M->InstArenas.begin(), M->InstArenas.end(),
+    return std::any_of(M.InstArenas.begin(), M.InstArenas.end(),
                        [&](const auto &A) { return A.get() == R; });
   };
-  for (const Function &F : M->Functions)
-    for (const BasicBlock &BB : F.Blocks)
+  for (const Function &F : M.Functions)
+    for (const BasicBlock &BB : F.Blocks) {
       EXPECT_TRUE(InArena(BB.Insts.get_allocator().resource()));
+      EXPECT_EQ(BB.Insts.capacity(), BB.Insts.size());
+    }
+}
 
+/// Copies \p M, destroys it, and checks the copy's lists use the default
+/// resource and print as \p M did.
+void expectCopyOutlivesArenas(std::unique_ptr<Module> M) {
   Module Copy = *M;
   const std::string Before = printModule(*M);
   M.reset();
@@ -410,12 +411,29 @@ TEST(Lower, InstructionListsLiveInTheModulesArenas) {
   EXPECT_EQ(printModule(Copy), Before);
 }
 
-TEST(InstArena, ReusesAFreedBlockForTheNextListOfItsClass) {
-  InstArena A;
-  void *P = A.allocate(100); // The 128-byte class.
-  A.deallocate(P, 100);
-  EXPECT_EQ(A.allocate(120), P);
-  EXPECT_NE(A.allocate(60), P);
+TEST(Lower, InstructionListsLiveInTheModulesArenas) {
+  // One arena per share of the functions; a copy of the module takes its
+  // lists from the default resource and outlives the original's arenas.
+  std::unique_ptr<Module> M =
+      lowerOk(generateBenchmark(cyclingSiteSpec(40, 4)).Source);
+  EXPECT_EQ(M->InstArenas.size(),
+            std::min<size_t>(availableCpus(), M->Functions.size()));
+  expectListsPlacedInArenas(*M);
+  expectCopyOutlivesArenas(std::move(M));
+}
+
+TEST(Lower, ABlockLargerThanAChunkIsPlacedInItsOwnMapping) {
+  std::string Src = "int a[1];\nint main() {\n";
+  for (int I = 0; I < 400; ++I)
+    Src += "  a[0] = a[0] + 1;\n";
+  Src += "  return a[0];\n}\n";
+  std::unique_ptr<Module> M = lowerOk(Src);
+  size_t Largest = 0;
+  for (const BasicBlock &BB : M->Functions[0].Blocks)
+    Largest = std::max(Largest, BB.Insts.size());
+  EXPECT_GT(Largest * sizeof(Instruction), InstArena::ChunkBytes);
+  expectListsPlacedInArenas(*M);
+  expectCopyOutlivesArenas(std::move(M));
 }
 
 TEST(InstArena, ReturnsItsChunksToTheCacheForTheNextArena) {
@@ -428,7 +446,7 @@ TEST(InstArena, ReturnsItsChunksToTheCacheForTheNextArena) {
   EXPECT_EQ(B.allocate(64), First);
 }
 
-TEST(InstArena, ListsBeyondTheLargestClassGetTheirOwnMapping) {
+TEST(InstArena, ListsBeyondAChunkGetTheirOwnMapping) {
   InstArena A;
   InstList L(&A);
   for (uint32_t I = 0; I < 2000; ++I) {
