@@ -172,10 +172,11 @@ void BM_ConsumeBatchOps(benchmark::State &State) {
 }
 BENCHMARK(BM_ConsumeBatchOps)->Arg(2)->Arg(6)->Arg(12);
 
-/// consumeBatch on Tree events of 3-4 ops and 3 leaves: the per-event cost
-/// of onTree, next to BM_ConsumeBatchOps' per-op cost. The suite's trees
-/// average 3.6 ops and 1.4 leaves, so this errs on the costly side. Items
-/// are events; the batch stands for 3.7 times as many instructions.
+/// consumeBatch on Tree events shaped like the suite's: the per-event cost
+/// of onTree, next to BM_ConsumeBatchOps' per-op cost. Over the 11 suite
+/// programs a Tree event averages 18.8 ops and 2.3 leaves; onTree's time
+/// follows the leaves, not the ops. Items are events; the batch stands for
+/// 18.8 times as many instructions.
 void BM_ConsumeBatchTrees(benchmark::State &State) {
   NullSink Sink;
   KremlinConfig Cfg;
@@ -184,21 +185,26 @@ void BM_ConsumeBatchTrees(benchmark::State &State) {
   unsigned Depth = static_cast<unsigned>(State.range(0));
   for (unsigned D = 0; D < Depth; ++D)
     RT.enterRegion(D);
-  // 64 shapes: each reads three rows and roots a tree of 3 or 4 ops.
+  // 64 shapes: 21 read three rows and the rest two (2.33 leaves), and 51
+  // root 19 ops and the rest 18 (18.8 ops). Register moves cost nothing,
+  // so about a quarter of the ops add no work.
   std::vector<TreeLeaf> Leaves;
   std::vector<TreeShape> Shapes(64);
+  std::vector<size_t> FirstLeaf(64);
   for (uint32_t K = 0; K < 64; ++K) {
-    Leaves.push_back({K, 3});
-    Leaves.push_back({(K + 1) % 64, 3});
-    Leaves.push_back({(K + 2) % 64, 2});
+    FirstLeaf[K] = Leaves.size();
+    Leaves.push_back({K, 12});
+    Leaves.push_back({(K + 1) % 64, 9});
+    if (K % 10 < 3)
+      Leaves.push_back({(K + 2) % 64, 4});
   }
   for (uint32_t K = 0; K < 64; ++K) {
     TreeShape &S = Shapes[K];
-    S.Leaves = Leaves.data() + 3 * K;
-    S.NumLeaves = 3;
-    S.CdDist = 3;
-    S.Ops = K % 10 < 7 ? 4 : 3;
-    S.Work = S.Ops;
+    S.Leaves = Leaves.data() + FirstLeaf[K];
+    S.NumLeaves = K % 10 < 3 ? 3 : 2;
+    S.CdDist = 12;
+    S.Ops = K % 5 != 0 ? 19 : 18;
+    S.Work = S.Ops * 3 / 4;
   }
   std::vector<ProfEvent> Batch(ProfEventBatchSize);
   for (size_t I = 0; I < Batch.size(); ++I) {

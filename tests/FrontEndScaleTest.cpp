@@ -1,15 +1,18 @@
 //===- tests/FrontEndScaleTest.cpp - front-end cost vs program size -------===//
 //
-// Size guards for the static front end. Instrument and analyze must cost in
-// proportion to the function they run on: each stage is timed on one
-// generated kernel of K = 50, 100, 200 and 400 loop sites. Lower must cost
-// in proportion to the program: it is timed on programs of 50, 100, 200
-// and 400 functions. Each ratio t(400)/t(50) is bounded: linear cost reads
-// about 8x over the three doublings, quadratic about 64x.
+// Size guards for the static front end and the tape decoder. Instrument
+// and analyze must cost in proportion to the function they run on: each
+// stage is timed on one generated kernel of K = 50, 100, 200 and 400 loop
+// sites. Lower must cost in proportion to the program: it is timed on
+// programs of 50, 100, 200 and 400 functions. Tape decode must cost in
+// proportion to the block it plans: it is timed on one block of 50, 100,
+// 200 and 400 statements. Each ratio t(400)/t(50) is bounded: linear cost
+// reads about 8x over the three doublings, quadratic about 64x.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/StaticDependence.h"
+#include "interp/Tape.h"
 #include "parser/Lower.h"
 #include "parser/Parser.h"
 #include "suite/SourceGenerator.h"
@@ -113,6 +116,58 @@ TEST(FrontEndScale, LowerGrowsLinearlyWithFunctionCount) {
     }
   }
   expectLinear("lower", "function count", LowerMs);
+}
+
+/// One function whose body is a single block of \p Stages statements in
+/// the suite generator's emitStages forms, each also reading a parameter of
+/// its own: one expression DAG of about five ops per statement, with as
+/// many distinct leaf registers as statements.
+std::string stagesBlockSource(unsigned Stages) {
+  static const char *Forms[] = {
+      "  x = x * 3 + p%u + 1;\n",
+      "  x = x + x / 7 + p%u;\n",
+      "  x = x * 2 - x / 5 + p%u;\n",
+      "  x = x + x %% 13 + p%u;\n",
+  };
+  std::string Source = "int f(";
+  for (unsigned P = 0; P < Stages; ++P)
+    Source += formatString("%sint p%u", P ? ", " : "", P);
+  Source += ") {\n  int x = 0;\n";
+  for (unsigned S = 0; S < Stages; ++S)
+    Source += formatString(Forms[S % 4], S);
+  return Source + "  return x;\n}\nint main() { return 0; }\n";
+}
+
+TEST(TapeScale, DecodeGrowsLinearlyWithBlockSize) {
+  // The decoder plans each block's expression DAGs; its cost must follow
+  // the block's length even when one DAG spans the whole block and every
+  // statement adds a leaf. Each size decodes about the same number of
+  // statements per timing and keeps its fastest of five.
+  double DecodeMs[NumSizes];
+  for (size_t S = 0; S < NumSizes; ++S) {
+    std::unique_ptr<Module> M =
+        compileOrDie(stagesBlockSource(Sizes[S]), "stages.c");
+    instrumentModule(*M);
+    const std::vector<uint64_t> GlobalBase(M->Globals.size(), 0);
+    {
+      ModuleTape Tape(*M, GlobalBase);
+      const TapeFunction &F = Tape.Funcs[0];
+      ASSERT_EQ(F.Shapes.size(), 1u);
+      ASSERT_EQ(F.Shapes[0].NumLeaves, Sizes[S]);
+      ASSERT_GE(F.InnerOps, 4 * Sizes[S]);
+    }
+    const unsigned Decodes = 8 * Sizes[NumSizes - 1] / Sizes[S];
+    DecodeMs[S] = std::numeric_limits<double>::infinity();
+    for (unsigned Rep = 0; Rep < 5; ++Rep) {
+      Clock::time_point T0 = Clock::now();
+      for (unsigned D = 0; D < Decodes; ++D) {
+        ModuleTape Tape(*M, GlobalBase);
+        ASSERT_FALSE(Tape.Funcs.empty());
+      }
+      DecodeMs[S] = std::min(DecodeMs[S], msSince(T0) / Decodes);
+    }
+  }
+  expectLinear("tape decode", "block size", DecodeMs);
 }
 
 } // namespace

@@ -115,13 +115,21 @@ public:
 
   IRBuilder &builder() { return *B; }
 
-  /// Loads g[Word]: available at time 2 (address arithmetic, then the
-  /// load).
-  ValueId load(int64_t Word) {
-    ValueId Addr =
-        B->emitPtrAdd(B->emitGlobalAddr(0), B->emitConstInt(Word));
-    return B->emitLoad(Type::Int, Addr);
+  /// Loads g[Word], into a fresh register unless \p Dst names one:
+  /// available at time 2 (address arithmetic, then the load) if nothing
+  /// stored to the word later than that.
+  ValueId load(int64_t Word, ValueId Dst = NoValue) {
+    if (Dst == NoValue)
+      return B->emitLoad(Type::Int, address(Word));
+    Instruction I;
+    I.Op = Opcode::Load;
+    I.Ty = Type::Int;
+    I.A = address(Word);
+    I.Result = Dst;
+    return B->emit(I).Result;
   }
+
+  void store(int64_t Word, ValueId V) { B->emitStore(address(Word), V); }
 
   /// Appends Dst = Op(A, Bv), into a fresh register unless \p Dst names one
   /// (a register with several writers).
@@ -135,9 +143,18 @@ public:
     return B->emit(I);
   }
 
+  ValueId constant(int64_t V) { return B->emitConstInt(V); }
   ValueId callF() { return B->emitCall(FId, Type::Int, {}); }
   void enterNested() { B->emitRegionEnter(Nested); }
   void exitNested() { B->emitRegionExit(Nested); }
+
+  /// Ends the current block with a branch to a new one, which the next
+  /// instructions go to.
+  void nextBlock() {
+    BlockId Next = B->createBlock("next");
+    B->emitBr(Next);
+    B->setInsertPoint(Next);
+  }
 
   /// Closes main() returning \p V, checks the module verifies, and returns
   /// main's InnerOps tally from a fresh decode.
@@ -157,6 +174,10 @@ private:
   FuncId FId = NoFunc;
   RegionId Nested = NoRegion;
   std::optional<IRBuilder> B;
+
+  ValueId address(int64_t Word) {
+    return B->emitPtrAdd(B->emitGlobalAddr(0), B->emitConstInt(Word));
+  }
 
   RegionId addRegion(RegionKind Kind, FuncId Func, RegionId Parent) {
     StaticRegion R;
@@ -184,14 +205,137 @@ TEST(HcpaOracle, TreeFoldsTemporariesIntoTheirRoot) {
 }
 
 TEST(HcpaOracle, TreeStopsAtALeafRedefinedBeforeItsRoot) {
-  // t reads x; x is rewritten; u = t - x. Folding t into u would read the
-  // new x on t's path too.
+  // t reads x; a load rewrites x's row; u = t - x. Folding t into u would
+  // read the new x on t's path too, and the new x is later: its word was
+  // stored at time 3.
+  HandBuilt H;
+  ValueId X = H.load(0), Y = H.load(1);
+  H.store(2, H.op(Opcode::Mul, Y, Y).Result);
+  ValueId T = H.op(Opcode::Mul, X, Y).Result;
+  H.load(2, /*Dst=*/X);
+  ValueId U = H.op(Opcode::Sub, T, X).Result;
+  EXPECT_EQ(H.finish(U), 0u);
+  expectProfileMatchesOracle(H.M);
+}
+
+TEST(HcpaOracle, DagFoldsAnOpThatRedefinesALeaf) {
+  // t reads x; x = y + y redefines x inside the DAG, which writes no row;
+  // u = t - x. Both fold into u, whose shape reads x's old row for t's
+  // path (time 2, where the new x is 3).
   HandBuilt H;
   ValueId X = H.load(0), Y = H.load(1);
   ValueId T = H.op(Opcode::Mul, X, Y).Result;
   H.op(Opcode::Add, Y, Y, /*Dst=*/X);
   ValueId U = H.op(Opcode::Sub, T, X).Result;
-  EXPECT_EQ(H.finish(U), 0u);
+  EXPECT_EQ(H.finish(U), 2u);
+  expectProfileMatchesOracle(H.M);
+}
+
+TEST(HcpaOracle, DagFoldsAChainThroughOneRegister) {
+  // x = x * 3 + 1; x = x + x / 7; y = x + i. x has three writers, and
+  // every value but y's dies in the block, so the four ops before y fold
+  // into it.
+  HandBuilt H;
+  ValueId X = H.load(0), I = H.load(1);
+  ValueId T = H.op(Opcode::Mul, X, H.constant(3)).Result;
+  H.op(Opcode::Add, T, H.constant(1), /*Dst=*/X);
+  ValueId D = H.op(Opcode::Div, X, H.constant(7)).Result;
+  H.op(Opcode::Add, X, D, /*Dst=*/X);
+  ValueId Y = H.op(Opcode::Add, X, I).Result;
+  EXPECT_EQ(H.finish(Y), 4u);
+  expectProfileMatchesOracle(H.M);
+}
+
+TEST(HcpaOracle, DagKeepsAValueTwoRootsReadAsARoot) {
+  // t = x * y feeds u = (t + x) * y, which a store reads, and v = t - y,
+  // whose chain main returns. t's readers fold into two roots, so t roots
+  // its own DAG; t + x still folds into u, and v's chain into its end,
+  // which is the longest path.
+  HandBuilt H;
+  ValueId X = H.load(0), Y = H.load(1);
+  ValueId T = H.op(Opcode::Mul, X, Y).Result;
+  ValueId S = H.op(Opcode::Add, T, X).Result;
+  H.store(2, H.op(Opcode::Mul, S, Y).Result);
+  ValueId V = H.op(Opcode::Sub, T, Y).Result;
+  ValueId V2 = H.op(Opcode::Mul, V, V).Result;
+  ValueId V3 = H.op(Opcode::Mul, V2, V).Result;
+  ValueId V4 = H.op(Opcode::Add, V3, V2).Result;
+  EXPECT_EQ(H.finish(V4), 4u);
+  expectProfileMatchesOracle(H.M);
+}
+
+TEST(HcpaOracle, DagKeepsAValueAStoreReadsAsARoot) {
+  // t = x * y is read by a store and by u = t + x, which folds into
+  // w = u + g[2]. The store reads t's row, and the load after it takes
+  // t's time through memory into w, so t roots its own DAG.
+  HandBuilt H;
+  ValueId X = H.load(0), Y = H.load(1);
+  ValueId T = H.op(Opcode::Mul, X, Y).Result;
+  H.store(2, T);
+  ValueId U = H.op(Opcode::Add, T, X).Result;
+  ValueId W = H.op(Opcode::Add, U, H.load(2)).Result;
+  EXPECT_EQ(H.finish(W), 1u);
+  expectProfileMatchesOracle(H.M);
+}
+
+TEST(HcpaOracle, DagKeepsAValueLiveOutOfItsBlockAsARoot) {
+  // x = x * 3; x = x + 1; g[1] = x * 5, then y = x * x; w = y * y + x in
+  // the next block. The first write folds into the second, whose reader
+  // in its block roots a DAG of its own; but the next block reads the
+  // second write from x's row, so it stays a root. y's chain is the
+  // longest path, so x's time there decides the critical path.
+  HandBuilt H;
+  ValueId X = H.load(0);
+  H.op(Opcode::Mul, X, H.constant(3), /*Dst=*/X);
+  H.op(Opcode::Add, X, H.constant(1), /*Dst=*/X);
+  H.store(1, H.op(Opcode::Mul, X, H.constant(5)).Result);
+  H.nextBlock();
+  ValueId Y = H.op(Opcode::Mul, X, X).Result;
+  ValueId Z = H.op(Opcode::Mul, Y, Y).Result;
+  ValueId W = H.op(Opcode::Add, Z, X).Result;
+  EXPECT_EQ(H.finish(W), 3u); // x * 3 into x + 1; y and y * y into w.
+  expectProfileMatchesOracle(H.M);
+}
+
+TEST(HcpaOracle, DagKeepsTheLastWriteOfALiveInRegisterAsARoot) {
+  // The second block reads x before writing it: y = x + 1; x = y * 2;
+  // z = x - 3. x may carry a value into a block, so its last write there
+  // stays a root although only z reads it; y still folds into it.
+  HandBuilt H;
+  ValueId X = H.load(0);
+  H.nextBlock();
+  ValueId Y = H.op(Opcode::Add, X, H.constant(1)).Result;
+  H.op(Opcode::Mul, Y, H.constant(2), /*Dst=*/X);
+  ValueId Z = H.op(Opcode::Sub, X, H.constant(3)).Result;
+  EXPECT_EQ(H.finish(Z), 1u);
+  expectProfileMatchesOracle(H.M);
+}
+
+TEST(HcpaOracle, DagStopsAtACallInsideAChain) {
+  // x = x * 3; c = f(); x = x + c; y = x * 2. The first write must not
+  // fold across the call; the second folds into y.
+  HandBuilt H;
+  ValueId X = H.load(0);
+  H.op(Opcode::Mul, X, H.constant(3), /*Dst=*/X);
+  ValueId C = H.callF();
+  H.op(Opcode::Add, X, C, /*Dst=*/X);
+  ValueId Y = H.op(Opcode::Mul, X, H.constant(2)).Result;
+  EXPECT_EQ(H.finish(Y), 1u);
+  expectProfileMatchesOracle(H.M);
+}
+
+TEST(HcpaOracle, DagStopsAtARegionMarkerInsideAChain) {
+  // x = x * 3 before a region, x = x + 1 and x = x * x inside it, and
+  // y = x - 2 after it. Only x + 1 folds, into x * x inside the region.
+  HandBuilt H;
+  ValueId X = H.load(0);
+  H.op(Opcode::Mul, X, H.constant(3), /*Dst=*/X);
+  H.enterNested();
+  H.op(Opcode::Add, X, H.constant(1), /*Dst=*/X);
+  H.op(Opcode::Mul, X, X, /*Dst=*/X);
+  H.exitNested();
+  ValueId Y = H.op(Opcode::Sub, X, H.constant(2)).Result;
+  EXPECT_EQ(H.finish(Y), 1u);
   expectProfileMatchesOracle(H.M);
 }
 
