@@ -19,10 +19,11 @@
 ///    (read-modify-write of an array cell). Fused instructions execute and
 ///    emit profiling events exactly as their components would — only the
 ///    dispatches are saved — so profiles stay bit-identical;
-///  * expression trees: each maximal tree of pure register ops whose inner
-///    results are single-use temporaries gets a TreeShape, and the profiled
-///    run emits one EvKind::Tree event at its root instead of one Op event
-///    per op (the runtime's onTree computes the same root time).
+///  * expression DAGs: the pure register ops of a block whose values die
+///    inside it fold into the root their readers share, which gets a
+///    TreeShape, and the profiled run emits one EvKind::Tree event at the
+///    root instead of one Op event per op (the runtime's onTree computes
+///    the same root time).
 ///
 /// Tape opcodes reuse the IR Opcode numbering and append the fused forms,
 /// so a computed-goto jump table indexes directly on TapeInst::Op.
@@ -52,8 +53,8 @@ enum : uint8_t {
 enum : uint8_t {
   BreakDepFlag = 1, ///< Induction/reduction update: ignore the A dep.
   NoEmitFlag = 2,   ///< Profiling event elided (see class comment).
-  InnerFlag = 4,    ///< Inner op of a tree: its root's Tree event counts it.
-  TreeRootFlag = 8, ///< Root of a multi-op tree: emits a Tree event.
+  InnerFlag = 4,    ///< Inner op of a DAG: its root's Tree event counts it.
+  TreeRootFlag = 8, ///< Root of a multi-op DAG: emits a Tree event.
 };
 
 /// Side table for conditional branches: everything the profiler needs that
@@ -94,12 +95,20 @@ struct CondBrInfo {
 ///
 /// Tree flags (see TreeShape) go on the pure register ops: binary, unary,
 /// Move, PtrAdd, compares and casts, never a const-class op or a BreakDepA
-/// update. A tree op whose result register has one static writer and one
-/// static read, by a later tree op of its block, is an inner op
-/// (InnerFlag): it executes but emits nothing, unless a write to one of its
-/// tree's leaves or a Call or region marker comes before that reader. The
-/// op that reads it roots a tree of two or more ops (TreeRootFlag) and
-/// emits one Tree event; an op with no inner operand keeps its Op event.
+/// update. A tree op is an inner op (InnerFlag), which executes but emits
+/// nothing and writes no shadow row, when
+///   - every read of its value, up to its register's next write in the
+///     block, is by a tree op of the block;
+///   - the value dies in the block: the register is rewritten later in it,
+///     or no block reads the register before writing it;
+///   - all those readers fold into one root;
+///   - no Call or region marker lies between it and that root;
+///   - no leaf it reads has its row rewritten (by a load, a call result, an
+///     emitting const, an Op event or another root) before that root.
+/// Any other tree op is a root. One with inner ops (TreeRootFlag) emits one
+/// Tree event for its whole DAG; one without keeps its Op event. The ops of
+/// TapeCmpBr and TapeLoadOpStore are always roots: their branch or store
+/// reads the value.
 struct TapeInst {
   uint8_t Op = 0;
   uint8_t SubOp = 0;
@@ -123,7 +132,7 @@ struct TapeFunction {
   const Function *Src = nullptr;
   uint32_t NumValues = 0;
   uint64_t FrameWords = 0;
-  /// Expression-tree shapes; each one's leaves are the next NumLeaves
+  /// Shapes of the multi-op DAGs; each one's leaves are the next NumLeaves
   /// entries of Leaves, in shape order.
   std::vector<TreeShape> Shapes;
   std::vector<TreeLeaf> Leaves;

@@ -287,8 +287,8 @@ void KremlinRuntime::onTree(ValueId Root, const TreeShape &S) {
   uint64_t *RW = FrameRowW;
   const uint64_t *Inst = CurInstance.data();
 
-  // Every op of the tree reads the same control dependence (no control
-  // event falls inside a tree), and the longest op-to-root path carries it
+  // Every op of the DAG reads the same control dependence (no control
+  // event falls inside a DAG), and the longest op-to-root path carries it
   // furthest. A leaf read at a slot its row is not valid for reads as 0,
   // which that path already dominates, so only valid leaves are maxed in.
   // The leaves are read before the root's watermark is bumped: the root

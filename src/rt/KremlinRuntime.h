@@ -62,7 +62,7 @@ struct KremlinConfig {
 
 /// Counters exposed for the overhead and compression experiments.
 struct RuntimeStats {
-  /// ProfEvents consumed (execute's throughput unit). An expression tree
+  /// ProfEvents consumed (execute's throughput unit). An expression DAG
   /// is one event however many instructions it folds.
   uint64_t Events = 0;
   uint64_t DynRegionEntries = 0;
@@ -127,9 +127,10 @@ public:
   /// dependence on A (induction/reduction update rule).
   void onOp(Opcode Op, ValueId Dst, ValueId A, ValueId B, bool BreakDepA);
 
-  /// A whole expression tree ending in register \p Root (see TreeShape):
+  /// A whole expression DAG ending in register \p Root (see TreeShape):
   /// equivalent to onOp on each of its ops in order, but only the root's
-  /// row is written, since nothing reads an inner temporary's row.
+  /// row is written, since nothing outside the DAG reads an inner op's
+  /// value.
   void onTree(ValueId Root, const TreeShape &S);
 
   void onLoad(ValueId Dst, ValueId AddrReg, uint64_t Addr);
