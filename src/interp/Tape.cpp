@@ -188,7 +188,7 @@ private:
     const InstList &Insts = F.Blocks[BlockId].Insts;
     for (size_t I = 0; I < Insts.size(); ++I) {
       if (tryFuseLoadOpStore(Insts, I, BlockId) ||
-          tryFuseCmpBr(Insts, I, BlockId))
+          tryFuseCmpBr(Insts, I, BlockId) || tryFuseUpdate(Insts, I))
         continue;
       lowerOne(Insts[I], BlockId);
     }
@@ -289,6 +289,31 @@ private:
     return true;
   }
 
+  /// r = op a, b; v = move r, where op is an induction/reduction update
+  /// =>  one superinstruction. Its Update event runs both hooks, so r's row
+  /// is still written and nothing else about the pair may change.
+  bool tryFuseUpdate(const InstList &Insts, size_t &I) {
+    if (I + 1 >= Insts.size())
+      return false;
+    const Instruction &Op = Insts[I];
+    const Instruction &Mv = Insts[I + 1];
+    if (!isBinaryOp(Op.Op) || !breakFlag(Op) || Mv.Op != Opcode::Move ||
+        Mv.A != Op.Result)
+      return false;
+    TapeInst T;
+    T.Op = TapeUpdate;
+    T.SubOp = tapeOp(Op.Op);
+    T.Flags = BreakDepFlag | (breakFlag(Mv) ? MoveBreakDepFlag : 0);
+    T.Dst = Op.Result;
+    T.A = Op.A;
+    T.B = Op.B;
+    T.X = Mv.Result;
+    TF.Code.push_back(T);
+    ++TF.FusedUpdates;
+    I += 1;
+    return true;
+  }
+
   /// Plans the expression DAGs of the block whose tape code starts at
   /// \p Begin, in event order (after fusion, so hoisted constants and the
   /// load inside a TapeLoadOpStore are seen where they execute), and sets
@@ -378,6 +403,11 @@ private:
         Read(Dst);
       } else if (isTreeOp(T.Op, T.Flags)) {
         AddNode(K, T.Op, T.Dst, T.A, T.B, /*Plain=*/true);
+      } else if (T.Op == TapeUpdate) {
+        Read(T.A); // The op, then the move, which reads only its value.
+        Read(T.B);
+        Write(T.Dst, NoNode);
+        Write(T.X, NoNode);
       } else if (T.Op == tapeOp(Opcode::Call) ||
                  T.Op == tapeOp(Opcode::RegionEnter) ||
                  T.Op == tapeOp(Opcode::RegionExit)) {
