@@ -72,6 +72,144 @@ INSTANTIATE_TEST_SUITE_P(
       return Info.param;
     });
 
+// --- One event per branch, jump and update -------------------------------
+//
+// Each conditional branch is one Branch event that carries its compare (an
+// Op, a Tree, or none), each br one Jump, and each induction/reduction
+// update with its copy back one Update. The suite runs only the Op form of
+// Branch and no reduction; these programs run every form, and the profile
+// must still match the oracle, which executes every instruction on its own.
+
+/// How the decoder lowered a program's branches and updates.
+struct TapeForms {
+  unsigned PlainCondBr = 0; ///< CondBr on a value no compare computes.
+  unsigned CmpOp = 0;       ///< TapeCmpBr whose compare is one Op.
+  unsigned CmpTree = 0;     ///< TapeCmpBr whose compare roots a DAG.
+  unsigned Updates = 0;     ///< TapeUpdate pairs...
+  unsigned ReductionUpdates = 0; ///< ...whose move is no update itself.
+};
+
+TapeForms tapeForms(const std::string &Source) {
+  std::unique_ptr<Module> M = compileOrDie(Source);
+  instrumentModule(*M);
+  ModuleTape Tape(*M, std::vector<uint64_t>(M->Globals.size(), 0));
+  TapeForms F;
+  for (const TapeFunction &TF : Tape.Funcs)
+    for (const TapeInst &I : TF.Code) {
+      if (I.Op == static_cast<uint8_t>(Opcode::CondBr))
+        ++F.PlainCondBr;
+      else if (I.Op == TapeCmpBr)
+        ++((I.Flags & TreeRootFlag) ? F.CmpTree : F.CmpOp);
+      else if (I.Op == TapeUpdate) {
+        ++F.Updates;
+        F.ReductionUpdates += !(I.Flags & MoveBreakDepFlag);
+      }
+    }
+  return F;
+}
+
+TEST(HcpaOracle, BranchOnAPlainValueCarriesNoCompare) {
+  // if (x) branches on a variable, if (a && b) on an And: neither is a
+  // compare, so each Branch event carries none, and the And keeps its own
+  // Tree event before it.
+  const char *Src = R"(
+    int a[32];
+    int main() {
+      int s = 0;
+      for (int i = 0; i < 32; i = i + 1) { a[i] = (i * 7) % 5; }
+      for (int i = 0; i < 32; i = i + 1) {
+        int x = a[i];
+        if (x) { s = s + x * 3; }
+        if (a[i] > 1 && a[(i + 1) % 32] < 3) { s = s - 1; }
+        s = s % 1009;
+      }
+      return s;
+    }
+  )";
+  EXPECT_EQ(tapeForms(Src).PlainCondBr, 2u);
+  expectProfileMatchesOracle(Src);
+}
+
+TEST(HcpaOracle, BranchCarriesTheDagItsCompareRoots) {
+  // a[i] + b[i] * a[i - 1] < b[i - 1] + 4: both sums and the product fold
+  // into the compare, whose Tree rides in the Branch event.
+  const char *Src = R"(
+    int a[16];
+    int b[16];
+    int main() {
+      int n = 0;
+      for (int i = 0; i < 16; i = i + 1) { a[i] = i % 5; b[i] = (i * 3) % 7; }
+      for (int i = 1; i < 16; i = i + 1) {
+        if (a[i] + b[i] * a[i - 1] < b[i - 1] + 4) { n = n + a[i]; }
+      }
+      return n;
+    }
+  )";
+  EXPECT_EQ(tapeForms(Src).CmpTree, 1u);
+  expectProfileMatchesOracle(Src);
+}
+
+TEST(HcpaOracle, BranchIntoItsOwnMergePopsItsScopeInTheSameEvent) {
+  // An if without else falls through to its merge block, and a loop test
+  // exits to its own: the scope the branch pushes ends in its own event,
+  // so s = s * 3 % 1009 after the if carries only the loop's dependence.
+  const char *Src = R"(
+    int a[24];
+    int main() {
+      int s = 0;
+      for (int i = 0; i < 24; i = i + 1) { a[i] = (i * 5) % 11; }
+      for (int i = 0; i < 24; i = i + 1) {
+        if (a[i] > 6) { s = s + a[i] * a[i]; }
+        s = s * 3 % 1009;
+      }
+      return s;
+    }
+  )";
+  expectProfileMatchesOracle(Src);
+}
+
+TEST(HcpaOracle, LoopLatchJumpPopsTheHeadersScope) {
+  // Each latch's br re-enters its header, which ends the scope the
+  // header's branch pushed: a data-dependent while test serializes its
+  // iterations through the value it tests, and each inner counted loop's
+  // latch pops only its own header's scope, not the outer one's.
+  const char *Src = R"(
+    int a[8];
+    int main() {
+      int x = 1000;
+      int steps = 0;
+      while (x > 1) {
+        x = x / 2 + x % 3;
+        for (int j = 0; j < 8; j = j + 1) { a[j] = a[j] + x; }
+        steps = steps + 1;
+      }
+      return steps * 100 + a[3] % 97;
+    }
+  )";
+  expectProfileMatchesOracle(Src);
+}
+
+TEST(HcpaOracle, UpdatePairsOfIntAndFloatReductions) {
+  // s = s + a[i] and g = g + f[i]: each reduction update and its copy back
+  // is one Update event, as is each loop's induction update.
+  const char *Src = R"(
+    int a[32];
+    float f[32];
+    int main() {
+      for (int i = 0; i < 32; i = i + 1) { a[i] = i * 3 % 7; f[i] = i * 0.5; }
+      int s = 0;
+      float g = 0.0;
+      for (int i = 0; i < 32; i = i + 1) { s = s + a[i]; }
+      for (int i = 0; i < 32; i = i + 1) { g = g + f[i]; }
+      return s + g;
+    }
+  )";
+  TapeForms F = tapeForms(Src);
+  EXPECT_EQ(F.Updates, 5u);
+  EXPECT_EQ(F.ReductionUpdates, 2u);
+  expectProfileMatchesOracle(Src);
+}
+
 // --- Hand-built expression trees -----------------------------------------
 //
 // Shapes MiniC cannot lower to, built with IRBuilder: straight-line code in

@@ -53,6 +53,7 @@ private:
   std::string Src;
   std::vector<std::string> Funcs;
   unsigned LoopCounter = 0;
+  unsigned TempCounter = 0;
 
   void indent(unsigned Depth) { Src.append(2 * Depth + 2, ' '); }
 
@@ -127,7 +128,7 @@ private:
   }
 
   void emitStmt(unsigned Depth, unsigned CanCall) {
-    switch (Rng.nextBelow(Depth >= 3 ? 4 : 11)) {
+    switch (Rng.nextBelow(Depth >= 3 ? 4 : 13)) {
     case 0: // Scalar update chain.
       indent(Depth);
       Src += formatString("v = v * %llu + %llu;\n",
@@ -189,11 +190,23 @@ private:
         Src += "v = v + 1;\n";
       }
       break;
-    case 4: { // If/else.
+    case 4: { // If/else, on a compare DAG or on values no compare computes.
       indent(Depth);
-      Src += formatString("if (v %% %llu < %llu) {\n",
-                          (unsigned long long)Rng.nextInRange(2, 7),
-                          (unsigned long long)Rng.nextInRange(1, 3));
+      unsigned long long K = Rng.nextInRange(2, 7);
+      switch (Rng.nextBelow(3)) {
+      case 0: // The remainder folds into the compare: its Branch's Tree.
+        Src += formatString("if (v %% %llu < %llu) {\n", K,
+                            (unsigned long long)Rng.nextInRange(1, 3));
+        break;
+      case 1: // A plain value: a Branch that carries no compare.
+        Src += formatString("if (v %% %llu) {\n", K);
+        break;
+      default: // An And of a compare and a value: no compare either.
+        Src += formatString("if (v %% %llu < %llu && mem[%llu] %% 3) {\n",
+                            K, (unsigned long long)Rng.nextInRange(1, 3),
+                            (unsigned long long)Rng.nextBelow(64));
+        break;
+      }
       emitBlock(1 + Rng.nextBelow(2), Depth + 1, CanCall);
       if (Rng.nextBool(0.5)) {
         indent(Depth);
@@ -228,6 +241,12 @@ private:
         Src += "v = " + intExpr(4, CanCall, Full) + ";\n";
       break;
     }
+    case 10:
+      emitStoredTemporary(Depth, CanCall, Rng.nextBool(0.5));
+      break;
+    case 11:
+      emitLeafRewrittenBeforeItsRoot(Depth);
+      break;
     case 6: { // Provably DOALL loop: distinct par[] cell per iteration.
       unsigned Id = LoopCounter++;
       unsigned Iters = 4 + Rng.nextBelow(13); // <= 16, in bounds of par.
@@ -254,6 +273,61 @@ private:
       break;
     }
     }
+  }
+
+  /// A temporary that a store reads and a later statement reads again,
+  /// next to a load of the stored cell: the store reads the temporary's
+  /// own row, so the temporary cannot fold into the later statement's DAG
+  /// (fold condition 1, DESIGN §5a). A loop of its own makes the later
+  /// statement each body's critical path, where a wrong time shows.
+  void emitStoredTemporary(unsigned Depth, unsigned CanCall, bool Full) {
+    unsigned Id = LoopCounter++;
+    std::string T = formatString("t%u", TempCounter++);
+    unsigned long long Cell = Rng.nextBelow(64);
+    indent(Depth);
+    Src += formatString("for (int k%u = 0; k%u < %llu; k%u = k%u + 1) {\n",
+                        Id, Id, (unsigned long long)Rng.nextInRange(2, 4), Id,
+                        Id);
+    indent(Depth + 1);
+    Src += "int " + T + " = " + intExpr(3, CanCall, Full) + ";\n";
+    indent(Depth + 1);
+    Src += formatString("mem[%llu] = %s;\n", Cell, T.c_str());
+    indent(Depth + 1);
+    Src += formatString("v = (v %% 1009 + %s %% %llu) + mem[%llu] %% 13 * 3;\n",
+                        T.c_str(), (unsigned long long)Rng.nextInRange(2, 9),
+                        Cell);
+    indent(Depth);
+    Src += "}\n";
+  }
+
+  /// A chain that reads v, a rewrite of v that a store also reads (so it
+  /// writes v's row), and the end of the chain: the chain's read of v must
+  /// not see the new row (fold condition 5, DESIGN §5a). A loop of its own
+  /// makes the chain each body's critical path, where a wrong time shows;
+  /// the chain reads nothing but v, so no longer path hides its reads.
+  void emitLeafRewrittenBeforeItsRoot(unsigned Depth) {
+    unsigned Id = LoopCounter++;
+    std::string T = formatString("t%u", TempCounter++);
+    indent(Depth);
+    Src += formatString("for (int k%u = 0; k%u < %llu; k%u = k%u + 1) {\n",
+                        Id, Id, (unsigned long long)Rng.nextInRange(2, 4), Id,
+                        Id);
+    indent(Depth + 1);
+    Src += formatString("int %s = v * %llu + v %% %llu;\n", T.c_str(),
+                        (unsigned long long)Rng.nextInRange(2, 5),
+                        (unsigned long long)Rng.nextInRange(2, 9));
+    indent(Depth + 1);
+    Src += formatString("v = mem[%llu] %% 13 + %llu;\n",
+                        (unsigned long long)Rng.nextBelow(64),
+                        (unsigned long long)Rng.nextInRange(1, 9));
+    indent(Depth + 1);
+    Src += formatString("mem[%llu] = v;\n",
+                        (unsigned long long)Rng.nextBelow(64));
+    indent(Depth + 1);
+    Src += formatString("v = (v + %s * %llu) %% 1009;\n", T.c_str(),
+                        (unsigned long long)Rng.nextInRange(2, 5));
+    indent(Depth);
+    Src += "}\n";
   }
 
   void emitBlock(unsigned Stmts, unsigned Depth, unsigned CanCall) {
