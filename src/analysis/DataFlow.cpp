@@ -153,21 +153,11 @@ kremlin::findLoopCarriedScalarDeps(const LoopView &View) {
   // True when every in-loop definition that can feed this value across the
   // back edge is an HCPA-breakable update: the marked op itself, or the
   // canonical `v = Move t` copy whose source op is marked.
+  const DefChains Chains(View);
   auto BreakableDef = [&](unsigned D) {
     const Instruction &I = View.inst(DI.Defs[D]);
-    if (I.IsInductionUpdate || I.IsReductionUpdate)
-      return true;
-    if (I.Op == Opcode::Move && I.A != NoValue) {
-      std::span<const unsigned> SrcDefs = DI.defsOf(I.A);
-      if (SrcDefs.size() == 1) {
-        const DefSite &Src = DI.Defs[SrcDefs[0]];
-        const Instruction &SrcI = View.inst(Src);
-        if (View.inLoop(Src.BB) &&
-            (SrcI.IsInductionUpdate || SrcI.IsReductionUpdate))
-          return true;
-      }
-    }
-    return false;
+    return I.IsInductionUpdate || I.IsReductionUpdate ||
+           Chains.updateOp(I) != nullptr;
   };
 
   // Scan the loop body for uses whose previous-iteration token is alive.

@@ -2,7 +2,10 @@
 
 #include "analysis/FunctionAnalysis.h"
 
+#include "analysis/DataFlow.h"
+
 #include <algorithm>
+#include <set>
 
 using namespace kremlin;
 
@@ -72,4 +75,118 @@ bool LoopView::dominatesAllLatches(BlockId B) const {
     if (!FA.DT.dominates(B, Latch))
       return false;
   return true;
+}
+
+bool LoopView::dependsOn(ValueId V, ValueId Target) const {
+  if (V == Target)
+    return true;
+  std::set<ValueId> Visited = {V};
+  std::vector<ValueId> Work = {V};
+  while (!Work.empty()) {
+    if (Visited.size() > 512)
+      return true; // Give up conservatively on huge chains.
+    ValueId Cur = Work.back();
+    Work.pop_back();
+    for (unsigned D : FA.Defs.defsOf(Cur)) {
+      const DefSite &Def = FA.Defs.Defs[D];
+      if (!inLoop(Def.BB))
+        continue;
+      bool Reads = false;
+      forEachUse(F, inst(Def), [&](ValueId Next) {
+        if (Next == Target)
+          Reads = true;
+        else if (Visited.insert(Next).second)
+          Work.push_back(Next);
+      });
+      if (Reads)
+        return true;
+    }
+  }
+  return false;
+}
+
+const Instruction *DefChains::lookup(ValueId V,
+                                     const LoopView *Scope) const {
+  if (Scope && Scope->defines(V)) {
+    const DefSite *D = Scope->singleDef(V);
+    return D ? &Scope->inst(*D) : nullptr;
+  }
+  std::span<const unsigned> Ds = Defs.defsOf(V);
+  if (Ds.size() != 1)
+    return nullptr;
+  const DefSite &D = Defs.Defs[Ds[0]];
+  return &F.Blocks[D.BB].Insts[D.Idx];
+}
+
+ArrayRoot DefChains::arrayOf(ValueId Addr,
+                             std::vector<ValueId> *Offsets) const {
+  ValueId V = Addr;
+  for (unsigned Hops = 0; Hops <= MaxChainHops && V != NoValue; ++Hops) {
+    const Instruction *I = def(V);
+    if (!I) {
+      if (V < F.NumParams && Defs.defsOf(V).empty())
+        return {ArrayBase::Param, V};
+      break;
+    }
+    switch (I->Op) {
+    case Opcode::GlobalAddr:
+      return {ArrayBase::Global, I->Aux};
+    case Opcode::FrameAddr:
+      return {ArrayBase::Frame, I->Aux};
+    case Opcode::PtrAdd:
+      if (Offsets)
+        Offsets->push_back(I->B);
+      V = I->A;
+      break;
+    case Opcode::Move:
+      V = I->A;
+      break;
+    default:
+      return {};
+    }
+  }
+  return {};
+}
+
+bool DefChains::sameValue(ValueId A, ValueId B, unsigned Hops) const {
+  if (A == B)
+    return true;
+  if (Hops > MaxChainHops || A == NoValue || B == NoValue)
+    return false;
+  const Instruction *IA = lookup(A, nullptr);
+  const Instruction *IB = lookup(B, nullptr);
+  // Distinct registers without a chain match only as themselves.
+  if (!IA || !IB)
+    return false;
+  if (IA->Op == Opcode::Move)
+    return sameValue(IA->A, B, Hops + 1);
+  if (IB->Op == Opcode::Move)
+    return sameValue(A, IB->A, Hops + 1);
+  if (IA->Op != IB->Op)
+    return false;
+  switch (IA->Op) {
+  case Opcode::ConstInt:
+    return IA->IntImm == IB->IntImm;
+  case Opcode::ConstFloat:
+    return IA->FloatImm == IB->FloatImm;
+  case Opcode::GlobalAddr:
+  case Opcode::FrameAddr:
+    return IA->Aux == IB->Aux;
+  default:
+    if (isBinaryOp(IA->Op))
+      return sameValue(IA->A, IB->A, Hops + 1) &&
+             sameValue(IA->B, IB->B, Hops + 1);
+    if (isUnaryOp(IA->Op) || IA->Op == Opcode::Load)
+      return sameValue(IA->A, IB->A, Hops + 1);
+    return false;
+  }
+}
+
+const Instruction *DefChains::updateOp(const Instruction &Copy) const {
+  if (Copy.Op != Opcode::Move || (Loop && !Loop->defines(Copy.A)))
+    return nullptr;
+  const Instruction *Op = lookup(Copy.A, nullptr);
+  if (!Op || (!Op->IsInductionUpdate && !Op->IsReductionUpdate))
+    return nullptr;
+  return Op;
 }

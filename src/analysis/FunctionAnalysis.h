@@ -16,8 +16,10 @@
 /// so the work per loop follows the loop's size, not the function's.
 /// LoopView is one loop as the per-loop passes read it: it marks the loop
 /// in the arena and answers the per-loop definition queries they share.
-/// ArrayBase and basesMayAlias are the one array alias rule that
-/// reduction marking and the loop analyzer share.
+/// ArrayRoot and basesMayAlias are the one array alias rule that mod/ref,
+/// reduction marking and the loop analyzer share, and DefChains holds the
+/// def-chain queries they share: one definition lookup, one walk from an
+/// address to its array, one chain comparison and one update-pair decode.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,24 +65,35 @@ struct DefIndex {
 };
 
 /// What an address register points into, as the static passes resolve
-/// it: a global or frame array (the id is its array id), an array
-/// parameter (the id is its register), or Unknown.
+/// it: a global or frame array, an array parameter, or Unknown.
 enum class ArrayBase : unsigned char { Global, Frame, Param, Unknown };
 
-/// May bases (\p K1, \p Id1) and (\p K2, \p Id2) overlap? Identical
-/// bases always do. Distinct globals never do, and a frame array meets no
-/// other base (an activation cannot be its own caller). An array
-/// parameter may alias any global or other parameter, and an Unknown base
-/// anything.
-inline bool basesMayAlias(ArrayBase K1, uint32_t Id1, ArrayBase K2,
-                          uint32_t Id2) {
-  if (K1 == ArrayBase::Unknown || K2 == ArrayBase::Unknown ||
-      (K1 == K2 && Id1 == Id2))
+/// One array as the static passes name it. The id is the array id of a
+/// global or frame array and the register of an array parameter; it is 0
+/// for Unknown.
+struct ArrayRoot {
+  ArrayBase Kind = ArrayBase::Unknown;
+  uint32_t Id = 0;
+
+  bool operator==(const ArrayRoot &) const = default;
+};
+
+/// May arrays \p A and \p B overlap? Identical roots always do. Distinct
+/// globals never do, and a frame array meets no other root (an activation
+/// cannot be its own caller). An array parameter may alias any global or
+/// other parameter, and an Unknown root anything.
+inline bool basesMayAlias(ArrayRoot A, ArrayRoot B) {
+  if (A.Kind == ArrayBase::Unknown || B.Kind == ArrayBase::Unknown || A == B)
     return true;
-  if (K1 == ArrayBase::Frame || K2 == ArrayBase::Frame)
+  if (A.Kind == ArrayBase::Frame || B.Kind == ArrayBase::Frame)
     return false;
-  return K1 == ArrayBase::Param || K2 == ArrayBase::Param;
+  return A.Kind == ArrayBase::Param || B.Kind == ArrayBase::Param;
 }
+
+/// A def-chain walk looks up at most this many registers past the one it
+/// starts from, and gives up beyond: the array walk, the chain comparison
+/// and the loop analyzer's constant and affine folding.
+constexpr unsigned MaxChainHops = 32;
 
 /// The per-function analyses a stage shares between its passes.
 struct FunctionAnalysis {
@@ -176,6 +189,67 @@ public:
   /// True when \p B dominates every latch of the loop: it runs on every
   /// iteration that completes.
   bool dominatesAllLatches(BlockId B) const;
+
+  /// True when a chain of the loop's definitions can lead from \p V to a
+  /// read of \p Target: a walk through every in-loop definition of each
+  /// register it meets (chains cycle through loop-carried variables),
+  /// conservatively true past 512 registers.
+  bool dependsOn(ValueId V, ValueId Target) const;
+};
+
+/// The def-chain queries of the static passes, over one function and, for
+/// the per-loop passes, one of its loops. Each follows a register to the one
+/// definition that computes it: the function's only definition of it, or
+/// none when it has several. Inside a loop, def() and arrayOf() let a
+/// register the loop defines follow the loop's only definition of it
+/// instead. sameValue() and updateOp() keep the function rule there: a
+/// loop's only definition of a register the function also defines before
+/// the loop may not have run yet in the current iteration (`a[i + 1] =
+/// a[i] + 1` reads i before its update), and the copy `v = move t` of an
+/// update reads the op's own t, which is defined once. Mod/ref and constant
+/// folding ask with no loop; induction marking, the carried-scalar scan and
+/// the loop analyzer ask inside their loop.
+class DefChains {
+public:
+  /// Queries over \p F with no loop; \p Defs is \p F's def index. Both
+  /// must outlive the queries.
+  DefChains(const Function &F, const DefIndex &Defs) : F(F), Defs(Defs) {}
+  /// Queries inside \p View's loop, valid while the view is.
+  explicit DefChains(const LoopView &View)
+      : F(View.F), Defs(View.FA.Defs), Loop(&View) {}
+
+  /// The definition \p V's chain follows, or nullptr when it has none.
+  const Instruction *def(ValueId V) const { return lookup(V, Loop); }
+
+  /// The array address register \p Addr points into, following Move and
+  /// PtrAdd bases (a PtrAdd offset never changes the array) for at most
+  /// MaxChainHops hops. A register the function never defines is the
+  /// array parameter it names, when it is a parameter. When \p Offsets is
+  /// given, the offset register of each PtrAdd passed is appended to it.
+  ArrayRoot arrayOf(ValueId Addr,
+                    std::vector<ValueId> *Offsets = nullptr) const;
+
+  /// True when \p A and \p B are one register or structurally equal
+  /// chains: the same opcodes over equal operands, down to equal constants,
+  /// the same global or frame array, or the same register, looking through
+  /// a copy on either side. Loads compare by address, so the caller must
+  /// know no store runs between the two chains.
+  bool sameValue(ValueId A, ValueId B) const { return sameValue(A, B, 0); }
+
+  /// The marked op behind an update's copy: when \p Copy is `v = move t`
+  /// and t's one definition (inside the loop, for a loop's queries) carries
+  /// an induction or reduction mark, that definition; nullptr otherwise.
+  const Instruction *updateOp(const Instruction &Copy) const;
+
+private:
+  /// The one lookup: inside \p Scope's loop, or function-wide when null.
+  const Instruction *lookup(ValueId V, const LoopView *Scope) const;
+  bool sameValue(ValueId A, ValueId B, unsigned Hops) const;
+
+  const Function &F;
+  const DefIndex &Defs;
+  /// nullptr for queries with no loop.
+  const LoopView *Loop = nullptr;
 };
 
 } // namespace kremlin

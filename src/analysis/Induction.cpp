@@ -5,7 +5,6 @@
 #include "analysis/DataFlow.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 using namespace kremlin;
@@ -13,12 +12,12 @@ using namespace kremlin;
 namespace {
 
 /// The patterns over one loop. Every definition query goes through the
-/// loop's view; the marks and operand swaps are written into F, the
-/// non-const function the view reads.
+/// loop's view or its def chains; the marks and operand swaps are written
+/// into F, the non-const function the view reads.
 class Marker {
 public:
   Marker(Function &F, const LoopView &View, InductionMarkResult &Result)
-      : F(F), View(View), Result(Result) {}
+      : F(F), View(View), Chains(View), Result(Result) {}
 
   void run() {
     markScalarUpdates();
@@ -28,6 +27,7 @@ public:
 private:
   Function &F;
   const LoopView &View;
+  const DefChains Chains;
   InductionMarkResult &Result;
 
   /// The instruction at \p D, to write a mark or swap into. The view hands
@@ -47,44 +47,6 @@ private:
       return false;
     Opcode Op = View.inst(*Only).Op;
     return Op == Opcode::ConstInt || Op == Opcode::ConstFloat;
-  }
-
-  /// True when \p V's in-loop def chains can read \p Banned. Worklist walk
-  /// with a visited set (def chains cycle through loop-carried variables);
-  /// conservatively true if the walk grows past a size bound.
-  bool dependsOn(ValueId V, ValueId Banned) {
-    if (V == Banned)
-      return true;
-    std::set<ValueId> Visited;
-    std::vector<ValueId> Work = {V};
-    Visited.insert(V);
-    while (!Work.empty()) {
-      if (Visited.size() > 512)
-        return true; // Give up conservatively on huge chains.
-      ValueId Cur = Work.back();
-      Work.pop_back();
-      for (unsigned D : View.FA.Defs.defsOf(Cur)) {
-        const DefSite &Def = View.FA.Defs.Defs[D];
-        if (!View.inLoop(Def.BB))
-          continue;
-        const Instruction &I = View.inst(Def);
-        auto Visit = [&](ValueId Next) {
-          if (Next == NoValue)
-            return false;
-          if (Next == Banned)
-            return true;
-          if (Visited.insert(Next).second)
-            Work.push_back(Next);
-          return false;
-        };
-        if (Visit(I.A) || Visit(I.B))
-          return true;
-        for (ValueId Arg : F.callArgs(I))
-          if (Visit(Arg))
-            return true;
-      }
-    }
-    return false;
   }
 
   static bool isReductionOpcode(Opcode Op) {
@@ -216,7 +178,7 @@ private:
       // genuine recurrence that must not be broken.
       bool Recurrence = false;
       for (ValueId Sibling : Siblings)
-        if (dependsOn(Sibling, V)) {
+        if (View.dependsOn(Sibling, V)) {
           Recurrence = true;
           break;
         }
@@ -252,83 +214,18 @@ private:
         Reads[C] = LoopScratch::NoSlot;
   }
 
-  /// Structural equality of two address-computation chains. Leaves compare
-  /// by register identity, constant value, or global/frame array id. Loads
-  /// compare by address-chain equality (the caller guarantees there is no
-  /// intervening store, because both chains were emitted while lowering one
-  /// assignment statement).
-  bool sameValueChain(ValueId A, ValueId B, unsigned Depth) {
-    if (A == B)
-      return true;
-    if (Depth == 0 || A == NoValue || B == NoValue)
-      return false;
-    const DefIndex &DI = View.FA.Defs;
-    std::span<const unsigned> DA = DI.defsOf(A), DB = DI.defsOf(B);
-    if (DA.size() != 1 || DB.size() != 1)
-      return false;
-    const Instruction &IA = View.inst(DI.Defs[DA[0]]);
-    const Instruction &IB = View.inst(DI.Defs[DB[0]]);
-    if (IA.Op != IB.Op)
-      return false;
-    switch (IA.Op) {
-    case Opcode::ConstInt:
-      return IA.IntImm == IB.IntImm;
-    case Opcode::ConstFloat:
-      return IA.FloatImm == IB.FloatImm;
-    case Opcode::GlobalAddr:
-    case Opcode::FrameAddr:
-      return IA.Aux == IB.Aux;
-    case Opcode::Load:
-      return sameValueChain(IA.A, IB.A, Depth - 1);
-    default:
-      if (isBinaryOp(IA.Op))
-        return sameValueChain(IA.A, IB.A, Depth - 1) &&
-               sameValueChain(IA.B, IB.B, Depth - 1);
-      if (isUnaryOp(IA.Op))
-        return sameValueChain(IA.A, IB.A, Depth - 1);
-      return false;
-    }
-  }
-
-  /// The array an address register points into, following Move and
-  /// PtrAdd bases the way the loop analyzer resolves addresses.
-  std::pair<ArrayBase, uint32_t> baseOf(ValueId V) const {
-    const DefIndex &DI = View.FA.Defs;
-    for (unsigned Depth = 0; Depth < 16 && V != NoValue; ++Depth) {
-      const DefSite *Def = nullptr;
-      if (View.defines(V))
-        Def = View.singleDef(V);
-      else if (DI.defsOf(V).size() == 1)
-        Def = &DI.Defs[DI.defsOf(V)[0]];
-      else if (DI.defsOf(V).empty() && V < F.NumParams)
-        return {ArrayBase::Param, V};
-      if (!Def)
-        break;
-      const Instruction &I = View.inst(*Def);
-      if (I.Op == Opcode::GlobalAddr)
-        return {ArrayBase::Global, I.Aux};
-      if (I.Op == Opcode::FrameAddr)
-        return {ArrayBase::Frame, I.Aux};
-      if (I.Op != Opcode::Move && I.Op != Opcode::PtrAdd)
-        break;
-      V = I.A;
-    }
-    return {ArrayBase::Unknown, 0};
-  }
-
   /// True when nothing in the loop but \p Own, the update's own load, may
   /// read the cell at \p Addr: no other load that may reach its array, and
   /// no call.
   bool onlyLoadOfCell(ValueId Addr, const Instruction &Own) const {
-    auto [Kind, Id] = baseOf(Addr);
+    ArrayRoot Cell = Chains.arrayOf(Addr);
     for (BlockId B : View.L.Blocks)
       for (const Instruction &I : F.Blocks[B].Insts) {
         if (I.Op == Opcode::Call)
           return false;
         if (I.Op != Opcode::Load || &I == &Own)
           continue;
-        auto [LoadKind, LoadId] = baseOf(I.A);
-        if (basesMayAlias(Kind, Id, LoadKind, LoadId))
+        if (basesMayAlias(Cell, Chains.arrayOf(I.A)))
           return false;
       }
     return true;
@@ -357,7 +254,9 @@ private:
           const Instruction &LoadInst = View.inst(*LDef);
           if (LoadInst.Op != Opcode::Load)
             return false;
-          return sameValueChain(LoadInst.A, Store.A, /*Depth=*/16) &&
+          // Both addresses come from lowering one assignment, so no
+          // store runs between them.
+          return Chains.sameValue(LoadInst.A, Store.A) &&
                  onlyLoadOfCell(Store.A, LoadInst);
         };
 

@@ -8,48 +8,6 @@ using namespace kremlin;
 
 namespace {
 
-constexpr unsigned MaxChainDepth = 32;
-
-using AddrRoot = ModRefBody::Root;
-
-/// Resolves \p V to its root through single-definition chains. Parameters
-/// have no defining instruction; a register with exactly one def has an
-/// unambiguous chain regardless of control flow.
-AddrRoot resolveRoot(const Function &F, const DefIndex &D, ValueId V,
-                     unsigned Depth = 0) {
-  AddrRoot R;
-  if (Depth > MaxChainDepth || V == NoValue || V >= F.NumValues)
-    return R;
-  std::span<const unsigned> Defs = D.defsOf(V);
-  if (Defs.empty()) {
-    if (V < F.NumParams) {
-      R.K = AddrRoot::Kind::Param;
-      R.Id = V;
-    }
-    return R;
-  }
-  if (Defs.size() != 1)
-    return R;
-  const DefSite &Site = D.Defs[Defs[0]];
-  const Instruction &I = F.Blocks[Site.BB].Insts[Site.Idx];
-  switch (I.Op) {
-  case Opcode::GlobalAddr:
-    R.K = AddrRoot::Kind::Global;
-    R.Id = I.Aux;
-    return R;
-  case Opcode::FrameAddr:
-    R.K = AddrRoot::Kind::Frame;
-    R.Id = I.Aux;
-    return R;
-  case Opcode::Move:
-  case Opcode::PtrAdd:
-    // PtrAdd offsets never change the base array (word-granular model).
-    return resolveRoot(F, D, I.A, Depth + 1);
-  default:
-    return R;
-  }
-}
-
 void addSorted(std::vector<GlobalId> &Set, GlobalId G) {
   auto It = std::lower_bound(Set.begin(), Set.end(), G);
   if (It == Set.end() || *It != G)
@@ -64,18 +22,18 @@ bool summariesEqual(const ModRefSummary &A, const ModRefSummary &B) {
 
 /// Records one read or write through \p Root into \p S. Frame roots are
 /// private to the activation and do not escape into the summary.
-void recordEffect(ModRefSummary &S, const AddrRoot &Root, bool IsWrite) {
-  switch (Root.K) {
-  case AddrRoot::Kind::Global:
+void recordEffect(ModRefSummary &S, ArrayRoot Root, bool IsWrite) {
+  switch (Root.Kind) {
+  case ArrayBase::Global:
     addSorted(IsWrite ? S.GlobalWrites : S.GlobalReads, Root.Id);
     return;
-  case AddrRoot::Kind::Frame:
+  case ArrayBase::Frame:
     return;
-  case AddrRoot::Kind::Param:
+  case ArrayBase::Param:
     if (Root.Id < (IsWrite ? S.ParamWrites : S.ParamReads).size())
       (IsWrite ? S.ParamWrites : S.ParamReads)[Root.Id] = 1;
     return;
-  case AddrRoot::Kind::Unknown:
+  case ArrayBase::Unknown:
     S.Opaque = true;
     return;
   }
@@ -108,7 +66,7 @@ ModRefSummary computeOne(const ModRefBody &Body,
       bool Writes = CS.writesParam(K);
       if (!Reads && !Writes)
         continue;
-      AddrRoot ArgRoot;
+      ArrayRoot ArgRoot;
       if (K < C.Args.size())
         ArgRoot = C.Args[K];
       if (Reads)
@@ -126,14 +84,15 @@ ModRefBody kremlin::modRefBody(const Function &F, const DefIndex &D) {
   ModRefBody B;
   B.Own.ParamReads.assign(F.NumParams, 0);
   B.Own.ParamWrites.assign(F.NumParams, 0);
+  DefChains Chains(F, D);
   for (const BasicBlock &BB : F.Blocks)
     for (const Instruction &I : BB.Insts) {
       if (I.Op == Opcode::Load) {
-        recordEffect(B.Own, resolveRoot(F, D, I.A), /*IsWrite=*/false);
+        recordEffect(B.Own, Chains.arrayOf(I.A), /*IsWrite=*/false);
         continue;
       }
       if (I.Op == Opcode::Store) {
-        recordEffect(B.Own, resolveRoot(F, D, I.A), /*IsWrite=*/true);
+        recordEffect(B.Own, Chains.arrayOf(I.A), /*IsWrite=*/true);
         continue;
       }
       if (I.Op != Opcode::Call)
@@ -141,7 +100,7 @@ ModRefBody kremlin::modRefBody(const Function &F, const DefIndex &D) {
       ModRefBody::Call &C = B.Calls.emplace_back();
       C.Callee = I.Aux;
       for (ValueId A : F.callArgs(I))
-        C.Args.push_back(resolveRoot(F, D, A));
+        C.Args.push_back(Chains.arrayOf(A));
     }
   return B;
 }

@@ -79,19 +79,13 @@ struct ModRefResult {
 
 /// What one function's body contributes to its summary, read once from
 /// its def index: the effects of its own loads and stores, and each call
-/// with the roots its arguments resolve to. The fixpoint works from these,
+/// with the arrays its arguments resolve to. The fixpoint works from these,
 /// so no def index has to stay alive while the module's summaries form.
 struct ModRefBody {
-  /// Where an address chain bottoms out inside the function.
-  struct Root {
-    enum class Kind : unsigned char { Global, Frame, Param, Unknown };
-    Kind K = Kind::Unknown;
-    uint32_t Id = 0;
-  };
   struct Call {
     /// The call's Aux; out of range for an unknown callee.
     uint32_t Callee = 0;
-    std::vector<Root> Args;
+    std::vector<ArrayRoot> Args;
   };
   /// Effects of the body's own loads and stores.
   ModRefSummary Own;
@@ -99,8 +93,8 @@ struct ModRefBody {
   std::vector<Call> Calls;
 };
 
-/// Reads \p F's body for mod/ref; \p D is \p F's def index, which
-/// resolves address chains.
+/// Reads \p F's body for mod/ref; \p D is \p F's def index, over which
+/// addresses resolve to arrays with no loop (DefChains).
 ModRefBody modRefBody(const Function &F, const DefIndex &D);
 
 /// Computes bottom-up mod/ref summaries for every function of \p M using

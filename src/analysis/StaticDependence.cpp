@@ -17,8 +17,6 @@ using namespace kremlin;
 
 namespace {
 
-constexpr unsigned MaxEvalDepth = 32;
-
 uint64_t absU64(int64_t V) {
   return V < 0 ? static_cast<uint64_t>(-(V + 1)) + 1 : static_cast<uint64_t>(V);
 }
@@ -90,7 +88,7 @@ Affine affineScale(const Affine &A, int64_t K) {
 }
 
 /// One memory access inside the loop, with its resolved address. A Param
-/// base is an array parameter of the enclosing function: a definite array,
+/// array is an array parameter of the enclosing function: a definite array,
 /// but one that may alias any global or other parameter the caller chose to
 /// pass (never a frame array -- an activation cannot be its own caller).
 struct MemAccess {
@@ -99,9 +97,7 @@ struct MemAccess {
   unsigned Idx = 0;
   unsigned Line = 0;
   /// Address resolution state.
-  using Base = ArrayBase;
-  Base Kind = Base::Unknown;
-  uint32_t BaseId = 0;
+  ArrayRoot Array;
   bool OffsetKnown = false;
   Affine Offset;
   /// Stores only: the stored value is a recognized memory-reduction update
@@ -113,27 +109,29 @@ struct MemAccess {
 
 /// Per-loop evaluation context: affine forms for registers, address
 /// resolution, and iteration-cost estimation, all read through the loop's
-/// view.
+/// view and its def chains.
 class LoopAnalyzer {
 public:
   explicit LoopAnalyzer(const LoopView &View)
-      : View(View), F(View.F), L(View.L), DI(View.FA.Defs) {
+      : Chains(View), View(View), F(View.F), L(View.L), DI(View.FA.Defs),
+        FunctionChains(F, DI) {
     findInductionVars();
   }
 
+  /// The loop's def chains.
+  const DefChains Chains;
+
   /// Whole-function constant folding through single-definition chains.
   std::optional<int64_t> constEval(ValueId V, unsigned Depth = 0) const {
-    if (Depth > MaxEvalDepth || V == NoValue)
+    if (Depth > MaxChainHops || V == NoValue)
       return std::nullopt;
-    std::span<const unsigned> Ds = DI.defsOf(V);
-    if (Ds.size() != 1)
-      return std::nullopt;
-    return fold(View.inst(DI.Defs[Ds[0]]), Depth + 1);
+    const Instruction *I = FunctionChains.def(V);
+    return I ? fold(*I, Depth + 1) : std::nullopt;
   }
 
   /// Affine form of register \p V at a body use point, or nullopt.
   std::optional<Affine> evaluate(ValueId V, unsigned Depth = 0) const {
-    if (Depth > MaxEvalDepth || V == NoValue)
+    if (Depth > MaxChainHops || V == NoValue)
       return std::nullopt;
     auto IndIt = InductionStep.find(V);
     if (IndIt != InductionStep.end()) {
@@ -190,54 +188,21 @@ public:
     }
   }
 
-  /// Resolves the address register of a Load/Store to base + affine offset.
-  void resolveAddress(ValueId V, MemAccess &Out, unsigned Depth = 0) const {
-    if (Depth > MaxEvalDepth || V == NoValue)
+  /// Resolves the address register of a Load/Store to its array and, when
+  /// every PtrAdd offset on the way has an affine form, their sum.
+  void resolveAddress(ValueId V, MemAccess &Out) {
+    Offsets.clear();
+    Out.Array = Chains.arrayOf(V, &Offsets);
+    if (Out.Array.Kind == ArrayBase::Unknown)
       return;
-    const DefSite *Def = nullptr;
-    if (View.defines(V)) {
-      Def = View.singleDef(V);
-    } else if (DI.defsOf(V).size() == 1) {
-      Def = &DI.Defs[DI.defsOf(V)[0]];
-    } else if (DI.defsOf(V).empty() && V < F.NumParams) {
-      // Array parameter: a definite base address with offset 0.
-      Out.Kind = MemAccess::Base::Param;
-      Out.BaseId = V;
-      Out.OffsetKnown = true;
-      return;
-    }
-    if (!Def)
-      return;
-    const Instruction &I = View.inst(*Def);
-    switch (I.Op) {
-    case Opcode::GlobalAddr:
-      Out.Kind = MemAccess::Base::Global;
-      Out.BaseId = I.Aux;
-      Out.OffsetKnown = true;
-      return;
-    case Opcode::FrameAddr:
-      Out.Kind = MemAccess::Base::Frame;
-      Out.BaseId = I.Aux;
-      Out.OffsetKnown = true;
-      return;
-    case Opcode::Move:
-      resolveAddress(I.A, Out, Depth + 1);
-      return;
-    case Opcode::PtrAdd: {
-      resolveAddress(I.A, Out, Depth + 1);
-      if (Out.Kind == MemAccess::Base::Unknown)
-        return;
-      std::optional<Affine> Off = evaluate(I.B);
-      if (!Off) {
+    Out.OffsetKnown = true;
+    for (ValueId Off : Offsets) {
+      std::optional<Affine> A = evaluate(Off);
+      if (!A) {
         Out.OffsetKnown = false;
         return;
       }
-      if (Out.OffsetKnown)
-        Out.Offset = affineAdd(Out.Offset, *Off, 1);
-      return;
-    }
-    default:
-      return;
+      Out.Offset = affineAdd(Out.Offset, *A, 1);
     }
   }
 
@@ -306,95 +271,6 @@ public:
     if (Trips > (static_cast<__int128>(1) << 40))
       return std::nullopt;
     return static_cast<int64_t>(Trips);
-  }
-
-  /// Does the single-def chain of \p V (within the loop) read register
-  /// \p Target? Conservative: unanalyzable chains count as depending.
-  bool chainDependsOn(ValueId V, ValueId Target) const {
-    std::set<ValueId> Visited;
-    return chainDependsOnImpl(V, Target, Visited);
-  }
-
-  bool chainDependsOnImpl(ValueId V, ValueId Target,
-                          std::set<ValueId> &Visited) const {
-    if (V == Target)
-      return true;
-    if (V == NoValue)
-      return true;
-    if (!Visited.insert(V).second)
-      return false; // Cycle (e.g. an induction recurrence): the first visit
-                    // already explored every register this one can read.
-    if (!View.defines(V))
-      return false; // Loop-invariant: cannot carry Target's running value.
-    const DefSite *Def = View.singleDef(V);
-    if (!Def)
-      return true;
-    const Instruction &I = View.inst(*Def);
-    if (I.Op == Opcode::Call || I.Op == Opcode::Store)
-      return true;
-    bool Depends = false;
-    forEachUse(F, I, [&](ValueId U) {
-      Depends = Depends || chainDependsOnImpl(U, Target, Visited);
-    });
-    return Depends;
-  }
-
-  /// Structural equality of two value chains: both compute the same
-  /// expression over the same roots (constants, array cells, live-ins).
-  /// Used by the min/max recognizer to match the guard's operand against
-  /// the conditionally assigned value, which lowering loads separately.
-  bool sameChainEq(ValueId A, ValueId B, unsigned Depth = 0) const {
-    if (A == B)
-      return true;
-    if (Depth > MaxEvalDepth || A == NoValue || B == NoValue)
-      return false;
-    const Instruction *IA = singleDefInst(A);
-    const Instruction *IB = singleDefInst(B);
-    if (!IA || !IB) {
-      // Distinct registers without usable defs only match as themselves.
-      return false;
-    }
-    // Look through copies on either side.
-    if (IA->Op == Opcode::Move)
-      return sameChainEq(IA->A, B, Depth + 1);
-    if (IB->Op == Opcode::Move)
-      return sameChainEq(A, IB->A, Depth + 1);
-    if (IA->Op != IB->Op)
-      return false;
-    switch (IA->Op) {
-    case Opcode::ConstInt:
-      return IA->IntImm == IB->IntImm;
-    case Opcode::ConstFloat:
-      return IA->FloatImm == IB->FloatImm;
-    case Opcode::GlobalAddr:
-    case Opcode::FrameAddr:
-      return IA->Aux == IB->Aux;
-    case Opcode::Load:
-    case Opcode::Neg:
-    case Opcode::FNeg:
-    case Opcode::Not:
-    case Opcode::IntToFloat:
-    case Opcode::FloatToInt:
-      return sameChainEq(IA->A, IB->A, Depth + 1);
-    default:
-      if (isBinaryOp(IA->Op))
-        return sameChainEq(IA->A, IB->A, Depth + 1) &&
-               sameChainEq(IA->B, IB->B, Depth + 1);
-      return false;
-    }
-  }
-
-  /// The unique defining instruction of \p V (in-loop single def preferred,
-  /// else the whole-function single def), or nullptr.
-  const Instruction *singleDefInst(ValueId V) const {
-    if (V == NoValue)
-      return nullptr;
-    if (View.defines(V)) {
-      const DefSite *Def = View.singleDef(V);
-      return Def ? &View.inst(*Def) : nullptr;
-    }
-    std::span<const unsigned> Ds = DI.defsOf(V);
-    return Ds.size() == 1 ? &View.inst(DI.Defs[Ds[0]]) : nullptr;
   }
 
   // --- Iteration-cost model -------------------------------------------------
@@ -517,18 +393,15 @@ private:
     // affine form init + step*i does not hold.
     if (!View.singleDef(V))
       return;
-    const DefSite *OpDef = View.singleDef(MoveI.A);
-    if (!OpDef)
-      return;
-    const Instruction &OpI = View.inst(*OpDef);
-    if (!OpI.IsInductionUpdate ||
-        (OpI.Op != Opcode::Add && OpI.Op != Opcode::Sub))
+    const Instruction *OpI = Chains.updateOp(MoveI);
+    if (!OpI || !OpI->IsInductionUpdate ||
+        (OpI->Op != Opcode::Add && OpI->Op != Opcode::Sub))
       return;
     // Induction normalizes the accumulator to operand A; B is the step.
-    std::optional<int64_t> Step = constEval(OpI.B);
+    std::optional<int64_t> Step = constEval(OpI->B);
     if (!Step)
       return;
-    InductionStep[V] = OpI.Op == Opcode::Add ? *Step : -*Step;
+    InductionStep[V] = OpI->Op == Opcode::Add ? *Step : -*Step;
     if (std::optional<int64_t> Init = initialValueOf(V))
       InductionInit[V] = *Init;
   }
@@ -585,6 +458,11 @@ private:
   const Function &F;
   const Loop &L;
   const DefIndex &DI;
+  /// The function-wide rule, for constant folding: a value computed before
+  /// the loop is not whatever the loop later assigns to its operands.
+  const DefChains FunctionChains;
+  /// resolveAddress's PtrAdd offsets, kept to reuse their storage.
+  std::vector<ValueId> Offsets;
   std::map<ValueId, int64_t> InductionStep;
   std::map<ValueId, int64_t> InductionInit;
 };
@@ -610,21 +488,21 @@ const char *reductionOpName(Opcode Op) {
   }
 }
 
-/// Human name for a resolved base, for diagnostics.
+/// Human name for a resolved array, for diagnostics.
 std::string baseDisplayName(const Module &M, const Function &F,
-                            MemAccess::Base Kind, uint32_t Id) {
-  switch (Kind) {
-  case MemAccess::Base::Global:
-    if (Id < M.Globals.size())
-      return M.Globals[Id].Name + "[]";
+                            ArrayRoot Array) {
+  switch (Array.Kind) {
+  case ArrayBase::Global:
+    if (Array.Id < M.Globals.size())
+      return M.Globals[Array.Id].Name + "[]";
     break;
-  case MemAccess::Base::Frame:
-    if (Id < F.FrameArrays.size())
-      return F.FrameArrays[Id].Name + "[]";
+  case ArrayBase::Frame:
+    if (Array.Id < F.FrameArrays.size())
+      return F.FrameArrays[Array.Id].Name + "[]";
     break;
-  case MemAccess::Base::Param:
-    return formatString("parameter #%u", Id);
-  case MemAccess::Base::Unknown:
+  case ArrayBase::Param:
+    return formatString("parameter #%u", Array.Id);
+  case ArrayBase::Unknown:
     break;
   }
   return "memory";
@@ -641,7 +519,7 @@ std::string baseDisplayName(const Module &M, const Function &F,
 /// associative, commutative reduction -- even though HCPA's runtime rule
 /// (which only breaks +/* accumulators) will measure the loop as serial.
 /// Returns "min", "max", or nullptr.
-const char *minMaxIdiom(const LoopView &View, const LoopAnalyzer &LA,
+const char *minMaxIdiom(const LoopView &View, const DefChains &Chains,
                         ValueId V) {
   const Function &F = View.F;
   const DefSite *Def = View.singleDef(V);
@@ -655,7 +533,7 @@ const char *minMaxIdiom(const LoopView &View, const LoopAnalyzer &LA,
   if (View.dominatesAllLatches(MB))
     return nullptr; // Unconditional replacement is not a fold.
   ValueId T = MoveI.A;
-  if (LA.chainDependsOn(T, V))
+  if (View.dependsOn(T, V))
     return nullptr;
 
   // The update block must hang off a single in-loop branch...
@@ -680,7 +558,7 @@ const char *minMaxIdiom(const LoopView &View, const LoopAnalyzer &LA,
     return nullptr;
 
   // ...whose condition orders v against the replacement value.
-  const Instruction *Cmp = LA.singleDefInst(Br.A);
+  const Instruction *Cmp = Chains.def(Br.A);
   if (!Cmp)
     return nullptr;
   bool Lt;
@@ -705,7 +583,7 @@ const char *minMaxIdiom(const LoopView &View, const LoopAnalyzer &LA,
   auto IsV = [&](ValueId X) {
     if (X == V)
       return true;
-    const Instruction *XI = LA.singleDefInst(X);
+    const Instruction *XI = Chains.def(X);
     if (XI && XI->Op == Opcode::Move && XI->A == V) {
       VCopy = XI;
       return true;
@@ -713,9 +591,9 @@ const char *minMaxIdiom(const LoopView &View, const LoopAnalyzer &LA,
     return false;
   };
   bool VFirst;
-  if (IsV(Cmp->A) && LA.sameChainEq(Cmp->B, T))
+  if (IsV(Cmp->A) && Chains.sameValue(Cmp->B, T))
     VFirst = true;
-  else if (IsV(Cmp->B) && LA.sameChainEq(Cmp->A, T))
+  else if (IsV(Cmp->B) && Chains.sameValue(Cmp->A, T))
     VFirst = false;
   else
     return nullptr;
@@ -783,8 +661,7 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   // with no usable summary keeps the pre-interprocedural behavior: the loop
   // forfeits its verdict.
   struct CallEffect {
-    MemAccess::Base Kind = MemAccess::Base::Unknown;
-    uint32_t BaseId = 0;
+    ArrayRoot Array;
     bool Read = false;
     bool Write = false;
     unsigned Line = 0;
@@ -809,11 +686,9 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
       bool Usable = true;
       std::vector<CallEffect> Local;
       for (GlobalId G : S->GlobalReads)
-        Local.push_back({MemAccess::Base::Global, G, true, false, I.Line,
-                         I.Aux});
+        Local.push_back({{ArrayBase::Global, G}, true, false, I.Line, I.Aux});
       for (GlobalId G : S->GlobalWrites)
-        Local.push_back({MemAccess::Base::Global, G, false, true, I.Line,
-                         I.Aux});
+        Local.push_back({{ArrayBase::Global, G}, false, true, I.Line, I.Aux});
       std::span<const ValueId> Args = F.callArgs(I);
       unsigned NumK = static_cast<unsigned>(
           std::max(S->ParamReads.size(), S->ParamWrites.size()));
@@ -822,14 +697,14 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
         bool Wr = S->writesParam(K);
         if (!Rd && !Wr)
           continue;
-        MemAccess Root;
+        ArrayRoot Root;
         if (K < Args.size())
-          LA.resolveAddress(Args[K], Root);
-        if (Root.Kind == MemAccess::Base::Unknown) {
+          Root = LA.Chains.arrayOf(Args[K]);
+        if (Root.Kind == ArrayBase::Unknown) {
           Usable = false;
           break;
         }
-        Local.push_back({Root.Kind, Root.BaseId, Rd, Wr, I.Line, I.Aux});
+        Local.push_back({Root, Rd, Wr, I.Line, I.Aux});
       }
       if (!Usable) {
         OpaqueCallees.insert(Name);
@@ -865,7 +740,7 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   auto MinMaxOf = [&](ValueId V) {
     auto It = MinMaxMemo.find(V);
     if (It == MinMaxMemo.end())
-      It = MinMaxMemo.emplace(V, minMaxIdiom(View, LA, V)).first;
+      It = MinMaxMemo.emplace(V, minMaxIdiom(View, LA.Chains, V)).first;
     return It->second;
   };
   for (const ScalarCarriedDep &Dep : ScalarDeps) {
@@ -873,11 +748,9 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
       // Separate reduction accumulators (which need a reduction clause)
       // from induction bookkeeping (which vanishes under privatization).
       const Instruction &DefI = View.inst(Dep.Def);
-      const Instruction *OpI = &DefI;
-      if (DefI.Op == Opcode::Move && !DefI.IsReductionUpdate)
-        if (const Instruction *Src = LA.singleDefInst(DefI.A))
-          OpI = Src;
-      if (OpI->IsReductionUpdate) {
+      const Instruction *OpI =
+          DefI.IsReductionUpdate ? &DefI : LA.Chains.updateOp(DefI);
+      if (OpI && OpI->IsReductionUpdate) {
         ReductionValues.insert(Dep.Value);
         ReductionOps.insert(reductionOpName(OpI->Op));
       }
@@ -937,7 +810,7 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   if (NumStores > 0 || AnyCallWrite) {
     // Any unresolved access may alias any write.
     for (const MemAccess &A : Accesses)
-      if (A.Kind == MemAccess::Base::Unknown || !A.OffsetKnown) {
+      if (A.Array.Kind == ArrayBase::Unknown || !A.OffsetKnown) {
         MemUnknown = true;
         MemUnknownWhy = formatString(
             "unresolved %s subscript at line %u",
@@ -952,27 +825,26 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
   // Write/write overlaps are output dependences and stay breakable.
   if (!MemUnknown)
     for (const CallEffect &E : CallEffects) {
-      auto Conflict = [&](MemAccess::Base Kind, uint32_t BaseId) {
+      auto Conflict = [&] {
         MemUnknown = true;
         MemUnknownWhy = formatString(
             "call to %s() at line %u may carry a dependence through %s",
             E.Callee < M.Functions.size() ? M.Functions[E.Callee].Name.c_str()
                                           : "?",
-            E.Line, baseDisplayName(M, F, Kind, BaseId).c_str());
+            E.Line, baseDisplayName(M, F, E.Array).c_str());
       };
       if (E.Write) {
         for (const MemAccess &A : Accesses)
-          if (!A.IsStore && basesMayAlias(E.Kind, E.BaseId, A.Kind, A.BaseId))
-            Conflict(E.Kind, E.BaseId);
+          if (!A.IsStore && basesMayAlias(E.Array, A.Array))
+            Conflict();
         for (const CallEffect &E2 : CallEffects)
-          if (E2.Read &&
-              basesMayAlias(E.Kind, E.BaseId, E2.Kind, E2.BaseId))
-            Conflict(E.Kind, E.BaseId);
+          if (E2.Read && basesMayAlias(E.Array, E2.Array))
+            Conflict();
       }
       if (!MemUnknown && E.Read) {
         for (const MemAccess &A : Accesses)
-          if (A.IsStore && basesMayAlias(E.Kind, E.BaseId, A.Kind, A.BaseId))
-            Conflict(E.Kind, E.BaseId);
+          if (A.IsStore && basesMayAlias(E.Array, A.Array))
+            Conflict();
       }
       if (MemUnknown)
         break;
@@ -988,17 +860,16 @@ StaticLoopResult classifyLoop(const Module &M, const Function &F,
       for (const MemAccess &Ld : Accesses) {
         if (Ld.IsStore)
           continue;
-        if (!basesMayAlias(S.Kind, S.BaseId, Ld.Kind, Ld.BaseId))
+        if (!basesMayAlias(S.Array, Ld.Array))
           continue; // Provably distinct arrays (word-granular model).
-        if (S.Kind != Ld.Kind || S.BaseId != Ld.BaseId) {
+        if (S.Array != Ld.Array) {
           // May alias without a common base: an array parameter against a
           // global or another parameter. Subscripts are incomparable.
           MemUnknown = true;
           MemUnknownWhy = formatString(
               "%s may alias %s (store line %u / load line %u)",
-              baseDisplayName(M, F, S.Kind, S.BaseId).c_str(),
-              baseDisplayName(M, F, Ld.Kind, Ld.BaseId).c_str(), S.Line,
-              Ld.Line);
+              baseDisplayName(M, F, S.Array).c_str(),
+              baseDisplayName(M, F, Ld.Array).c_str(), S.Line, Ld.Line);
           break;
         }
         Affine D = affineAdd(S.Offset, Ld.Offset, -1);

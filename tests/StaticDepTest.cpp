@@ -300,6 +300,170 @@ TEST(ScalarCarriedDeps, SameIterationDefinitionKillsTheCarriedToken) {
   EXPECT_EQ(analyzeSingleLoop(Source).Verdict, LoopVerdict::ProvablyDoall);
 }
 
+// --- Def chains -------------------------------------------------------------
+
+/// One function with an array parameter p0 and one loop, with a register
+/// for each def-chain case, shapes lowered MiniC never has included (a
+/// copied address, an address defined both before and inside the loop, a
+/// chain of 33 copies):
+///
+///   entry:  g = &g[]; h = &h[]; fr = &frame[0]; c = 1
+///           x0 = g; x1 = move x0; ... x33 = move x32
+///           ptr = g
+///   header: condbr c, body, exit
+///   body:   ptr = h                  (ptr: one def in, one before the loop)
+///           two = g; two = h         (two: two in-loop defs)
+///           ga = &g[]; copy = move (ga + c)
+///           l1 = load (&g[] + c); l2 = load (&g[] + c); y = move l2
+///           t = k + c (marked induction); k = move t
+///           store ptr, c
+///   exit:   ret
+struct ChainFunction {
+  Module M;
+  FuncId Id = NoFunc;
+  ValueId Param = 0, Frame = NoValue, Ptr = NoValue, Two = NoValue,
+          Copy = NoValue, L1 = NoValue, Y = NoValue, C = NoValue;
+  std::vector<ValueId> X; ///< X[k] is k copies away from g's address.
+  DefSite Update;         ///< k = move t.
+
+  ChainFunction() {
+    for (const char *Name : {"g", "h"}) {
+      GlobalArray G;
+      G.Name = Name;
+      G.SizeWords = 4;
+      M.addGlobal(std::move(G));
+    }
+    Function Fn;
+    Fn.Name = "chains";
+    Fn.ReturnTy = Type::Void;
+    Fn.NumParams = 1;
+    Fn.NumValues = 1;
+    Fn.FrameArrays.push_back({"frame", 4, Type::Int});
+    Id = M.addFunction(std::move(Fn));
+    IRBuilder B(M, M.Functions[Id]);
+    BlockId Entry = B.createBlock("entry");
+    BlockId Header = B.createBlock("header");
+    BlockId Body = B.createBlock("body");
+    BlockId Exit = B.createBlock("exit");
+    B.setInsertPoint(Entry);
+    ValueId G = B.emitGlobalAddr(0);
+    ValueId H = B.emitGlobalAddr(1);
+    Frame = B.emitFrameAddr(0);
+    C = B.emitConstInt(1);
+    X.push_back(G);
+    for (unsigned K = 1; K <= MaxChainHops + 1; ++K)
+      X.push_back(B.emitMove(Type::Int, X.back()));
+    Ptr = B.emitMove(Type::Int, G);
+    ValueId Counter = B.emitConstInt(0);
+    B.emitBr(Header);
+    B.setInsertPoint(Header);
+    B.emitCondBr(C, Body, Exit);
+    B.setInsertPoint(Body);
+    B.emitMove(Type::Int, H, Ptr);
+    Two = B.emitMove(Type::Int, G);
+    B.emitMove(Type::Int, H, Two);
+    Copy = B.emitMove(Type::Int, B.emitPtrAdd(B.emitGlobalAddr(0), C));
+    L1 = B.emitLoad(Type::Int, B.emitPtrAdd(B.emitGlobalAddr(0), C));
+    Y = B.emitMove(Type::Int,
+                   B.emitLoad(Type::Int, B.emitPtrAdd(B.emitGlobalAddr(0), C)));
+    ValueId T = B.emitBinary(Opcode::Add, Type::Int, Counter, C);
+    B.emitMove(Type::Int, T, Counter);
+    Function &F = M.Functions[Id];
+    unsigned Last = static_cast<unsigned>(F.Blocks[Body].Insts.size());
+    F.Blocks[Body].Insts[Last - 2].IsInductionUpdate = true;
+    Update = {Body, Last - 1, Counter};
+    B.emitStore(Ptr, C);
+    B.emitBr(Header);
+    B.setInsertPoint(Exit);
+    B.emitRet();
+  }
+
+  const Function &fn() const { return M.Functions[Id]; }
+};
+
+/// Answers each query with the loop's rule and with the function's.
+struct ChainQueries {
+  FunctionAnalysis FA;
+  LoopScratch Scratch;
+  LoopView View;
+  DefChains InLoop, Whole;
+
+  explicit ChainQueries(const ChainFunction &CF)
+      : FA(buildFunctionAnalysis(CF.fn())), Scratch(CF.fn()),
+        View(CF.fn(), FA, FA.LI.Loops.at(0), Scratch), InLoop(View),
+        Whole(CF.fn(), FA.Defs) {}
+};
+
+TEST(DefChains, LoopQueryFollowsTheLoopsOnlyDefinition) {
+  // ptr is defined once before the loop and once inside it: inside the
+  // loop the address is h's, while mod/ref, which asks with no loop, sees
+  // two definitions and cannot name the array the loop's store writes.
+  ChainFunction CF;
+  ChainQueries Q(CF);
+  EXPECT_EQ(Q.InLoop.arrayOf(CF.Ptr), (ArrayRoot{ArrayBase::Global, 1}));
+  EXPECT_EQ(Q.Whole.arrayOf(CF.Ptr), ArrayRoot());
+  EXPECT_TRUE(modRefBody(CF.fn(), Q.FA.Defs).Own.Opaque);
+}
+
+TEST(DefChains, TwoInLoopDefinitionsHaveNoChain) {
+  ChainFunction CF;
+  ChainQueries Q(CF);
+  EXPECT_EQ(Q.InLoop.def(CF.Two), nullptr);
+  EXPECT_EQ(Q.InLoop.arrayOf(CF.Two), ArrayRoot());
+}
+
+TEST(DefChains, AddressesResolveToTheirArrays) {
+  ChainFunction CF;
+  ChainQueries Q(CF);
+  for (const DefChains *Chains : {&Q.InLoop, &Q.Whole}) {
+    EXPECT_EQ(Chains->arrayOf(CF.Param), (ArrayRoot{ArrayBase::Param, 0}));
+    EXPECT_EQ(Chains->arrayOf(CF.Frame), (ArrayRoot{ArrayBase::Frame, 0}));
+    // copy = move (&g[] + c): Move, then PtrAdd, then GlobalAddr.
+    std::vector<ValueId> Offsets;
+    EXPECT_EQ(Chains->arrayOf(CF.Copy, &Offsets),
+              (ArrayRoot{ArrayBase::Global, 0}));
+    EXPECT_EQ(Offsets, std::vector<ValueId>{CF.C});
+    // A constant is no address.
+    EXPECT_EQ(Chains->arrayOf(CF.C), ArrayRoot());
+  }
+}
+
+TEST(DefChains, WalkStopsOneHopPastTheCap) {
+  ChainFunction CF;
+  ChainQueries Q(CF);
+  for (const DefChains *Chains : {&Q.InLoop, &Q.Whole}) {
+    EXPECT_EQ(Chains->arrayOf(CF.X[MaxChainHops]),
+              (ArrayRoot{ArrayBase::Global, 0}));
+    EXPECT_EQ(Chains->arrayOf(CF.X[MaxChainHops + 1]), ArrayRoot());
+  }
+}
+
+TEST(DefChains, ChainsAreEqualThroughACopyOnOneSide) {
+  // l1 = load (&g[] + c) and y = move (load (&g[] + c)): two loads of one
+  // cell, one of them copied.
+  ChainFunction CF;
+  ChainQueries Q(CF);
+  EXPECT_TRUE(Q.InLoop.sameValue(CF.L1, CF.Y));
+  EXPECT_TRUE(Q.InLoop.sameValue(CF.Y, CF.L1));
+  // The same cell's address is no load of it.
+  EXPECT_FALSE(Q.InLoop.sameValue(CF.L1, CF.Copy));
+}
+
+TEST(DefChains, UpdateCopyDecodesToItsMarkedOp) {
+  // k = move t, where t = k + c is marked and is t's only definition, in
+  // the loop and in the function.
+  ChainFunction CF;
+  ChainQueries Q(CF);
+  const Instruction &Copy = Q.View.inst(CF.Update);
+  const Instruction *Op = Q.InLoop.updateOp(Copy);
+  ASSERT_NE(Op, nullptr);
+  EXPECT_EQ(Op->Op, Opcode::Add);
+  EXPECT_EQ(Op->Result, Copy.A);
+  EXPECT_EQ(Q.Whole.updateOp(Copy), Op);
+  // The op itself is no copy.
+  EXPECT_EQ(Q.InLoop.updateOp(*Op), nullptr);
+}
+
 // --- Loop verdicts ----------------------------------------------------------
 
 TEST(StaticDependence, SerialArrayRecurrence) {
@@ -367,6 +531,23 @@ TEST(StaticDependence, MinIdiomIsProvablyReduction) {
   EXPECT_EQ(L.Verdict, LoopVerdict::ProvablyReduction);
   EXPECT_EQ(L.ReductionOps, "min");
   EXPECT_TRUE(L.MinMaxReduction);
+}
+
+TEST(StaticDependence, MinGuardOnAnotherCellIsNotAReduction) {
+  // The guard reads a[i + 1], the update assigns a[i]: no running min.
+  // Compared inside the loop, i's only in-loop definition (its update)
+  // would make i + 1 look like i, so the chain comparison follows only
+  // definitions the whole function has once.
+  StaticLoopResult L = analyzeSingleLoop(
+      "int a[64];"
+      "int main() { int low = 9999;"
+      " for (int i = 0; i < 63; i = i + 1) {"
+      "   if (a[i + 1] < low) { low = a[i]; }"
+      " }"
+      " return low; }");
+  EXPECT_NE(L.Verdict, LoopVerdict::ProvablyReduction) << L.Reason;
+  EXPECT_EQ(L.Reductions, 0u);
+  EXPECT_FALSE(L.MinMaxReduction);
 }
 
 TEST(StaticDependence, SameCellAccumulationIsReduction) {
