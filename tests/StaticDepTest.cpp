@@ -550,6 +550,19 @@ TEST(StaticDependence, MinGuardOnAnotherCellIsNotAReduction) {
   EXPECT_FALSE(L.MinMaxReduction);
 }
 
+TEST(StaticDependence, CopyOfAnInductionVariableIsNoUpdate) {
+  // k holds the previous iteration's i, so a[i] = a[k] + 3 reads the cell
+  // the previous iteration wrote. `k = i` copies a register whose in-loop
+  // definition is a marked induction copy, but it is no update itself: the
+  // update decode follows only an op's own temporary, defined once.
+  StaticLoopResult L = analyzeSingleLoop(
+      "int a[64];"
+      "int main() { int k;"
+      " for (int i = 1; i < 63; i = i + 1) { a[i] = a[k] + 3; k = i; }"
+      " return a[5]; }");
+  EXPECT_NE(L.Verdict, LoopVerdict::ProvablyDoall) << L.Reason;
+}
+
 TEST(StaticDependence, SameCellAccumulationIsReduction) {
   // A memory reduction: every iteration rewrites a[0] = a[0] + b[i].
   StaticLoopResult L = analyzeSingleLoop(
