@@ -148,20 +148,25 @@ ArrayRoot DefChains::arrayOf(ValueId Addr,
   return {};
 }
 
-bool DefChains::sameValue(ValueId A, ValueId B, unsigned Hops) const {
+bool DefChains::sameValue(ValueId A, ValueId B, bool FollowCopies,
+                          unsigned Hops) const {
   if (A == B)
     return true;
   if (Hops > MaxChainHops || A == NoValue || B == NoValue)
     return false;
-  const Instruction *IA = lookup(A, nullptr);
-  const Instruction *IB = lookup(B, nullptr);
-  // Distinct registers without a chain match only as themselves.
+  const Instruction *IA = functionDef(A);
+  const Instruction *IB = functionDef(B);
+  // Distinct registers without a chain match only as themselves, and so do
+  // copies the caller does not follow.
   if (!IA || !IB)
     return false;
-  if (IA->Op == Opcode::Move)
-    return sameValue(IA->A, B, Hops + 1);
-  if (IB->Op == Opcode::Move)
-    return sameValue(A, IB->A, Hops + 1);
+  if (IA->Op == Opcode::Move || IB->Op == Opcode::Move) {
+    if (!FollowCopies)
+      return false;
+    if (IA->Op == Opcode::Move)
+      return sameValue(IA->A, B, FollowCopies, Hops + 1);
+    return sameValue(A, IB->A, FollowCopies, Hops + 1);
+  }
   if (IA->Op != IB->Op)
     return false;
   switch (IA->Op) {
@@ -174,10 +179,10 @@ bool DefChains::sameValue(ValueId A, ValueId B, unsigned Hops) const {
     return IA->Aux == IB->Aux;
   default:
     if (isBinaryOp(IA->Op))
-      return sameValue(IA->A, IB->A, Hops + 1) &&
-             sameValue(IA->B, IB->B, Hops + 1);
+      return sameValue(IA->A, IB->A, FollowCopies, Hops + 1) &&
+             sameValue(IA->B, IB->B, FollowCopies, Hops + 1);
     if (isUnaryOp(IA->Op) || IA->Op == Opcode::Load)
-      return sameValue(IA->A, IB->A, Hops + 1);
+      return sameValue(IA->A, IB->A, FollowCopies, Hops + 1);
     return false;
   }
 }
@@ -185,7 +190,7 @@ bool DefChains::sameValue(ValueId A, ValueId B, unsigned Hops) const {
 const Instruction *DefChains::updateOp(const Instruction &Copy) const {
   if (Copy.Op != Opcode::Move || (Loop && !Loop->defines(Copy.A)))
     return nullptr;
-  const Instruction *Op = lookup(Copy.A, nullptr);
+  const Instruction *Op = functionDef(Copy.A);
   if (!Op || (!Op->IsInductionUpdate && !Op->IsReductionUpdate))
     return nullptr;
   return Op;

@@ -202,13 +202,13 @@ public:
 /// definition that computes it: the function's only definition of it, or
 /// none when it has several. Inside a loop, def() and arrayOf() let a
 /// register the loop defines follow the loop's only definition of it
-/// instead. sameValue() and updateOp() keep the function rule there: a
-/// loop's only definition of a register the function also defines before
-/// the loop may not have run yet in the current iteration (`a[i + 1] =
-/// a[i] + 1` reads i before its update), and the copy `v = move t` of an
-/// update reads the op's own t, which is defined once. Mod/ref and constant
-/// folding ask with no loop; induction marking, the carried-scalar scan and
-/// the loop analyzer ask inside their loop.
+/// instead. functionDef(), sameValue() and updateOp() keep the function rule
+/// there: a loop's only definition of a register the function also defines
+/// before the loop may not have run yet in the current iteration (`a[i + 1]
+/// = a[i] + 1` reads i before its update), and the copy `v = move t` of an
+/// update reads the op's own t, which is defined once. Mod/ref asks with no
+/// loop; induction marking, the carried-scalar scan and the loop analyzer
+/// ask inside their loop.
 class DefChains {
 public:
   /// Queries over \p F with no loop; \p Defs is \p F's def index. Both
@@ -221,6 +221,12 @@ public:
   /// The definition \p V's chain follows, or nullptr when it has none.
   const Instruction *def(ValueId V) const { return lookup(V, Loop); }
 
+  /// The function's only definition of \p V, even inside a loop, or
+  /// nullptr when it has none or several.
+  const Instruction *functionDef(ValueId V) const {
+    return lookup(V, nullptr);
+  }
+
   /// The array address register \p Addr points into, following Move and
   /// PtrAdd bases (a PtrAdd offset never changes the array) for at most
   /// MaxChainHops hops. A register the function never defines is the
@@ -231,10 +237,20 @@ public:
 
   /// True when \p A and \p B are one register or structurally equal
   /// chains: the same opcodes over equal operands, down to equal constants,
-  /// the same global or frame array, or the same register, looking through
-  /// a copy on either side. Loads compare by address, so the caller must
-  /// know no store runs between the two chains.
-  bool sameValue(ValueId A, ValueId B) const { return sameValue(A, B, 0); }
+  /// the same global or frame array, or the same register. Loads compare by
+  /// address, so the caller must know no store runs between the two chains.
+  ///
+  /// A register defined by a copy `y = move x` holds x as it was at the
+  /// copy, which may be an earlier statement or iteration. Unless
+  /// \p FollowCopies, such a register equals only itself: that is exact
+  /// for two chains of one statement, where a variable holds one value
+  /// throughout (`y = x; x = i % 2; a[y] = a[x] + 1` writes the cell the
+  /// next iteration reads). With \p FollowCopies, a copy on either side is
+  /// compared by its source, which is exact only when nothing the source's
+  /// chain reads is assigned between the copy and the other chain.
+  bool sameValue(ValueId A, ValueId B, bool FollowCopies) const {
+    return sameValue(A, B, FollowCopies, 0);
+  }
 
   /// The marked op behind an update's copy: when \p Copy is `v = move t`
   /// and t's one definition (inside the loop, for a loop's queries) carries
@@ -244,7 +260,8 @@ public:
 private:
   /// The one lookup: inside \p Scope's loop, or function-wide when null.
   const Instruction *lookup(ValueId V, const LoopView *Scope) const;
-  bool sameValue(ValueId A, ValueId B, unsigned Hops) const;
+  bool sameValue(ValueId A, ValueId B, bool FollowCopies,
+                 unsigned Hops) const;
 
   const Function &F;
   const DefIndex &Defs;

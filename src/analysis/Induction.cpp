@@ -255,8 +255,9 @@ private:
           if (LoadInst.Op != Opcode::Load)
             return false;
           // Both addresses come from lowering one assignment, so no
-          // store runs between them.
-          return Chains.sameValue(LoadInst.A, Store.A) &&
+          // store runs between them and each variable holds one value.
+          return Chains.sameValue(LoadInst.A, Store.A,
+                                  /*FollowCopies=*/false) &&
                  onlyLoadOfCell(Store.A, LoadInst);
         };
 

@@ -113,8 +113,7 @@ struct MemAccess {
 class LoopAnalyzer {
 public:
   explicit LoopAnalyzer(const LoopView &View)
-      : Chains(View), View(View), F(View.F), L(View.L), DI(View.FA.Defs),
-        FunctionChains(F, DI) {
+      : Chains(View), View(View), F(View.F), L(View.L), DI(View.FA.Defs) {
     findInductionVars();
   }
 
@@ -125,7 +124,7 @@ public:
   std::optional<int64_t> constEval(ValueId V, unsigned Depth = 0) const {
     if (Depth > MaxChainHops || V == NoValue)
       return std::nullopt;
-    const Instruction *I = FunctionChains.def(V);
+    const Instruction *I = Chains.functionDef(V);
     return I ? fold(*I, Depth + 1) : std::nullopt;
   }
 
@@ -190,8 +189,8 @@ public:
 
   /// Resolves the address register of a Load/Store to its array and, when
   /// every PtrAdd offset on the way has an affine form, their sum.
-  void resolveAddress(ValueId V, MemAccess &Out) {
-    Offsets.clear();
+  void resolveAddress(ValueId V, MemAccess &Out) const {
+    std::vector<ValueId> Offsets;
     Out.Array = Chains.arrayOf(V, &Offsets);
     if (Out.Array.Kind == ArrayBase::Unknown)
       return;
@@ -458,11 +457,6 @@ private:
   const Function &F;
   const Loop &L;
   const DefIndex &DI;
-  /// The function-wide rule, for constant folding: a value computed before
-  /// the loop is not whatever the loop later assigns to its operands.
-  const DefChains FunctionChains;
-  /// resolveAddress's PtrAdd offsets, kept to reuse their storage.
-  std::vector<ValueId> Offsets;
   std::map<ValueId, int64_t> InductionStep;
   std::map<ValueId, int64_t> InductionInit;
 };
@@ -590,10 +584,12 @@ const char *minMaxIdiom(const LoopView &View, const DefChains &Chains,
     }
     return false;
   };
+  // The guard's operand and t come from two statements, so copies are
+  // followed: `int x = a[i]; if (x < m) m = a[i];`.
   bool VFirst;
-  if (IsV(Cmp->A) && Chains.sameValue(Cmp->B, T))
+  if (IsV(Cmp->A) && Chains.sameValue(Cmp->B, T, /*FollowCopies=*/true))
     VFirst = true;
-  else if (IsV(Cmp->B) && Chains.sameValue(Cmp->A, T))
+  else if (IsV(Cmp->B) && Chains.sameValue(Cmp->A, T, /*FollowCopies=*/true))
     VFirst = false;
   else
     return nullptr;

@@ -289,6 +289,115 @@ TEST(Induction, DifferentCellsNotReduction) {
   EXPECT_EQ(C.Reduction, 0u);
 }
 
+/// Memory reductions marked over every function of \p Src.
+unsigned memoryReductions(const std::string &Src) {
+  LowerResult R = compileMiniC(Src, "t.c");
+  EXPECT_TRUE(R.succeeded());
+  unsigned N = 0;
+  for (Function &F : R.M->Functions)
+    N += markInductionAndReductions(F, buildFunctionAnalysis(F))
+             .NumMemoryReductions;
+  return N;
+}
+
+TEST(Induction, StaleCopyInASubscriptIsNoMemoryReduction) {
+  // y holds the previous iteration's x, so each iteration writes the cell
+  // the next one reads.
+  EXPECT_EQ(memoryReductions(R"(
+    int a[64];
+    int main() {
+      int x;
+      int y;
+      for (int i = 0; i < 64; i = i + 1) {
+        y = x;
+        x = i % 2;
+        a[y] = a[x] + 1;
+      }
+      return a[0];
+    }
+  )"),
+            0u);
+  // The same with the copy after the update.
+  EXPECT_EQ(memoryReductions(R"(
+    int a[64];
+    int main() {
+      int x;
+      int y;
+      for (int i = 0; i < 64; i = i + 1) {
+        x = i % 2;
+        a[y] = a[x] + 1;
+        y = x;
+      }
+      return a[0];
+    }
+  )"),
+            0u);
+  // A copy of an expression over a variable assigned since.
+  EXPECT_EQ(memoryReductions(R"(
+    int a[64];
+    int main() {
+      int k = 0;
+      int y;
+      for (int i = 0; i < 64; i = i + 1) {
+        y = k % 2;
+        k = k + 1;
+        a[y] = a[k % 2] + 1;
+      }
+      return a[0];
+    }
+  )"),
+            0u);
+  // An inner loop over the outer loop's current and previous q.
+  EXPECT_EQ(memoryReductions(R"(
+    int a[64];
+    int main() {
+      int p;
+      for (int j = 0; j < 16; j = j + 1) {
+        int q = j % 4;
+        if (j > 0)
+          for (int k = 0; k < 8; k = k + 1)
+            a[p] = a[q] + 1;
+        p = q;
+      }
+      return a[0];
+    }
+  )"),
+            0u);
+}
+
+TEST(Induction, CopiesOfOneVariableAtTwoTimesAreNoMemoryReduction) {
+  // y and z copy x before and after its update: the copies' operands are
+  // one register, but not one value.
+  EXPECT_EQ(memoryReductions(R"(
+    int a[64];
+    int main() {
+      int x;
+      int y;
+      int z;
+      for (int i = 0; i < 64; i = i + 1) {
+        y = x;
+        x = i % 2;
+        z = x;
+        a[y] = a[z] + 1;
+      }
+      return a[0];
+    }
+  )"),
+            0u);
+  // One variable in both subscripts is still a reduction.
+  EXPECT_EQ(memoryReductions(R"(
+    int a[64];
+    int main() {
+      for (int i = 0; i < 64; i = i + 1) {
+        int x = i % 2;
+        a[x] = a[x] + 1;
+      }
+      return a[0];
+    }
+  )"),
+            1u);
+}
+
 TEST(Induction, SubtractionAccumulatorOnlyLeft) {
   // s = s - x is a reduction; s = x - s is not.
   MarkCounts C1 = markAndCount(R"(

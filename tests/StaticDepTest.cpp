@@ -439,14 +439,28 @@ TEST(DefChains, WalkStopsOneHopPastTheCap) {
 }
 
 TEST(DefChains, ChainsAreEqualThroughACopyOnOneSide) {
-  // l1 = load (&g[] + c) and y = move (load (&g[] + c)): two loads of one
-  // cell, one of them copied.
+  // l1 = load (&g[] + c) and y = move l2, l2 = load (&g[] + c): two loads
+  // of one cell, one of them copied.
   ChainFunction CF;
   ChainQueries Q(CF);
-  EXPECT_TRUE(Q.InLoop.sameValue(CF.L1, CF.Y));
-  EXPECT_TRUE(Q.InLoop.sameValue(CF.Y, CF.L1));
+  EXPECT_TRUE(Q.InLoop.sameValue(CF.L1, CF.Y, /*FollowCopies=*/true));
+  EXPECT_TRUE(Q.InLoop.sameValue(CF.Y, CF.L1, /*FollowCopies=*/true));
   // The same cell's address is no load of it.
-  EXPECT_FALSE(Q.InLoop.sameValue(CF.L1, CF.Copy));
+  EXPECT_FALSE(Q.InLoop.sameValue(CF.L1, CF.Copy, /*FollowCopies=*/true));
+}
+
+TEST(DefChains, UnfollowedCopyEqualsOnlyItself) {
+  ChainFunction CF;
+  ChainQueries Q(CF);
+  const Instruction *CopyOfL2 = Q.InLoop.functionDef(CF.Y);
+  ASSERT_NE(CopyOfL2, nullptr);
+  ASSERT_EQ(CopyOfL2->Op, Opcode::Move);
+  ValueId L2 = CopyOfL2->A;
+  EXPECT_FALSE(Q.InLoop.sameValue(CF.L1, CF.Y, /*FollowCopies=*/false));
+  EXPECT_FALSE(Q.InLoop.sameValue(CF.Y, CF.L1, /*FollowCopies=*/false));
+  EXPECT_TRUE(Q.InLoop.sameValue(CF.Y, CF.Y, /*FollowCopies=*/false));
+  // The loads themselves still compare by structure.
+  EXPECT_TRUE(Q.InLoop.sameValue(CF.L1, L2, /*FollowCopies=*/false));
 }
 
 TEST(DefChains, UpdateCopyDecodesToItsMarkedOp) {
@@ -529,6 +543,22 @@ TEST(StaticDependence, MinIdiomIsProvablyReduction) {
       " }"
       " return low; }");
   EXPECT_EQ(L.Verdict, LoopVerdict::ProvablyReduction);
+  EXPECT_EQ(L.ReductionOps, "min");
+  EXPECT_TRUE(L.MinMaxReduction);
+}
+
+TEST(StaticDependence, MinGuardThroughACopyIsAReduction) {
+  // The guard reads a copy of a[i], the update a[i] itself: the chain
+  // comparison follows the copy.
+  StaticLoopResult L = analyzeSingleLoop(
+      "int a[64];"
+      "int main() { int low = 9999;"
+      " for (int i = 0; i < 64; i = i + 1) {"
+      "   int x = a[i];"
+      "   if (x < low) { low = a[i]; }"
+      " }"
+      " return low; }");
+  EXPECT_EQ(L.Verdict, LoopVerdict::ProvablyReduction) << L.Reason;
   EXPECT_EQ(L.ReductionOps, "min");
   EXPECT_TRUE(L.MinMaxReduction);
 }
